@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import VOLUME_DEGREE, face_operator
 from .mesh import BoundaryPart, mesh_size
-from .spaces import (affine_map, segment_rule, shape_grads, shape_values,
-                     triangle_rule)
-from .assembly import (FACE_DATA_DEGREE, VOLUME_DEGREE, _cell_laplacians,
-                       _face_frame, _trace_normal_derivs)
+from .spaces import cell_points, shape_grads, shape_values, triangle_rule
 
 #: lower-left and upper-right corners of the local error window
 LOCAL_WINDOW = ((0.5, 0.0), (1.0, 0.5))
@@ -39,7 +37,7 @@ class ErrorReport:
 
 def _region_triangles(mesh, region):
     if region == "global":
-        return range(mesh.num_triangles)
+        return np.arange(mesh.num_triangles)
     if region != "local":
         raise ValueError("region must be 'global' or 'local'")
     (x0, y0), (x1, y1) = LOCAL_WINDOW
@@ -48,124 +46,66 @@ def _region_triangles(mesh, region):
     return np.flatnonzero(keep)
 
 
+def _volume_points(mesh, cells):
+    """Volume rule, its physical points (nt, nq, 2), det J and J^{-1} on cells."""
+    rule = triangle_rule(VOLUME_DEGREE)
+    return (rule,) + cell_points(mesh.vertices[mesh.triangles[cells]], rule.points)
+
+
+def _root_integral(rule, det, values):
+    """sqrt of Σ_t det_t Σ_q w_q values[t, q]."""
+    return math.sqrt(max(float(det @ (values @ rule.weights)), 0.0))
+
+
 def l2_error(space, uh, exact_u, region="global"):
     """‖u - u_h‖ over Ω or the local window ω.
 
     `uh` is either a coefficient vector or a callable field; passing the exact
     solution itself as a field gives zero, which pins down the quadrature path.
     """
-    mesh = space.mesh
-    rule = triangle_rule(VOLUME_DEGREE)
-    vals = shape_values(space.degree, rule.points)
-    by_coeffs = not callable(uh)
-    total = 0.0
-    for t in _region_triangles(mesh, region):
-        pts = mesh.triangle_points(t)
-        jac, det, _ = affine_map(pts)
-        phys = pts[0] + rule.points @ jac.T
-        if by_coeffs:
-            uh_q = vals @ uh[space.cell_dofs[t]]
-        else:
-            uh_q = uh(phys[:, 0], phys[:, 1])
-        diff = exact_u(phys[:, 0], phys[:, 1]) - uh_q
-        total += det * (rule.weights @ (diff * diff))
-    return math.sqrt(max(total, 0.0))
+    cells = _region_triangles(space.mesh, region)
+    rule, phys, det, _ = _volume_points(space.mesh, cells)
+    x, y = phys[..., 0], phys[..., 1]
+    if callable(uh):
+        uh_q = uh(x, y)
+    else:
+        uh_q = uh[space.cell_dofs[cells]] @ shape_values(space.degree, rule.points).T
+    diff = exact_u(x, y) - uh_q
+    return _root_integral(rule, det, diff * diff)
 
 
 def l2_norm_field(mesh, field, region="global"):
     """‖field‖ over Ω or ω by the shared volume rule."""
-    rule = triangle_rule(VOLUME_DEGREE)
-    total = 0.0
-    for t in _region_triangles(mesh, region):
-        pts = mesh.triangle_points(t)
-        jac, det, _ = affine_map(pts)
-        phys = pts[0] + rule.points @ jac.T
-        fq = field(phys[:, 0], phys[:, 1])
-        total += det * (rule.weights @ (fq * fq))
-    return math.sqrt(max(total, 0.0))
+    rule, phys, det, _ = _volume_points(mesh, _region_triangles(mesh, region))
+    fq = field(phys[..., 0], phys[..., 1])
+    return _root_integral(rule, det, fq * fq)
 
 
 def h1_semi_error(space, coeffs, exact_grad):
     """‖∇u - ∇u_h‖ over Ω."""
-    mesh = space.mesh
-    rule = triangle_rule(VOLUME_DEGREE)
-    grads = shape_grads(space.degree, rule.points)
-    total = 0.0
-    for t in range(mesh.num_triangles):
-        pts = mesh.triangle_points(t)
-        jac, det, jinv = affine_map(pts)
-        phys = pts[0] + rule.points @ jac.T
-        gh = np.einsum("qid,i->qd", grads @ jinv, coeffs[space.cell_dofs[t]])
-        gx, gy = exact_grad(phys[:, 0], phys[:, 1])
-        dx, dy = gx - gh[:, 0], gy - gh[:, 1]
-        total += det * (rule.weights @ (dx * dx + dy * dy))
-    return math.sqrt(max(total, 0.0))
-
-
-def _face_jump_sq(space, coeffs, f, rule, flux=None):
-    """∫_F h_F (jump of ∂_n u_h, or flux - ∂_n u_h on a data face)² ds."""
-    mesh = space.mesh
-    length, normal, points = _face_frame(mesh, f, rule)
-    lt, rt = mesh.face_tris[f]
-    dn = _trace_normal_derivs(space, lt, points, normal) @ coeffs[space.cell_dofs[lt]]
-    if rt >= 0:
-        dn = dn - (_trace_normal_derivs(space, rt, points, normal)
-                   @ coeffs[space.cell_dofs[rt]])
-        mis = -dn
-    else:
-        psi_q = 0.0 if flux is None else flux(points[:, 0], points[:, 1],
-                                              normal[0], normal[1])
-        mis = psi_q - dn
-    return length ** 2 * (rule.weights @ (mis * mis))
-
-
-def _laplacian_jump_sq(space, coeffs, f):
-    mesh = space.mesh
-    lt, rt = mesh.face_tris[f]
-    a, b = mesh.face_vertices[f]
-    d = mesh.vertices[b] - mesh.vertices[a]
-    length = float(np.hypot(d[0], d[1]))
-    jump = (_cell_laplacians(space, lt) @ coeffs[space.cell_dofs[lt]]
-            - _cell_laplacians(space, rt) @ coeffs[space.cell_dofs[rt]])
-    return length ** 4 * jump ** 2
+    rule, phys, det, jinv = _volume_points(space.mesh,
+                                           _region_triangles(space.mesh, "global"))
+    # reference gradient of u_h first, (nt, nq, 2), then the per-triangle map
+    g_ref = np.tensordot(coeffs[space.cell_dofs], shape_grads(space.degree, rule.points),
+                         axes=(1, 1))
+    gh = g_ref @ jinv
+    gx, gy = exact_grad(phys[..., 0], phys[..., 1])
+    dx, dy = gx - gh[..., 0], gy - gh[..., 1]
+    return _root_integral(rule, det, dx * dx + dy * dy)
 
 
 def stab_seminorm_u(space, coeffs, problem, gamma_v):
     """|u - u_h| in the primal stabilizer, computed from the data.
 
     The smooth solution contributes no interior gradient or Laplacian jumps,
-    so interior faces see -[∂_n u_h] while data faces see ψ - ∂_n u_h.
+    so interior faces see -[∂_n u_h] while data faces see ψ - ∂_n u_h: the
+    value is √γ_V ‖ψ̂ - B u_h‖ with the data-boundary face operator.  This
+    residual form keeps the digits that u_hᵀ S_V u_h - 2 gᵀu_h + γ_V ‖ψ̂‖²
+    loses to cancellation.
     """
-    mesh = space.mesh
-    rule = segment_rule(FACE_DATA_DEGREE)
-    total = 0.0
-    for f in mesh.interior_faces():
-        total += _face_jump_sq(space, coeffs, f, rule)
-        if space.degree == 2:
-            total += _laplacian_jump_sq(space, coeffs, f)
-    for f in mesh.faces_of_part(BoundaryPart.DATA):
-        total += _face_jump_sq(space, coeffs, f, rule, flux=problem.psi)
-    return math.sqrt(max(gamma_v * total, 0.0))
-
-
-def fe_jump_seminorm(space, coeffs, gamma, boundary_part=BoundaryPart.DATA,
-                     include_laplacian=True):
-    """Face-jump semi-norm of a finite element function by direct quadrature.
-
-    Matrix-free twin of x^T S x with the corresponding jump-penalty matrix;
-    boundary_part=None restricts to interior faces.
-    """
-    mesh = space.mesh
-    rule = segment_rule(FACE_DATA_DEGREE)
-    total = 0.0
-    for f in mesh.interior_faces():
-        total += _face_jump_sq(space, coeffs, f, rule)
-        if space.degree == 2 and include_laplacian:
-            total += _laplacian_jump_sq(space, coeffs, f)
-    if boundary_part is not None:
-        for f in mesh.faces_of_part(boundary_part):
-            total += _face_jump_sq(space, coeffs, f, rule)
-    return math.sqrt(max(gamma * total, 0.0))
+    b, psi_hat = face_operator(space, BoundaryPart.DATA, problem)
+    residual = psi_hat - b @ coeffs
+    return math.sqrt(gamma_v * float(residual @ residual))
 
 
 def stab_seminorm_z(coeffs, stab_matrix):

@@ -12,6 +12,11 @@ the data boundary) and s_W (Galerkin energy, or jumps over interior faces plus
 the free boundary), l(w) = ∫ f w + ∫_data ψ w, and the data functional
 g(v) = γ_V Σ_data ∫ h_F ψ ∂_n v.  For quadratics both penalties gain an
 h_F³-weighted jump of the elementwise Laplacian on interior faces.
+
+Every kernel works on all triangles or faces at once: the affine geometry is
+computed once per call and the quadrature sums are einsums.  The jump
+penalties, the data functional and the semi-norm |u - u_h|_{s_V} all come
+from one sparse face-trace operator (`face_operator`).
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ import scipy.io
 import scipy.sparse as sp
 
 from .mesh import BoundaryPart
-from .spaces import (affine_map, segment_rule, shape_grads, shape_hessians,
-                     shape_values, triangle_rule)
+from .spaces import (affine_map, cell_points, reference_coords, segment_rule,
+                     shape_grads, shape_hessians, shape_values, triangle_rule)
 
 #: volume rule shared by loads and error integrals (exact for quartic data
 #: against quadratic basis functions)
@@ -57,9 +62,14 @@ class BlockSystem:
     variant: str
 
 
-def _physical_points(tri_points, ref_points):
-    jac, det, jinv = affine_map(tri_points)
-    return tri_points[0] + ref_points @ jac.T, det, jinv
+def _sample_field(name, field, x, y, *normal):
+    """Values of a data field at the points (x, y), checked to be finite."""
+    vals = np.broadcast_to(np.asarray(field(x, y, *normal), dtype=float), x.shape)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        at = np.unravel_index(bad[0], x.shape)
+        raise ValueError(f"{name} is not finite at ({x[at]:g}, {y[at]:g})")
+    return vals
 
 
 def assemble_stiffness(trial, test):
@@ -68,92 +78,118 @@ def assemble_stiffness(trial, test):
         raise ValueError("trial and test spaces must share one mesh")
     mesh = trial.mesh
     rule = triangle_rule(max(2 * (max(trial.degree, test.degree) - 1), 1))
-    g_tr = shape_grads(trial.degree, rule.points)
-    g_te = shape_grads(test.degree, rule.points)
-
-    rows, cols, vals = [], [], []
-    for t in range(mesh.num_triangles):
-        _, det, jinv = affine_map(mesh.triangle_points(t))
-        pt = g_tr @ jinv   # physical gradients, (nq, nd, 2)
-        pe = g_te @ jinv
-        local = np.einsum("qid,qjd,q->ij", pe, pt, rule.weights) * det
-        dt = trial.cell_dofs[t]
-        de = test.cell_dofs[t]
-        rows.append(np.repeat(de, len(dt)))
-        cols.append(np.tile(dt, len(de)))
-        vals.append(local.ravel())
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(test.num_dofs, trial.num_dofs)).tocsr()
+    _, det, jinv = affine_map(mesh.vertices[mesh.triangles])
+    # ∇φ_i·∇φ_j = g_i J⁻¹ J⁻ᵀ g_jᵀ with reference gradients g: the quadrature
+    # sum over reference gradients is shared, each triangle adds its metric
+    ref = np.einsum("q,qia,qjb->ijab", rule.weights,
+                    shape_grads(test.degree, rule.points),
+                    shape_grads(trial.degree, rule.points))
+    metric = det[:, None, None] * np.einsum("tac,tbc->tab", jinv, jinv)
+    local = np.einsum("ijab,tab->tij", ref, metric)
+    rows = np.broadcast_to(test.cell_dofs[:, :, None], local.shape)
+    cols = np.broadcast_to(trial.cell_dofs[:, None, :], local.shape)
+    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(test.num_dofs, trial.num_dofs)).tocsr()
 
 
-def _face_frame(mesh, f, rule):
-    a, b = mesh.face_vertices[f]
-    pa, pb = mesh.vertices[a], mesh.vertices[b]
-    tang = pb - pa
-    length = float(np.hypot(tang[0], tang[1]))
-    normal = np.array([tang[1], -tang[0]]) / length
-    points = pa + rule.points[:, None] * tang
-    return length, normal, points
+def _face_points(mesh, faces, rule):
+    """Lengths (nf,), unit normals out of the left triangle (nf, 2) and
+    quadrature points (nf, nq, 2) of the given faces."""
+    pa = mesh.vertices[mesh.face_vertices[faces, 0]]
+    tang = mesh.vertices[mesh.face_vertices[faces, 1]] - pa
+    length = np.hypot(tang[:, 0], tang[:, 1])
+    normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / length[:, None]
+    return length, normal, pa[:, None] + rule.points[None, :, None] * tang[:, None]
 
 
-def _trace_normal_derivs(space, t, phys_points, normal):
-    """∂φ/∂n of triangle t's basis functions at physical points on a face."""
-    pts = space.mesh.triangle_points(t)
-    _, _, jinv = affine_map(pts)
-    ref = (phys_points - pts[0]) @ jinv.T
-    return (shape_grads(space.degree, ref) @ jinv) @ normal
+def _sample_flux(problem, normal, points):
+    return _sample_field("flux psi", problem.psi, points[..., 0], points[..., 1],
+                        normal[:, :1], normal[:, 1:])
 
 
-def _trace_values(space, t, phys_points):
-    pts = space.mesh.triangle_points(t)
-    _, _, jinv = affine_map(pts)
-    ref = (phys_points - pts[0]) @ jinv.T
-    return shape_values(space.degree, ref)
+def _normal_derivs(space, tri_points, jinv, cells, points, normal):
+    """∂φ/∂n of each basis function of cells[f] at points[f], (nf, nq, nd)."""
+    ref = reference_coords(tri_points[cells], jinv[cells], points)
+    grads = shape_grads(space.degree, ref.reshape(-1, 2)).reshape(ref.shape[:2] + (-1, 2))
+    # (g_ref J⁻¹)·n = g_ref·(J⁻¹ n)
+    return np.einsum("fqia,fa->fqi", grads, np.einsum("fab,fb->fa", jinv[cells], normal))
 
 
-def _cell_laplacians(space, t):
-    """Elementwise Laplacian of each basis function (constant for degree <= 2)."""
-    _, _, jinv = affine_map(space.mesh.triangle_points(t))
-    hess = shape_hessians(space.degree)
-    phys = np.einsum("ca,ncd,db->nab", jinv, hess, jinv)
-    return phys[:, 0, 0] + phys[:, 1, 1]
+def face_operator(space, part, problem=None):
+    """Face-trace operator B (sparse) and data vector ψ̂ of the jump penalty.
+
+    B has one row √w_q h_F [∂_n φ] per quadrature point of the interior faces,
+    then one row √w_q h_F ∂_n φ per quadrature point of the faces of `part`
+    (one-sided traces), and for degree 2 one row h_F² [Δφ] per interior face.
+    So γ BᵀB is the penalty ∫ h_F [∂_n ·][∂_n ·] (+ h_F³ [Δ·][Δ·]).  ψ̂ is
+    √w_q h_F ψ on the data-face rows and zero elsewhere (all zero without a
+    problem or off the data part): γ Bᵀψ̂ is the data functional g, and
+    √γ ‖ψ̂ - B u‖ is |u - u_h|_{s_V} for the smooth solution u.
+
+    Interior and free-face jumps are polynomials of degree k - 1, so the rule
+    of degree 2(k - 1) is exact for them; data faces use FACE_DATA_DEGREE
+    because ψ is only known pointwise.
+    """
+    mesh = space.mesh
+    tri_points = mesh.vertices[mesh.triangles]
+    _, _, jinv = affine_map(tri_points)
+    jump_rule = segment_rule(max(2 * (space.degree - 1), 1))
+    on_data = part == BoundaryPart.DATA
+    part_rule = segment_rule(FACE_DATA_DEGREE) if on_data else jump_rule
+
+    inner = mesh.interior_faces()
+    left, right = mesh.face_tris[inner].T
+    pair_dofs = np.hstack([space.cell_dofs[left], space.cell_dofs[right]])
+    length, normal, points = _face_points(mesh, inner, jump_rule)
+    jumps = np.concatenate(
+        [_normal_derivs(space, tri_points, jinv, left, points, normal),
+         -_normal_derivs(space, tri_points, jinv, right, points, normal)], axis=2)
+    blocks = [(length[:, None, None] * np.sqrt(jump_rule.weights)[:, None] * jumps,
+               pair_dofs)]
+
+    faces = mesh.faces_of_part(part)
+    owner = mesh.face_tris[faces, 0]
+    b_length, b_normal, b_points = _face_points(mesh, faces, part_rule)
+    b_scale = b_length[:, None] * np.sqrt(part_rule.weights)
+    blocks.append((b_scale[:, :, None] * _normal_derivs(space, tri_points, jinv, owner,
+                                                          b_points, b_normal),
+                   space.cell_dofs[owner]))
+
+    if space.degree == 2:
+        lap = np.einsum("icd,tca,tda->ti", shape_hessians(2), jinv, jinv)
+        blocks.append(((length ** 2)[:, None, None]
+                       * np.hstack([lap[left], -lap[right]])[:, None], pair_dofs))
+
+    # every row of a block has the block's width, so indptr is known up front
+    widths = np.concatenate([np.full(vals.shape[0] * vals.shape[1], vals.shape[2])
+                             for vals, _ in blocks])
+    indptr = np.concatenate([[0], np.cumsum(widths)])
+    data = np.concatenate([vals.ravel() for vals, _ in blocks])
+    indices = np.concatenate([np.broadcast_to(dofs[:, None], vals.shape).ravel()
+                              for vals, dofs in blocks])
+    b = sp.csr_matrix((data, indices, indptr), shape=(len(widths), space.num_dofs))
+    # DOFs shared by both sides of a face appear twice in a row; merging them
+    # makes (BᵀB)_ij and (BᵀB)_ji the same sum in the same order, so the
+    # penalty is exactly symmetric
+    b.sum_duplicates()
+
+    psi_hat = np.zeros(b.shape[0])
+    if on_data and problem is not None:
+        start = len(inner) * len(jump_rule.weights)
+        psi_hat[start:start + b_scale.size] = (
+            b_scale * _sample_flux(problem, b_normal, b_points)).ravel()
+    return b, psi_hat
 
 
 def assemble_face_jumps(space, boundary_part, gamma):
     """γ-weighted jump penalty Σ_F ∫ h_F [∂_n φ_j][∂_n φ_i] over interior faces
-    plus single-sided traces on the given boundary part.
+    plus single-sided traces on the given boundary part, as γ BᵀB.
 
     For degree 2 the interior faces additionally carry
     γ Σ_F ∫ h_F³ [Δφ_j][Δφ_i].
     """
-    mesh = space.mesh
-    rule = segment_rule(max(2 * (space.degree - 1), 1))
-    faces = np.concatenate([mesh.interior_faces(), mesh.faces_of_part(boundary_part)])
-
-    rows, cols, vals = [], [], []
-    for f in faces:
-        length, normal, points = _face_frame(mesh, f, rule)
-        lt, rt = mesh.face_tris[f]
-        if rt >= 0:
-            dofs = np.concatenate([space.cell_dofs[lt], space.cell_dofs[rt]])
-            jumps = np.hstack([_trace_normal_derivs(space, lt, points, normal),
-                               -_trace_normal_derivs(space, rt, points, normal)])
-        else:
-            dofs = space.cell_dofs[lt]
-            jumps = _trace_normal_derivs(space, lt, points, normal)
-        # ∫_F h_F [..][..] ds = L² Σ_q w_q jump_i jump_j
-        local = length ** 2 * np.einsum("q,qi,qj->ij", rule.weights, jumps, jumps)
-        if space.degree == 2 and rt >= 0:
-            lap = np.concatenate([_cell_laplacians(space, lt),
-                                  -_cell_laplacians(space, rt)])
-            local += length ** 4 * np.outer(lap, lap)
-        rows.append(np.repeat(dofs, len(dofs)))
-        cols.append(np.tile(dofs, len(dofs)))
-        vals.append(gamma * local.ravel())
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.num_dofs, space.num_dofs)).tocsr()
+    b, _ = face_operator(space, boundary_part)
+    return gamma * (b.T.tocsr() @ b)
 
 
 def assemble_primal_stab(space, gamma_v):
@@ -175,41 +211,35 @@ def assemble_dual_stab(space, variant, gamma_w):
 def assemble_load(space, problem):
     """Load vector l[i] = ∫ f φ_i + Σ_data ∫ ψ φ_i."""
     mesh = space.mesh
+    tri_points = mesh.vertices[mesh.triangles]
     rule = triangle_rule(VOLUME_DEGREE)
-    vals = shape_values(space.degree, rule.points)
-    out = np.zeros(space.num_dofs)
-    for t in range(mesh.num_triangles):
-        phys, det, _ = _physical_points(mesh.triangle_points(t), rule.points)
-        fq = problem.f(phys[:, 0], phys[:, 1])
-        out[space.cell_dofs[t]] += det * ((rule.weights * fq) @ vals)
+    phys, det, jinv = cell_points(tri_points, rule.points)
+    fq = _sample_field("source f", problem.f, phys[..., 0], phys[..., 1])
+    cell = det[:, None] * ((fq * rule.weights) @ shape_values(space.degree, rule.points))
 
     frule = segment_rule(FACE_DATA_DEGREE)
-    for f in mesh.faces_of_part(BoundaryPart.DATA):
-        length, normal, points = _face_frame(mesh, f, frule)
-        lt = mesh.face_tris[f][0]
-        psi_q = problem.psi(points[:, 0], points[:, 1], normal[0], normal[1])
-        trace = _trace_values(space, lt, points)
-        out[space.cell_dofs[lt]] += length * ((frule.weights * psi_q) @ trace)
-    return out
+    faces = mesh.faces_of_part(BoundaryPart.DATA)
+    owner = mesh.face_tris[faces, 0]
+    length, normal, points = _face_points(mesh, faces, frule)
+    ref = reference_coords(tri_points[owner], jinv[owner], points)
+    trace = shape_values(space.degree, ref.reshape(-1, 2)).reshape(ref.shape[:2] + (-1,))
+    face = length[:, None] * np.einsum(
+        "fq,fqi->fi", _sample_flux(problem, normal, points) * frule.weights, trace)
+
+    dofs = np.concatenate([space.cell_dofs.ravel(), space.cell_dofs[owner].ravel()])
+    return np.bincount(dofs, weights=np.concatenate([cell.ravel(), face.ravel()]),
+                       minlength=space.num_dofs)
 
 
 def assemble_data_term(space, problem, gamma_v):
-    """Data functional g[i] = γ_V Σ_data ∫ h_F ψ ∂_n φ_i.
+    """Data functional g[i] = γ_V Σ_data ∫ h_F ψ ∂_n φ_i = γ_V Bᵀψ̂.
 
     This is the primal stabilizer applied to the (smooth) exact solution: its
     interior gradient and Laplacian jumps vanish, leaving only the flux data
     on the data boundary.
     """
-    mesh = space.mesh
-    rule = segment_rule(FACE_DATA_DEGREE)
-    out = np.zeros(space.num_dofs)
-    for f in mesh.faces_of_part(BoundaryPart.DATA):
-        length, normal, points = _face_frame(mesh, f, rule)
-        lt = mesh.face_tris[f][0]
-        psi_q = problem.psi(points[:, 0], points[:, 1], normal[0], normal[1])
-        dn = _trace_normal_derivs(space, lt, points, normal)
-        out[space.cell_dofs[lt]] += gamma_v * length ** 2 * ((rule.weights * psi_q) @ dn)
-    return out
+    b, psi_hat = face_operator(space, BoundaryPart.DATA, problem)
+    return gamma_v * (b.T @ psi_hat)
 
 
 def assemble_blocks(trial, test, problem, gamma_v, gamma_w, variant="jump"):

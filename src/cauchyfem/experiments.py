@@ -1,8 +1,9 @@
 """Experiment drivers: refinement studies, penalty sweeps, single solves.
 
 Every driver writes a CSV with a fixed column order and the literal marker
-"NA" for cells that could not be computed; a level that fails to solve is
-recorded and the remaining levels still run.
+"NA" for cells that could not be computed; a level whose solve fails
+(SolverError) is recorded and the remaining levels still run.  Any other
+error propagates.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from typing import Optional
 import numpy as np
 
 from .analysis import convergence_rate, error_report
+from .assembly import SW_VARIANTS
 from .mesh import unit_square_mesh
 from .problem import quartic_example
-from .solver import solve_problem
+from .solver import SolverError, solve_problem
 from .vtk_io import write_vtk
 
 #: penalty defaults per polynomial degree
@@ -47,6 +49,11 @@ class RunConfig:
     def __post_init__(self):
         if self.degree not in (1, 2):
             raise ValueError("degree must be 1 or 2")
+        if self.sw_variant not in SW_VARIANTS:
+            raise ValueError(f"unknown dual stabilizer variant {self.sw_variant!r}; "
+                             f"expected one of {SW_VARIANTS}")
+        if not 0.0 <= self.jitter < 0.3:
+            raise ValueError(f"jitter {self.jitter:g} must lie in [0, 0.3)")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("levels must be strictly increasing")
         for g in (self.gamma_v, self.gamma_w):
@@ -74,8 +81,8 @@ class LevelResult:
 
 def solve_level(config, n, gamma_v=None, gamma_w=None):
     """One full pipeline run on an n-level mesh.  Returns (solution, report)."""
-    mesh = unit_square_mesh(n, config.jitter, config.seed)
     problem = quartic_example()
+    mesh = unit_square_mesh(n, config.jitter, config.seed, problem.data_sides)
     gv = config.resolved_gamma_v if gamma_v is None else gamma_v
     gw = config.resolved_gamma_w if gamma_w is None else gamma_w
     solution, trial, test, blocks = solve_problem(
@@ -91,7 +98,7 @@ def run_convergence(config):
         row = LevelResult(level=idx, n=n)
         try:
             _, _, row.report = solve_level(config, n)
-        except Exception as err:  # keep remaining levels running
+        except SolverError as err:  # keep remaining levels running
             row.error = f"{type(err).__name__}: {err}"
         results.append(row)
 
@@ -118,7 +125,7 @@ def run_sweep(config, gammas=DEFAULT_SWEEP_GAMMAS, n=64):
         try:
             _, _, row["report"] = solve_level(config, n, gamma_v=float(gamma),
                                               gamma_w=float(gamma))
-        except Exception as err:
+        except SolverError as err:
             row["error"] = f"{type(err).__name__}: {err}"
         results.append(row)
     if config.output_path:

@@ -119,32 +119,32 @@ def from_triangles(vertices, triangles):
     if len(bad):
         raise ValueError(f"triangle {bad[0]} has non-positive area {areas[bad[0]]:g}")
 
-    face_of = {}
-    face_vertices = []
-    face_tris = []
-    tri_faces = np.empty((len(triangles), 3), dtype=np.int64)
-    for t, (a, b, c) in enumerate(triangles):
-        # edges opposite local vertices 0, 1, 2, each in CCW loop order
-        for local, (u, v) in enumerate(((b, c), (c, a), (a, b))):
-            key = (u, v) if u < v else (v, u)
-            idx = face_of.get(key)
-            if idx is None:
-                idx = len(face_vertices)
-                face_of[key] = idx
-                face_vertices.append((u, v))
-                face_tris.append([t, -1])
-            else:
-                if face_tris[idx][1] != -1:
-                    raise ValueError(f"edge {key} is shared by more than two triangles")
-                face_tris[idx][1] = t
-            tri_faces[t, local] = idx
+    # edges opposite local vertices 0, 1, 2, each in CCW loop order, walked
+    # triangle by triangle; a face is numbered where it is first met, and the
+    # triangle meeting it first is its left neighbor
+    start = triangles[:, [1, 2, 0]].ravel()
+    end = triangles[:, [2, 0, 1]].ravel()
+    key = np.minimum(start, end) * len(vertices) + np.maximum(start, end)
+    _, first, inverse, count = np.unique(key, return_index=True, return_inverse=True,
+                                         return_counts=True)
+    if count.max(initial=0) > 2:
+        over = first[np.flatnonzero(count > 2)[0]]
+        edge = (int(min(start[over], end[over])), int(max(start[over], end[over])))
+        raise ValueError(f"edge {edge} is shared by more than two triangles")
+    order = np.argsort(first)          # unique edges in first-met order
+    face_of_slot = np.argsort(order)[inverse]
+    lead = first[order]                # slot where each face is first met
+    face_vertices = np.column_stack([start[lead], end[lead]])
+    face_tris = np.column_stack([lead // 3, np.full(len(lead), -1)])
+    again = np.flatnonzero(first[inverse] != np.arange(len(key)))
+    face_tris[face_of_slot[again], 1] = again // 3
+    tri_faces = face_of_slot.reshape(-1, 3)
 
-    face_tris = np.asarray(face_tris, dtype=np.int64)
     face_part = np.where(face_tris[:, 1] < 0, UNTAGGED, INTERIOR).astype(np.int8)
     return Mesh(
         vertices=vertices,
         triangles=triangles,
-        face_vertices=np.asarray(face_vertices, dtype=np.int64),
+        face_vertices=face_vertices,
         face_tris=face_tris,
         tri_faces=tri_faces,
         face_part=face_part,
@@ -176,16 +176,13 @@ def build_structured(n, jitter=0.0, seed=0):
         vertices[interior, 0] += step * np.cos(angles[interior])
         vertices[interior, 1] += step * np.sin(angles[interior])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            p00, p10 = vid(i, j), vid(i + 1, j)
-            p11, p01 = vid(i + 1, j + 1), vid(i, j + 1)
-            triangles.append((p00, p10, p11))
-            triangles.append((p00, p11, p01))
+    # cells row by row, each split into (p00, p10, p11) and (p00, p11, p01)
+    j, i = np.divmod(np.arange(n * n), n)
+    p00 = j * (n + 1) + i
+    p10, p01 = p00 + 1, p00 + n + 1
+    p11 = p01 + 1
+    triangles = np.stack([np.column_stack([p00, p10, p11]),
+                          np.column_stack([p00, p11, p01])], axis=1).reshape(-1, 3)
     return from_triangles(vertices, triangles)
 
 
@@ -220,20 +217,6 @@ def tag_boundary(mesh, data_sides=("bottom", "right")):
 def unit_square_mesh(n, jitter=0.0, seed=0, data_sides=("bottom", "right")):
     """build_structured followed by tag_boundary."""
     return tag_boundary(build_structured(n, jitter, seed), data_sides)
-
-
-def face_geometry(mesh, face):
-    """Return (length, unit normal, (left, right)) for a face.
-
-    The normal points out of the left triangle; on the boundary that is the
-    outward normal of the domain.
-    """
-    a, b = mesh.face_vertices[face]
-    t = mesh.vertices[b] - mesh.vertices[a]
-    length = float(np.hypot(t[0], t[1]))
-    normal = np.array([t[1], -t[0]]) / length
-    left, right = mesh.face_tris[face]
-    return length, normal, (int(left), int(right))
 
 
 def mesh_size(mesh):

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CauchyProblem:
@@ -52,12 +54,16 @@ def quartic_example():
         return 60.0 * (x * (1.0 - x) + y * (1.0 - y))
 
     def psi(x, y, nx, ny):
-        if ny < -0.5:        # bottom, n = (0, -1)
-            return -30.0 * x * (1.0 - x)
-        if nx > 0.5:         # right, n = (1, 0)
-            return -30.0 * y * (1.0 - y)
-        raise ValueError("flux is prescribed on the data boundary only "
-                         f"(asked at normal ({nx:g}, {ny:g}))")
+        bottom = np.less(ny, -0.5)     # n = (0, -1)
+        right = np.greater(nx, 0.5)    # n = (1, 0)
+        off = ~(bottom | right)
+        if np.any(off):
+            nx, ny = (a.flat[np.flatnonzero(off)[0]]
+                      for a in np.broadcast_arrays(nx, ny))
+            raise ValueError("flux is prescribed on the data boundary only "
+                             f"(asked at normal ({nx:g}, {ny:g}))")
+        # [()] turns the 0-d result of scalar arguments back into a scalar
+        return np.where(bottom, -30.0 * x * (1.0 - x), -30.0 * y * (1.0 - y))[()]
 
     return CauchyProblem(f=f, psi=psi, exact_u=u, exact_grad=grad_u,
                          data_sides=("bottom", "right"))

@@ -27,8 +27,16 @@ RESIDUAL_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 
 
-class SingularSystemError(RuntimeError):
+class SolverError(RuntimeError):
+    """A solve that produced no usable solution."""
+
+
+class SingularSystemError(SolverError):
     """Factorization hit an exactly singular pivot (γ = 0 or broken constraints)."""
+
+
+class UnconvergedSolveError(SolverError):
+    """The LU solution misses the residual tolerance or is not finite."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +83,8 @@ def build_system(blocks, trial, test):
 
 
 def solve(system):
-    """Direct sparse LU solve with a residual check."""
+    """Direct sparse LU solve; raises UnconvergedSolveError unless the relative
+    residual is finite and below RESIDUAL_TOL."""
     try:
         lu = spla.splu(system.matrix)
     except RuntimeError as err:
@@ -87,6 +96,10 @@ def solve(system):
     rhs_norm = np.linalg.norm(system.rhs)
     res = np.linalg.norm(system.matrix @ x - system.rhs)
     residual = float(res / rhs_norm) if rhs_norm > 0 else float(res)
+    if not residual < RESIDUAL_TOL:
+        raise UnconvergedSolveError(
+            f"relative residual {residual:.3e} of the LU solve is not below "
+            f"{RESIDUAL_TOL:g}")
 
     nv_free = len(system.v_free)
     u = np.zeros(system.n_v)

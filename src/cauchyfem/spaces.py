@@ -142,18 +142,32 @@ def shape_eval(degree, point):
 
 
 def affine_map(tri_points):
-    """Jacobian of the reference-to-physical map x = p0 + J xi.
+    """Jacobians of the reference-to-physical maps x = p0 + J xi, one per triangle.
 
-    Returns (J, det J, J^{-1}); row-vector gradients transform as g_ref @ Jinv.
+    `tri_points` is (nt, 3, 2).  Returns J (nt, 2, 2), det J (nt,) and
+    J^{-1} (nt, 2, 2); row-vector gradients transform as g_ref @ Jinv.
     """
-    j00 = tri_points[1, 0] - tri_points[0, 0]
-    j10 = tri_points[1, 1] - tri_points[0, 1]
-    j01 = tri_points[2, 0] - tri_points[0, 0]
-    j11 = tri_points[2, 1] - tri_points[0, 1]
-    det = j00 * j11 - j01 * j10
-    jac = np.array([[j00, j01], [j10, j11]])
-    jinv = np.array([[j11, -j01], [-j10, j00]]) / det
+    p = np.asarray(tri_points, dtype=float)
+    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    jinv = np.stack([np.stack([jac[:, 1, 1], -jac[:, 0, 1]], axis=-1),
+                     np.stack([-jac[:, 1, 0], jac[:, 0, 0]], axis=-1)],
+                    axis=1) / det[:, None, None]
     return jac, det, jinv
+
+
+def cell_points(tri_points, ref_points):
+    """Physical images (nt, nq, 2) of reference points in every triangle,
+    with det J (nt,) and J^{-1} (nt, 2, 2) from `affine_map`."""
+    jac, det, jinv = affine_map(tri_points)
+    phys = tri_points[:, None, 0] + ref_points @ jac.transpose(0, 2, 1)
+    return phys, det, jinv
+
+
+def reference_coords(tri_points, jinv, phys_points):
+    """Reference coordinates (n, nq, 2) of physical points (n, nq, 2), each
+    row of points mapped back through its own triangle."""
+    return (phys_points - tri_points[:, None, 0]) @ jinv.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +219,13 @@ def nodal_interpolant(space, field):
 
 def locate_point(mesh, x, y, tol=1e-10):
     """Brute-force point location: (triangle, reference coords).  Test-grade."""
-    target = np.array([x, y])
-    for t in range(mesh.num_triangles):
-        pts = mesh.triangle_points(t)
-        _, _, jinv = affine_map(pts)
-        xi = (target - pts[0]) @ jinv.T
-        if xi[0] >= -tol and xi[1] >= -tol and xi[0] + xi[1] <= 1.0 + tol:
-            return t, xi
-    raise ValueError(f"point ({x:g}, {y:g}) lies in no triangle")
+    pts = mesh.vertices[mesh.triangles]
+    _, _, jinv = affine_map(pts)
+    xi = reference_coords(pts, jinv, np.array([[[x, y]]], dtype=float))[:, 0]
+    inside = np.flatnonzero((xi >= -tol).all(axis=1) & (xi.sum(axis=1) <= 1.0 + tol))
+    if not len(inside):
+        raise ValueError(f"point ({x:g}, {y:g}) lies in no triangle")
+    return int(inside[0]), xi[inside[0]]
 
 
 def eval_fe(space, coeffs, x, y):

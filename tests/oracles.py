@@ -182,3 +182,92 @@ def dense_data_term(space, problem, gamma):
             for i, gi in enumerate(space.cell_dofs[lt]):
                 out[gi] += gamma * w * length * length * psi * (grads[q, i] @ normal)
     return out
+
+
+# ---------------------------------------------------------------------------
+# loop references for the batched face kernels and the mesh build
+
+def face_geometry(mesh, face):
+    """Return (length, unit normal, (left, right)) for a face.
+
+    The normal points out of the left triangle; on the boundary that is the
+    outward normal of the domain.
+    """
+    a, b = mesh.face_vertices[face]
+    t = mesh.vertices[b] - mesh.vertices[a]
+    length = float(np.hypot(t[0], t[1]))
+    normal = np.array([t[1], -t[0]]) / length
+    left, right = mesh.face_tris[face]
+    return length, normal, (int(left), int(right))
+
+
+def fe_jump_seminorm(space, coeffs, gamma, boundary_part=BoundaryPart.DATA,
+                     flux=None):
+    """Face-jump semi-norm of a finite element function, face by face.
+
+    Loop twin of sqrt(x^T S x) with the jump-penalty matrix S of the same
+    boundary part (boundary_part=None: interior faces only).  With `flux`,
+    boundary faces measure flux - ∂_n u_h instead of ∂_n u_h, which makes it
+    the loop twin of |u - u_h|_{s_V}.
+    """
+    mesh = space.mesh
+    spts, swts = oracle_segment_rule(9)
+    faces = list(mesh.interior_faces())
+    if boundary_part is not None:
+        faces += list(mesh.faces_of_part(boundary_part))
+    total = 0.0
+    for f in faces:
+        length, normal, xy = _face_data(mesh, f, spts)
+        lt, rt = mesh.face_tris[f]
+        _, gl, lap_l = oracle_basis(mesh.triangle_points(lt), space.degree, xy)
+        cl = coeffs[space.cell_dofs[lt]]
+        dn = (gl @ normal) @ cl
+        if rt >= 0:
+            _, gr, lap_r = oracle_basis(mesh.triangle_points(rt), space.degree, xy)
+            cr = coeffs[space.cell_dofs[rt]]
+            mis = (gr @ normal) @ cr - dn
+            if space.degree == 2:
+                total += length ** 4 * (lap_l @ cl - lap_r @ cr) ** 2
+        else:
+            target = 0.0 if flux is None else np.array(
+                [flux(x, y, normal[0], normal[1]) for x, y in xy])
+            mis = target - dn
+        total += length ** 2 * (swts @ (mis * mis))
+    return np.sqrt(gamma * total)
+
+
+def loop_stab_seminorm_u(space, coeffs, problem, gamma_v):
+    """Loop twin of analysis.stab_seminorm_u."""
+    return fe_jump_seminorm(space, coeffs, gamma_v, BoundaryPart.DATA,
+                            flux=problem.psi)
+
+
+def walk_faces(triangles):
+    """(face_vertices, face_tris, tri_faces) by walking the triangles with a
+    dict: faces numbered where first met, first triangle on the left."""
+    face_of, face_vertices, face_tris = {}, [], []
+    tri_faces = np.empty((len(triangles), 3), dtype=np.int64)
+    for t, (a, b, c) in enumerate(triangles):
+        for local, (u, v) in enumerate(((b, c), (c, a), (a, b))):
+            key = (min(u, v), max(u, v))
+            idx = face_of.get(key)
+            if idx is None:
+                idx = face_of[key] = len(face_vertices)
+                face_vertices.append((u, v))
+                face_tris.append([t, -1])
+            else:
+                face_tris[idx][1] = t
+            tri_faces[t, local] = idx
+    return (np.array(face_vertices, dtype=np.int64),
+            np.array(face_tris, dtype=np.int64), tri_faces)
+
+
+def structured_triangles(n):
+    """Triangles of the n-by-n grid by a loop over cells, row by row."""
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            p00, p10 = j * (n + 1) + i, j * (n + 1) + i + 1
+            p01, p11 = p00 + n + 1, p10 + n + 1
+            tris += [(p00, p10, p11), (p00, p11, p01)]
+    return np.array(tris, dtype=np.int64)

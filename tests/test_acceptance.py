@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from cauchyfem.analysis import l2_error
+from cauchyfem.analysis import l2_error, stab_seminorm_u
 from cauchyfem.assembly import assemble_blocks
 from cauchyfem.experiments import RunConfig, run_convergence, run_sweep
 from cauchyfem.mesh import BoundaryPart, unit_square_mesh
@@ -22,7 +22,7 @@ from cauchyfem.solver import build_system, discrete_consistency_probe
 from cauchyfem.spaces import build_space, shape_eval
 
 from .oracles import (dense_data_term, dense_dual_stab, dense_face_jumps,
-                      dense_load, dense_stiffness)
+                      dense_load, dense_stiffness, loop_stab_seminorm_u)
 
 P1_STUDY = RunConfig(degree=1, levels=(8, 16, 32, 64), jitter=0.2, seed=1)
 P2_STUDY = RunConfig(degree=2, levels=(8, 16, 32, 64), jitter=0.0, seed=0)
@@ -61,11 +61,16 @@ def test_c1_oracle_equivalence():
     t0 = time.perf_counter()
     problem = quartic_example()
     worst = 0.0
-    for n in (1, 2):
-        mesh = unit_square_mesh(n)
+    # on the lattices every triangle has one of two shapes; the jittered mesh
+    # gives each triangle and face its own geometry
+    for mesh in (unit_square_mesh(1), unit_square_mesh(2),
+                 unit_square_mesh(3, jitter=0.2, seed=3)):
         for degree in (1, 2):
             trial = build_space(mesh, degree, BoundaryPart.DATA)
             test = build_space(mesh, degree, BoundaryPart.FREE)
+            u = np.random.default_rng(degree).standard_normal(trial.num_dofs)
+            worst = max(worst, abs(stab_seminorm_u(trial, u, problem, 0.01)
+                                   - loop_stab_seminorm_u(trial, u, problem, 0.01)))
             for variant in ("galerkin", "jump"):
                 blocks = assemble_blocks(trial, test, problem, 0.01, 0.01, variant)
                 worst = max(

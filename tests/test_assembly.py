@@ -2,16 +2,22 @@ import numpy as np
 import pytest
 import scipy.io
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cauchyfem.analysis import stab_seminorm_u
 from cauchyfem.assembly import (assemble_blocks, assemble_data_term,
                                 assemble_dual_stab, assemble_load,
                                 assemble_primal_stab, assemble_stiffness,
                                 dump_matrix)
 from cauchyfem.mesh import BoundaryPart, unit_square_mesh
 from cauchyfem.problem import CauchyProblem
+from cauchyfem.solver import solve_problem
 from cauchyfem.spaces import build_space, nodal_interpolant
 
 from .oracles import (dense_data_term, dense_dual_stab, dense_face_jumps,
-                      dense_load, dense_stiffness)
+                      dense_load, dense_stiffness, fe_jump_seminorm,
+                      loop_stab_seminorm_u)
 
 GAMMA = 0.01
 
@@ -207,9 +213,46 @@ def test_stabilizers_symmetric_psd(degree, variant, problem):
         assert quad.min() > -1e-12, name
 
 
-def test_smooth_consistency_interior_jumps_vanish(mesh4):
-    from cauchyfem.analysis import fe_jump_seminorm
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 4), jitter=st.floats(0.0, 0.25), seed=st.integers(0, 50),
+       degree=st.sampled_from([1, 2]), variant=st.sampled_from(["galerkin", "jump"]))
+def test_batched_kernels_property(n, jitter, seed, degree, variant, problem):
+    mesh = unit_square_mesh(n, jitter, seed)
+    trial, test = spaces_on(mesh, degree)
+    blocks = assemble_blocks(trial, test, problem, GAMMA, GAMMA, variant)
+    for name, s in (("s_v", blocks.s_v), ("s_w", blocks.s_w)):
+        dense = s.toarray()
+        # the face penalties γBᵀB are symmetric to the last bit; the Galerkin
+        # s_W is the stiffness matrix, symmetric up to rounding
+        face_penalty = name == "s_v" or variant == "jump"
+        slack = 0.0 if face_penalty else 1e-14 * np.abs(dense).max()
+        assert np.abs(dense - dense.T).max() <= slack, name
+        eigs = np.linalg.eigvalsh(dense)
+        assert eigs.min() > -1e-12 * max(eigs.max(), 1.0), name
+    u = np.random.default_rng(seed).standard_normal(trial.num_dofs)
+    assert stab_seminorm_u(trial, u, problem, GAMMA) == pytest.approx(
+        loop_stab_seminorm_u(trial, u, problem, GAMMA), rel=1e-12)
 
+
+def _nan_at_one_point(field):
+    def poisoned(x, *args):
+        values = np.array(field(x, *args), dtype=float)
+        values.flat[values.size // 2] = np.nan
+        return values
+    return poisoned
+
+
+@pytest.mark.parametrize("name", ["f", "psi"])
+def test_non_finite_data_is_rejected(name, problem, mesh2):
+    fields = {"f": problem.f, "psi": problem.psi}
+    fields[name] = _nan_at_one_point(fields[name])
+    bad = CauchyProblem(exact_u=problem.exact_u, exact_grad=problem.exact_grad,
+                        **fields)
+    with pytest.raises(ValueError, match=f"{name} is not finite at"):
+        solve_problem(mesh2, 1, bad, GAMMA, GAMMA)
+
+
+def test_smooth_consistency_interior_jumps_vanish(mesh4):
     space = build_space(mesh4, 1, BoundaryPart.DATA)
     v = nodal_interpolant(space, lambda x, y: 2.0 * x - 0.5 * y + 0.25)
     assert fe_jump_seminorm(space, v, 1.0, boundary_part=None) < 1e-13

@@ -68,9 +68,10 @@ def test_flags_win_over_config_file(tmp_path):
 
 def test_failure_exit_code(tmp_path, monkeypatch):
     from cauchyfem import experiments
+    from cauchyfem.solver import SingularSystemError
 
     def boom(config, n, **kw):
-        raise RuntimeError("synthetic failure")
+        raise SingularSystemError("synthetic failure")
 
     monkeypatch.setattr(experiments, "solve_level", boom)
     out = tmp_path / "conv.csv"

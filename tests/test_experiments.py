@@ -4,7 +4,10 @@ import pytest
 from cauchyfem import experiments
 from cauchyfem.experiments import (CONVERGENCE_COLUMNS, SWEEP_COLUMNS,
                                    RunConfig, run_convergence, run_single,
-                                   run_sweep)
+                                   run_sweep, solve_level)
+from cauchyfem.mesh import BoundaryPart
+from cauchyfem.problem import CauchyProblem, quartic_example
+from cauchyfem.solver import SingularSystemError
 
 
 def parse_csv(path):
@@ -28,6 +31,14 @@ def test_config_validation():
         RunConfig(levels=(8, 8))
     with pytest.raises(ValueError):
         RunConfig(gamma_v=-1.0)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"jitter": 0.5}, "jitter"), ({"jitter": -0.1}, "jitter"),
+    ({"jitter": 0.3}, "jitter"), ({"sw_variant": "jmp"}, "'jmp'")])
+def test_config_rejects_bad_jitter_and_variant(bad, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig(**bad)
 
 
 def test_gamma_defaults_per_degree():
@@ -64,7 +75,7 @@ def test_failed_level_marked_and_others_continue(tmp_path, monkeypatch):
 
     def flaky(config, n, **kw):
         if n == 4:
-            raise RuntimeError("synthetic failure")
+            raise SingularSystemError("synthetic failure")
         return real(config, n, **kw)
 
     monkeypatch.setattr(experiments, "solve_level", flaky)
@@ -77,6 +88,44 @@ def test_failed_level_marked_and_others_continue(tmp_path, monkeypatch):
     assert len(rows) == 3
     assert rows[1][2:] == ["NA"] * (len(header) - 2)
     cells_parse_cleanly(rows)
+
+
+@pytest.mark.parametrize("driver", [
+    lambda: run_convergence(RunConfig(degree=1, levels=(2, 4))),
+    lambda: run_sweep(RunConfig(degree=1), gammas=(0.01,), n=2)],
+    ids=["convergence", "sweep"])
+def test_programming_errors_are_not_turned_into_na_rows(monkeypatch, driver):
+    def broken(config, n, **kw):
+        raise TypeError("synthetic bug")
+
+    monkeypatch.setattr(experiments, "solve_level", broken)
+    with pytest.raises(TypeError, match="synthetic bug"):
+        driver()
+
+
+def test_solve_level_tags_the_problems_data_sides(monkeypatch):
+    # the quartic bump mirrored through (1/2, 1/2): data on top and left
+    base = quartic_example()
+
+    def psi(x, y, nx, ny):
+        if ny > 0.5:
+            return -30.0 * x * (1.0 - x)
+        if nx < -0.5:
+            return -30.0 * y * (1.0 - y)
+        raise ValueError(f"no flux at normal ({nx:g}, {ny:g})")
+
+    mirrored = CauchyProblem(f=base.f, psi=np.vectorize(psi), exact_u=base.exact_u,
+                             exact_grad=base.exact_grad, data_sides=("top", "left"))
+    config = RunConfig(degree=1)
+    _, _, expected = solve_level(config, 4)
+    monkeypatch.setattr(experiments, "quartic_example", lambda: mirrored)
+    _, trial, report = solve_level(config, 4)
+    mesh = trial.mesh
+    mid = mesh.vertices[mesh.face_vertices[mesh.faces_of_part(BoundaryPart.DATA)]].mean(1)
+    assert np.all((mid[:, 1] == 1.0) | (mid[:, 0] == 0.0))
+    # the lattice is symmetric under (x, y) -> (1 - x, 1 - y), so are the errors
+    assert report.global_l2 == pytest.approx(expected.global_l2, rel=1e-9)
+    assert report.stab_u == pytest.approx(expected.stab_u, rel=1e-9)
 
 
 def test_single_gamma_sweep_matches_convergence_level(tmp_path):

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyfem.mesh import (BoundaryPart, build_structured, face_geometry,
-                            from_triangles, mesh_size, tag_boundary,
-                            unit_square_mesh)
+from cauchyfem.mesh import (BoundaryPart, build_structured, from_triangles,
+                            mesh_size, tag_boundary, unit_square_mesh)
+
+from .oracles import face_geometry, structured_triangles, walk_faces
 
 
 def brute_force_edges(triangles):
@@ -54,6 +55,22 @@ def test_invalid_inputs():
     # a clockwise triangle must be rejected
     with pytest.raises(ValueError):
         from_triangles([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])
+
+
+def test_non_manifold_edge_rejected():
+    with pytest.raises(ValueError, match="more than two triangles"):
+        from_triangles([(0, 0), (1, 0), (0, 1), (1, 1), (-1, -1)],
+                       [(0, 1, 2), (1, 3, 2), (4, 1, 2)])
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_face_numbering_matches_triangle_walk(n):
+    mesh = build_structured(n, jitter=0.2, seed=n)
+    assert np.array_equal(mesh.triangles, structured_triangles(n))
+    face_vertices, face_tris, tri_faces = walk_faces(mesh.triangles)
+    assert np.array_equal(mesh.face_vertices, face_vertices)
+    assert np.array_equal(mesh.face_tris, face_tris)
+    assert np.array_equal(mesh.tri_faces, tri_faces)
 
 
 def test_tagging_n1(mesh1):

@@ -66,3 +66,21 @@ def test_flux_matches_normal_trace(problem, mesh4):
 def test_flux_undefined_off_data_boundary(problem):
     with pytest.raises(ValueError):
         problem.psi(0.5, 1.0, 0.0, 1.0)
+
+
+def test_flux_accepts_array_normals(problem):
+    x = np.array([[0.25, 0.5], [1.0, 1.0]])
+    y = np.array([[0.0, 0.0], [0.25, 0.5]])
+    nx = np.array([[0.0], [1.0]])
+    ny = np.array([[-1.0], [0.0]])
+    values = problem.psi(x, y, nx, ny)
+    assert values.shape == (2, 2)
+    for i in range(2):
+        for j in range(2):
+            assert values[i, j] == problem.psi(x[i, j], y[i, j], nx[i, 0], ny[i, 0])
+
+
+def test_flux_names_first_off_data_normal(problem):
+    with pytest.raises(ValueError, match=r"\(-1, 0\)"):
+        problem.psi(np.zeros(3), np.ones(3), np.array([1.0, -1.0, 0.0]),
+                    np.array([0.0, 0.0, 1.0]))

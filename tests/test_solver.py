@@ -4,7 +4,8 @@ import scipy.sparse as sp
 
 from cauchyfem.assembly import assemble_blocks, assemble_stiffness, BlockSystem
 from cauchyfem.mesh import BoundaryPart, from_triangles, tag_boundary, unit_square_mesh
-from cauchyfem.solver import (SaddleSystem, SingularSystemError, build_system,
+from cauchyfem.solver import (RESIDUAL_TOL, SaddleSystem, SingularSystemError,
+                              UnconvergedSolveError, build_system,
                               discrete_consistency_probe, solve, solve_problem)
 from cauchyfem.spaces import build_space, eval_fe, nodal_interpolant
 
@@ -76,6 +77,31 @@ def test_singular_matrix_raises():
                           v_free=np.array([0]), w_free=np.array([0]),
                           n_v=1, n_w=1)
     with pytest.raises(SingularSystemError):
+        solve(system)
+
+
+def _plain_system(matrix, rhs):
+    half = len(rhs) // 2
+    return SaddleSystem(matrix=sp.csc_matrix(matrix), rhs=np.asarray(rhs, dtype=float),
+                        v_free=np.arange(half), w_free=np.arange(len(rhs) - half),
+                        n_v=half, n_w=len(rhs) - half)
+
+
+def test_inaccurate_solve_raises_with_its_residual():
+    from scipy.linalg import hilbert
+
+    # condition number ~1e18: LU succeeds but misses the residual tolerance
+    system = _plain_system(hilbert(14), np.ones(14))
+    with pytest.raises(UnconvergedSolveError, match="residual") as info:
+        solve(system)
+    assert isinstance(info.value, RuntimeError)
+    residual = float(str(info.value).split("residual ")[1].split()[0])
+    assert residual >= RESIDUAL_TOL
+
+
+def test_non_finite_solve_raises():
+    system = _plain_system(np.eye(2), [1.0, np.nan])
+    with pytest.raises(UnconvergedSolveError, match="nan"):
         solve(system)
 
 

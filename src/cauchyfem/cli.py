@@ -10,12 +10,19 @@ import argparse
 import sys
 
 from . import experiments
-from .assembly import SW_VARIANTS, dump_matrix
+from .assembly import SW_VARIANTS
 from .experiments import RunConfig
 
 
+def _mesh_level(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"mesh level {value} must be at least 1")
+    return value
+
+
 def _parse_levels(text):
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    return tuple(_mesh_level(tok) for tok in text.split(",") if tok.strip())
 
 
 def _parse_gammas(text):
@@ -55,14 +62,14 @@ def build_parser():
 
     sweep = sub.add_parser("sweep", help="penalty-parameter sweep on a fixed mesh")
     _add_common(sweep)
-    sweep.add_argument("--n", type=int, default=None, help="mesh level (default 64)")
+    sweep.add_argument("--n", type=_mesh_level, default=None, help="mesh level (default 64)")
     sweep.add_argument("--gammas", type=_parse_gammas, default=None,
                        help="comma-separated penalty values "
                             "(default 9 log-spaced in [1e-4, 1])")
 
     single = sub.add_parser("solve", help="single solve with optional field dump")
     _add_common(single)
-    single.add_argument("--n", type=int, default=None, help="mesh level (default 8)")
+    single.add_argument("--n", type=_mesh_level, default=None, help="mesh level (default 8)")
     single.add_argument("--emit-fields", action="store_true", default=None,
                         help="write u_h, z_h and the pointwise error as legacy VTK")
     single.add_argument("--dump-matrices", default=None, metavar="DIR",
@@ -71,21 +78,26 @@ def build_parser():
     return parser
 
 
+#: config-file key -> parser of its value; any other key is rejected
 _CONVERTERS = {
     "degree": int,
-    "n": int,
+    "n": _mesh_level,
     "seed": int,
     "gamma_v": float,
     "gamma_w": float,
+    "sw_variant": str,
     "jitter": float,
     "levels": _parse_levels,
     "gammas": _parse_gammas,
+    "out": str,
     "emit_fields": lambda s: s.lower() in ("1", "true", "yes", "on"),
+    "dump_matrices": str,
 }
 
 
 def read_config_file(path):
-    """Parse `key = value` lines; '#' starts a comment."""
+    """Parse `key = value` lines; '#' starts a comment.  An unknown key or a
+    value its option rejects raises ValueError naming path:line."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -96,7 +108,12 @@ def read_config_file(path):
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            values[key] = _CONVERTERS.get(key, str)(value)
+            if key not in _CONVERTERS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                values[key] = _CONVERTERS[key](value)
+            except (ValueError, argparse.ArgumentTypeError) as err:
+                raise ValueError(f"{path}:{lineno}: {key}: {err}") from err
     return values
 
 
@@ -110,26 +127,33 @@ def _merge_options(args):
     return opts
 
 
+def _given(opts, key, default):
+    """`default` only when neither flag nor file set the option."""
+    value = opts.get(key)
+    return default if value is None else value
+
+
 def _make_config(opts, out_default=None):
     return RunConfig(
-        degree=opts.get("degree") or 1,
-        sw_variant=opts.get("sw_variant") or "jump",
+        degree=_given(opts, "degree", 1),
+        sw_variant=_given(opts, "sw_variant", "jump"),
         gamma_v=opts.get("gamma_v"),
         gamma_w=opts.get("gamma_w"),
         levels=opts.get("levels") or experiments.DEFAULT_LEVELS,
-        jitter=opts.get("jitter") or 0.0,
-        seed=opts.get("seed") or 0,
+        jitter=_given(opts, "jitter", 0.0),
+        seed=_given(opts, "seed", 0),
         output_path=opts.get("out") or out_default,
         emit_fields=bool(opts.get("emit_fields")),
     )
 
 
 def _print_reports(rows):
+    """rows: (label, report, error); a failed case prints its error."""
     print(f"{'case':>10} {'global_l2':>12} {'local_l2':>12} {'stab_u':>12} "
           f"{'stab_z':>12} {'eta':>12}")
-    for label, report in rows:
+    for label, report, error in rows:
         if report is None:
-            print(f"{label:>10} {'failed':>12}")
+            print(f"{label:>10} failed: {error}")
             continue
         print(f"{label:>10} {report.global_l2:12.4e} {report.local_l2:12.4e} "
               f"{report.stab_u:12.4e} {report.stab_z:12.4e} {report.eta:12.4e}")
@@ -138,7 +162,7 @@ def _print_reports(rows):
 def cmd_convergence(opts):
     config = _make_config(opts, out_default="convergence.csv")
     results = experiments.run_convergence(config)
-    _print_reports([(f"n={row.n}", row.report) for row in results])
+    _print_reports([(f"n={row.n}", row.report, row.error) for row in results])
     print(f"wrote {config.output_path}")
     return 0 if all(row.report is not None for row in results) else 1
 
@@ -146,9 +170,10 @@ def cmd_convergence(opts):
 def cmd_sweep(opts):
     config = _make_config(opts, out_default="sweep.csv")
     gammas = opts.get("gammas") or experiments.DEFAULT_SWEEP_GAMMAS
-    n = opts.get("n") or 64
+    n = _given(opts, "n", 64)
     results = experiments.run_sweep(config, gammas=gammas, n=n)
-    _print_reports([(f"{row['gamma']:.1e}", row["report"]) for row in results])
+    _print_reports([(f"{row['gamma']:.1e}", row["report"], row["error"])
+                    for row in results])
     print(f"wrote {config.output_path}")
     return 0 if all(row["report"] is not None for row in results) else 1
 
@@ -156,26 +181,9 @@ def cmd_sweep(opts):
 def cmd_solve(opts):
     out_default = "fields.vtk" if opts.get("emit_fields") else None
     config = _make_config(opts, out_default=out_default)
-    n = opts.get("n") or 8
-    if opts.get("dump_matrices"):
-        from pathlib import Path
-        from .analysis import error_report
-        from .mesh import unit_square_mesh
-        from .problem import quartic_example
-        from .solver import solve_problem
-
-        mesh = unit_square_mesh(n, config.jitter, config.seed)
-        solution, trial, test, blocks = solve_problem(
-            mesh, config.degree, quartic_example(), config.resolved_gamma_v,
-            config.resolved_gamma_w, config.sw_variant)
-        outdir = Path(opts["dump_matrices"])
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name, matrix in (("a", blocks.a), ("s_v", blocks.s_v), ("s_w", blocks.s_w)):
-            dump_matrix(matrix, outdir / f"{name}.mtx")
-        report = error_report(solution, trial, test, blocks, quartic_example())
-    else:
-        solution, report = experiments.run_single(config, n)
-    _print_reports([(f"n={n}", report)])
+    n = _given(opts, "n", 8)
+    _, report = experiments.run_single(config, n, opts.get("dump_matrices"))
+    _print_reports([(f"n={n}", report, None)])
     if config.emit_fields and config.output_path:
         print(f"wrote {config.output_path}")
     return 0

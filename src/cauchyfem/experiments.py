@@ -9,12 +9,13 @@ error propagates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .analysis import convergence_rate, error_report
-from .assembly import SW_VARIANTS
+from .assembly import SW_VARIANTS, dump_matrix
 from .mesh import unit_square_mesh
 from .problem import quartic_example
 from .solver import SolverError, solve_problem
@@ -80,7 +81,9 @@ class LevelResult:
 
 
 def solve_level(config, n, gamma_v=None, gamma_w=None):
-    """One full pipeline run on an n-level mesh.  Returns (solution, report)."""
+    """One full pipeline run on an n-level mesh.
+
+    Returns (solution, trial space, blocks, report)."""
     problem = quartic_example()
     mesh = unit_square_mesh(n, config.jitter, config.seed, problem.data_sides)
     gv = config.resolved_gamma_v if gamma_v is None else gamma_v
@@ -88,7 +91,7 @@ def solve_level(config, n, gamma_v=None, gamma_w=None):
     solution, trial, test, blocks = solve_problem(
         mesh, config.degree, problem, gv, gw, config.sw_variant)
     report = error_report(solution, trial, test, blocks, problem)
-    return solution, trial, report
+    return solution, trial, blocks, report
 
 
 def run_convergence(config):
@@ -97,7 +100,7 @@ def run_convergence(config):
     for idx, n in enumerate(config.levels):
         row = LevelResult(level=idx, n=n)
         try:
-            _, _, row.report = solve_level(config, n)
+            *_, row.report = solve_level(config, n)
         except SolverError as err:  # keep remaining levels running
             row.error = f"{type(err).__name__}: {err}"
         results.append(row)
@@ -123,8 +126,8 @@ def run_sweep(config, gammas=DEFAULT_SWEEP_GAMMAS, n=64):
     for gamma in gammas:
         row = {"gamma": float(gamma), "n": n, "report": None, "error": None}
         try:
-            _, _, row["report"] = solve_level(config, n, gamma_v=float(gamma),
-                                              gamma_w=float(gamma))
+            *_, row["report"] = solve_level(config, n, gamma_v=float(gamma),
+                                            gamma_w=float(gamma))
         except SolverError as err:
             row["error"] = f"{type(err).__name__}: {err}"
         results.append(row)
@@ -133,9 +136,15 @@ def run_sweep(config, gammas=DEFAULT_SWEEP_GAMMAS, n=64):
     return results
 
 
-def run_single(config, n):
-    """Single solve; optionally dumps vertex fields as legacy VTK."""
-    solution, trial, report = solve_level(config, n)
+def run_single(config, n, matrices_dir=None):
+    """Single solve; optionally dumps vertex fields as legacy VTK and, into
+    `matrices_dir`, the solve's A, S_V and S_W in matrix-market form."""
+    solution, trial, blocks, report = solve_level(config, n)
+    if matrices_dir is not None:
+        outdir = Path(matrices_dir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name in ("a", "s_v", "s_w"):
+            dump_matrix(getattr(blocks, name), outdir / f"{name}.mtx")
     if config.emit_fields and config.output_path:
         mesh = trial.mesh
         problem = quartic_example()

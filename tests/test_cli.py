@@ -1,6 +1,12 @@
+import numpy as np
 import pytest
+import scipy.io
 
+from cauchyfem import experiments
+from cauchyfem.assembly import assemble_primal_stab
 from cauchyfem.cli import main, read_config_file
+from cauchyfem.mesh import BoundaryPart, unit_square_mesh
+from cauchyfem.spaces import build_space
 
 
 def test_convergence_command(tmp_path, capsys):
@@ -37,6 +43,25 @@ def test_solve_dump_matrices(tmp_path):
     assert sorted(p.name for p in outdir.iterdir()) == ["a.mtx", "s_v.mtx", "s_w.mtx"]
 
 
+def test_dumped_matrices_are_those_of_the_solve(tmp_path, monkeypatch,
+                                                mirrored_problem):
+    monkeypatch.setattr(experiments, "quartic_example", lambda: mirrored_problem)
+    outdir = tmp_path / "mats"
+    assert main(["solve", "--n", "3", "--dump-matrices", str(outdir)]) == 0
+    mesh = unit_square_mesh(3, data_sides=mirrored_problem.data_sides)
+    expected = assemble_primal_stab(build_space(mesh, 1, BoundaryPart.DATA), 0.01)
+    dumped = scipy.io.mmread(str(outdir / "s_v.mtx"))
+    assert np.allclose(dumped.toarray(), expected.toarray(), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--n", "0", "--gammas", "1"],
+                                  ["solve", "--n", "0"]], ids=["sweep", "solve"])
+def test_mesh_level_below_one_is_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit):
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert "--n" in capsys.readouterr().err
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("degree = 2\ngamma-v = 0.005  # overridden below\n"
@@ -48,6 +73,23 @@ def test_config_file_parsing(tmp_path):
     bad.write_text("degree 2\n")
     with pytest.raises(ValueError):
         read_config_file(bad)
+
+
+@pytest.mark.parametrize("line, named", [
+    ("gama_v = 5", "unknown key 'gama_v'"),
+    ("n = 0", "n: mesh level 0 must be at least 1")])
+def test_config_file_rejects_unknown_keys_and_bad_levels(tmp_path, line, named):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"degree = 1\n{line}\n")
+    with pytest.raises(ValueError, match=f"run.cfg:2: {named}"):
+        read_config_file(cfg)
+
+
+def test_config_file_degree_zero_is_not_the_default(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("degree = 0\n")
+    with pytest.raises(ValueError, match="degree"):
+        main(["solve", "--config", str(cfg), "--n", "2"])
 
 
 def test_flags_win_over_config_file(tmp_path):
@@ -66,8 +108,7 @@ def test_flags_win_over_config_file(tmp_path):
     assert dofs_b == 9    # P1 on the 2x2 mesh
 
 
-def test_failure_exit_code(tmp_path, monkeypatch):
-    from cauchyfem import experiments
+def test_failure_exit_code(tmp_path, monkeypatch, capsys):
     from cauchyfem.solver import SingularSystemError
 
     def boom(config, n, **kw):
@@ -79,3 +120,4 @@ def test_failure_exit_code(tmp_path, monkeypatch):
     assert code == 1
     rows = out.read_text().splitlines()
     assert rows[1].split(",")[2:] == ["NA"] * 11
+    assert "SingularSystemError: synthetic failure" in capsys.readouterr().out

@@ -6,7 +6,6 @@ from cauchyfem.experiments import (CONVERGENCE_COLUMNS, SWEEP_COLUMNS,
                                    RunConfig, run_convergence, run_single,
                                    run_sweep, solve_level)
 from cauchyfem.mesh import BoundaryPart
-from cauchyfem.problem import CauchyProblem, quartic_example
 from cauchyfem.solver import SingularSystemError
 
 
@@ -103,23 +102,11 @@ def test_programming_errors_are_not_turned_into_na_rows(monkeypatch, driver):
         driver()
 
 
-def test_solve_level_tags_the_problems_data_sides(monkeypatch):
-    # the quartic bump mirrored through (1/2, 1/2): data on top and left
-    base = quartic_example()
-
-    def psi(x, y, nx, ny):
-        if ny > 0.5:
-            return -30.0 * x * (1.0 - x)
-        if nx < -0.5:
-            return -30.0 * y * (1.0 - y)
-        raise ValueError(f"no flux at normal ({nx:g}, {ny:g})")
-
-    mirrored = CauchyProblem(f=base.f, psi=np.vectorize(psi), exact_u=base.exact_u,
-                             exact_grad=base.exact_grad, data_sides=("top", "left"))
+def test_solve_level_tags_the_problems_data_sides(monkeypatch, mirrored_problem):
     config = RunConfig(degree=1)
-    _, _, expected = solve_level(config, 4)
-    monkeypatch.setattr(experiments, "quartic_example", lambda: mirrored)
-    _, trial, report = solve_level(config, 4)
+    *_, expected = solve_level(config, 4)
+    monkeypatch.setattr(experiments, "quartic_example", lambda: mirrored_problem)
+    _, trial, _, report = solve_level(config, 4)
     mesh = trial.mesh
     mid = mesh.vertices[mesh.face_vertices[mesh.faces_of_part(BoundaryPart.DATA)]].mean(1)
     assert np.all((mid[:, 1] == 1.0) | (mid[:, 0] == 0.0))

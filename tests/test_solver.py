@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cauchyfem.assembly import assemble_blocks, assemble_stiffness, BlockSystem
 from cauchyfem.mesh import BoundaryPart, from_triangles, tag_boundary, unit_square_mesh
@@ -72,6 +73,17 @@ def test_solve_permutation_exercises_indefinite_pivoting():
     assert np.allclose(sol.z, [1.0])
 
 
+def test_symmetric_ordering_fills_less_than_default_lu(problem):
+    system, *_ = make_system(unit_square_mesh(16), 2, problem, gamma=1e-3)
+    assert solve(system).lu_fill < spla.splu(system.matrix).nnz
+
+
+def test_refinement_meets_tolerance_at_smallest_sweep_gamma(problem):
+    # diagonal pivots alone leave a relative residual of about 1.8e-10 here
+    system, *_ = make_system(unit_square_mesh(32), 1, problem, gamma=1e-4)
+    assert solve(system).residual < RESIDUAL_TOL
+
+
 def test_singular_matrix_raises():
     system = SaddleSystem(matrix=sp.csc_matrix((2, 2)), rhs=np.ones(2),
                           v_free=np.array([0]), w_free=np.array([0]),
@@ -120,13 +132,27 @@ def test_constrained_entries_are_zero(mesh4, problem):
     assert sol.converged
 
 
-@pytest.mark.parametrize("degree", [1, 2])
-@pytest.mark.parametrize("variant", ["galerkin", "jump"])
-@pytest.mark.parametrize("n", [2, 4, 8])
-def test_discrete_consistency_random_probe(n, degree, variant):
-    gamma = 0.01 if degree == 1 else 0.001
-    err = discrete_consistency_probe(unit_square_mesh(n), degree, gamma, gamma,
-                                     variant, seed=n + degree)
+def _probe_cases():
+    """The default penalty of each degree on the lattice, then the grid
+    γ ∈ {1e-4, 1e-2, 1} × {lattice, two meshes jittered by 0.2}."""
+    for n in (2, 4, 8):
+        for variant in ("galerkin", "jump"):
+            for degree in (1, 2):
+                base = f"{n}-{variant}-{degree}"
+                default = 0.01 if degree == 1 else 0.001
+                yield pytest.param(n, degree, variant, default, 0.0, 0, id=base)
+                for gamma in (1e-4, 1e-2, 1.0):
+                    for jitter, seed in ((0.0, 0), (0.2, 1), (0.2, 2)):
+                        if (gamma, jitter) != (default, 0.0):
+                            yield pytest.param(
+                                n, degree, variant, gamma, jitter, seed,
+                                id=f"{base}-g{gamma:g}-j{jitter:g}s{seed}")
+
+
+@pytest.mark.parametrize("n, degree, variant, gamma, jitter, seed", _probe_cases())
+def test_discrete_consistency_random_probe(n, degree, variant, gamma, jitter, seed):
+    err = discrete_consistency_probe(unit_square_mesh(n, jitter, seed), degree,
+                                     gamma, gamma, variant, seed=n + degree)
     assert err < 1e-9
 
 

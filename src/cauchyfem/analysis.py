@@ -11,12 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .assembly import VOLUME_DEGREE, face_operator
 from .mesh import BoundaryPart, mesh_size
-from .spaces import cell_points, shape_grads, shape_values, triangle_rule
+from .spaces import (FeSpace, QuadratureRule, cell_points, shape_grads,
+                     shape_values, triangle_rule)
+
+if TYPE_CHECKING:
+    # for annotations only: importing scipy.sparse before .assembly imports
+    # scipy.io measured about 8% more CPU time for the package import
+    import scipy.sparse as sp
 
 #: lower-left and upper-right corners of the local error window
 LOCAL_WINDOW = ((0.5, 0.0), (1.0, 0.5))
@@ -46,55 +53,88 @@ def _region_triangles(mesh, region):
     return np.flatnonzero(keep)
 
 
-def _volume_points(mesh, cells):
-    """Volume rule, its physical points (nt, nq, 2), det J and J^{-1} on cells."""
-    rule = triangle_rule(VOLUME_DEGREE)
-    return (rule,) + cell_points(mesh.vertices[mesh.triangles[cells]], rule.points)
-
-
 def _root_integral(rule, det, values):
     """sqrt of Σ_t det_t Σ_q w_q values[t, q]."""
     return math.sqrt(max(float(det @ (values @ rule.weights)), 0.0))
 
 
-def l2_error(space, uh, exact_u, region="global"):
-    """‖u - u_h‖ over Ω or the local window ω.
+@dataclass(frozen=True)
+class ReportData:
+    """The γ-free part of the error report on one trial space.
 
-    `uh` is either a coefficient vector or a callable field; passing the exact
-    solution itself as a field gives zero, which pins down the quadrature path.
+    The volume rule, det J and J⁻¹ of every triangle, the exact u and ∇u at
+    the rule's points ((nt, nq) and (nt, nq, 2); None where the problem does
+    not know them), the triangles of ω, h, ‖f‖, and the data-boundary face
+    operator B with ψ̂ (`assembly.face_operator`).  Built once per mesh; a
+    report from it does no geometry work and evaluates no exact field.
     """
-    cells = _region_triangles(space.mesh, region)
-    rule, phys, det, _ = _volume_points(space.mesh, cells)
+
+    space: FeSpace
+    rule: QuadratureRule
+    det: np.ndarray
+    jinv: np.ndarray
+    exact_u: Optional[np.ndarray]
+    exact_grad: Optional[np.ndarray]
+    local: np.ndarray
+    h: float
+    f_l2: float
+    b: sp.csr_matrix
+    psi_hat: np.ndarray
+
+
+def report_data(space, problem):
+    """ReportData of `space` (the trial space) for `problem`."""
+    mesh = space.mesh
+    rule = triangle_rule(VOLUME_DEGREE)
+    phys, det, jinv = cell_points(mesh.vertices[mesh.triangles], rule.points)
     x, y = phys[..., 0], phys[..., 1]
-    if callable(uh):
-        uh_q = uh(x, y)
-    else:
-        uh_q = uh[space.cell_dofs[cells]] @ shape_values(space.degree, rule.points).T
-    diff = exact_u(x, y) - uh_q
-    return _root_integral(rule, det, diff * diff)
+    b, psi_hat = face_operator(space, BoundaryPart.DATA, problem)
+    return ReportData(space=space, rule=rule, det=det, jinv=jinv,
+                      exact_u=None if problem.exact_u is None else problem.exact_u(x, y),
+                      exact_grad=None if problem.exact_grad is None
+                      else np.stack(problem.exact_grad(x, y), axis=-1),
+                      local=_region_triangles(mesh, "local"), h=mesh_size(mesh),
+                      f_l2=l2_norm_field(mesh, problem.f), b=b, psi_hat=psi_hat)
+
+
+def _exact(values):
+    if values is None:
+        raise ValueError("error report needs the exact solution")
+    return values
+
+
+def l2_error(data, coeffs, region="global"):
+    """‖u - u_h‖ over Ω or the local window ω."""
+    if region not in ("global", "local"):
+        raise ValueError("region must be 'global' or 'local'")
+    cells = slice(None) if region == "global" else data.local
+    space = data.space
+    values = shape_values(space.degree, data.rule.points)
+    diff = _exact(data.exact_u)[cells] - coeffs[space.cell_dofs[cells]] @ values.T
+    return _root_integral(data.rule, data.det[cells], diff * diff)
 
 
 def l2_norm_field(mesh, field, region="global"):
     """‖field‖ over Ω or ω by the shared volume rule."""
-    rule, phys, det, _ = _volume_points(mesh, _region_triangles(mesh, region))
+    cells = _region_triangles(mesh, region)
+    rule = triangle_rule(VOLUME_DEGREE)
+    phys, det, _ = cell_points(mesh.vertices[mesh.triangles[cells]], rule.points)
     fq = field(phys[..., 0], phys[..., 1])
     return _root_integral(rule, det, fq * fq)
 
 
-def h1_semi_error(space, coeffs, exact_grad):
+def h1_semi_error(data, coeffs):
     """‖∇u - ∇u_h‖ over Ω."""
-    rule, phys, det, jinv = _volume_points(space.mesh,
-                                           _region_triangles(space.mesh, "global"))
+    space = data.space
     # reference gradient of u_h first, (nt, nq, 2), then the per-triangle map
-    g_ref = np.tensordot(coeffs[space.cell_dofs], shape_grads(space.degree, rule.points),
+    g_ref = np.tensordot(coeffs[space.cell_dofs], shape_grads(space.degree, data.rule.points),
                          axes=(1, 1))
-    gh = g_ref @ jinv
-    gx, gy = exact_grad(phys[..., 0], phys[..., 1])
-    dx, dy = gx - gh[..., 0], gy - gh[..., 1]
-    return _root_integral(rule, det, dx * dx + dy * dy)
+    diff = _exact(data.exact_grad) - g_ref @ data.jinv
+    dx, dy = diff[..., 0], diff[..., 1]
+    return _root_integral(data.rule, data.det, dx * dx + dy * dy)
 
 
-def stab_seminorm_u(space, coeffs, problem, gamma_v):
+def stab_seminorm_u(data, coeffs, gamma_v):
     """|u - u_h| in the primal stabilizer, computed from the data.
 
     The smooth solution contributes no interior gradient or Laplacian jumps,
@@ -103,8 +143,7 @@ def stab_seminorm_u(space, coeffs, problem, gamma_v):
     residual form keeps the digits that u_hᵀ S_V u_h - 2 gᵀu_h + γ_V ‖ψ̂‖²
     loses to cancellation.
     """
-    b, psi_hat = face_operator(space, BoundaryPart.DATA, problem)
-    residual = psi_hat - b @ coeffs
+    residual = data.psi_hat - data.b @ coeffs
     return math.sqrt(gamma_v * float(residual @ residual))
 
 
@@ -118,23 +157,21 @@ def eta(h, f_l2, stab_u, stab_z):
     return h * f_l2 + stab_u + stab_z
 
 
-def error_report(solution, trial, test, blocks, problem):
-    """All error quantities for one solve, for convergence tables."""
-    if not problem.has_exact:
-        raise ValueError("error report needs the exact solution")
-    h = mesh_size(trial.mesh)
-    stab_u = stab_seminorm_u(trial, solution.u, problem, blocks.gamma_v)
-    stab_z = stab_seminorm_z(solution.z, blocks.s_w)
+def error_report(solution, data, gamma_v, s_w):
+    """All error quantities of one solve, from the ReportData of its mesh, its
+    primal penalty γ_V and its dual stabilizer matrix s_W."""
+    stab_u = stab_seminorm_u(data, solution.u, gamma_v)
+    stab_z = stab_seminorm_z(solution.z, s_w)
     return ErrorReport(
-        h=h,
-        dofs_v=trial.num_dofs,
-        dofs_w=test.num_dofs,
-        global_l2=l2_error(trial, solution.u, problem.exact_u, "global"),
-        local_l2=l2_error(trial, solution.u, problem.exact_u, "local"),
-        h1_semi=h1_semi_error(trial, solution.u, problem.exact_grad),
+        h=data.h,
+        dofs_v=len(solution.u),
+        dofs_w=len(solution.z),
+        global_l2=l2_error(data, solution.u, "global"),
+        local_l2=l2_error(data, solution.u, "local"),
+        h1_semi=h1_semi_error(data, solution.u),
         stab_u=stab_u,
         stab_z=stab_z,
-        eta=eta(h, l2_norm_field(trial.mesh, problem.f), stab_u, stab_z),
+        eta=eta(data.h, data.f_l2, stab_u, stab_z),
     )
 
 
@@ -147,71 +184,3 @@ def convergence_rate(values, hs):
     if np.any(values <= 0) or np.any(hs <= 0):
         raise ValueError("rates need positive values and mesh sizes")
     return list(np.log(values[:-1] / values[1:]) / np.log(hs[:-1] / hs[1:]))
-
-
-def poincare_ratio(space, stab_matrix, stiffness, samples=100, seed=0):
-    """max over random free vectors of h ‖∇v_h‖ / |v_h|_stab.
-
-    Boundedness of this ratio across refinement levels is the computable
-    shadow of the discrete Poincaré inequality; vectors with negligible
-    stabilizer norm are skipped.
-    """
-    h = mesh_size(space.mesh)
-    rng = np.random.default_rng(seed)
-    free = space.free_dofs
-    worst = 0.0
-    for _ in range(samples):
-        v = np.zeros(space.num_dofs)
-        v[free] = rng.standard_normal(len(free))
-        stab = math.sqrt(max(float(v @ (stab_matrix @ v)), 0.0))
-        if stab < 1e-14:
-            continue
-        energy = math.sqrt(max(float(v @ (stiffness @ v)), 0.0))
-        worst = max(worst, h * energy / stab)
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# continuous-dependence reference curves
-
-@dataclass(frozen=True)
-class XiCurve:
-    """Modulus-of-continuity curve: C x^ς or C (|log x| + offset)^(-ς)."""
-
-    kind: str           # "hoelder" | "logarithmic"
-    scale: float        # C > 0
-    exponent: float     # ς > 0, intended range (0, 1)
-    offset: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("hoelder", "logarithmic"):
-            raise ValueError(f"unknown curve kind {self.kind!r}")
-        if self.scale <= 0 or self.exponent <= 0 or self.offset < 0:
-            raise ValueError("need scale > 0, exponent > 0, offset >= 0")
-
-
-def xi_eval(curve, x):
-    """Evaluate a reference curve at x in (0, 1)."""
-    if not 0.0 < x < 1.0:
-        raise ValueError("reference curves are defined on (0, 1)")
-    if curve.kind == "hoelder":
-        return curve.scale * x ** curve.exponent
-    return curve.scale * (abs(math.log(x)) + curve.offset) ** (-curve.exponent)
-
-
-def xi_fit(xs, ys, kind="hoelder", offset=1.0):
-    """Least-squares fit of (C, ς) on log-transformed data, for plot overlays."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if np.any(xs <= 0) or np.any(xs >= 1) or np.any(ys <= 0):
-        raise ValueError("fit needs x in (0, 1) and positive values")
-    if kind == "hoelder":
-        design = np.log(xs)
-    elif kind == "logarithmic":
-        design = -np.log(np.abs(np.log(xs)) + offset)
-    else:
-        raise ValueError(f"unknown curve kind {kind!r}")
-    coef = np.polyfit(design, np.log(ys), 1)
-    exponent = min(max(float(coef[0]), 1e-6), 1.0 - 1e-6)
-    return XiCurve(kind=kind, scale=float(np.exp(coef[1])), exponent=exponent,
-                   offset=offset)

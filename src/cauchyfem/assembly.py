@@ -21,7 +21,7 @@ from one sparse face-trace operator (`face_operator`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.io
@@ -60,6 +60,22 @@ class BlockSystem:
     gamma_v: float
     gamma_w: float
     variant: str
+
+    def scaled(self, gamma_v, gamma_w):
+        """The blocks with γ_V and γ_W multiplied by the given factors.
+
+        s_V = γ_V BᵀB, g = γ_V Bᵀψ̂ and the jump s_W = γ_W BᵀB are linear in
+        their penalty, so scaling the unit-penalty blocks gives bit for bit
+        the blocks `assemble_blocks` builds at γ (1.0 * P is P).
+        """
+        return replace(self, s_v=gamma_v * self.s_v, s_w=self.scaled_s_w(gamma_w),
+                       data=gamma_v * self.data, gamma_v=gamma_v * self.gamma_v,
+                       gamma_w=gamma_w * self.gamma_w)
+
+    def scaled_s_w(self, gamma_w):
+        """s_W with γ_W multiplied by `gamma_w`; the Galerkin s_W carries no
+        penalty."""
+        return self.s_w if self.variant == "galerkin" else gamma_w * self.s_w
 
 
 def _sample_field(name, field, x, y, *normal):
@@ -242,8 +258,9 @@ def assemble_data_term(space, problem, gamma_v):
     return gamma_v * (b.T @ psi_hat)
 
 
-def assemble_blocks(trial, test, problem, gamma_v, gamma_w, variant="jump"):
-    """Assemble every operator and functional of the coupled system."""
+def assemble_blocks(trial, test, problem, gamma_v=1.0, gamma_w=1.0, variant="jump"):
+    """Assemble every operator and functional of the coupled system; by
+    default at unit penalties, for `BlockSystem.scaled`."""
     return BlockSystem(
         s_v=assemble_primal_stab(trial, gamma_v),
         a=assemble_stiffness(trial, test),

@@ -25,16 +25,23 @@ def _parse_levels(text):
     return tuple(_mesh_level(tok) for tok in text.split(",") if tok.strip())
 
 
+def _penalty(text):
+    try:
+        return experiments.check_penalty(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from err
+
+
 def _parse_gammas(text):
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    return tuple(_penalty(tok) for tok in text.split(",") if tok.strip())
 
 
 def _add_common(parser):
     parser.add_argument("--degree", type=int, choices=(1, 2), default=None,
                         help="polynomial degree (default 1)")
-    parser.add_argument("--gamma-v", type=float, default=None,
+    parser.add_argument("--gamma-v", type=_penalty, default=None,
                         help="primal penalty (default 0.01 for P1, 0.001 for P2)")
-    parser.add_argument("--gamma-w", type=float, default=None,
+    parser.add_argument("--gamma-w", type=_penalty, default=None,
                         help="dual penalty (same defaults as --gamma-v)")
     parser.add_argument("--sw-variant", choices=SW_VARIANTS, default=None,
                         help="dual stabilizer: galerkin energy or face jumps "
@@ -83,8 +90,8 @@ _CONVERTERS = {
     "degree": int,
     "n": _mesh_level,
     "seed": int,
-    "gamma_v": float,
-    "gamma_w": float,
+    "gamma_v": _penalty,
+    "gamma_w": _penalty,
     "sw_variant": str,
     "jitter": float,
     "levels": _parse_levels,

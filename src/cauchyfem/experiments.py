@@ -1,6 +1,8 @@
 """Experiment drivers: refinement studies, penalty sweeps, single solves.
 
-Every driver writes a CSV with a fixed column order and the literal marker
+Each driver builds one `Level` per mesh (mesh, spaces, unit-penalty blocks,
+report data) and calls `solve_level` once per penalty pair on it.  Every
+driver writes a CSV with a fixed column order and the literal marker
 "NA" for cells that could not be computed; a level whose solve fails
 (SolverError) is recorded and the remaining levels still run.  Any other
 error propagates.
@@ -8,17 +10,20 @@ error propagates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .analysis import convergence_rate, error_report
-from .assembly import SW_VARIANTS, dump_matrix
-from .mesh import unit_square_mesh
+from .analysis import convergence_rate, error_report, report_data
+from .assembly import SW_VARIANTS, assemble_blocks, dump_matrix
+from .mesh import BoundaryPart, unit_square_mesh
 from .problem import quartic_example
-from .solver import SolverError, solve_problem
+from .solver import SolverError, build_system, solve
+from .spaces import build_space
 from .vtk_io import write_vtk
 
 #: penalty defaults per polynomial degree
@@ -58,8 +63,8 @@ class RunConfig:
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("levels must be strictly increasing")
         for g in (self.gamma_v, self.gamma_w):
-            if g is not None and g <= 0:
-                raise ValueError("penalty parameters must be positive")
+            if g is not None:
+                check_penalty(g)
 
     @property
     def resolved_gamma_v(self):
@@ -80,18 +85,44 @@ class LevelResult:
     rate_stab: Optional[float] = None
 
 
-def solve_level(config, n, gamma_v=None, gamma_w=None):
-    """One full pipeline run on an n-level mesh.
+def check_penalty(gamma):
+    """γ as a float; raises ValueError naming it unless it is positive and
+    finite."""
+    gamma = float(gamma)
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"penalty {gamma!r} must be positive and finite")
+    return gamma
 
-    Returns (solution, trial space, blocks, report)."""
-    problem = quartic_example()
-    mesh = unit_square_mesh(n, config.jitter, config.seed, problem.data_sides)
-    gv = config.resolved_gamma_v if gamma_v is None else gamma_v
-    gw = config.resolved_gamma_w if gamma_w is None else gamma_w
-    solution, trial, test, blocks = solve_problem(
-        mesh, config.degree, problem, gv, gw, config.sw_variant)
-    report = error_report(solution, trial, test, blocks, problem)
-    return solution, trial, blocks, report
+
+class Level:
+    """What every solve on one mesh level shares, built once per mesh: the
+    problem, the mesh, the spaces and the unit-penalty blocks.  The error
+    report's γ-free data is built on first use, after the first
+    factorization, so that it is not alive during that LU."""
+
+    def __init__(self, config, n):
+        self.n = n
+        self.problem = quartic_example()
+        mesh = unit_square_mesh(n, config.jitter, config.seed, self.problem.data_sides)
+        self.trial = build_space(mesh, config.degree, BoundaryPart.DATA)
+        self.test = build_space(mesh, config.degree, BoundaryPart.FREE)
+        self.blocks = assemble_blocks(self.trial, self.test, self.problem,
+                                      variant=config.sw_variant)
+
+    @cached_property
+    def report_data(self):
+        return report_data(self.trial, self.problem)
+
+
+def solve_level(level, gamma_v, gamma_w):
+    """One solve on a built level at penalties γ_V, γ_W; returns (solution,
+    report).  The γ-scaled blocks live only while the saddle system is built
+    and the scaled s_W only while the report runs, so that the LU holds one
+    copy of each penalty block."""
+    solution = solve(build_system(level.blocks.scaled(gamma_v, gamma_w),
+                                  level.trial, level.test))
+    return solution, error_report(solution, level.report_data, gamma_v,
+                                  level.blocks.scaled_s_w(gamma_w))
 
 
 def run_convergence(config):
@@ -100,7 +131,8 @@ def run_convergence(config):
     for idx, n in enumerate(config.levels):
         row = LevelResult(level=idx, n=n)
         try:
-            *_, row.report = solve_level(config, n)
+            _, row.report = solve_level(Level(config, n), config.resolved_gamma_v,
+                                        config.resolved_gamma_w)
         except SolverError as err:  # keep remaining levels running
             row.error = f"{type(err).__name__}: {err}"
         results.append(row)
@@ -121,13 +153,15 @@ def run_convergence(config):
 
 
 def run_sweep(config, gammas=DEFAULT_SWEEP_GAMMAS, n=64):
-    """One solve per penalty value with gamma_v = gamma_w = gamma, fixed mesh."""
+    """One solve per penalty value with gamma_v = gamma_w = gamma, all on one
+    level built once."""
+    gammas = [check_penalty(gamma) for gamma in gammas]
+    level = Level(config, n)
     results = []
     for gamma in gammas:
-        row = {"gamma": float(gamma), "n": n, "report": None, "error": None}
+        row = {"gamma": gamma, "n": n, "report": None, "error": None}
         try:
-            *_, row["report"] = solve_level(config, n, gamma_v=float(gamma),
-                                            gamma_w=float(gamma))
+            _, row["report"] = solve_level(level, gamma, gamma)
         except SolverError as err:
             row["error"] = f"{type(err).__name__}: {err}"
         results.append(row)
@@ -139,17 +173,19 @@ def run_sweep(config, gammas=DEFAULT_SWEEP_GAMMAS, n=64):
 def run_single(config, n, matrices_dir=None):
     """Single solve; optionally dumps vertex fields as legacy VTK and, into
     `matrices_dir`, the solve's A, S_V and S_W in matrix-market form."""
-    solution, trial, blocks, report = solve_level(config, n)
+    level = Level(config, n)
+    gamma_v, gamma_w = config.resolved_gamma_v, config.resolved_gamma_w
+    solution, report = solve_level(level, gamma_v, gamma_w)
     if matrices_dir is not None:
         outdir = Path(matrices_dir)
         outdir.mkdir(parents=True, exist_ok=True)
+        blocks = level.blocks.scaled(gamma_v, gamma_w)
         for name in ("a", "s_v", "s_w"):
             dump_matrix(getattr(blocks, name), outdir / f"{name}.mtx")
     if config.emit_fields and config.output_path:
-        mesh = trial.mesh
-        problem = quartic_example()
+        mesh = level.trial.mesh
         nv = mesh.num_vertices
-        exact = problem.exact_u(mesh.vertices[:, 0], mesh.vertices[:, 1])
+        exact = level.problem.exact_u(mesh.vertices[:, 0], mesh.vertices[:, 1])
         write_vtk(config.output_path, mesh, {
             "u_h": solution.u[:nv],
             "z_h": solution.z[:nv],

@@ -89,17 +89,6 @@ class Mesh:
         d = self.vertices[self.face_vertices[:, 1]] - self.vertices[self.face_vertices[:, 0]]
         return np.hypot(d[:, 0], d[:, 1])
 
-    def min_angle_deg(self):
-        """Smallest interior angle over all triangles, in degrees."""
-        p = self.vertices[self.triangles]
-        worst = np.inf
-        for i in range(3):
-            a = p[:, (i + 1) % 3] - p[:, i]
-            b = p[:, (i + 2) % 3] - p[:, i]
-            cosang = (a * b).sum(1) / (np.hypot(a[:, 0], a[:, 1]) * np.hypot(b[:, 0], b[:, 1]))
-            worst = min(worst, np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))).min())
-        return worst
-
 
 def from_triangles(vertices, triangles):
     """Build a Mesh from vertex coordinates and CCW vertex triples.

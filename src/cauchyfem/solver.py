@@ -26,8 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (BlockSystem, assemble_blocks, assemble_dual_stab,
-                       assemble_primal_stab, assemble_stiffness)
+from .assembly import (BlockSystem, assemble_dual_stab, assemble_primal_stab,
+                       assemble_stiffness)
 from .mesh import BoundaryPart
 from .spaces import build_space
 
@@ -64,7 +64,6 @@ class DiscreteSolution:
     u: np.ndarray
     z: np.ndarray
     residual: float
-    converged: bool
     lu_fill: int        # entries SuperLU stores for L and U
 
 
@@ -79,10 +78,12 @@ def build_system(blocks, trial, test):
 
     v_free = trial.free_dofs
     w_free = test.free_dofs
-    s_v = blocks.s_v[np.ix_(v_free, v_free)]
     a = blocks.a[np.ix_(w_free, v_free)]
-    s_w = blocks.s_w[np.ix_(w_free, w_free)]
-    matrix = sp.bmat([[s_v, a.T], [a, -s_w]], format="csc")
+    # the restricted blocks die before the symmetry check, whose temporaries
+    # are this function's memory peak
+    matrix = sp.bmat([[blocks.s_v[np.ix_(v_free, v_free)], a.T],
+                      [a, -blocks.s_w[np.ix_(w_free, w_free)]]], format="csc")
+    del a
     defect = abs(matrix - matrix.T).max() if matrix.nnz else 0.0
     if defect > SYMMETRY_TOL:
         raise ValueError(f"saddle matrix asymmetry {defect:g} exceeds {SYMMETRY_TOL:g}")
@@ -118,18 +119,7 @@ def solve(system):
     z = np.zeros(system.n_w)
     u[system.v_free] = x[:nv_free]
     z[system.w_free] = x[nv_free:]
-    return DiscreteSolution(u=u, z=z, residual=residual,
-                            converged=residual < RESIDUAL_TOL,
-                            lu_fill=int(lu.nnz))
-
-
-def solve_problem(mesh, degree, problem, gamma_v, gamma_w, variant="jump"):
-    """Convenience: spaces, blocks, system, solve.  Returns (solution, V, W, blocks)."""
-    trial = build_space(mesh, degree, BoundaryPart.DATA)
-    test = build_space(mesh, degree, BoundaryPart.FREE)
-    blocks = assemble_blocks(trial, test, problem, gamma_v, gamma_w, variant)
-    solution = solve(build_system(blocks, trial, test))
-    return solution, trial, test, blocks
+    return DiscreteSolution(u=u, z=z, residual=residual, lu_fill=int(lu.nnz))
 
 
 def discrete_consistency_probe(mesh, degree, gamma_v, gamma_w, variant="jump",

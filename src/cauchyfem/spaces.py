@@ -209,27 +209,9 @@ def triangle_rule(degree):
 
 
 # ---------------------------------------------------------------------------
-# interpolation and point evaluation
+# interpolation
 
 def nodal_interpolant(space, field):
     """Coefficients of the pointwise interpolant: field values at DOF nodes."""
     coords = space.dof_coords
     return np.asarray(field(coords[:, 0], coords[:, 1]), dtype=float)
-
-
-def locate_point(mesh, x, y, tol=1e-10):
-    """Brute-force point location: (triangle, reference coords).  Test-grade."""
-    pts = mesh.vertices[mesh.triangles]
-    _, _, jinv = affine_map(pts)
-    xi = reference_coords(pts, jinv, np.array([[[x, y]]], dtype=float))[:, 0]
-    inside = np.flatnonzero((xi >= -tol).all(axis=1) & (xi.sum(axis=1) <= 1.0 + tol))
-    if not len(inside):
-        raise ValueError(f"point ({x:g}, {y:g}) lies in no triangle")
-    return int(inside[0]), xi[inside[0]]
-
-
-def eval_fe(space, coeffs, x, y):
-    """Value of the finite element function with given coefficients at (x, y)."""
-    t, xi = locate_point(space.mesh, x, y)
-    vals = shape_values(space.degree, xi.reshape(1, 2))[0]
-    return float(coeffs[space.cell_dofs[t]] @ vals)

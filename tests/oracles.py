@@ -4,12 +4,20 @@ Everything here deliberately avoids the package's assembly path: basis
 functions are evaluated through global barycentric coordinates obtained by
 inverting the vertex matrix of each triangle (no reference-element mapping),
 quadrature rules use a different collapsed-square construction, and matrices
-are accumulated entry by entry into dense arrays.
+are accumulated entry by entry into dense arrays.  The last section holds
+helpers that only tests use.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from cauchyfem.mesh import BoundaryPart
+from cauchyfem.assembly import assemble_blocks
+from cauchyfem.mesh import BoundaryPart, mesh_size
+from cauchyfem.solver import build_system, solve
+from cauchyfem.spaces import (affine_map, build_space, reference_coords,
+                              shape_values)
 
 
 def oracle_triangle_rule(degree):
@@ -271,3 +279,114 @@ def structured_triangles(n):
             p01, p11 = p00 + n + 1, p10 + n + 1
             tris += [(p00, p10, p11), (p00, p11, p01)]
     return np.array(tris, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# helpers only tests use: a solve from scratch, point evaluation, mesh
+# quality, the discrete Poincaré ratio and the continuous-dependence
+# reference curves
+
+
+def solve_from_scratch(mesh, degree, problem, gamma_v, gamma_w, variant="jump"):
+    """Spaces, blocks assembled at (γ_V, γ_W), saddle system and solve on
+    `mesh`, without the drivers' per-mesh reuse.  Returns (solution, V, W,
+    blocks)."""
+    trial = build_space(mesh, degree, BoundaryPart.DATA)
+    test = build_space(mesh, degree, BoundaryPart.FREE)
+    blocks = assemble_blocks(trial, test, problem, gamma_v, gamma_w, variant)
+    return solve(build_system(blocks, trial, test)), trial, test, blocks
+
+
+def locate_point(mesh, x, y, tol=1e-10):
+    """Brute-force point location: (triangle, reference coords)."""
+    pts = mesh.vertices[mesh.triangles]
+    _, _, jinv = affine_map(pts)
+    xi = reference_coords(pts, jinv, np.array([[[x, y]]], dtype=float))[:, 0]
+    inside = np.flatnonzero((xi >= -tol).all(axis=1) & (xi.sum(axis=1) <= 1.0 + tol))
+    if not len(inside):
+        raise ValueError(f"point ({x:g}, {y:g}) lies in no triangle")
+    return int(inside[0]), xi[inside[0]]
+
+
+def eval_fe(space, coeffs, x, y):
+    """Value of the finite element function with given coefficients at (x, y)."""
+    t, xi = locate_point(space.mesh, x, y)
+    vals = shape_values(space.degree, xi.reshape(1, 2))[0]
+    return float(coeffs[space.cell_dofs[t]] @ vals)
+
+
+def min_angle_deg(mesh):
+    """Smallest interior angle over all triangles, in degrees."""
+    p = mesh.vertices[mesh.triangles]
+    worst = np.inf
+    for i in range(3):
+        a = p[:, (i + 1) % 3] - p[:, i]
+        b = p[:, (i + 2) % 3] - p[:, i]
+        cosang = (a * b).sum(1) / (np.hypot(a[:, 0], a[:, 1]) * np.hypot(b[:, 0], b[:, 1]))
+        worst = min(worst, np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))).min())
+    return worst
+
+
+def poincare_ratio(space, stab_matrix, stiffness, samples=100, seed=0):
+    """max over random free vectors of h ‖∇v_h‖ / |v_h|_stab.
+
+    Boundedness of this ratio across refinement levels is the computable
+    shadow of the discrete Poincaré inequality; vectors with negligible
+    stabilizer norm are skipped.
+    """
+    h = mesh_size(space.mesh)
+    rng = np.random.default_rng(seed)
+    free = space.free_dofs
+    worst = 0.0
+    for _ in range(samples):
+        v = np.zeros(space.num_dofs)
+        v[free] = rng.standard_normal(len(free))
+        stab = math.sqrt(max(float(v @ (stab_matrix @ v)), 0.0))
+        if stab < 1e-14:
+            continue
+        energy = math.sqrt(max(float(v @ (stiffness @ v)), 0.0))
+        worst = max(worst, h * energy / stab)
+    return worst
+
+
+@dataclass(frozen=True)
+class XiCurve:
+    """Modulus-of-continuity curve: C x^ς or C (|log x| + offset)^(-ς)."""
+
+    kind: str           # "hoelder" | "logarithmic"
+    scale: float        # C > 0
+    exponent: float     # ς > 0, intended range (0, 1)
+    offset: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("hoelder", "logarithmic"):
+            raise ValueError(f"unknown curve kind {self.kind!r}")
+        if self.scale <= 0 or self.exponent <= 0 or self.offset < 0:
+            raise ValueError("need scale > 0, exponent > 0, offset >= 0")
+
+
+def xi_eval(curve, x):
+    """Evaluate a reference curve at x in (0, 1)."""
+    if not 0.0 < x < 1.0:
+        raise ValueError("reference curves are defined on (0, 1)")
+    if curve.kind == "hoelder":
+        return curve.scale * x ** curve.exponent
+    return curve.scale * (abs(math.log(x)) + curve.offset) ** (-curve.exponent)
+
+
+def xi_fit(xs, ys, kind="hoelder", offset=1.0):
+    """Least-squares fit of (C, ς) on log-transformed data, for plot overlays."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if np.any(xs <= 0) or np.any(xs >= 1) or np.any(ys <= 0):
+        raise ValueError("fit needs x in (0, 1) and positive values")
+    if kind == "hoelder":
+        design = np.log(xs)
+    elif kind == "logarithmic":
+        design = -np.log(np.abs(np.log(xs)) + offset)
+    else:
+        raise ValueError(f"unknown curve kind {kind!r}")
+    coef = np.polyfit(design, np.log(ys), 1)
+    exponent = min(max(float(coef[0]), 1e-6), 1.0 - 1e-6)
+    return XiCurve(kind=kind, scale=float(np.exp(coef[1])), exponent=exponent,
+                   offset=offset)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from cauchyfem.analysis import l2_error, stab_seminorm_u
+from cauchyfem.analysis import l2_error, report_data, stab_seminorm_u
 from cauchyfem.assembly import assemble_blocks
 from cauchyfem.experiments import RunConfig, run_convergence, run_sweep
 from cauchyfem.mesh import BoundaryPart, unit_square_mesh
@@ -69,7 +69,7 @@ def test_c1_oracle_equivalence():
             trial = build_space(mesh, degree, BoundaryPart.DATA)
             test = build_space(mesh, degree, BoundaryPart.FREE)
             u = np.random.default_rng(degree).standard_normal(trial.num_dofs)
-            worst = max(worst, abs(stab_seminorm_u(trial, u, problem, 0.01)
+            worst = max(worst, abs(stab_seminorm_u(report_data(trial, problem), u, 0.01)
                                    - loop_stab_seminorm_u(trial, u, problem, 0.01)))
             for variant in ("galerkin", "jump"):
                 blocks = assemble_blocks(trial, test, problem, 0.01, 0.01, variant)
@@ -216,8 +216,9 @@ def test_c9_analytic_anchors():
     problem = quartic_example()
     space = build_space(unit_square_mesh(8), 1, BoundaryPart.DATA)
     zero = np.zeros(space.num_dofs)
-    glob = l2_error(space, zero, problem.exact_u, "global")
-    local = l2_error(space, zero, problem.exact_u, "local")
+    data = report_data(space, problem)
+    glob = l2_error(data, zero, "global")
+    local = l2_error(data, zero, "local")
     ok = abs(glob - 1.0) < 1e-10 and abs(local - 0.5) < 1e-10
     verdict("C9 analytic anchors", ok,
             f"global {glob:.12f} (want 1), local {local:.12f} (want 0.5)")

@@ -5,19 +5,18 @@ import scipy.io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyfem.analysis import stab_seminorm_u
+from cauchyfem.analysis import report_data, stab_seminorm_u
 from cauchyfem.assembly import (assemble_blocks, assemble_data_term,
                                 assemble_dual_stab, assemble_load,
                                 assemble_primal_stab, assemble_stiffness,
                                 dump_matrix)
 from cauchyfem.mesh import BoundaryPart, unit_square_mesh
 from cauchyfem.problem import CauchyProblem
-from cauchyfem.solver import solve_problem
 from cauchyfem.spaces import build_space, nodal_interpolant
 
 from .oracles import (dense_data_term, dense_dual_stab, dense_face_jumps,
                       dense_load, dense_stiffness, fe_jump_seminorm,
-                      loop_stab_seminorm_u)
+                      loop_stab_seminorm_u, solve_from_scratch)
 
 GAMMA = 0.01
 
@@ -230,7 +229,7 @@ def test_batched_kernels_property(n, jitter, seed, degree, variant, problem):
         eigs = np.linalg.eigvalsh(dense)
         assert eigs.min() > -1e-12 * max(eigs.max(), 1.0), name
     u = np.random.default_rng(seed).standard_normal(trial.num_dofs)
-    assert stab_seminorm_u(trial, u, problem, GAMMA) == pytest.approx(
+    assert stab_seminorm_u(report_data(trial, problem), u, GAMMA) == pytest.approx(
         loop_stab_seminorm_u(trial, u, problem, GAMMA), rel=1e-12)
 
 
@@ -249,7 +248,7 @@ def test_non_finite_data_is_rejected(name, problem, mesh2):
     bad = CauchyProblem(exact_u=problem.exact_u, exact_grad=problem.exact_grad,
                         **fields)
     with pytest.raises(ValueError, match=f"{name} is not finite at"):
-        solve_problem(mesh2, 1, bad, GAMMA, GAMMA)
+        solve_from_scratch(mesh2, 1, bad, GAMMA, GAMMA)
 
 
 def test_smooth_consistency_interior_jumps_vanish(mesh4):

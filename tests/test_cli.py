@@ -62,6 +62,20 @@ def test_mesh_level_below_one_is_rejected(tmp_path, capsys, argv):
     assert "--n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value, named", [
+    ("--gammas", "0,-1", "penalty 0.0"), ("--gammas", "-1", "penalty -1.0"),
+    ("--gammas", "nan", "penalty nan"), ("--gammas", "0.01,inf", "penalty inf"),
+    ("--gamma-v", "nan", "penalty nan"), ("--gamma-w", "0", "penalty 0.0")])
+def test_bad_penalties_are_rejected(tmp_path, capsys, option, value, named):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--n", "2", option, value, "--out", str(out)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert option in err and f"{named} must be positive and finite" in err
+    assert not out.exists()
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("degree = 2\ngamma-v = 0.005  # overridden below\n"
@@ -77,7 +91,8 @@ def test_config_file_parsing(tmp_path):
 
 @pytest.mark.parametrize("line, named", [
     ("gama_v = 5", "unknown key 'gama_v'"),
-    ("n = 0", "n: mesh level 0 must be at least 1")])
+    ("n = 0", "n: mesh level 0 must be at least 1"),
+    ("gammas = 0.1,0", "gammas: penalty 0.0 must be positive")])
 def test_config_file_rejects_unknown_keys_and_bad_levels(tmp_path, line, named):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"degree = 1\n{line}\n")
@@ -111,7 +126,7 @@ def test_flags_win_over_config_file(tmp_path):
 def test_failure_exit_code(tmp_path, monkeypatch, capsys):
     from cauchyfem.solver import SingularSystemError
 
-    def boom(config, n, **kw):
+    def boom(level, gamma_v, gamma_w):
         raise SingularSystemError("synthetic failure")
 
     monkeypatch.setattr(experiments, "solve_level", boom)

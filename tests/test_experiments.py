@@ -1,12 +1,20 @@
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
 
-from cauchyfem import experiments
-from cauchyfem.experiments import (CONVERGENCE_COLUMNS, SWEEP_COLUMNS,
+from cauchyfem import experiments, mesh as mesh_module
+from cauchyfem.analysis import error_report, report_data
+from cauchyfem.experiments import (CONVERGENCE_COLUMNS, SWEEP_COLUMNS, Level,
                                    RunConfig, run_convergence, run_single,
                                    run_sweep, solve_level)
-from cauchyfem.mesh import BoundaryPart
+from cauchyfem.mesh import BoundaryPart, unit_square_mesh
+from cauchyfem.problem import quartic_example
 from cauchyfem.solver import SingularSystemError
+
+from .oracles import solve_from_scratch
 
 
 def parse_csv(path):
@@ -37,6 +45,14 @@ def test_config_validation():
     ({"jitter": 0.3}, "jitter"), ({"sw_variant": "jmp"}, "'jmp'")])
 def test_config_rejects_bad_jitter_and_variant(bad, message):
     with pytest.raises(ValueError, match=message):
+        RunConfig(**bad)
+
+
+@pytest.mark.parametrize("bad", [{"gamma_v": math.nan}, {"gamma_w": math.inf},
+                                 {"gamma_v": -math.inf}])
+def test_config_rejects_non_finite_penalties(bad):
+    (value,) = bad.values()
+    with pytest.raises(ValueError, match=re.escape(f"penalty {value!r}")):
         RunConfig(**bad)
 
 
@@ -72,10 +88,10 @@ def test_reruns_are_byte_identical(tmp_path):
 def test_failed_level_marked_and_others_continue(tmp_path, monkeypatch):
     real = experiments.solve_level
 
-    def flaky(config, n, **kw):
-        if n == 4:
+    def flaky(level, gamma_v, gamma_w):
+        if level.n == 4:
             raise SingularSystemError("synthetic failure")
-        return real(config, n, **kw)
+        return real(level, gamma_v, gamma_w)
 
     monkeypatch.setattr(experiments, "solve_level", flaky)
     out = tmp_path / "conv.csv"
@@ -94,7 +110,7 @@ def test_failed_level_marked_and_others_continue(tmp_path, monkeypatch):
     lambda: run_sweep(RunConfig(degree=1), gammas=(0.01,), n=2)],
     ids=["convergence", "sweep"])
 def test_programming_errors_are_not_turned_into_na_rows(monkeypatch, driver):
-    def broken(config, n, **kw):
+    def broken(level, gamma_v, gamma_w):
         raise TypeError("synthetic bug")
 
     monkeypatch.setattr(experiments, "solve_level", broken)
@@ -104,10 +120,11 @@ def test_programming_errors_are_not_turned_into_na_rows(monkeypatch, driver):
 
 def test_solve_level_tags_the_problems_data_sides(monkeypatch, mirrored_problem):
     config = RunConfig(degree=1)
-    *_, expected = solve_level(config, 4)
+    _, expected = solve_level(Level(config, 4), 0.01, 0.01)
     monkeypatch.setattr(experiments, "quartic_example", lambda: mirrored_problem)
-    _, trial, _, report = solve_level(config, 4)
-    mesh = trial.mesh
+    level = Level(config, 4)
+    _, report = solve_level(level, 0.01, 0.01)
+    mesh = level.trial.mesh
     mid = mesh.vertices[mesh.face_vertices[mesh.faces_of_part(BoundaryPart.DATA)]].mean(1)
     assert np.all((mid[:, 1] == 1.0) | (mid[:, 0] == 0.0))
     # the lattice is symmetric under (x, y) -> (1 - x, 1 - y), so are the errors
@@ -157,3 +174,54 @@ def test_run_single_emits_vtk(tmp_path):
               (np.abs(mesh.vertices[:, 0] - 1.0) < 1e-12)
     assert np.all(u_vals[on_data] == 0.0)
     assert np.any(u_vals != 0.0)
+
+
+def _counting(monkeypatch, module, name, counts):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_sweep_rejects_bad_penalty_before_building_the_mesh(monkeypatch, bad):
+    counts = {"from_triangles": 0}
+    _counting(monkeypatch, mesh_module, "from_triangles", counts)
+    with pytest.raises(ValueError, match=re.escape(f"penalty {bad!r} must be positive")):
+        run_sweep(RunConfig(degree=1), gammas=(0.01, bad), n=2)
+    assert counts["from_triangles"] == 0
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("variant", ["jump", "galerkin"])
+def test_sweep_rows_equal_solves_from_scratch(degree, variant):
+    """Unit blocks scaled per γ and the cached report data give, bit for bit,
+    what a fresh mesh, blocks assembled at γ and a fresh report give."""
+    config = RunConfig(degree=degree, sw_variant=variant, jitter=0.1, seed=2)
+    gammas = (1e-3, 0.05, 1.0)
+    rows = run_sweep(config, gammas=gammas, n=4)
+    problem = quartic_example()
+    for gamma, row in zip(gammas, rows):
+        mesh = unit_square_mesh(4, config.jitter, config.seed, problem.data_sides)
+        solution, trial, _, blocks = solve_from_scratch(mesh, degree, problem,
+                                                        gamma, gamma, variant)
+        expected = error_report(solution, report_data(trial, problem),
+                                blocks.gamma_v, blocks.s_w)
+        assert dataclasses.astuple(row["report"]) == dataclasses.astuple(expected)
+
+
+def test_mesh_blocks_and_report_data_are_built_once_per_mesh(monkeypatch):
+    counts = dict.fromkeys(("from_triangles", "assemble_blocks", "report_data"), 0)
+    _counting(monkeypatch, mesh_module, "from_triangles", counts)
+    _counting(monkeypatch, experiments, "assemble_blocks", counts)
+    _counting(monkeypatch, experiments, "report_data", counts)
+    rows = run_sweep(RunConfig(degree=1), gammas=(1e-3, 1e-2, 1e-1, 1.0), n=2)
+    assert all(row["report"] is not None for row in rows)
+    assert counts == {"from_triangles": 1, "assemble_blocks": 1, "report_data": 1}
+
+    counts.update(dict.fromkeys(counts, 0))
+    run_convergence(RunConfig(degree=1, levels=(2, 4, 8)))
+    assert counts == {"from_triangles": 3, "assemble_blocks": 3, "report_data": 3}

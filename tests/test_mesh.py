@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from cauchyfem.mesh import (BoundaryPart, build_structured, from_triangles,
                             mesh_size, tag_boundary, unit_square_mesh)
 
-from .oracles import face_geometry, structured_triangles, walk_faces
+from .oracles import face_geometry, min_angle_deg, structured_triangles, walk_faces
 
 
 def brute_force_edges(triangles):
@@ -155,7 +155,7 @@ def test_structured_mesh_invariants(n, jitter, seed):
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_shape_regularity_under_jitter(n):
     mesh = unit_square_mesh(n, jitter=0.2, seed=0)
-    assert mesh.min_angle_deg() > 10.0
+    assert min_angle_deg(mesh) > 10.0
 
 
 def test_vtk_dump(tmp_path, mesh2):

@@ -42,11 +42,7 @@ class ErrorReport:
     eta: float
 
 
-def _region_triangles(mesh, region):
-    if region == "global":
-        return np.arange(mesh.num_triangles)
-    if region != "local":
-        raise ValueError("region must be 'global' or 'local'")
+def _local_triangles(mesh):
     (x0, y0), (x1, y1) = LOCAL_WINDOW
     bary = mesh.vertices[mesh.triangles].mean(axis=1)
     keep = (bary[:, 0] > x0) & (bary[:, 0] < x1) & (bary[:, 1] > y0) & (bary[:, 1] < y1)
@@ -93,7 +89,7 @@ def report_data(space, problem):
                       exact_u=None if problem.exact_u is None else problem.exact_u(x, y),
                       exact_grad=None if problem.exact_grad is None
                       else np.stack(problem.exact_grad(x, y), axis=-1),
-                      local=_region_triangles(mesh, "local"), h=mesh_size(mesh),
+                      local=_local_triangles(mesh), h=mesh_size(mesh),
                       f_l2=l2_norm_field(mesh, problem.f), b=b, psi_hat=psi_hat)
 
 
@@ -114,11 +110,10 @@ def l2_error(data, coeffs, region="global"):
     return _root_integral(data.rule, data.det[cells], diff * diff)
 
 
-def l2_norm_field(mesh, field, region="global"):
-    """‖field‖ over Ω or ω by the shared volume rule."""
-    cells = _region_triangles(mesh, region)
+def l2_norm_field(mesh, field):
+    """‖field‖ over Ω by the shared volume rule."""
     rule = triangle_rule(VOLUME_DEGREE)
-    phys, det, _ = cell_points(mesh.vertices[mesh.triangles[cells]], rule.points)
+    phys, det, _ = cell_points(mesh.vertices[mesh.triangles], rule.points)
     fq = field(phys[..., 0], phys[..., 1])
     return _root_integral(rule, det, fq * fq)
 

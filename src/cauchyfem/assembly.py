@@ -13,6 +13,8 @@ the free boundary), l(w) = ∫ f w + ∫_data ψ w, and the data functional
 g(v) = γ_V Σ_data ∫ h_F ψ ∂_n v.  For quadratics both penalties gain an
 h_F³-weighted jump of the elementwise Laplacian on interior faces.
 
+Assembly builds the penalties and g at unit γ; `BlockSystem.scaled` applies γ.
+
 Every kernel works on all triangles or faces at once: the affine geometry is
 computed once per call and the quadrature sums are einsums.  The jump
 penalties, the data functional and the semi-norm |u - u_h|_{s_V} all come
@@ -44,12 +46,12 @@ SW_VARIANTS = ("galerkin", "jump")
 class BlockSystem:
     """Assembled operators over the full (unconstrained) DOF sets.
 
-    s_v   (n_V, n_V) primal stabilizer, symmetric PSD, γ_V folded in
+    s_v   (n_V, n_V) primal stabilizer, symmetric PSD, unit penalty
     a     (n_W, n_V) stiffness, rows test against W basis functions
-    s_w   (n_W, n_W) dual stabilizer, symmetric PSD (γ_W folded into the
+    s_w   (n_W, n_W) dual stabilizer, symmetric PSD (unit penalty for the
           jump variant; the Galerkin variant is the plain energy matrix)
     load  (n_W,) right side l
-    data  (n_V,) right side g built from the flux data
+    data  (n_V,) right side g built from the flux data, unit penalty
     """
 
     s_v: sp.csr_matrix
@@ -57,24 +59,16 @@ class BlockSystem:
     s_w: sp.csr_matrix
     load: np.ndarray
     data: np.ndarray
-    gamma_v: float
-    gamma_w: float
     variant: str
 
     def scaled(self, gamma_v, gamma_w):
-        """The blocks with γ_V and γ_W multiplied by the given factors.
-
-        s_V = γ_V BᵀB, g = γ_V Bᵀψ̂ and the jump s_W = γ_W BᵀB are linear in
-        their penalty, so scaling the unit-penalty blocks gives bit for bit
-        the blocks `assemble_blocks` builds at γ (1.0 * P is P).
-        """
+        """The blocks at penalties γ_V and γ_W: s_V = γ_V BᵀB, g = γ_V Bᵀψ̂ and
+        the jump s_W = γ_W BᵀB are the unit blocks times their γ."""
         return replace(self, s_v=gamma_v * self.s_v, s_w=self.scaled_s_w(gamma_w),
-                       data=gamma_v * self.data, gamma_v=gamma_v * self.gamma_v,
-                       gamma_w=gamma_w * self.gamma_w)
+                       data=gamma_v * self.data)
 
     def scaled_s_w(self, gamma_w):
-        """s_W with γ_W multiplied by `gamma_w`; the Galerkin s_W carries no
-        penalty."""
+        """s_W at penalty γ_W; the Galerkin s_W carries no penalty."""
         return self.s_w if self.variant == "galerkin" else gamma_w * self.s_w
 
 
@@ -197,29 +191,29 @@ def face_operator(space, part, problem=None):
     return b, psi_hat
 
 
-def assemble_face_jumps(space, boundary_part, gamma):
-    """γ-weighted jump penalty Σ_F ∫ h_F [∂_n φ_j][∂_n φ_i] over interior faces
-    plus single-sided traces on the given boundary part, as γ BᵀB.
+def assemble_face_jumps(space, boundary_part):
+    """Unit jump penalty Σ_F ∫ h_F [∂_n φ_j][∂_n φ_i] over interior faces
+    plus single-sided traces on the given boundary part, as BᵀB.
 
     For degree 2 the interior faces additionally carry
-    γ Σ_F ∫ h_F³ [Δφ_j][Δφ_i].
+    Σ_F ∫ h_F³ [Δφ_j][Δφ_i].
     """
     b, _ = face_operator(space, boundary_part)
-    return gamma * (b.T.tocsr() @ b)
+    return b.T.tocsr() @ b
 
 
-def assemble_primal_stab(space, gamma_v):
-    """Primal stabilizer s_V: jumps over interior faces and the data boundary."""
-    return assemble_face_jumps(space, BoundaryPart.DATA, gamma_v)
+def assemble_primal_stab(space):
+    """Unit primal stabilizer s_V: jumps over interior faces and the data boundary."""
+    return assemble_face_jumps(space, BoundaryPart.DATA)
 
 
-def assemble_dual_stab(space, variant, gamma_w):
+def assemble_dual_stab(space, variant):
     """Dual stabilizer s_W: either the Galerkin energy a(z, w) itself (no γ)
-    or γ_W-weighted jumps over interior faces and the free boundary."""
+    or unit jumps over interior faces and the free boundary."""
     if variant == "galerkin":
         return assemble_stiffness(space, space)
     if variant == "jump":
-        return assemble_face_jumps(space, BoundaryPart.FREE, gamma_w)
+        return assemble_face_jumps(space, BoundaryPart.FREE)
     raise ValueError(f"unknown dual stabilizer variant {variant!r}; "
                      f"expected one of {SW_VARIANTS}")
 
@@ -247,28 +241,26 @@ def assemble_load(space, problem):
                        minlength=space.num_dofs)
 
 
-def assemble_data_term(space, problem, gamma_v):
-    """Data functional g[i] = γ_V Σ_data ∫ h_F ψ ∂_n φ_i = γ_V Bᵀψ̂.
+def assemble_data_term(space, problem):
+    """Unit data functional g[i] = Σ_data ∫ h_F ψ ∂_n φ_i = Bᵀψ̂.
 
     This is the primal stabilizer applied to the (smooth) exact solution: its
     interior gradient and Laplacian jumps vanish, leaving only the flux data
     on the data boundary.
     """
     b, psi_hat = face_operator(space, BoundaryPart.DATA, problem)
-    return gamma_v * (b.T @ psi_hat)
+    return b.T @ psi_hat
 
 
-def assemble_blocks(trial, test, problem, gamma_v=1.0, gamma_w=1.0, variant="jump"):
-    """Assemble every operator and functional of the coupled system; by
-    default at unit penalties, for `BlockSystem.scaled`."""
+def assemble_blocks(trial, test, problem, variant="jump"):
+    """Assemble every operator and functional of the coupled system at unit
+    penalties, for `BlockSystem.scaled`."""
     return BlockSystem(
-        s_v=assemble_primal_stab(trial, gamma_v),
+        s_v=assemble_primal_stab(trial),
         a=assemble_stiffness(trial, test),
-        s_w=assemble_dual_stab(test, variant, gamma_w),
+        s_w=assemble_dual_stab(test, variant),
         load=assemble_load(test, problem),
-        data=assemble_data_term(trial, problem, gamma_v),
-        gamma_v=gamma_v,
-        gamma_w=gamma_w,
+        data=assemble_data_term(trial, problem),
         variant=variant,
     )
 

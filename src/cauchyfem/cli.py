@@ -21,8 +21,16 @@ def _mesh_level(text):
     return value
 
 
+def _comma_list(parse, text):
+    """The parsed items of a comma-separated list, which must not be empty."""
+    values = tuple(parse(tok) for tok in text.split(",") if tok.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one value, got {text!r}")
+    return values
+
+
 def _parse_levels(text):
-    return tuple(_mesh_level(tok) for tok in text.split(",") if tok.strip())
+    return _comma_list(_mesh_level, text)
 
 
 def _penalty(text):
@@ -33,7 +41,7 @@ def _penalty(text):
 
 
 def _parse_gammas(text):
-    return tuple(_penalty(tok) for tok in text.split(",") if tok.strip())
+    return _comma_list(_penalty, text)
 
 
 def _add_common(parser):
@@ -146,7 +154,7 @@ def _make_config(opts, out_default=None):
         sw_variant=_given(opts, "sw_variant", "jump"),
         gamma_v=opts.get("gamma_v"),
         gamma_w=opts.get("gamma_w"),
-        levels=opts.get("levels") or experiments.DEFAULT_LEVELS,
+        levels=_given(opts, "levels", experiments.DEFAULT_LEVELS),
         jitter=_given(opts, "jitter", 0.0),
         seed=_given(opts, "seed", 0),
         output_path=opts.get("out") or out_default,
@@ -176,7 +184,7 @@ def cmd_convergence(opts):
 
 def cmd_sweep(opts):
     config = _make_config(opts, out_default="sweep.csv")
-    gammas = opts.get("gammas") or experiments.DEFAULT_SWEEP_GAMMAS
+    gammas = _given(opts, "gammas", experiments.DEFAULT_SWEEP_GAMMAS)
     n = _given(opts, "n", 64)
     results = experiments.run_sweep(config, gammas=gammas, n=n)
     _print_reports([(f"{row['gamma']:.1e}", row["report"], row["error"])

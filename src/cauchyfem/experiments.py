@@ -60,8 +60,10 @@ class RunConfig:
                              f"expected one of {SW_VARIANTS}")
         if not 0.0 <= self.jitter < 0.3:
             raise ValueError(f"jitter {self.jitter:g} must lie in [0, 0.3)")
-        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
-            raise ValueError("levels must be strictly increasing")
+        if not self.levels or any(b <= a for a, b in zip(self.levels, self.levels[1:])):
+            raise ValueError("levels must be non-empty and strictly increasing")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be non-negative")
         for g in (self.gamma_v, self.gamma_w):
             if g is not None:
                 check_penalty(g)
@@ -148,7 +150,9 @@ def run_convergence(config):
              cur.report.stab_u + cur.report.stab_z), hs)[0]
 
     if config.output_path:
-        write_convergence_csv(config.output_path, results)
+        write_csv(config.output_path, CONVERGENCE_COLUMNS,
+                  [[str(row.level), str(row.n)] + _report_cells(row.report)
+                   + [_fmt(row.rate_local_l2), _fmt(row.rate_stab)] for row in results])
     return results
 
 
@@ -156,6 +160,8 @@ def run_sweep(config, gammas=DEFAULT_SWEEP_GAMMAS, n=64):
     """One solve per penalty value with gamma_v = gamma_w = gamma, all on one
     level built once."""
     gammas = [check_penalty(gamma) for gamma in gammas]
+    if not gammas:
+        raise ValueError("gammas must not be empty")
     level = Level(config, n)
     results = []
     for gamma in gammas:
@@ -166,7 +172,9 @@ def run_sweep(config, gammas=DEFAULT_SWEEP_GAMMAS, n=64):
             row["error"] = f"{type(err).__name__}: {err}"
         results.append(row)
     if config.output_path:
-        write_sweep_csv(config.output_path, results)
+        write_csv(config.output_path, SWEEP_COLUMNS,
+                  [[_fmt(row["gamma"]), str(row["n"])] + _report_cells(row["report"])
+                   for row in results])
     return results
 
 
@@ -213,20 +221,8 @@ def _report_cells(report):
             _fmt(report.stab_u), _fmt(report.stab_z), _fmt(report.eta)]
 
 
-def write_convergence_csv(path, results):
-    lines = [",".join(CONVERGENCE_COLUMNS)]
-    for row in results:
-        cells = [str(row.level), str(row.n)] + _report_cells(row.report)
-        cells += [_fmt(row.rate_local_l2), _fmt(row.rate_stab)]
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_sweep_csv(path, results):
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in results:
-        cells = [_fmt(row["gamma"]), str(row["n"])] + _report_cells(row["report"])
-        lines.append(",".join(cells))
+def write_csv(path, columns, rows):
+    """A header line of `columns`, then one line of cells per row."""
+    lines = [",".join(columns)] + [",".join(cells) for cells in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -57,23 +57,6 @@ class Mesh:
     def num_triangles(self):
         return len(self.triangles)
 
-    @property
-    def num_faces(self):
-        return len(self.face_vertices)
-
-    @property
-    def is_tagged(self):
-        return not np.any(self.face_part == UNTAGGED)
-
-    def triangle_points(self, t):
-        return self.vertices[self.triangles[t]]
-
-    def signed_areas(self):
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
     def boundary_faces(self):
         return np.flatnonzero(self.face_tris[:, 1] < 0)
 
@@ -81,13 +64,9 @@ class Mesh:
         return np.flatnonzero(self.face_tris[:, 1] >= 0)
 
     def faces_of_part(self, part):
-        if not self.is_tagged:
+        if np.any(self.face_part == UNTAGGED):
             raise ValueError("mesh boundary has not been tagged")
         return np.flatnonzero(self.face_part == int(part))
-
-    def face_lengths(self):
-        d = self.vertices[self.face_vertices[:, 1]] - self.vertices[self.face_vertices[:, 0]]
-        return np.hypot(d[:, 0], d[:, 1])
 
 
 def from_triangles(vertices, triangles):
@@ -175,12 +154,8 @@ def build_structured(n, jitter=0.0, seed=0):
     return from_triangles(vertices, triangles)
 
 
-_SIDES = {
-    "bottom": lambda x, y: abs(y) < GEOM_TOL,
-    "right": lambda x, y: abs(x - 1.0) < GEOM_TOL,
-    "top": lambda x, y: abs(y - 1.0) < GEOM_TOL,
-    "left": lambda x, y: abs(x) < GEOM_TOL,
-}
+#: sides of the unit square as (name, axis, coordinate), in tagging order
+_SIDES = (("bottom", 1, 0.0), ("right", 0, 1.0), ("top", 1, 1.0), ("left", 0, 0.0))
 
 
 def tag_boundary(mesh, data_sides=("bottom", "right")):
@@ -189,17 +164,20 @@ def tag_boundary(mesh, data_sides=("bottom", "right")):
     The default split puts the Cauchy data on bottom and right.  A face whose
     midpoint lies on none of the four sides of the unit square is an error.
     """
+    faces = mesh.boundary_faces()
+    mid = 0.5 * (mesh.vertices[mesh.face_vertices[faces, 0]]
+                 + mesh.vertices[mesh.face_vertices[faces, 1]])
+    on = np.column_stack([np.abs(mid[:, axis] - value) < GEOM_TOL
+                          for _, axis, value in _SIDES])
+    off = np.flatnonzero(~on.any(axis=1))
+    if len(off):
+        mx, my = mid[off[0]]
+        raise ValueError(f"boundary face {faces[off[0]]} with midpoint ({mx:g}, {my:g}) "
+                         "lies on no side of the unit square")
+    # argmax: the first side, in _SIDES order, that a midpoint lies on
+    is_data = np.array([side in data_sides for side, _, _ in _SIDES])[on.argmax(axis=1)]
     part = mesh.face_part.copy()
-    for f in mesh.boundary_faces():
-        a, b = mesh.face_vertices[f]
-        mx, my = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        for side, on_side in _SIDES.items():
-            if on_side(mx, my):
-                part[f] = BoundaryPart.DATA if side in data_sides else BoundaryPart.FREE
-                break
-        else:
-            raise ValueError(f"boundary face {f} with midpoint ({mx:g}, {my:g}) "
-                             "lies on no side of the unit square")
+    part[faces] = np.where(is_data, BoundaryPart.DATA, BoundaryPart.FREE)
     return replace(mesh, face_part=part)
 
 
@@ -212,4 +190,5 @@ def mesh_size(mesh):
     """Largest triangle diameter, i.e. the longest edge in the mesh."""
     if mesh.num_triangles == 0:
         raise ValueError("empty mesh")
-    return float(mesh.face_lengths().max())
+    d = mesh.vertices[mesh.face_vertices[:, 1]] - mesh.vertices[mesh.face_vertices[:, 0]]
+    return float(np.hypot(d[:, 0], d[:, 1]).max())

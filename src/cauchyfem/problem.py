@@ -30,10 +30,6 @@ class CauchyProblem:
     exact_grad: Optional[Callable] = None
     data_sides: tuple = ("bottom", "right")
 
-    @property
-    def has_exact(self):
-        return self.exact_u is not None and self.exact_grad is not None
-
 
 def quartic_example():
     """Manufactured instance with exact solution u = 30 x(1-x) y(1-y).

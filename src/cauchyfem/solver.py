@@ -26,11 +26,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (BlockSystem, assemble_dual_stab, assemble_primal_stab,
-                       assemble_stiffness)
-from .mesh import BoundaryPart
-from .spaces import build_space
-
 RESIDUAL_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 
@@ -120,31 +115,3 @@ def solve(system):
     u[system.v_free] = x[:nv_free]
     z[system.w_free] = x[nv_free:]
     return DiscreteSolution(u=u, z=z, residual=residual, lu_fill=int(lu.nnz))
-
-
-def discrete_consistency_probe(mesh, degree, gamma_v, gamma_w, variant="jump",
-                               probe=None, seed=0):
-    """Manufacture data from a coefficient vector and check it is reproduced.
-
-    With l := A v and g := S_V v for any v in the trial space, the coupled
-    system is solved exactly by (u, z) = (v, 0); the return value is the max
-    of the two recovery errors in the sup norm (zero up to solver accuracy).
-    """
-    trial = build_space(mesh, degree, BoundaryPart.DATA)
-    test = build_space(mesh, degree, BoundaryPart.FREE)
-    if probe is None:
-        rng = np.random.default_rng(seed)
-        probe = rng.standard_normal(trial.num_dofs)
-        probe[trial.dirichlet_dofs] = 0.0
-    else:
-        probe = np.asarray(probe, dtype=float)
-        if np.any(probe[trial.dirichlet_dofs] != 0.0):
-            raise ValueError("probe must vanish on constrained DOFs")
-
-    s_v = assemble_primal_stab(trial, gamma_v)
-    a = assemble_stiffness(trial, test)
-    s_w = assemble_dual_stab(test, variant, gamma_w)
-    blocks = BlockSystem(s_v=s_v, a=a, s_w=s_w, load=a @ probe, data=s_v @ probe,
-                         gamma_v=gamma_v, gamma_w=gamma_w, variant=variant)
-    sol = solve(build_system(blocks, trial, test))
-    return float(max(np.abs(sol.u - probe).max(), np.abs(sol.z).max()))

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .mesh import BoundaryPart, Mesh
+from .mesh import Mesh
 
 # gradients of the barycentric coordinates (1-x-y, x, y) on the reference triangle
 _DLAMBDA = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -42,7 +41,6 @@ class FeSpace:
     dof_coords: np.ndarray      # (ndof, 2)
     cell_dofs: np.ndarray       # (nt, 3) or (nt, 6)
     dirichlet_dofs: np.ndarray  # sorted global indices constrained to zero
-    constraint_side: Optional[BoundaryPart]
 
     @property
     def num_dofs(self):
@@ -63,8 +61,6 @@ def build_space(mesh, degree, constraint_side=None):
     """
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
-    if constraint_side is not None and not mesh.is_tagged:
-        raise ValueError("mesh boundary must be tagged before constraining a space")
 
     if degree == 1:
         dof_coords = mesh.vertices.copy()
@@ -75,20 +71,16 @@ def build_space(mesh, degree, constraint_side=None):
         dof_coords = np.vstack([mesh.vertices, midpoints])
         cell_dofs = np.hstack([mesh.triangles, mesh.num_vertices + mesh.tri_faces])
 
-    if constraint_side is None:
-        dirichlet = np.empty(0, dtype=np.int64)
-    else:
-        pinned = set()
-        for f in mesh.faces_of_part(constraint_side):
-            a, b = mesh.face_vertices[f]
-            pinned.update((int(a), int(b)))
-            if degree == 2:
-                pinned.add(mesh.num_vertices + int(f))
-        dirichlet = np.array(sorted(pinned), dtype=np.int64)
+    dirichlet = np.empty(0, dtype=np.int64)
+    if constraint_side is not None:
+        faces = mesh.faces_of_part(constraint_side)
+        closure = [mesh.face_vertices[faces].ravel()]
+        if degree == 2:
+            closure.append(mesh.num_vertices + faces)
+        dirichlet = np.unique(np.concatenate(closure))
 
     return FeSpace(mesh=mesh, degree=degree, dof_coords=dof_coords,
-                   cell_dofs=cell_dofs, dirichlet_dofs=dirichlet,
-                   constraint_side=constraint_side)
+                   cell_dofs=cell_dofs, dirichlet_dofs=dirichlet)
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +125,6 @@ def shape_hessians(degree):
         hess[3 + m] = 4.0 * (np.outer(_DLAMBDA[j], _DLAMBDA[k])
                              + np.outer(_DLAMBDA[k], _DLAMBDA[j]))
     return hess
-
-
-def shape_eval(degree, point):
-    """(values, gradients) of the local basis at one reference point."""
-    pt = np.asarray(point, dtype=float).reshape(1, 2)
-    return shape_values(degree, pt)[0], shape_grads(degree, pt)[0]
 
 
 def affine_map(tri_points):
@@ -200,18 +186,8 @@ def triangle_rule(degree):
     xt, wt = np.polynomial.legendre.leggauss(nt)
     xs, ws = 0.5 * (xs + 1.0), 0.5 * ws
     xt, wt = 0.5 * (xt + 1.0), 0.5 * wt
-    pts, wts = [], []
-    for s, w1 in zip(xs, ws):
-        for t, w2 in zip(xt, wt):
-            pts.append((s, t * (1.0 - s)))
-            wts.append(w1 * w2 * (1.0 - s))
-    return QuadratureRule(points=np.array(pts), weights=np.array(wts))
-
-
-# ---------------------------------------------------------------------------
-# interpolation
-
-def nodal_interpolant(space, field):
-    """Coefficients of the pointwise interpolant: field values at DOF nodes."""
-    coords = space.dof_coords
-    return np.asarray(field(coords[:, 0], coords[:, 1]), dtype=float)
+    # s-major order: point (i, j) is (s_i, t_j (1 - s_i))
+    s, t = (a.ravel() for a in np.meshgrid(xs, xt, indexing="ij"))
+    w1, w2 = (a.ravel() for a in np.meshgrid(ws, wt, indexing="ij"))
+    return QuadratureRule(points=np.column_stack([s, t * (1.0 - s)]),
+                          weights=w1 * w2 * (1.0 - s))

@@ -7,7 +7,7 @@ import numpy as np
 VTK_TRIANGLE = 5
 
 
-def write_vtk(path, mesh, point_data=None, title="cauchyfem fields"):
+def write_vtk(path, mesh, point_data=None):
     """Write the mesh and optional per-vertex scalar arrays.
 
     point_data maps array names to vectors of length mesh.num_vertices.
@@ -18,7 +18,7 @@ def write_vtk(path, mesh, point_data=None, title="cauchyfem fields"):
             raise ValueError(f"point array {name!r} has {len(values)} entries "
                              f"for {mesh.num_vertices} vertices")
 
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+    lines = ["# vtk DataFile Version 3.0", "cauchyfem fields", "ASCII",
              "DATASET UNSTRUCTURED_GRID",
              f"POINTS {mesh.num_vertices} double"]
     for x, y in mesh.vertices:

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cauchyfem.assembly import assemble_blocks
-from cauchyfem.mesh import BoundaryPart, mesh_size
+from cauchyfem.assembly import (BlockSystem, assemble_blocks, assemble_dual_stab,
+                                assemble_primal_stab, assemble_stiffness)
+from cauchyfem.mesh import GEOM_TOL, BoundaryPart, mesh_size
 from cauchyfem.solver import build_system, solve
 from cauchyfem.spaces import (affine_map, build_space, reference_coords,
-                              shape_values)
+                              shape_grads, shape_values)
 
 
 def oracle_triangle_rule(degree):
@@ -77,6 +78,17 @@ def oracle_basis(tri_pts, degree, xy):
     return vals, grads, laps
 
 
+def triangle_points(mesh, t):
+    """Vertex coordinates (3, 2) of triangle t."""
+    return mesh.vertices[mesh.triangles[t]]
+
+
+def signed_areas(mesh):
+    """Signed area of every triangle, positive for counter-clockwise ones."""
+    return np.array([_tri_area(triangle_points(mesh, t))
+                     for t in range(mesh.num_triangles)])
+
+
 def _tri_area(tri_pts):
     d1 = tri_pts[1] - tri_pts[0]
     d2 = tri_pts[2] - tri_pts[0]
@@ -94,7 +106,7 @@ def dense_stiffness(trial, test):
     ref_pts, ref_wts = oracle_triangle_rule(8)
     out = np.zeros((test.num_dofs, trial.num_dofs))
     for t in range(mesh.num_triangles):
-        pts = mesh.triangle_points(t)
+        pts = triangle_points(mesh, t)
         scale = 2.0 * _tri_area(pts)  # d(phys)/d(ref)
         xy = _tri_phys_points(pts, ref_pts)
         _, gt, _ = oracle_basis(pts, trial.degree, xy)
@@ -126,7 +138,7 @@ def dense_face_jumps(space, boundary_part, gamma):
         sides = [(lt, 1.0)] + ([(rt, -1.0)] if rt >= 0 else [])
         dofs, dn, laps = [], [], []
         for t, sign in sides:
-            pts = mesh.triangle_points(t)
+            pts = triangle_points(mesh, t)
             _, grads, lap = oracle_basis(pts, space.degree, xy)
             dofs.extend(space.cell_dofs[t])
             dn.append(sign * grads @ normal)
@@ -155,7 +167,7 @@ def dense_load(space, problem):
     ref_pts, ref_wts = oracle_triangle_rule(8)
     out = np.zeros(space.num_dofs)
     for t in range(mesh.num_triangles):
-        pts = mesh.triangle_points(t)
+        pts = triangle_points(mesh, t)
         scale = 2.0 * _tri_area(pts)
         xy = _tri_phys_points(pts, ref_pts)
         vals, _, _ = oracle_basis(pts, space.degree, xy)
@@ -167,7 +179,7 @@ def dense_load(space, problem):
     for f in mesh.faces_of_part(BoundaryPart.DATA):
         length, normal, xy = _face_data(mesh, f, spts)
         lt = mesh.face_tris[f][0]
-        pts = mesh.triangle_points(lt)
+        pts = triangle_points(mesh, lt)
         vals, _, _ = oracle_basis(pts, space.degree, xy)
         for q, w in enumerate(swts):
             psi = problem.psi(xy[q, 0], xy[q, 1], normal[0], normal[1])
@@ -183,7 +195,7 @@ def dense_data_term(space, problem, gamma):
     for f in mesh.faces_of_part(BoundaryPart.DATA):
         length, normal, xy = _face_data(mesh, f, spts)
         lt = mesh.face_tris[f][0]
-        pts = mesh.triangle_points(lt)
+        pts = triangle_points(mesh, lt)
         _, grads, _ = oracle_basis(pts, space.degree, xy)
         for q, w in enumerate(swts):
             psi = problem.psi(xy[q, 0], xy[q, 1], normal[0], normal[1])
@@ -227,11 +239,11 @@ def fe_jump_seminorm(space, coeffs, gamma, boundary_part=BoundaryPart.DATA,
     for f in faces:
         length, normal, xy = _face_data(mesh, f, spts)
         lt, rt = mesh.face_tris[f]
-        _, gl, lap_l = oracle_basis(mesh.triangle_points(lt), space.degree, xy)
+        _, gl, lap_l = oracle_basis(triangle_points(mesh, lt), space.degree, xy)
         cl = coeffs[space.cell_dofs[lt]]
         dn = (gl @ normal) @ cl
         if rt >= 0:
-            _, gr, lap_r = oracle_basis(mesh.triangle_points(rt), space.degree, xy)
+            _, gr, lap_r = oracle_basis(triangle_points(mesh, rt), space.degree, xy)
             cr = coeffs[space.cell_dofs[rt]]
             mis = (gr @ normal) @ cr - dn
             if space.degree == 2:
@@ -270,6 +282,32 @@ def walk_faces(triangles):
             np.array(face_tris, dtype=np.int64), tri_faces)
 
 
+def loop_tag_boundary(mesh, data_sides):
+    """face_part after tagging, face by face: a boundary face takes the part
+    of the first side (bottom, right, top, left) its midpoint lies on."""
+    sides = (("bottom", 1, 0.0), ("right", 0, 1.0), ("top", 1, 1.0), ("left", 0, 0.0))
+    part = mesh.face_part.copy()
+    for f in mesh.boundary_faces():
+        a, b = mesh.face_vertices[f]
+        mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
+        side = next(name for name, axis, value in sides
+                    if abs(mid[axis] - value) < GEOM_TOL)
+        part[f] = BoundaryPart.DATA if side in data_sides else BoundaryPart.FREE
+    return part
+
+
+def loop_dirichlet_dofs(mesh, degree, part):
+    """Sorted DOFs pinned by constraining `part`, face by face: both
+    endpoints of each face and, for degree 2, its midpoint DOF."""
+    pinned = set()
+    for f in mesh.faces_of_part(part):
+        a, b = mesh.face_vertices[f]
+        pinned.update((int(a), int(b)))
+        if degree == 2:
+            pinned.add(mesh.num_vertices + int(f))
+    return np.array(sorted(pinned), dtype=np.int64)
+
+
 def structured_triangles(n):
     """Triangles of the n-by-n grid by a loop over cells, row by row."""
     tris = []
@@ -282,19 +320,58 @@ def structured_triangles(n):
 
 
 # ---------------------------------------------------------------------------
-# helpers only tests use: a solve from scratch, point evaluation, mesh
-# quality, the discrete Poincaré ratio and the continuous-dependence
-# reference curves
+# helpers only tests use: a solve from scratch, the discrete consistency
+# probe, interpolation and point evaluation, mesh quality, the discrete
+# Poincaré ratio and the continuous-dependence reference curves
 
 
 def solve_from_scratch(mesh, degree, problem, gamma_v, gamma_w, variant="jump"):
-    """Spaces, blocks assembled at (γ_V, γ_W), saddle system and solve on
-    `mesh`, without the drivers' per-mesh reuse.  Returns (solution, V, W,
-    blocks)."""
+    """Spaces, blocks at (γ_V, γ_W), saddle system and solve on `mesh`,
+    without the drivers' per-mesh reuse.  Returns (solution, V, W, blocks)."""
     trial = build_space(mesh, degree, BoundaryPart.DATA)
     test = build_space(mesh, degree, BoundaryPart.FREE)
-    blocks = assemble_blocks(trial, test, problem, gamma_v, gamma_w, variant)
+    blocks = assemble_blocks(trial, test, problem, variant).scaled(gamma_v, gamma_w)
     return solve(build_system(blocks, trial, test)), trial, test, blocks
+
+
+def discrete_consistency_probe(mesh, degree, gamma_v, gamma_w, variant="jump",
+                               probe=None, seed=0):
+    """Manufacture data from a coefficient vector and check it is reproduced.
+
+    With l := A v and g := S_V v for any v in the trial space, the coupled
+    system is solved exactly by (u, z) = (v, 0); the return value is the max
+    of the two recovery errors in the sup norm (zero up to solver accuracy).
+    """
+    trial = build_space(mesh, degree, BoundaryPart.DATA)
+    test = build_space(mesh, degree, BoundaryPart.FREE)
+    if probe is None:
+        rng = np.random.default_rng(seed)
+        probe = rng.standard_normal(trial.num_dofs)
+        probe[trial.dirichlet_dofs] = 0.0
+    else:
+        probe = np.asarray(probe, dtype=float)
+        if np.any(probe[trial.dirichlet_dofs] != 0.0):
+            raise ValueError("probe must vanish on constrained DOFs")
+
+    s_v = assemble_primal_stab(trial)
+    a = assemble_stiffness(trial, test)
+    # g = S_V v at unit γ_V; scaling makes it γ_V S_V v for the scaled S_V
+    unit = BlockSystem(s_v=s_v, a=a, s_w=assemble_dual_stab(test, variant),
+                       load=a @ probe, data=s_v @ probe, variant=variant)
+    sol = solve(build_system(unit.scaled(gamma_v, gamma_w), trial, test))
+    return float(max(np.abs(sol.u - probe).max(), np.abs(sol.z).max()))
+
+
+def nodal_interpolant(space, field):
+    """Coefficients of the pointwise interpolant: field values at DOF nodes."""
+    coords = space.dof_coords
+    return np.asarray(field(coords[:, 0], coords[:, 1]), dtype=float)
+
+
+def shape_eval(degree, point):
+    """(values, gradients) of the local basis at one reference point."""
+    pt = np.asarray(point, dtype=float).reshape(1, 2)
+    return shape_values(degree, pt)[0], shape_grads(degree, pt)[0]
 
 
 def locate_point(mesh, x, y, tol=1e-10):

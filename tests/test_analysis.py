@@ -14,9 +14,9 @@ from cauchyfem.assembly import (assemble_dual_stab, assemble_primal_stab,
 from cauchyfem.mesh import BoundaryPart, mesh_size, unit_square_mesh
 from cauchyfem.problem import CauchyProblem
 from cauchyfem.solver import DiscreteSolution
-from cauchyfem.spaces import build_space, nodal_interpolant
+from cauchyfem.spaces import build_space
 
-from .oracles import (XiCurve, fe_jump_seminorm, poincare_ratio,
+from .oracles import (XiCurve, fe_jump_seminorm, nodal_interpolant, poincare_ratio,
                       solve_from_scratch, xi_eval, xi_fit)
 
 GAMMA = 0.01
@@ -86,7 +86,7 @@ def test_stab_u_interpolated_affine_has_interior_zero(mesh4):
 
 def test_stab_z_trivial_cases(mesh4):
     space = build_space(mesh4, 1, BoundaryPart.FREE)
-    s_w = assemble_dual_stab(space, "galerkin", 1.0)
+    s_w = assemble_dual_stab(space, "galerkin")
     assert stab_seminorm_z(np.zeros(space.num_dofs), s_w) == 0.0
     assert stab_seminorm_z(np.ones(space.num_dofs), s_w) < 1e-13
 
@@ -100,11 +100,11 @@ def test_quadratic_form_matches_face_quadrature(degree, variant):
                             (BoundaryPart.FREE, None)):
         space = build_space(mesh, degree, part)
         if matrix_of is not None:
-            s = matrix_of(space, GAMMA)
+            s = GAMMA * matrix_of(space)
         elif variant == "galerkin":
             continue  # Galerkin form is not a face functional
         else:
-            s = assemble_dual_stab(space, variant, GAMMA)
+            s = GAMMA * assemble_dual_stab(space, variant)
         v = rng.standard_normal(space.num_dofs)
         direct = fe_jump_seminorm(space, v, GAMMA, boundary_part=part)
         assert direct == pytest.approx(math.sqrt(v @ (s @ v)), abs=1e-12)
@@ -150,7 +150,7 @@ def test_estimator_zero_solution_closed_form(problem):
 
 def test_report_estimator_dominates_seminorms(mesh4, problem):
     sol, trial, test, blocks = solve_from_scratch(mesh4, 1, problem, GAMMA, GAMMA, "jump")
-    report = error_report(sol, report_data(trial, problem), blocks.gamma_v, blocks.s_w)
+    report = error_report(sol, report_data(trial, problem), GAMMA, blocks.s_w)
     assert report.eta >= report.stab_u + report.stab_z
     assert report.local_l2 <= report.global_l2
     assert report.dofs_v == report.dofs_w == trial.num_dofs
@@ -190,7 +190,7 @@ def test_poincare_ratio_finite_and_bounded_across_levels():
     for n in (8, 16, 32):
         mesh = unit_square_mesh(n)
         space = build_space(mesh, 1, BoundaryPart.DATA)
-        s_v = assemble_primal_stab(space, GAMMA)
+        s_v = GAMMA * assemble_primal_stab(space)
         stiff = assemble_stiffness(space, space)
         r = poincare_ratio(space, s_v, stiff, samples=100, seed=n)
         assert np.isfinite(r) and r > 0

@@ -12,11 +12,12 @@ from cauchyfem.assembly import (assemble_blocks, assemble_data_term,
                                 dump_matrix)
 from cauchyfem.mesh import BoundaryPart, unit_square_mesh
 from cauchyfem.problem import CauchyProblem
-from cauchyfem.spaces import build_space, nodal_interpolant
+from cauchyfem.spaces import build_space
 
 from .oracles import (dense_data_term, dense_dual_stab, dense_face_jumps,
                       dense_load, dense_stiffness, fe_jump_seminorm,
-                      loop_stab_seminorm_u, solve_from_scratch)
+                      loop_stab_seminorm_u, nodal_interpolant, solve_from_scratch,
+                      triangle_points)
 
 GAMMA = 0.01
 
@@ -50,7 +51,7 @@ def test_primal_stab_hand_value(mesh1):
     # n=1, P1, gamma=1: hat at vertex (1,0) sees the diagonal face
     # (jump sqrt(2), contribution 4) plus bottom and right data faces (1 each)
     space = build_space(mesh1, 1, BoundaryPart.DATA)
-    s = assemble_primal_stab(space, 1.0).toarray()
+    s = assemble_primal_stab(space).toarray()
     idx = int(np.flatnonzero((space.dof_coords == (1.0, 0.0)).all(axis=1))[0])
     assert s[idx, idx] == pytest.approx(6.0, abs=1e-13)
 
@@ -58,21 +59,49 @@ def test_primal_stab_hand_value(mesh1):
 def test_affine_function_has_no_interior_jumps(mesh4):
     space = build_space(mesh4, 1, BoundaryPart.DATA)
     v = nodal_interpolant(space, lambda x, y: x + y)
-    s = assemble_primal_stab(space, 1.0)
+    s = assemble_primal_stab(space)
     # only the data faces contribute: sum of h_F * (grad.n)^2 * |F| = 2/n
     assert v @ (s @ v) == pytest.approx(2.0 / 4.0, abs=1e-13)
 
 
-def test_gamma_scaling(mesh2):
-    space = build_space(mesh2, 1, BoundaryPart.DATA)
-    s1 = assemble_primal_stab(space, 1.0)
-    s2 = assemble_primal_stab(space, 0.01)
-    assert abs(s2 - 0.01 * s1).max() < 1e-16
+def _same_bits(x, y):
+    """Sparse matrices with the same structure and the same values, bit for bit."""
+    return all(np.array_equal(getattr(x, k), getattr(y, k))
+               for k in ("indptr", "indices", "data"))
+
+
+def test_gamma_scaling(problem):
+    # γ enters only in BlockSystem.scaled: s_V, g and the jump s_W are γ times
+    # a fresh unit block, the Galerkin s_W is passed through, and the unit
+    # blocks are left as they were
+    mesh = unit_square_mesh(3, jitter=0.2, seed=3)
+    gamma_v, gamma_w = 0.01, 0.3
+    for degree in (1, 2):
+        trial, test = spaces_on(mesh, degree)
+        for variant in ("galerkin", "jump"):
+            unit = assemble_blocks(trial, test, problem, variant)
+            before = {name: getattr(unit, name).copy()
+                      for name in ("s_v", "a", "s_w", "load", "data")}
+            blocks = unit.scaled(gamma_v, gamma_w)
+            assert _same_bits(blocks.s_v, gamma_v * assemble_primal_stab(trial))
+            assert np.array_equal(blocks.data,
+                                  gamma_v * assemble_data_term(trial, problem))
+            if variant == "jump":
+                assert _same_bits(blocks.s_w, gamma_w * assemble_dual_stab(test, "jump"))
+                assert _same_bits(unit.scaled_s_w(gamma_w), blocks.s_w)
+            else:
+                assert blocks.s_w is unit.s_w
+                assert unit.scaled_s_w(gamma_w) is unit.s_w
+            assert blocks.a is unit.a and blocks.load is unit.load
+            for name in ("s_v", "a", "s_w"):
+                assert _same_bits(getattr(unit, name), before[name]), name
+            for name in ("load", "data"):
+                assert np.array_equal(getattr(unit, name), before[name]), name
 
 
 def test_galerkin_dual_stab_equals_stiffness(mesh2):
     space = build_space(mesh2, 2, BoundaryPart.FREE)
-    s_w = assemble_dual_stab(space, "galerkin", 123.0)  # gamma unused
+    s_w = assemble_dual_stab(space, "galerkin")
     a = assemble_stiffness(space, space)
     assert abs(s_w - a).max() == 0.0
 
@@ -80,14 +109,14 @@ def test_galerkin_dual_stab_equals_stiffness(mesh2):
 def test_unknown_variant_rejected(mesh2):
     space = build_space(mesh2, 1, BoundaryPart.FREE)
     with pytest.raises(ValueError):
-        assemble_dual_stab(space, "nitsche", 1.0)
+        assemble_dual_stab(space, "nitsche")
 
 
 def test_jump_dual_stab_boundary_contributions_on_free_side(mesh1):
     # beyond the interior diagonal face, the jump variant only touches
     # the triangle carrying the top and left (free) faces
     space = build_space(mesh1, 1, BoundaryPart.FREE)
-    s_w = assemble_dual_stab(space, "jump", 1.0).toarray()
+    s_w = assemble_dual_stab(space, "jump").toarray()
     boundary_only = s_w - _dense_interior_jumps(space)
     touched = {i for i in range(space.num_dofs)
                if np.abs(boundary_only[i]).max() > 1e-13}
@@ -106,8 +135,8 @@ def _dense_interior_jumps(space):
         length, normal, xy = _face_data(mesh, f, spts)
         lt, rt = mesh.face_tris[f]
         dofs = list(space.cell_dofs[lt]) + list(space.cell_dofs[rt])
-        _, gl, _ = oracle_basis(mesh.triangle_points(lt), space.degree, xy)
-        _, gr, _ = oracle_basis(mesh.triangle_points(rt), space.degree, xy)
+        _, gl, _ = oracle_basis(triangle_points(mesh, lt), space.degree, xy)
+        _, gr, _ = oracle_basis(triangle_points(mesh, rt), space.degree, xy)
         dn = np.hstack([gl @ normal, -(gr @ normal)])
         for q, w in enumerate(swts):
             for i, gi in enumerate(dofs):
@@ -148,13 +177,13 @@ def test_load_unit_flux(mesh1):
 
 def test_data_term_zero_flux(mesh2):
     space = build_space(mesh2, 1, BoundaryPart.DATA)
-    g = assemble_data_term(space, constant_problem(1.0, 0.0), GAMMA)
+    g = GAMMA * assemble_data_term(space, constant_problem(1.0, 0.0))
     assert np.abs(g).max() == 0.0
 
 
 def test_data_term_unit_flux_hand_value(mesh1):
     space = build_space(mesh1, 1, BoundaryPart.DATA)
-    g = assemble_data_term(space, constant_problem(0.0, 1.0), 1.0)
+    g = assemble_data_term(space, constant_problem(0.0, 1.0))
     coord = {tuple(c): i for i, c in enumerate(map(tuple, space.dof_coords))}
     # constant normal derivatives on the two data faces of the lower triangle
     assert g[coord[(1.0, 0.0)]] == pytest.approx(2.0, abs=1e-13)
@@ -173,9 +202,9 @@ def test_assembly_is_linear_in_data(mesh2, problem):
     assert np.allclose(assemble_load(space, combined),
                        assemble_load(space, problem) + assemble_load(space, other),
                        atol=1e-13)
-    assert np.allclose(assemble_data_term(trial, combined, GAMMA),
-                       assemble_data_term(trial, problem, GAMMA)
-                       + assemble_data_term(trial, other, GAMMA), atol=1e-13)
+    assert np.allclose(GAMMA * assemble_data_term(trial, combined),
+                       GAMMA * assemble_data_term(trial, problem)
+                       + GAMMA * assemble_data_term(trial, other), atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +217,13 @@ def test_operators_match_dense_oracle(n, degree, problem):
     trial, test = spaces_on(mesh, degree)
     assert np.abs(assemble_stiffness(trial, test).toarray()
                   - dense_stiffness(trial, test)).max() < 1e-12
-    assert np.abs(assemble_primal_stab(trial, GAMMA).toarray()
+    assert np.abs(GAMMA * assemble_primal_stab(trial).toarray()
                   - dense_face_jumps(trial, BoundaryPart.DATA, GAMMA)).max() < 1e-12
     for variant in ("galerkin", "jump"):
-        assert np.abs(assemble_dual_stab(test, variant, GAMMA).toarray()
-                      - dense_dual_stab(test, variant, GAMMA)).max() < 1e-12
+        s_w = assemble_blocks(trial, test, problem, variant).scaled(GAMMA, GAMMA).s_w
+        assert np.abs(s_w.toarray() - dense_dual_stab(test, variant, GAMMA)).max() < 1e-12
     assert np.abs(assemble_load(test, problem) - dense_load(test, problem)).max() < 1e-12
-    assert np.abs(assemble_data_term(trial, problem, GAMMA)
+    assert np.abs(GAMMA * assemble_data_term(trial, problem)
                   - dense_data_term(trial, problem, GAMMA)).max() < 1e-12
 
 
@@ -203,7 +232,7 @@ def test_operators_match_dense_oracle(n, degree, problem):
 def test_stabilizers_symmetric_psd(degree, variant, problem):
     mesh = unit_square_mesh(4)
     trial, test = spaces_on(mesh, degree)
-    blocks = assemble_blocks(trial, test, problem, GAMMA, GAMMA, variant)
+    blocks = assemble_blocks(trial, test, problem, variant).scaled(GAMMA, GAMMA)
     rng = np.random.default_rng(7)
     for name, s in (("s_v", blocks.s_v), ("s_w", blocks.s_w)):
         assert abs(s - s.T).max() < 1e-13, name
@@ -218,7 +247,7 @@ def test_stabilizers_symmetric_psd(degree, variant, problem):
 def test_batched_kernels_property(n, jitter, seed, degree, variant, problem):
     mesh = unit_square_mesh(n, jitter, seed)
     trial, test = spaces_on(mesh, degree)
-    blocks = assemble_blocks(trial, test, problem, GAMMA, GAMMA, variant)
+    blocks = assemble_blocks(trial, test, problem, variant).scaled(GAMMA, GAMMA)
     for name, s in (("s_v", blocks.s_v), ("s_w", blocks.s_w)):
         dense = s.toarray()
         # the face penalties γBᵀB are symmetric to the last bit; the Galerkin
@@ -259,7 +288,7 @@ def test_smooth_consistency_interior_jumps_vanish(mesh4):
 
 def test_matrix_market_dump_roundtrip(tmp_path, mesh2):
     space = build_space(mesh2, 1, BoundaryPart.DATA)
-    s = assemble_primal_stab(space, GAMMA)
+    s = GAMMA * assemble_primal_stab(space)
     path = tmp_path / "s_v.mtx"
     dump_matrix(s, path)
     back = scipy.io.mmread(path)

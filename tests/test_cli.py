@@ -49,7 +49,7 @@ def test_dumped_matrices_are_those_of_the_solve(tmp_path, monkeypatch,
     outdir = tmp_path / "mats"
     assert main(["solve", "--n", "3", "--dump-matrices", str(outdir)]) == 0
     mesh = unit_square_mesh(3, data_sides=mirrored_problem.data_sides)
-    expected = assemble_primal_stab(build_space(mesh, 1, BoundaryPart.DATA), 0.01)
+    expected = 0.01 * assemble_primal_stab(build_space(mesh, 1, BoundaryPart.DATA))
     dumped = scipy.io.mmread(str(outdir / "s_v.mtx"))
     assert np.allclose(dumped.toarray(), expected.toarray(), rtol=0, atol=1e-15)
 
@@ -76,6 +76,19 @@ def test_bad_penalties_are_rejected(tmp_path, capsys, option, value, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["sweep", "--n", "2", "--gammas", ""], "--gammas"),
+    (["sweep", "--n", "2", "--gammas", " , "], "--gammas"),
+    (["convergence", "--levels", ","], "--levels")])
+def test_empty_lists_are_rejected(tmp_path, capsys, argv, option):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(out)])
+    assert info.value.code == 2
+    assert f"argument {option}: expected at least one value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("degree = 2\ngamma-v = 0.005  # overridden below\n"
@@ -92,7 +105,9 @@ def test_config_file_parsing(tmp_path):
 @pytest.mark.parametrize("line, named", [
     ("gama_v = 5", "unknown key 'gama_v'"),
     ("n = 0", "n: mesh level 0 must be at least 1"),
-    ("gammas = 0.1,0", "gammas: penalty 0.0 must be positive")])
+    ("gammas = 0.1,0", "gammas: penalty 0.0 must be positive"),
+    ("gammas = ", "gammas: expected at least one value"),
+    ("levels = ,", "levels: expected at least one value")])
 def test_config_file_rejects_unknown_keys_and_bad_levels(tmp_path, line, named):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"degree = 1\n{line}\n")

@@ -48,6 +48,14 @@ def test_config_rejects_bad_jitter_and_variant(bad, message):
         RunConfig(**bad)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"levels": ()}, "levels must be non-empty"),
+    ({"seed": -1, "jitter": 0.1}, "seed -1 must be non-negative")])
+def test_config_rejects_empty_levels_and_negative_seed(bad, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig(**bad)
+
+
 @pytest.mark.parametrize("bad", [{"gamma_v": math.nan}, {"gamma_w": math.inf},
                                  {"gamma_v": -math.inf}])
 def test_config_rejects_non_finite_penalties(bad):
@@ -195,11 +203,20 @@ def test_sweep_rejects_bad_penalty_before_building_the_mesh(monkeypatch, bad):
     assert counts["from_triangles"] == 0
 
 
+def test_sweep_rejects_empty_gammas_before_building_the_mesh(monkeypatch):
+    counts = {"from_triangles": 0}
+    _counting(monkeypatch, mesh_module, "from_triangles", counts)
+    with pytest.raises(ValueError, match="gammas must not be empty"):
+        run_sweep(RunConfig(degree=1), gammas=(), n=2)
+    assert counts["from_triangles"] == 0
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("variant", ["jump", "galerkin"])
 def test_sweep_rows_equal_solves_from_scratch(degree, variant):
-    """Unit blocks scaled per γ and the cached report data give, bit for bit,
-    what a fresh mesh, blocks assembled at γ and a fresh report give."""
+    """One level's unit blocks scaled per γ and its cached report data give,
+    bit for bit, what a fresh mesh, fresh blocks at γ and a fresh report
+    give."""
     config = RunConfig(degree=degree, sw_variant=variant, jitter=0.1, seed=2)
     gammas = (1e-3, 0.05, 1.0)
     rows = run_sweep(config, gammas=gammas, n=4)
@@ -208,8 +225,8 @@ def test_sweep_rows_equal_solves_from_scratch(degree, variant):
         mesh = unit_square_mesh(4, config.jitter, config.seed, problem.data_sides)
         solution, trial, _, blocks = solve_from_scratch(mesh, degree, problem,
                                                         gamma, gamma, variant)
-        expected = error_report(solution, report_data(trial, problem),
-                                blocks.gamma_v, blocks.s_w)
+        expected = error_report(solution, report_data(trial, problem), gamma,
+                                blocks.s_w)
         assert dataclasses.astuple(row["report"]) == dataclasses.astuple(expected)
 
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from cauchyfem.mesh import (BoundaryPart, build_structured, from_triangles,
                             mesh_size, tag_boundary, unit_square_mesh)
 
-from .oracles import face_geometry, min_angle_deg, structured_triangles, walk_faces
+from .oracles import (face_geometry, loop_tag_boundary, min_angle_deg, signed_areas,
+                      structured_triangles, walk_faces)
 
 
 def brute_force_edges(triangles):
@@ -21,7 +22,7 @@ def brute_force_edges(triangles):
 def test_single_cell_counts(mesh1):
     assert mesh1.num_vertices == 4
     assert mesh1.num_triangles == 2
-    assert mesh1.num_faces == 5
+    assert len(mesh1.face_vertices) == 5
     assert len(mesh1.boundary_faces()) == 4
     assert len(mesh1.interior_faces()) == 1
 
@@ -30,7 +31,7 @@ def test_n2_counts_against_enumeration_oracle(mesh2):
     assert mesh2.num_vertices == 9
     assert mesh2.num_triangles == 8
     edges = brute_force_edges(mesh2.triangles)
-    assert mesh2.num_faces == len(edges) == 16
+    assert len(mesh2.face_vertices) == len(edges) == 16
     assert len(mesh2.boundary_faces()) == 8
     assert len(mesh2.interior_faces()) == 8
     # Euler formula with the outer face included
@@ -42,8 +43,8 @@ def test_jitter_preserves_topology():
     bumpy = build_structured(2, jitter=0.1)
     assert bumpy.num_vertices == flat.num_vertices
     assert bumpy.num_triangles == flat.num_triangles
-    assert bumpy.num_faces == flat.num_faces
-    assert np.all(bumpy.signed_areas() > 0)
+    assert len(bumpy.face_vertices) == len(flat.face_vertices)
+    assert np.all(signed_areas(bumpy) > 0)
     assert np.array_equal(bumpy.triangles, flat.triangles)
 
 
@@ -92,9 +93,18 @@ def test_bottom_face_is_data(mesh1):
     raise AssertionError("face with midpoint (0.5, 0) not tagged as data")
 
 
+@pytest.mark.parametrize("data_sides", [("bottom", "right"), ("top", "left")])
+@pytest.mark.parametrize("n, jitter, seed", [(1, 0.0, 0), (5, 0.2, 3), (8, 0.25, 7)])
+def test_tagging_matches_face_by_face_reference(n, jitter, seed, data_sides):
+    mesh = build_structured(n, jitter, seed)
+    tagged = tag_boundary(mesh, data_sides)
+    assert np.array_equal(tagged.face_part, loop_tag_boundary(mesh, data_sides))
+    assert tagged.face_part.dtype == mesh.face_part.dtype
+
+
 def test_tagging_rejects_off_boundary_midpoints():
     tri = from_triangles([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"boundary face 0 with midpoint \(0\.5, 0\.5\)"):
         tag_boundary(tri)
 
 
@@ -128,7 +138,7 @@ def test_mesh_size(mesh1, mesh8):
 
 
 def test_adjacency_is_involutive(mesh4):
-    for f in range(mesh4.num_faces):
+    for f in range(len(mesh4.face_vertices)):
         for t in mesh4.face_tris[f]:
             if t >= 0:
                 assert f in mesh4.tri_faces[t]
@@ -148,8 +158,8 @@ def test_structured_mesh_invariants(n, jitter, seed):
     assert mesh.num_vertices == (n + 1) ** 2
     assert mesh.num_triangles == 2 * n * n
     assert len(mesh.boundary_faces()) == 4 * n
-    assert abs(mesh.signed_areas().sum() - 1.0) < 1e-12
-    assert np.all(mesh.signed_areas() > 0)
+    assert abs(signed_areas(mesh).sum() - 1.0) < 1e-12
+    assert np.all(signed_areas(mesh) > 0)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])

@@ -6,11 +6,11 @@ import scipy.sparse.linalg as spla
 from cauchyfem.assembly import assemble_blocks, assemble_stiffness, BlockSystem
 from cauchyfem.mesh import BoundaryPart, from_triangles, tag_boundary, unit_square_mesh
 from cauchyfem.solver import (RESIDUAL_TOL, SaddleSystem, SingularSystemError,
-                              UnconvergedSolveError, build_system,
-                              discrete_consistency_probe, solve)
-from cauchyfem.spaces import build_space, nodal_interpolant
+                              UnconvergedSolveError, build_system, solve)
+from cauchyfem.spaces import build_space
 
-from .oracles import eval_fe, solve_from_scratch
+from .oracles import (discrete_consistency_probe, eval_fe, nodal_interpolant,
+                      solve_from_scratch)
 
 GAMMA = 0.01
 
@@ -18,7 +18,7 @@ GAMMA = 0.01
 def make_system(mesh, degree, problem, variant="jump", gamma=GAMMA):
     trial = build_space(mesh, degree, BoundaryPart.DATA)
     test = build_space(mesh, degree, BoundaryPart.FREE)
-    blocks = assemble_blocks(trial, test, problem, gamma, gamma, variant)
+    blocks = assemble_blocks(trial, test, problem, variant).scaled(gamma, gamma)
     return build_system(blocks, trial, test), trial, test, blocks
 
 
@@ -36,7 +36,7 @@ def test_zero_stabilizers_leave_offdiagonal_blocks(mesh2, problem):
     zero = sp.csr_matrix((n, n))
     a = assemble_stiffness(trial, test)
     blocks = BlockSystem(s_v=zero, a=a, s_w=zero.copy(), load=np.zeros(n),
-                         data=np.zeros(n), gamma_v=0.0, gamma_w=0.0, variant="jump")
+                         data=np.zeros(n), variant="jump")
     system = build_system(blocks, trial, test)
     nv = len(trial.free_dofs)
     dense = system.matrix.toarray()

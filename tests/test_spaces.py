@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cauchyfem.mesh import BoundaryPart, unit_square_mesh
-from cauchyfem.spaces import (build_space, nodal_interpolant, segment_rule,
-                              shape_eval, shape_grads, shape_hessians,
-                              shape_values, triangle_rule)
+from cauchyfem.spaces import (build_space, segment_rule, shape_grads,
+                              shape_hessians, shape_values, triangle_rule)
 
-from .oracles import eval_fe
+from .oracles import eval_fe, loop_dirichlet_dofs, nodal_interpolant, shape_eval
 
 
 def coords_of(space, dofs):
@@ -46,6 +45,16 @@ def test_constraint_closures_share_only_corners(n, degree):
     test = build_space(mesh, degree, BoundaryPart.FREE)
     shared = coords_of(trial, trial.dirichlet_dofs) & coords_of(test, test.dirichlet_dofs)
     assert shared == {(0.0, 0.0), (1.0, 1.0)}
+
+
+@pytest.mark.parametrize("data_sides", [("bottom", "right"), ("top", "left")])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_dirichlet_dofs_match_face_by_face_reference(degree, data_sides):
+    mesh = unit_square_mesh(5, jitter=0.2, seed=4, data_sides=data_sides)
+    for part in BoundaryPart:
+        pinned = build_space(mesh, degree, part).dirichlet_dofs
+        assert pinned.dtype == np.int64
+        assert np.array_equal(pinned, loop_dirichlet_dofs(mesh, degree, part))
 
 
 def test_constraining_requires_tags():

@@ -21,14 +21,14 @@ def main():
     for degree in (1, 2):
         out = OUT_DIR / f"sweep_p{degree}.csv"
         config = RunConfig(degree=degree, output_path=str(out))
-        results = run_sweep(config, gammas=GAMMAS, n=N)
+        rows = run_sweep(config, gammas=GAMMAS, n=N)
         print(f"P{degree}, n={N}:")
-        for row in results:
-            r = row["report"]
+        for row in rows:
+            r = row.report
             if r is None:
-                print(f"  gamma={row['gamma']:.1e}: failed ({row['error']})")
+                print(f"  gamma={row.key:.1e}: failed ({row.error})")
                 continue
-            print(f"  gamma={row['gamma']:.1e} global={r.global_l2:.3e} "
+            print(f"  gamma={row.key:.1e} global={r.global_l2:.3e} "
                   f"local={r.local_l2:.3e} eta={r.eta:.3e}")
         print(f"  -> {out}")
 

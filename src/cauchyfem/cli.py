@@ -7,11 +7,11 @@ on the command line win over the file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import experiments
 from .assembly import SW_VARIANTS
-from .experiments import RunConfig
 
 
 def _mesh_level(text):
@@ -93,6 +93,15 @@ def build_parser():
     return parser
 
 
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
+def _boolean(text):
+    if text.lower() not in _TRUE + _FALSE:
+        raise ValueError(f"expected 1/0, true/false, yes/no or on/off, got {text!r}")
+    return text.lower() in _TRUE
+
+
 #: config-file key -> parser of its value; any other key is rejected
 _CONVERTERS = {
     "degree": int,
@@ -105,7 +114,7 @@ _CONVERTERS = {
     "levels": _parse_levels,
     "gammas": _parse_gammas,
     "out": str,
-    "emit_fields": lambda s: s.lower() in ("1", "true", "yes", "on"),
+    "emit_fields": _boolean,
     "dump_matrices": str,
 }
 
@@ -132,84 +141,54 @@ def read_config_file(path):
     return values
 
 
-def _merge_options(args):
-    """Config file fills options the command line left unset."""
-    opts = vars(args).copy()
-    if opts.get("config"):
-        for key, value in read_config_file(opts["config"]).items():
-            if opts.get(key) is None:
-                opts[key] = value
-    return opts
-
-
-def _given(opts, key, default):
-    """`default` only when neither flag nor file set the option."""
-    value = opts.get(key)
-    return default if value is None else value
-
-
-def _make_config(opts, out_default=None):
-    return RunConfig(
-        degree=_given(opts, "degree", 1),
-        sw_variant=_given(opts, "sw_variant", "jump"),
-        gamma_v=opts.get("gamma_v"),
-        gamma_w=opts.get("gamma_w"),
-        levels=_given(opts, "levels", experiments.DEFAULT_LEVELS),
-        jitter=_given(opts, "jitter", 0.0),
-        seed=_given(opts, "seed", 0),
-        output_path=opts.get("out") or out_default,
-        emit_fields=bool(opts.get("emit_fields")),
-    )
-
-
-def _print_reports(rows):
-    """rows: (label, report, error); a failed case prints its error."""
+def _print_rows(rows, label):
+    """One line per row, named by `label.format(row)`; a failed solve prints
+    its error."""
     print(f"{'case':>10} {'global_l2':>12} {'local_l2':>12} {'stab_u':>12} "
           f"{'stab_z':>12} {'eta':>12}")
-    for label, report, error in rows:
+    for row in rows:
+        name, report = label.format(row), row.report
         if report is None:
-            print(f"{label:>10} failed: {error}")
+            print(f"{name:>10} failed: {row.error}")
             continue
-        print(f"{label:>10} {report.global_l2:12.4e} {report.local_l2:12.4e} "
+        print(f"{name:>10} {report.global_l2:12.4e} {report.local_l2:12.4e} "
               f"{report.stab_u:12.4e} {report.stab_z:12.4e} {report.eta:12.4e}")
 
 
-def cmd_convergence(opts):
-    config = _make_config(opts, out_default="convergence.csv")
-    results = experiments.run_convergence(config)
-    _print_reports([(f"n={row.n}", row.report, row.error) for row in results])
-    print(f"wrote {config.output_path}")
-    return 0 if all(row.report is not None for row in results) else 1
-
-
-def cmd_sweep(opts):
-    config = _make_config(opts, out_default="sweep.csv")
-    gammas = _given(opts, "gammas", experiments.DEFAULT_SWEEP_GAMMAS)
-    n = _given(opts, "n", 64)
-    results = experiments.run_sweep(config, gammas=gammas, n=n)
-    _print_reports([(f"{row['gamma']:.1e}", row["report"], row["error"])
-                    for row in results])
-    print(f"wrote {config.output_path}")
-    return 0 if all(row["report"] is not None for row in results) else 1
-
-
-def cmd_solve(opts):
-    out_default = "fields.vtk" if opts.get("emit_fields") else None
-    config = _make_config(opts, out_default=out_default)
-    n = _given(opts, "n", 8)
-    _, report = experiments.run_single(config, n, opts.get("dump_matrices"))
-    _print_reports([(f"n={n}", report, None)])
-    if config.emit_fields and config.output_path:
-        print(f"wrote {config.output_path}")
-    return 0
+#: command -> (driver, option -> driver keyword, output file when --out is unset)
+_COMMANDS = {
+    "convergence": (experiments.run_convergence, {}, "convergence.csv"),
+    "sweep": (experiments.run_sweep, {"gammas": "gammas", "n": "n"}, "sweep.csv"),
+    "solve": (experiments.run_single, {"n": "n", "dump_matrices": "matrices_dir"},
+              "fields.vtk"),
+}
+_CONFIG_FIELDS = {field.name for field in dataclasses.fields(experiments.RunConfig)}
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    opts = _merge_options(args)
-    handler = {"convergence": cmd_convergence, "sweep": cmd_sweep,
-               "solve": cmd_solve}[args.command]
-    return handler(opts)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    driver, keywords, out_default = _COMMANDS[args.command]
+    try:
+        # an option set neither by a flag nor by the file is left out, so the
+        # default of RunConfig or of the driver holds; flags win over the file
+        opts = {key: value for key, value in vars(args).items() if value is not None}
+        if "config" in opts:
+            opts = {**read_config_file(opts["config"]), **opts}
+        fields = {key: value for key, value in opts.items() if key in _CONFIG_FIELDS}
+        config = experiments.RunConfig(output_path=opts.get("out") or out_default,
+                                       **fields)
+    except (OSError, ValueError) as err:
+        parser.error(str(err))
+    rows = driver(config, **{keyword: opts[option]
+                             for option, keyword in keywords.items() if option in opts})
+    rows = rows if isinstance(rows, list) else [rows]
+    _print_rows(rows, "{0.key:.1e}" if args.command == "sweep" else "n={0.n}")
+    failed = any(row.report is None for row in rows)
+    # solve writes its VTK file only with emit_fields and a solution
+    if args.command != "solve" or (config.emit_fields and not failed):
+        print(f"wrote {config.output_path}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """Experiment drivers: refinement studies, penalty sweeps, single solves.
 
 Each driver builds one `Level` per mesh (mesh, spaces, unit-penalty blocks,
-report data) and calls `solve_level` once per penalty pair on it.  Every
-driver writes a CSV with a fixed column order and the literal marker
-"NA" for cells that could not be computed; a level whose solve fails
-(SolverError) is recorded and the remaining levels still run.  Any other
-error propagates.
+report data), calls `solve_level` once per penalty pair on it and returns
+one `Row` per solve.  The study and the sweep write a CSV with a fixed
+column order and the literal marker "NA" for cells that could not be
+computed; a solve that fails (SolverError) is recorded in its row and the
+remaining solves still run.  Any other error propagates.
 """
 
 from __future__ import annotations
@@ -78,8 +78,11 @@ class RunConfig:
 
 
 @dataclass
-class LevelResult:
-    level: int
+class Row:
+    """One solve of a driver.  `key` is the level index in a refinement study
+    and γ in a sweep; its CSV cell is `_fmt(key)`.  A failed solve leaves
+    `report` None and names its reason in `error`."""
+    key: object
     n: int
     report: object = None          # ErrorReport or None on failure
     error: Optional[str] = None
@@ -127,19 +130,25 @@ def solve_level(level, gamma_v, gamma_w):
                                   level.blocks.scaled_s_w(gamma_w))
 
 
-def run_convergence(config):
-    """Refinement study over config.levels; returns per-level results."""
-    results = []
-    for idx, n in enumerate(config.levels):
-        row = LevelResult(level=idx, n=n)
-        try:
-            _, row.report = solve_level(Level(config, n), config.resolved_gamma_v,
-                                        config.resolved_gamma_w)
-        except SolverError as err:  # keep remaining levels running
-            row.error = f"{type(err).__name__}: {err}"
-        results.append(row)
+def _solve(row, level, gamma_v, gamma_w):
+    """One solve on `level` into `row`; returns the solution.  A failed solve
+    (SolverError) fills `row.error` and returns None instead."""
+    try:
+        solution, row.report = solve_level(level, gamma_v, gamma_w)
+    except SolverError as err:  # keep the remaining solves running
+        row.error = f"{type(err).__name__}: {err}"
+        return None
+    return solution
 
-    for prev, cur in zip(results, results[1:]):
+
+def run_convergence(config):
+    """Refinement study over config.levels; returns one row per level."""
+    rows = [Row(idx, n) for idx, n in enumerate(config.levels)]
+    for row in rows:
+        _solve(row, Level(config, row.n), config.resolved_gamma_v,
+               config.resolved_gamma_w)
+
+    for prev, cur in zip(rows, rows[1:]):
         if prev.report is None or cur.report is None:
             continue
         hs = (prev.report.h, cur.report.h)
@@ -151,39 +160,35 @@ def run_convergence(config):
 
     if config.output_path:
         write_csv(config.output_path, CONVERGENCE_COLUMNS,
-                  [[str(row.level), str(row.n)] + _report_cells(row.report)
-                   + [_fmt(row.rate_local_l2), _fmt(row.rate_stab)] for row in results])
-    return results
+                  [_cells(row) + [_fmt(row.rate_local_l2), _fmt(row.rate_stab)]
+                   for row in rows])
+    return rows
 
 
 def run_sweep(config, gammas=DEFAULT_SWEEP_GAMMAS, n=64):
     """One solve per penalty value with gamma_v = gamma_w = gamma, all on one
-    level built once."""
-    gammas = [check_penalty(gamma) for gamma in gammas]
-    if not gammas:
+    level built once; returns one row per γ."""
+    rows = [Row(check_penalty(gamma), n) for gamma in gammas]
+    if not rows:
         raise ValueError("gammas must not be empty")
     level = Level(config, n)
-    results = []
-    for gamma in gammas:
-        row = {"gamma": gamma, "n": n, "report": None, "error": None}
-        try:
-            _, row["report"] = solve_level(level, gamma, gamma)
-        except SolverError as err:
-            row["error"] = f"{type(err).__name__}: {err}"
-        results.append(row)
+    for row in rows:
+        _solve(row, level, row.key, row.key)
     if config.output_path:
-        write_csv(config.output_path, SWEEP_COLUMNS,
-                  [[_fmt(row["gamma"]), str(row["n"])] + _report_cells(row["report"])
-                   for row in results])
-    return results
+        write_csv(config.output_path, SWEEP_COLUMNS, [_cells(row) for row in rows])
+    return rows
 
 
-def run_single(config, n, matrices_dir=None):
-    """Single solve; optionally dumps vertex fields as legacy VTK and, into
-    `matrices_dir`, the solve's A, S_V and S_W in matrix-market form."""
+def run_single(config, n=8, matrices_dir=None):
+    """Single solve; returns its row.  If the solve succeeds, optionally dumps
+    vertex fields as legacy VTK and, into `matrices_dir`, the solve's A, S_V
+    and S_W in matrix-market form."""
     level = Level(config, n)
     gamma_v, gamma_w = config.resolved_gamma_v, config.resolved_gamma_w
-    solution, report = solve_level(level, gamma_v, gamma_w)
+    row = Row(0, n)
+    solution = _solve(row, level, gamma_v, gamma_w)
+    if solution is None:
+        return row
     if matrices_dir is not None:
         outdir = Path(matrices_dir)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -199,7 +204,7 @@ def run_single(config, n, matrices_dir=None):
             "z_h": solution.z[:nv],
             "error": exact - solution.u[:nv],
         })
-    return solution, report
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +218,13 @@ def _fmt(value):
     return f"{value:.12e}"
 
 
-def _report_cells(report):
+def _cells(row):
+    """The key, n and report cells of a row; NA for a failed solve's report."""
+    report = row.report
     if report is None:
-        return [NA] * 9
-    return [_fmt(report.h), _fmt(report.dofs_v), _fmt(report.dofs_w),
+        return [_fmt(row.key), str(row.n)] + [NA] * 9
+    return [_fmt(row.key), str(row.n),
+            _fmt(report.h), _fmt(report.dofs_v), _fmt(report.dofs_w),
             _fmt(report.global_l2), _fmt(report.local_l2), _fmt(report.h1_semi),
             _fmt(report.stab_u), _fmt(report.stab_z), _fmt(report.eta)]
 

@@ -200,13 +200,13 @@ def test_c8_sweep_robustness(tmp_path):
     elapsed = time.perf_counter() - t0
 
     finite = all(
-        row["report"] is not None
-        and np.isfinite([row["report"].global_l2, row["report"].local_l2,
-                         row["report"].eta]).all()
+        row.report is not None
+        and np.isfinite([row.report.global_l2, row.report.local_l2,
+                         row.report.eta]).all()
         for row in results)
     csv_ok = out.exists() and len(out.read_text().splitlines()) == 10
-    spread = (max(r["report"].global_l2 for r in results)
-              / min(r["report"].global_l2 for r in results)) if finite else np.inf
+    spread = (max(r.report.global_l2 for r in results)
+              / min(r.report.global_l2 for r in results)) if finite else np.inf
     ok = finite and csv_ok and spread < 1e3 and elapsed < 180.0
     verdict("C8 sweep robustness", ok,
             f"9 solves finite={finite}, error spread {spread:.1f}x, "

@@ -115,11 +115,60 @@ def test_config_file_rejects_unknown_keys_and_bad_levels(tmp_path, line, named):
         read_config_file(cfg)
 
 
-def test_config_file_degree_zero_is_not_the_default(tmp_path):
+def test_config_file_degree_zero_is_not_the_default(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("degree = 0\n")
-    with pytest.raises(ValueError, match="degree"):
+    with pytest.raises(SystemExit) as info:
         main(["solve", "--config", str(cfg), "--n", "2"])
+    assert info.value.code == 2
+    assert "degree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, cfg_text, named", [
+    (["sweep", "--n", "2", "--gammas", "0.1", "--jitter", "0.5"], None,
+     "jitter 0.5 must lie in [0, 0.3)"),
+    (["sweep", "--n", "2", "--gammas", "0.1", "--jitter", "0.1", "--seed", "-1"], None,
+     "seed -1 must be non-negative"),
+    (["convergence", "--levels", "4,2"], None, "levels must be non-empty and strictly"),
+    (["convergence", "--levels", "2"], "degree = 3\n", "degree must be 1 or 2"),
+    (["convergence", "--levels", "2"], "sw_variant = nitsche\n", "'nitsche'"),
+    (["sweep", "--n", "2"], "gama_v = 5\n", "run.cfg:1: unknown key 'gama_v'"),
+    (["solve", "--n", "2", "--emit-fields"], "emit_fields = true\ngammas = 0\n",
+     "run.cfg:2: gammas: penalty 0.0 must be positive"),
+    (["solve", "--n", "2"], "emit_fields = ture\n",
+     "run.cfg:1: emit_fields: expected 1/0, true/false, yes/no or on/off, got 'ture'"),
+], ids=["jitter", "seed", "levels", "degree", "sw_variant", "unknown_key",
+        "bad_value", "emit_fields"])
+def test_rejected_options_are_usage_errors(tmp_path, capsys, argv, cfg_text, named):
+    out = tmp_path / "out"
+    if cfg_text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_text)
+        argv = argv + ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(out)])
+    assert info.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    missing = tmp_path / "missing.cfg"
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--n", "2", "--config", str(missing), "--out", str(out)])
+    assert info.value.code == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+    ("0", False), ("False", False), ("NO", False), ("off", False)])
+def test_config_file_booleans(tmp_path, text, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"emit_fields = {text}\n")
+    assert read_config_file(cfg) == {"emit_fields": value}
 
 
 def test_flags_win_over_config_file(tmp_path):
@@ -151,3 +200,47 @@ def test_failure_exit_code(tmp_path, monkeypatch, capsys):
     rows = out.read_text().splitlines()
     assert rows[1].split(",")[2:] == ["NA"] * 11
     assert "SingularSystemError: synthetic failure" in capsys.readouterr().out
+
+
+def test_solve_failure_exit_code(tmp_path, monkeypatch, capsys):
+    from cauchyfem.solver import SingularSystemError
+
+    def boom(level, gamma_v, gamma_w):
+        raise SingularSystemError("synthetic failure")
+
+    monkeypatch.setattr(experiments, "solve_level", boom)
+    out, mats = tmp_path / "fields.vtk", tmp_path / "mats"
+    code = main(["solve", "--n", "2", "--emit-fields", "--out", str(out),
+                 "--dump-matrices", str(mats)])
+    assert code == 1
+    printed = capsys.readouterr().out
+    assert "n=2 failed: SingularSystemError: synthetic failure" in printed
+    assert "wrote" not in printed
+    assert not out.exists() and not mats.exists()
+
+
+@pytest.mark.parametrize("argv", [["convergence", "--levels", "2"],
+                                  ["sweep", "--n", "2", "--gammas", "0.1"],
+                                  ["solve", "--n", "2"]],
+                         ids=["convergence", "sweep", "solve"])
+def test_errors_while_running_propagate(tmp_path, monkeypatch, argv):
+    def bad_data(level, gamma_v, gamma_w):
+        raise ValueError("synthetic non-finite data")
+
+    monkeypatch.setattr(experiments, "solve_level", bad_data)
+    with pytest.raises(ValueError, match="synthetic non-finite data"):
+        main(argv + ["--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("argv, driver", [
+    (["convergence", "--levels", "2,4"],
+     lambda out: experiments.run_convergence(
+         experiments.RunConfig(levels=(2, 4), output_path=out))),
+    (["sweep", "--n", "2"],
+     lambda out: experiments.run_sweep(experiments.RunConfig(output_path=out), n=2))],
+    ids=["convergence", "sweep"])
+def test_cli_defaults_are_the_driver_defaults(tmp_path, argv, driver):
+    cli_out, driver_out = tmp_path / "cli.csv", tmp_path / "driver.csv"
+    assert main(argv + ["--out", str(cli_out)]) == 0
+    driver(str(driver_out))
+    assert cli_out.read_bytes() == driver_out.read_bytes()

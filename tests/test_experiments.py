@@ -144,7 +144,7 @@ def test_single_gamma_sweep_matches_convergence_level(tmp_path):
     config = RunConfig(degree=1)
     sweep_rows = run_sweep(config, gammas=(0.01,), n=4)
     conv_rows = run_convergence(RunConfig(degree=1, levels=(4,)))
-    a = sweep_rows[0]["report"]
+    a = sweep_rows[0].report
     b = conv_rows[0].report
     assert a.global_l2 == pytest.approx(b.global_l2, rel=1e-12)
     assert a.eta == pytest.approx(b.eta, rel=1e-12)
@@ -154,7 +154,7 @@ def test_sweep_csv_schema(tmp_path):
     out = tmp_path / "sweep.csv"
     config = RunConfig(degree=1, output_path=str(out))
     results = run_sweep(config, gammas=(1e-3, 1e-1), n=2)
-    assert all(r["report"] is not None for r in results)
+    assert all(r.report is not None for r in results)
     header, rows = parse_csv(out)
     assert header == list(SWEEP_COLUMNS)
     assert len(rows) == 2
@@ -165,8 +165,8 @@ def test_sweep_csv_schema(tmp_path):
 def test_run_single_emits_vtk(tmp_path):
     out = tmp_path / "fields.vtk"
     config = RunConfig(degree=1, emit_fields=True, output_path=str(out))
-    solution, report = run_single(config, 4)
-    assert report.eta > 0
+    row = run_single(config, 4)
+    assert row.report.eta > 0
     text = out.read_text().splitlines()
     names = [line.split()[1] for line in text if line.startswith("SCALARS")]
     assert names == ["u_h", "z_h", "error"]
@@ -227,7 +227,7 @@ def test_sweep_rows_equal_solves_from_scratch(degree, variant):
                                                         gamma, gamma, variant)
         expected = error_report(solution, report_data(trial, problem), gamma,
                                 blocks.s_w)
-        assert dataclasses.astuple(row["report"]) == dataclasses.astuple(expected)
+        assert dataclasses.astuple(row.report) == dataclasses.astuple(expected)
 
 
 def test_mesh_blocks_and_report_data_are_built_once_per_mesh(monkeypatch):
@@ -236,7 +236,7 @@ def test_mesh_blocks_and_report_data_are_built_once_per_mesh(monkeypatch):
     _counting(monkeypatch, experiments, "assemble_blocks", counts)
     _counting(monkeypatch, experiments, "report_data", counts)
     rows = run_sweep(RunConfig(degree=1), gammas=(1e-3, 1e-2, 1e-1, 1.0), n=2)
-    assert all(row["report"] is not None for row in rows)
+    assert all(row.report is not None for row in rows)
     assert counts == {"from_triangles": 1, "assemble_blocks": 1, "report_data": 1}
 
     counts.update(dict.fromkeys(counts, 0))

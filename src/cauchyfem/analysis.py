@@ -58,17 +58,14 @@ def _root_integral(rule, det, values):
 class ReportData:
     """The γ-free part of the error report on one trial space.
 
-    The volume rule, det J and J⁻¹ of every triangle, the exact u and ∇u at
-    the rule's points ((nt, nq) and (nt, nq, 2); None where the problem does
-    not know them), the triangles of ω, h, ‖f‖, and the data-boundary face
-    operator B with ψ̂ (`assembly.face_operator`).  Built once per mesh; a
-    report from it does no geometry work and evaluates no exact field.
+    The volume rule, the exact u and ∇u at its points ((nt, nq) and (nt, nq, 2);
+    None where the problem does not know them), the triangles of ω, h, ‖f‖ and
+    the data-boundary face operator B with ψ̂ (`assembly.face_operator`).  Built
+    once per mesh; a report from it evaluates no exact field.
     """
 
     space: FeSpace
     rule: QuadratureRule
-    det: np.ndarray
-    jinv: np.ndarray
     exact_u: Optional[np.ndarray]
     exact_grad: Optional[np.ndarray]
     local: np.ndarray
@@ -82,15 +79,15 @@ def report_data(space, problem):
     """ReportData of `space` (the trial space) for `problem`."""
     mesh = space.mesh
     rule = triangle_rule(VOLUME_DEGREE)
-    phys, det, jinv = cell_points(mesh.vertices[mesh.triangles], rule.points)
-    x, y = phys[..., 0], phys[..., 1]
+    points = cell_points(mesh, rule.points)
+    x, y = points[..., 0], points[..., 1]
     b, psi_hat = face_operator(space, BoundaryPart.DATA, problem)
-    return ReportData(space=space, rule=rule, det=det, jinv=jinv,
+    return ReportData(space=space, rule=rule,
                       exact_u=None if problem.exact_u is None else problem.exact_u(x, y),
                       exact_grad=None if problem.exact_grad is None
                       else np.stack(problem.exact_grad(x, y), axis=-1),
                       local=_local_triangles(mesh), h=mesh_size(mesh),
-                      f_l2=l2_norm_field(mesh, problem.f), b=b, psi_hat=psi_hat)
+                      f_l2=l2_norm_field(mesh, problem.f, points), b=b, psi_hat=psi_hat)
 
 
 def _exact(values):
@@ -107,15 +104,13 @@ def l2_error(data, coeffs, region="global"):
     space = data.space
     values = shape_values(space.degree, data.rule.points)
     diff = _exact(data.exact_u)[cells] - coeffs[space.cell_dofs[cells]] @ values.T
-    return _root_integral(data.rule, data.det[cells], diff * diff)
+    return _root_integral(data.rule, space.mesh.det[cells], diff * diff)
 
 
-def l2_norm_field(mesh, field):
-    """‖field‖ over Ω by the shared volume rule."""
-    rule = triangle_rule(VOLUME_DEGREE)
-    phys, det, _ = cell_points(mesh.vertices[mesh.triangles], rule.points)
-    fq = field(phys[..., 0], phys[..., 1])
-    return _root_integral(rule, det, fq * fq)
+def l2_norm_field(mesh, field, points):
+    """‖field‖ over Ω by the shared volume rule at its physical `points`."""
+    fq = field(points[..., 0], points[..., 1])
+    return _root_integral(triangle_rule(VOLUME_DEGREE), mesh.det, fq * fq)
 
 
 def h1_semi_error(data, coeffs):
@@ -124,9 +119,9 @@ def h1_semi_error(data, coeffs):
     # reference gradient of u_h first, (nt, nq, 2), then the per-triangle map
     g_ref = np.tensordot(coeffs[space.cell_dofs], shape_grads(space.degree, data.rule.points),
                          axes=(1, 1))
-    diff = _exact(data.exact_grad) - g_ref @ data.jinv
+    diff = _exact(data.exact_grad) - g_ref @ space.mesh.jinv
     dx, dy = diff[..., 0], diff[..., 1]
-    return _root_integral(data.rule, data.det, dx * dx + dy * dy)
+    return _root_integral(data.rule, space.mesh.det, dx * dx + dy * dy)
 
 
 def stab_seminorm_u(data, coeffs, gamma_v):

@@ -15,10 +15,10 @@ h_F³-weighted jump of the elementwise Laplacian on interior faces.
 
 Assembly builds the penalties and g at unit γ; `BlockSystem.scaled` applies γ.
 
-Every kernel works on all triangles or faces at once: the affine geometry is
-computed once per call and the quadrature sums are einsums.  The jump
-penalties, the data functional and the semi-norm |u - u_h|_{s_V} all come
-from one sparse face-trace operator (`face_operator`).
+Every kernel works on all triangles or faces at once: J and J⁻¹ are the
+mesh's, face traces are rows of reference-edge tables, and the quadrature sums
+are einsums.  The jump penalties, the data functional and the semi-norm
+|u - u_h|_{s_V} all come from one sparse face-trace operator (`face_operator`).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import scipy.io
 import scipy.sparse as sp
 
 from .mesh import BoundaryPart
-from .spaces import (affine_map, cell_points, reference_coords, segment_rule,
-                     shape_grads, shape_hessians, shape_values, triangle_rule)
+from .spaces import (cell_points, edge_tables, segment_rule, shape_grads,
+                     shape_hessians, shape_values, triangle_rule)
 
 #: volume rule shared by loads and error integrals (exact for quartic data
 #: against quadratic basis functions)
@@ -88,13 +88,12 @@ def assemble_stiffness(trial, test):
         raise ValueError("trial and test spaces must share one mesh")
     mesh = trial.mesh
     rule = triangle_rule(max(2 * (max(trial.degree, test.degree) - 1), 1))
-    _, det, jinv = affine_map(mesh.vertices[mesh.triangles])
     # ∇φ_i·∇φ_j = g_i J⁻¹ J⁻ᵀ g_jᵀ with reference gradients g: the quadrature
     # sum over reference gradients is shared, each triangle adds its metric
     ref = np.einsum("q,qia,qjb->ijab", rule.weights,
                     shape_grads(test.degree, rule.points),
                     shape_grads(trial.degree, rule.points))
-    metric = det[:, None, None] * np.einsum("tac,tbc->tab", jinv, jinv)
+    metric = mesh.det[:, None, None] * np.einsum("tac,tbc->tab", mesh.jinv, mesh.jinv)
     local = np.einsum("ijab,tab->tij", ref, metric)
     rows = np.broadcast_to(test.cell_dofs[:, :, None], local.shape)
     cols = np.broadcast_to(trial.cell_dofs[:, None, :], local.shape)
@@ -117,12 +116,19 @@ def _sample_flux(problem, normal, points):
                         normal[:, :1], normal[:, 1:])
 
 
-def _normal_derivs(space, tri_points, jinv, cells, points, normal):
-    """∂φ/∂n of each basis function of cells[f] at points[f], (nf, nq, nd)."""
-    ref = reference_coords(tri_points[cells], jinv[cells], points)
-    grads = shape_grads(space.degree, ref.reshape(-1, 2)).reshape(ref.shape[:2] + (-1, 2))
+def _edge_rows(mesh, table, cells, faces, side):
+    """Rows (nf, nq, ...) of a `spaces.edge_tables` table for faces[f] seen from
+    triangle cells[f], its left (side 0) or right (side 1) neighbor."""
+    return table[np.argmax(mesh.tri_faces[cells] == faces[:, None], axis=1), side]
+
+
+def _normal_derivs(space, rule_degree, cells, faces, side, normal):
+    """∂φ/∂n of each basis function of cells[f] at the points of
+    segment_rule(rule_degree) on faces[f], (nf, nq, nd)."""
+    mesh = space.mesh
+    grads = _edge_rows(mesh, edge_tables(space.degree, rule_degree)[1], cells, faces, side)
     # (g_ref J⁻¹)·n = g_ref·(J⁻¹ n)
-    return np.einsum("fqia,fa->fqi", grads, np.einsum("fab,fb->fa", jinv[cells], normal))
+    return np.einsum("fqia,fa->fqi", grads, np.einsum("fab,fb->fa", mesh.jinv[cells], normal))
 
 
 def face_operator(space, part, problem=None):
@@ -141,19 +147,17 @@ def face_operator(space, part, problem=None):
     because ψ is only known pointwise.
     """
     mesh = space.mesh
-    tri_points = mesh.vertices[mesh.triangles]
-    _, _, jinv = affine_map(tri_points)
-    jump_rule = segment_rule(max(2 * (space.degree - 1), 1))
-    on_data = part == BoundaryPart.DATA
-    part_rule = segment_rule(FACE_DATA_DEGREE) if on_data else jump_rule
+    jump_degree = max(2 * (space.degree - 1), 1)
+    part_degree = FACE_DATA_DEGREE if part == BoundaryPart.DATA else jump_degree
+    jump_rule, part_rule = segment_rule(jump_degree), segment_rule(part_degree)
 
     inner = mesh.interior_faces()
     left, right = mesh.face_tris[inner].T
     pair_dofs = np.hstack([space.cell_dofs[left], space.cell_dofs[right]])
-    length, normal, points = _face_points(mesh, inner, jump_rule)
+    length, normal, _ = _face_points(mesh, inner, jump_rule)
     jumps = np.concatenate(
-        [_normal_derivs(space, tri_points, jinv, left, points, normal),
-         -_normal_derivs(space, tri_points, jinv, right, points, normal)], axis=2)
+        [_normal_derivs(space, jump_degree, left, inner, 0, normal),
+         -_normal_derivs(space, jump_degree, right, inner, 1, normal)], axis=2)
     blocks = [(length[:, None, None] * np.sqrt(jump_rule.weights)[:, None] * jumps,
                pair_dofs)]
 
@@ -161,12 +165,12 @@ def face_operator(space, part, problem=None):
     owner = mesh.face_tris[faces, 0]
     b_length, b_normal, b_points = _face_points(mesh, faces, part_rule)
     b_scale = b_length[:, None] * np.sqrt(part_rule.weights)
-    blocks.append((b_scale[:, :, None] * _normal_derivs(space, tri_points, jinv, owner,
-                                                          b_points, b_normal),
+    blocks.append((b_scale[:, :, None] * _normal_derivs(space, part_degree, owner, faces,
+                                                          0, b_normal),
                    space.cell_dofs[owner]))
 
     if space.degree == 2:
-        lap = np.einsum("icd,tca,tda->ti", shape_hessians(2), jinv, jinv)
+        lap = np.einsum("icd,tca,tda->ti", shape_hessians(2), mesh.jinv, mesh.jinv)
         blocks.append(((length ** 2)[:, None, None]
                        * np.hstack([lap[left], -lap[right]])[:, None], pair_dofs))
 
@@ -184,27 +188,17 @@ def face_operator(space, part, problem=None):
     b.sum_duplicates()
 
     psi_hat = np.zeros(b.shape[0])
-    if on_data and problem is not None:
+    if part == BoundaryPart.DATA and problem is not None:
         start = len(inner) * len(jump_rule.weights)
         psi_hat[start:start + b_scale.size] = (
             b_scale * _sample_flux(problem, b_normal, b_points)).ravel()
     return b, psi_hat
 
 
-def assemble_face_jumps(space, boundary_part):
-    """Unit jump penalty Σ_F ∫ h_F [∂_n φ_j][∂_n φ_i] over interior faces
-    plus single-sided traces on the given boundary part, as BᵀB.
-
-    For degree 2 the interior faces additionally carry
-    Σ_F ∫ h_F³ [Δφ_j][Δφ_i].
-    """
-    b, _ = face_operator(space, boundary_part)
+def assemble_primal_stab(b):
+    """Unit primal stabilizer s_V = BᵀB: jumps over interior faces and the data
+    boundary, from the trial space's `face_operator(trial, BoundaryPart.DATA)`."""
     return b.T.tocsr() @ b
-
-
-def assemble_primal_stab(space):
-    """Unit primal stabilizer s_V: jumps over interior faces and the data boundary."""
-    return assemble_face_jumps(space, BoundaryPart.DATA)
 
 
 def assemble_dual_stab(space, variant):
@@ -213,7 +207,8 @@ def assemble_dual_stab(space, variant):
     if variant == "galerkin":
         return assemble_stiffness(space, space)
     if variant == "jump":
-        return assemble_face_jumps(space, BoundaryPart.FREE)
+        b, _ = face_operator(space, BoundaryPart.FREE)
+        return b.T.tocsr() @ b
     raise ValueError(f"unknown dual stabilizer variant {variant!r}; "
                      f"expected one of {SW_VARIANTS}")
 
@@ -221,18 +216,16 @@ def assemble_dual_stab(space, variant):
 def assemble_load(space, problem):
     """Load vector l[i] = ∫ f φ_i + Σ_data ∫ ψ φ_i."""
     mesh = space.mesh
-    tri_points = mesh.vertices[mesh.triangles]
     rule = triangle_rule(VOLUME_DEGREE)
-    phys, det, jinv = cell_points(tri_points, rule.points)
+    phys = cell_points(mesh, rule.points)
     fq = _sample_field("source f", problem.f, phys[..., 0], phys[..., 1])
-    cell = det[:, None] * ((fq * rule.weights) @ shape_values(space.degree, rule.points))
+    cell = mesh.det[:, None] * ((fq * rule.weights) @ shape_values(space.degree, rule.points))
 
     frule = segment_rule(FACE_DATA_DEGREE)
     faces = mesh.faces_of_part(BoundaryPart.DATA)
     owner = mesh.face_tris[faces, 0]
     length, normal, points = _face_points(mesh, faces, frule)
-    ref = reference_coords(tri_points[owner], jinv[owner], points)
-    trace = shape_values(space.degree, ref.reshape(-1, 2)).reshape(ref.shape[:2] + (-1,))
+    trace = _edge_rows(mesh, edge_tables(space.degree, FACE_DATA_DEGREE)[0], owner, faces, 0)
     face = length[:, None] * np.einsum(
         "fq,fqi->fi", _sample_flux(problem, normal, points) * frule.weights, trace)
 
@@ -241,28 +234,24 @@ def assemble_load(space, problem):
                        minlength=space.num_dofs)
 
 
-def assemble_data_term(space, problem):
-    """Unit data functional g[i] = Σ_data ∫ h_F ψ ∂_n φ_i = Bᵀψ̂.
-
-    This is the primal stabilizer applied to the (smooth) exact solution: its
-    interior gradient and Laplacian jumps vanish, leaving only the flux data
-    on the data boundary.
-    """
-    b, psi_hat = face_operator(space, BoundaryPart.DATA, problem)
+def assemble_data_term(b, psi_hat):
+    """Unit data functional g[i] = Σ_data ∫ h_F ψ ∂_n φ_i = Bᵀψ̂, with B and ψ̂
+    from `face_operator(trial, BoundaryPart.DATA, problem)`: the primal
+    stabilizer applied to the smooth exact solution, whose interior jumps
+    vanish."""
     return b.T @ psi_hat
 
 
 def assemble_blocks(trial, test, problem, variant="jump"):
     """Assemble every operator and functional of the coupled system at unit
-    penalties, for `BlockSystem.scaled`."""
-    return BlockSystem(
-        s_v=assemble_primal_stab(trial),
-        a=assemble_stiffness(trial, test),
-        s_w=assemble_dual_stab(test, variant),
-        load=assemble_load(test, problem),
-        data=assemble_data_term(trial, problem),
-        variant=variant,
-    )
+    penalties, for `BlockSystem.scaled`.  One data-face operator B gives both
+    S_V = BᵀB and g = Bᵀψ̂; it is dropped before the other blocks are built."""
+    b, psi_hat = face_operator(trial, BoundaryPart.DATA, problem)
+    s_v, data = assemble_primal_stab(b), assemble_data_term(b, psi_hat)
+    del b, psi_hat
+    return BlockSystem(s_v=s_v, a=assemble_stiffness(trial, test),
+                       s_w=assemble_dual_stab(test, variant),
+                       load=assemble_load(test, problem), data=data, variant=variant)
 
 
 def dump_matrix(matrix, path):

@@ -1,7 +1,7 @@
 """Command line driver: convergence studies, penalty sweeps, single solves.
 
-Options may also come from a key=value config file (--config); options given
-on the command line win over the file.
+Options may also come from a key=value config file (--config) naming options
+of the command; options given on the command line win over the file.
 """
 
 from __future__ import annotations
@@ -174,7 +174,15 @@ def main(argv=None):
         # default of RunConfig or of the driver holds; flags win over the file
         opts = {key: value for key, value in vars(args).items() if value is not None}
         if "config" in opts:
-            opts = {**read_config_file(opts["config"]), **opts}
+            from_file = read_config_file(opts["config"])
+            misplaced = sorted(from_file.keys() - vars(args).keys())
+            if misplaced:
+                raise ValueError(f"{opts['config']}: key {misplaced[0]!r} is not an "
+                                 f"option of the {args.command} command")
+            opts = {**from_file, **opts}
+        if args.command == "solve" and "out" in opts and not opts.get("emit_fields"):
+            raise ValueError("solve writes --out only with --emit-fields; "
+                             "give both or neither")
         fields = {key: value for key, value in opts.items() if key in _CONFIG_FIELDS}
         config = experiments.RunConfig(output_path=opts.get("out") or out_default,
                                        **fields)

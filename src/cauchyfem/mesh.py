@@ -40,6 +40,7 @@ class Mesh:
     tri_faces      (nt, 3) int, tri_faces[t, i] is the face opposite local
                    vertex i of triangle t
     face_part      (nf,) int8, INTERIOR / UNTAGGED / BoundaryPart value
+    jac, det, jinv J (nt, 2, 2), det J (nt,), J^{-1} (nt, 2, 2) (`affine_map`)
     """
 
     vertices: np.ndarray
@@ -48,6 +49,9 @@ class Mesh:
     face_tris: np.ndarray
     tri_faces: np.ndarray
     face_part: np.ndarray
+    jac: np.ndarray
+    det: np.ndarray
+    jinv: np.ndarray
 
     @property
     def num_vertices(self):
@@ -69,6 +73,18 @@ class Mesh:
         return np.flatnonzero(self.face_part == int(part))
 
 
+def affine_map(tri_points):
+    """J (nt, 2, 2), det J (nt,) and J^{-1} (nt, 2, 2) of the maps x = p0 + J xi
+    of triangles (nt, 3, 2); row-vector gradients transform as g_ref @ Jinv."""
+    p = np.asarray(tri_points, dtype=float)
+    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    jinv = np.stack([np.stack([jac[:, 1, 1], -jac[:, 0, 1]], axis=-1),
+                     np.stack([-jac[:, 1, 0], jac[:, 0, 0]], axis=-1)],
+                    axis=1) / det[:, None, None]
+    return jac, det, jinv
+
+
 def from_triangles(vertices, triangles):
     """Build a Mesh from vertex coordinates and CCW vertex triples.
 
@@ -79,13 +95,11 @@ def from_triangles(vertices, triangles):
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
 
-    p = vertices[triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    bad = np.flatnonzero(areas <= 0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero areas raise below
+        jac, det, jinv = affine_map(vertices[triangles])
+    bad = np.flatnonzero(det <= 0)
     if len(bad):
-        raise ValueError(f"triangle {bad[0]} has non-positive area {areas[bad[0]]:g}")
+        raise ValueError(f"triangle {bad[0]} has non-positive area {0.5 * det[bad[0]]:g}")
 
     # edges opposite local vertices 0, 1, 2, each in CCW loop order, walked
     # triangle by triangle; a face is numbered where it is first met, and the
@@ -109,14 +123,9 @@ def from_triangles(vertices, triangles):
     tri_faces = face_of_slot.reshape(-1, 3)
 
     face_part = np.where(face_tris[:, 1] < 0, UNTAGGED, INTERIOR).astype(np.int8)
-    return Mesh(
-        vertices=vertices,
-        triangles=triangles,
-        face_vertices=face_vertices,
-        face_tris=face_tris,
-        tri_faces=tri_faces,
-        face_part=face_part,
-    )
+    return Mesh(vertices=vertices, triangles=triangles, face_vertices=face_vertices,
+                face_tris=face_tris, tri_faces=tri_faces, face_part=face_part,
+                jac=jac, det=det, jinv=jinv)
 
 
 def build_structured(n, jitter=0.0, seed=0):

@@ -8,6 +8,7 @@ the closure of one boundary part to zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from .mesh import Mesh
 
+_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # reference triangle
 # gradients of the barycentric coordinates (1-x-y, x, y) on the reference triangle
 _DLAMBDA = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 # local edge m (opposite vertex m) joins the other two vertices
@@ -26,10 +28,14 @@ MAX_SEGMENT_DEGREE = 9
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Points and weights on the reference triangle or the unit segment."""
+    """Points and weights (read-only, shared) on the reference triangle or the
+    unit segment."""
 
     points: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        self.points.flags.writeable = self.weights.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -48,9 +54,7 @@ class FeSpace:
 
     @property
     def free_dofs(self):
-        mask = np.ones(self.num_dofs, dtype=bool)
-        mask[self.dirichlet_dofs] = False
-        return np.flatnonzero(mask)
+        return np.setdiff1d(np.arange(self.num_dofs), self.dirichlet_dofs)
 
 
 def build_space(mesh, degree, constraint_side=None):
@@ -127,38 +131,32 @@ def shape_hessians(degree):
     return hess
 
 
-def affine_map(tri_points):
-    """Jacobians of the reference-to-physical maps x = p0 + J xi, one per triangle.
-
-    `tri_points` is (nt, 3, 2).  Returns J (nt, 2, 2), det J (nt,) and
-    J^{-1} (nt, 2, 2); row-vector gradients transform as g_ref @ Jinv.
-    """
-    p = np.asarray(tri_points, dtype=float)
-    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    jinv = np.stack([np.stack([jac[:, 1, 1], -jac[:, 0, 1]], axis=-1),
-                     np.stack([-jac[:, 1, 0], jac[:, 0, 0]], axis=-1)],
-                    axis=1) / det[:, None, None]
-    return jac, det, jinv
+def cell_points(mesh, ref_points):
+    """Physical images (nt, nq, 2) of reference points in every triangle."""
+    return (mesh.vertices[mesh.triangles[:, 0]][:, None]
+            + (mesh.jac @ ref_points.T).transpose(0, 2, 1))
 
 
-def cell_points(tri_points, ref_points):
-    """Physical images (nt, nq, 2) of reference points in every triangle,
-    with det J (nt,) and J^{-1} (nt, 2, 2) from `affine_map`."""
-    jac, det, jinv = affine_map(tri_points)
-    phys = tri_points[:, None, 0] + ref_points @ jac.transpose(0, 2, 1)
-    return phys, det, jinv
-
-
-def reference_coords(tri_points, jinv, phys_points):
-    """Reference coordinates (n, nq, 2) of physical points (n, nq, 2), each
-    row of points mapped back through its own triangle."""
-    return (phys_points - tri_points[:, None, 0]) @ jinv.transpose(0, 2, 1)
+@functools.lru_cache(maxsize=None)
+def edge_tables(degree, rule_degree):
+    """Basis values (3, 2, nq, nd) and reference gradients (3, 2, nq, nd, 2)
+    at the points of `segment_rule(rule_degree)` on each reference edge m
+    (opposite vertex m): [m, 0] walks it counter-clockwise, from vertex m+1
+    to m+2 (mod 3), as a face's left triangle does; [m, 1] in reverse."""
+    s = segment_rule(rule_degree).points[:, None]
+    start, end = _VERTICES[[1, 2, 0]], _VERTICES[[2, 0, 1]]
+    points = np.stack([start[:, None] + s * (end - start)[:, None],
+                       end[:, None] + s * (start - end)[:, None]], axis=1).reshape(-1, 2)
+    values = shape_values(degree, points).reshape(3, 2, len(s), -1)
+    grads = shape_grads(degree, points).reshape(3, 2, len(s), -1, 2)
+    values.flags.writeable = grads.flags.writeable = False
+    return values, grads
 
 
 # ---------------------------------------------------------------------------
 # quadrature
 
+@functools.lru_cache(maxsize=None)
 def segment_rule(degree):
     """Gauss-Legendre rule on [0, 1] exact for polynomials up to `degree`."""
     if degree > MAX_SEGMENT_DEGREE:
@@ -168,6 +166,7 @@ def segment_rule(degree):
     return QuadratureRule(points=0.5 * (x + 1.0), weights=0.5 * w)
 
 
+@functools.lru_cache(maxsize=None)
 def triangle_rule(degree):
     """Rule on the reference triangle exact for polynomials up to `degree`.
 

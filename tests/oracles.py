@@ -13,12 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cauchyfem.assembly import (BlockSystem, assemble_blocks, assemble_dual_stab,
-                                assemble_primal_stab, assemble_stiffness)
+from cauchyfem.assembly import (VOLUME_DEGREE, BlockSystem, assemble_blocks,
+                                assemble_data_term, assemble_dual_stab,
+                                assemble_primal_stab, assemble_stiffness,
+                                face_operator)
 from cauchyfem.mesh import GEOM_TOL, BoundaryPart, mesh_size
 from cauchyfem.solver import build_system, solve
-from cauchyfem.spaces import (affine_map, build_space, reference_coords,
-                              shape_grads, shape_values)
+from cauchyfem.spaces import (build_space, cell_points, shape_grads, shape_values,
+                              triangle_rule)
 
 
 def oracle_triangle_rule(degree):
@@ -221,6 +223,23 @@ def face_geometry(mesh, face):
     return length, normal, (int(left), int(right))
 
 
+def reference_coords(tri_points, jinv, phys_points):
+    """Reference coordinates (n, nq, 2) of physical points (n, nq, 2), each
+    row of points mapped back through its own triangle."""
+    return (phys_points - tri_points[:, None, 0]) @ jinv.transpose(0, 2, 1)
+
+
+def mapped_traces(space, cells, points):
+    """Basis values (nf, nq, nd) and physical gradients (nf, nq, nd, 2) of
+    triangle cells[f] at points[f], by mapping the points back into it."""
+    mesh = space.mesh
+    ref = reference_coords(mesh.vertices[mesh.triangles[cells]], mesh.jinv[cells], points)
+    flat = ref.reshape(-1, 2)
+    values = shape_values(space.degree, flat).reshape(ref.shape[:2] + (-1,))
+    grads = shape_grads(space.degree, flat).reshape(ref.shape[:2] + (-1, 2))
+    return values, grads @ mesh.jinv[cells][:, None]
+
+
 def fe_jump_seminorm(space, coeffs, gamma, boundary_part=BoundaryPart.DATA,
                      flux=None):
     """Face-jump semi-norm of a finite element function, face by face.
@@ -325,6 +344,21 @@ def structured_triangles(n):
 # Poincaré ratio and the continuous-dependence reference curves
 
 
+def primal_stab(space):
+    """Unit s_V of a trial space, from its own data-face operator."""
+    return assemble_primal_stab(face_operator(space, BoundaryPart.DATA)[0])
+
+
+def data_term(space, problem):
+    """Unit g of a trial space for `problem`, from its own data-face operator."""
+    return assemble_data_term(*face_operator(space, BoundaryPart.DATA, problem))
+
+
+def volume_points(mesh):
+    """Physical points of the shared volume rule in every triangle."""
+    return cell_points(mesh, triangle_rule(VOLUME_DEGREE).points)
+
+
 def solve_from_scratch(mesh, degree, problem, gamma_v, gamma_w, variant="jump"):
     """Spaces, blocks at (γ_V, γ_W), saddle system and solve on `mesh`,
     without the drivers' per-mesh reuse.  Returns (solution, V, W, blocks)."""
@@ -353,7 +387,7 @@ def discrete_consistency_probe(mesh, degree, gamma_v, gamma_w, variant="jump",
         if np.any(probe[trial.dirichlet_dofs] != 0.0):
             raise ValueError("probe must vanish on constrained DOFs")
 
-    s_v = assemble_primal_stab(trial)
+    s_v = primal_stab(trial)
     a = assemble_stiffness(trial, test)
     # g = S_V v at unit γ_V; scaling makes it γ_V S_V v for the scaled S_V
     unit = BlockSystem(s_v=s_v, a=a, s_w=assemble_dual_stab(test, variant),
@@ -377,8 +411,7 @@ def shape_eval(degree, point):
 def locate_point(mesh, x, y, tol=1e-10):
     """Brute-force point location: (triangle, reference coords)."""
     pts = mesh.vertices[mesh.triangles]
-    _, _, jinv = affine_map(pts)
-    xi = reference_coords(pts, jinv, np.array([[[x, y]]], dtype=float))[:, 0]
+    xi = reference_coords(pts, mesh.jinv, np.array([[[x, y]]], dtype=float))[:, 0]
     inside = np.flatnonzero((xi >= -tol).all(axis=1) & (xi.sum(axis=1) <= 1.0 + tol))
     if not len(inside):
         raise ValueError(f"point ({x:g}, {y:g}) lies in no triangle")

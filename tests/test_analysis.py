@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from cauchyfem.analysis import (convergence_rate, error_report, h1_semi_error,
                                 l2_error, l2_norm_field, report_data,
                                 stab_seminorm_u, stab_seminorm_z)
-from cauchyfem.assembly import (assemble_dual_stab, assemble_primal_stab,
-                                assemble_stiffness)
+from cauchyfem.assembly import assemble_dual_stab, assemble_stiffness
 from cauchyfem.mesh import BoundaryPart, mesh_size, unit_square_mesh
 from cauchyfem.problem import CauchyProblem
 from cauchyfem.solver import DiscreteSolution
 from cauchyfem.spaces import build_space
 
 from .oracles import (XiCurve, fe_jump_seminorm, nodal_interpolant, poincare_ratio,
-                      solve_from_scratch, xi_eval, xi_fit)
+                      primal_stab, solve_from_scratch, volume_points, xi_eval,
+                      xi_fit)
 
 GAMMA = 0.01
 
@@ -96,7 +96,7 @@ def test_stab_z_trivial_cases(mesh4):
 def test_quadratic_form_matches_face_quadrature(degree, variant):
     mesh = unit_square_mesh(3, jitter=0.1, seed=4)
     rng = np.random.default_rng(degree)
-    for part, matrix_of in ((BoundaryPart.DATA, assemble_primal_stab),
+    for part, matrix_of in ((BoundaryPart.DATA, primal_stab),
                             (BoundaryPart.FREE, None)):
         space = build_space(mesh, degree, part)
         if matrix_of is not None:
@@ -117,7 +117,7 @@ def test_estimator_zero_for_dataless_problem(mesh2):
     zero = np.zeros(space.num_dofs)
     stab_u = stab_seminorm_u(report_data(space, silent), zero, GAMMA)
     h = mesh_size(mesh2)
-    assert h * l2_norm_field(mesh2, silent.f) + stab_u == 0.0
+    assert h * l2_norm_field(mesh2, silent.f, volume_points(mesh2)) + stab_u == 0.0
 
 
 def test_error_quantities_need_the_exact_solution(mesh2, problem):
@@ -143,7 +143,7 @@ def test_estimator_zero_solution_closed_form(problem):
     space = build_space(mesh, 1, BoundaryPart.DATA)
     zero = np.zeros(space.num_dofs)
     expected = (math.sqrt(2.0) / n) * math.sqrt(F_L2_SQ) + math.sqrt(GAMMA * 60.0 / n)
-    value = (mesh_size(mesh) * l2_norm_field(mesh, problem.f)
+    value = (mesh_size(mesh) * l2_norm_field(mesh, problem.f, volume_points(mesh))
              + stab_seminorm_u(report_data(space, problem), zero, GAMMA))
     assert value == pytest.approx(expected, abs=1e-10)
 
@@ -190,7 +190,7 @@ def test_poincare_ratio_finite_and_bounded_across_levels():
     for n in (8, 16, 32):
         mesh = unit_square_mesh(n)
         space = build_space(mesh, 1, BoundaryPart.DATA)
-        s_v = GAMMA * assemble_primal_stab(space)
+        s_v = GAMMA * primal_stab(space)
         stiff = assemble_stiffness(space, space)
         r = poincare_ratio(space, s_v, stiff, samples=100, seed=n)
         assert np.isfinite(r) and r > 0

@@ -6,18 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cauchyfem.analysis import report_data, stab_seminorm_u
-from cauchyfem.assembly import (assemble_blocks, assemble_data_term,
-                                assemble_dual_stab, assemble_load,
-                                assemble_primal_stab, assemble_stiffness,
-                                dump_matrix)
+from cauchyfem.assembly import (FACE_DATA_DEGREE, _edge_rows, _face_points,
+                                _normal_derivs, assemble_blocks, assemble_dual_stab,
+                                assemble_load, assemble_stiffness, dump_matrix)
 from cauchyfem.mesh import BoundaryPart, unit_square_mesh
 from cauchyfem.problem import CauchyProblem
-from cauchyfem.spaces import build_space
+from cauchyfem.spaces import build_space, edge_tables, segment_rule
 
-from .oracles import (dense_data_term, dense_dual_stab, dense_face_jumps,
+from .oracles import (data_term, dense_data_term, dense_dual_stab, dense_face_jumps,
                       dense_load, dense_stiffness, fe_jump_seminorm,
-                      loop_stab_seminorm_u, nodal_interpolant, solve_from_scratch,
-                      triangle_points)
+                      loop_stab_seminorm_u, mapped_traces, nodal_interpolant,
+                      primal_stab, solve_from_scratch, triangle_points)
 
 GAMMA = 0.01
 
@@ -51,7 +50,7 @@ def test_primal_stab_hand_value(mesh1):
     # n=1, P1, gamma=1: hat at vertex (1,0) sees the diagonal face
     # (jump sqrt(2), contribution 4) plus bottom and right data faces (1 each)
     space = build_space(mesh1, 1, BoundaryPart.DATA)
-    s = assemble_primal_stab(space).toarray()
+    s = primal_stab(space).toarray()
     idx = int(np.flatnonzero((space.dof_coords == (1.0, 0.0)).all(axis=1))[0])
     assert s[idx, idx] == pytest.approx(6.0, abs=1e-13)
 
@@ -59,7 +58,7 @@ def test_primal_stab_hand_value(mesh1):
 def test_affine_function_has_no_interior_jumps(mesh4):
     space = build_space(mesh4, 1, BoundaryPart.DATA)
     v = nodal_interpolant(space, lambda x, y: x + y)
-    s = assemble_primal_stab(space)
+    s = primal_stab(space)
     # only the data faces contribute: sum of h_F * (grad.n)^2 * |F| = 2/n
     assert v @ (s @ v) == pytest.approx(2.0 / 4.0, abs=1e-13)
 
@@ -83,9 +82,9 @@ def test_gamma_scaling(problem):
             before = {name: getattr(unit, name).copy()
                       for name in ("s_v", "a", "s_w", "load", "data")}
             blocks = unit.scaled(gamma_v, gamma_w)
-            assert _same_bits(blocks.s_v, gamma_v * assemble_primal_stab(trial))
+            assert _same_bits(blocks.s_v, gamma_v * primal_stab(trial))
             assert np.array_equal(blocks.data,
-                                  gamma_v * assemble_data_term(trial, problem))
+                                  gamma_v * data_term(trial, problem))
             if variant == "jump":
                 assert _same_bits(blocks.s_w, gamma_w * assemble_dual_stab(test, "jump"))
                 assert _same_bits(unit.scaled_s_w(gamma_w), blocks.s_w)
@@ -177,13 +176,13 @@ def test_load_unit_flux(mesh1):
 
 def test_data_term_zero_flux(mesh2):
     space = build_space(mesh2, 1, BoundaryPart.DATA)
-    g = GAMMA * assemble_data_term(space, constant_problem(1.0, 0.0))
+    g = GAMMA * data_term(space, constant_problem(1.0, 0.0))
     assert np.abs(g).max() == 0.0
 
 
 def test_data_term_unit_flux_hand_value(mesh1):
     space = build_space(mesh1, 1, BoundaryPart.DATA)
-    g = assemble_data_term(space, constant_problem(0.0, 1.0))
+    g = data_term(space, constant_problem(0.0, 1.0))
     coord = {tuple(c): i for i, c in enumerate(map(tuple, space.dof_coords))}
     # constant normal derivatives on the two data faces of the lower triangle
     assert g[coord[(1.0, 0.0)]] == pytest.approx(2.0, abs=1e-13)
@@ -202,9 +201,9 @@ def test_assembly_is_linear_in_data(mesh2, problem):
     assert np.allclose(assemble_load(space, combined),
                        assemble_load(space, problem) + assemble_load(space, other),
                        atol=1e-13)
-    assert np.allclose(GAMMA * assemble_data_term(trial, combined),
-                       GAMMA * assemble_data_term(trial, problem)
-                       + GAMMA * assemble_data_term(trial, other), atol=1e-13)
+    assert np.allclose(GAMMA * data_term(trial, combined),
+                       GAMMA * data_term(trial, problem)
+                       + GAMMA * data_term(trial, other), atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +216,13 @@ def test_operators_match_dense_oracle(n, degree, problem):
     trial, test = spaces_on(mesh, degree)
     assert np.abs(assemble_stiffness(trial, test).toarray()
                   - dense_stiffness(trial, test)).max() < 1e-12
-    assert np.abs(GAMMA * assemble_primal_stab(trial).toarray()
+    assert np.abs(GAMMA * primal_stab(trial).toarray()
                   - dense_face_jumps(trial, BoundaryPart.DATA, GAMMA)).max() < 1e-12
     for variant in ("galerkin", "jump"):
         s_w = assemble_blocks(trial, test, problem, variant).scaled(GAMMA, GAMMA).s_w
         assert np.abs(s_w.toarray() - dense_dual_stab(test, variant, GAMMA)).max() < 1e-12
     assert np.abs(assemble_load(test, problem) - dense_load(test, problem)).max() < 1e-12
-    assert np.abs(GAMMA * assemble_data_term(trial, problem)
+    assert np.abs(GAMMA * data_term(trial, problem)
                   - dense_data_term(trial, problem, GAMMA)).max() < 1e-12
 
 
@@ -288,8 +287,33 @@ def test_smooth_consistency_interior_jumps_vanish(mesh4):
 
 def test_matrix_market_dump_roundtrip(tmp_path, mesh2):
     space = build_space(mesh2, 1, BoundaryPart.DATA)
-    s = GAMMA * assemble_primal_stab(space)
+    s = GAMMA * primal_stab(space)
     path = tmp_path / "s_v.mtx"
     dump_matrix(s, path)
     back = scipy.io.mmread(path)
     assert np.abs(back.toarray() - s.toarray()).max() < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# reference-edge tables against mapping the face points back into each triangle
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_edge_table_traces_match_mapped_back_points(degree):
+    mesh = unit_square_mesh(4, jitter=0.25, seed=3)
+    space = build_space(mesh, degree)
+    inner = mesh.interior_faces()
+    left, right = mesh.face_tris[inner].T
+    sides = [(inner, left, 0), (inner, right, 1)]
+    for part in BoundaryPart:
+        faces = mesh.faces_of_part(part)
+        sides.append((faces, mesh.face_tris[faces, 0], 0))
+    for rule_degree in (max(2 * (degree - 1), 1), FACE_DATA_DEGREE):
+        values = edge_tables(degree, rule_degree)[0]
+        for faces, cells, side in sides:
+            _, normal, points = _face_points(mesh, faces, segment_rule(rule_degree))
+            expect_values, expect_grads = mapped_traces(space, cells, points)
+            assert np.abs(_edge_rows(mesh, values, cells, faces, side)
+                          - expect_values).max() < 1e-13
+            derivs = _normal_derivs(space, rule_degree, cells, faces, side, normal)
+            expect_derivs = np.einsum("fqia,fa->fqi", expect_grads, normal)
+            assert np.abs(derivs - expect_derivs).max() < 1e-13

@@ -3,10 +3,11 @@ import pytest
 import scipy.io
 
 from cauchyfem import experiments
-from cauchyfem.assembly import assemble_primal_stab
 from cauchyfem.cli import main, read_config_file
 from cauchyfem.mesh import BoundaryPart, unit_square_mesh
 from cauchyfem.spaces import build_space
+
+from .oracles import primal_stab
 
 
 def test_convergence_command(tmp_path, capsys):
@@ -49,7 +50,7 @@ def test_dumped_matrices_are_those_of_the_solve(tmp_path, monkeypatch,
     outdir = tmp_path / "mats"
     assert main(["solve", "--n", "3", "--dump-matrices", str(outdir)]) == 0
     mesh = unit_square_mesh(3, data_sides=mirrored_problem.data_sides)
-    expected = 0.01 * assemble_primal_stab(build_space(mesh, 1, BoundaryPart.DATA))
+    expected = 0.01 * primal_stab(build_space(mesh, 1, BoundaryPart.DATA))
     dumped = scipy.io.mmread(str(outdir / "s_v.mtx"))
     assert np.allclose(dumped.toarray(), expected.toarray(), rtol=0, atol=1e-15)
 
@@ -152,6 +153,49 @@ def test_rejected_options_are_usage_errors(tmp_path, capsys, argv, cfg_text, nam
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, cfg_text, key", [
+    (["convergence", "--levels", "2"], "gammas = 0.5\nn = 3\n", "gammas"),
+    (["sweep", "--n", "2", "--gammas", "0.1"], "levels = 2,4\n", "levels"),
+    (["solve", "--n", "2"], "# misplaced\nlevels = 2\n", "levels"),
+], ids=["convergence", "sweep", "solve"])
+def test_config_key_of_another_command_is_a_usage_error(tmp_path, capsys, argv,
+                                                       cfg_text, key):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_text(cfg_text)
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--config", str(cfg), "--out", str(out)])
+    assert info.value.code == 2
+    assert (f"{cfg}: key {key!r} is not an option of the {argv[0]} command"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg_text", [None, "out = wanted.vtk\n",
+                                      "emit_fields = no\n"],
+                         ids=["flag", "config_out", "config_no_fields"])
+def test_solve_out_without_emit_fields_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                        cfg_text):
+    monkeypatch.chdir(tmp_path)
+    argv = ["solve", "--n", "2"]
+    if cfg_text is not None:
+        (tmp_path / "run.cfg").write_text(cfg_text)
+        argv += ["--config", "run.cfg"]
+    if cfg_text != "out = wanted.vtk\n":
+        argv += ["--out", "wanted.vtk"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "--out only with --emit-fields" in capsys.readouterr().err
+    assert not (tmp_path / "wanted.vtk").exists()
+
+
+def test_solve_without_out_or_fields_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--n", "2"]) == 0
+    assert "wrote" not in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     missing = tmp_path / "missing.cfg"
@@ -221,7 +265,7 @@ def test_solve_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [["convergence", "--levels", "2"],
                                   ["sweep", "--n", "2", "--gammas", "0.1"],
-                                  ["solve", "--n", "2"]],
+                                  ["solve", "--n", "2", "--emit-fields"]],
                          ids=["convergence", "sweep", "solve"])
 def test_errors_while_running_propagate(tmp_path, monkeypatch, argv):
     def bad_data(level, gamma_v, gamma_w):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from cauchyfem import experiments, mesh as mesh_module
+from cauchyfem import analysis, assembly, experiments, mesh as mesh_module
 from cauchyfem.analysis import error_report, report_data
 from cauchyfem.experiments import (CONVERGENCE_COLUMNS, SWEEP_COLUMNS, Level,
                                    RunConfig, run_convergence, run_single,
@@ -13,6 +13,7 @@ from cauchyfem.experiments import (CONVERGENCE_COLUMNS, SWEEP_COLUMNS, Level,
 from cauchyfem.mesh import BoundaryPart, unit_square_mesh
 from cauchyfem.problem import quartic_example
 from cauchyfem.solver import SingularSystemError
+from cauchyfem.spaces import edge_tables, segment_rule, triangle_rule
 
 from .oracles import solve_from_scratch
 
@@ -231,14 +232,37 @@ def test_sweep_rows_equal_solves_from_scratch(degree, variant):
 
 
 def test_mesh_blocks_and_report_data_are_built_once_per_mesh(monkeypatch):
-    counts = dict.fromkeys(("from_triangles", "assemble_blocks", "report_data"), 0)
+    names = ("from_triangles", "affine_map", "assemble_blocks", "report_data",
+             "face_operator")
+    counts = dict.fromkeys(names, 0)
     _counting(monkeypatch, mesh_module, "from_triangles", counts)
+    _counting(monkeypatch, mesh_module, "affine_map", counts)
     _counting(monkeypatch, experiments, "assemble_blocks", counts)
     _counting(monkeypatch, experiments, "report_data", counts)
+    _counting(monkeypatch, assembly, "face_operator", counts)
+    _counting(monkeypatch, analysis, "face_operator", counts)
     rows = run_sweep(RunConfig(degree=1), gammas=(1e-3, 1e-2, 1e-1, 1.0), n=2)
     assert all(row.report is not None for row in rows)
-    assert counts == {"from_triangles": 1, "assemble_blocks": 1, "report_data": 1}
+    # face operators: S_V with g, S_W and the report
+    assert counts == {"from_triangles": 1, "affine_map": 1, "assemble_blocks": 1,
+                      "report_data": 1, "face_operator": 3}
 
-    counts.update(dict.fromkeys(counts, 0))
-    run_convergence(RunConfig(degree=1, levels=(2, 4, 8)))
-    assert counts == {"from_triangles": 3, "assemble_blocks": 3, "report_data": 3}
+    for variant, face_operators in (("jump", 3), ("galerkin", 2)):
+        counts.update(dict.fromkeys(counts, 0))
+        run_convergence(RunConfig(degree=1, levels=(2, 4, 8), sw_variant=variant))
+        assert counts == {"from_triangles": 3, "affine_map": 3, "assemble_blocks": 3,
+                          "report_data": 3, "face_operator": 3 * face_operators}
+
+
+def test_quadrature_rules_are_built_once_per_process(monkeypatch):
+    for cached in (segment_rule, triangle_rule, edge_tables):
+        cached.cache_clear()
+    counts = {"leggauss": 0}
+    _counting(monkeypatch, np.polynomial.legendre, "leggauss", counts)
+    run_convergence(RunConfig(degree=2, levels=(2, 4)))
+    # a triangle rule takes at most two Gauss rules, a segment rule one
+    assert 0 < counts["leggauss"] <= (2 * triangle_rule.cache_info().currsize
+                                      + segment_rule.cache_info().currsize)
+    counts["leggauss"] = 0
+    run_sweep(RunConfig(degree=2), gammas=(0.1, 1.0), n=4)
+    assert counts["leggauss"] == 0

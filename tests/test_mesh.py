@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyfem.mesh import (BoundaryPart, build_structured, from_triangles,
-                            mesh_size, tag_boundary, unit_square_mesh)
+from cauchyfem.mesh import (BoundaryPart, affine_map, build_structured,
+                            from_triangles, mesh_size, tag_boundary,
+                            unit_square_mesh)
 
 from .oracles import (face_geometry, loop_tag_boundary, min_angle_deg, signed_areas,
                       structured_triangles, walk_faces)
@@ -179,3 +182,20 @@ def test_vtk_dump(tmp_path, mesh2):
     assert f"POINTS {mesh2.num_vertices} double" in text
     assert f"CELL_TYPES {mesh2.num_triangles}" in text
     assert "SCALARS height double 1" in text
+
+
+def test_mesh_carries_the_affine_maps_of_its_triangles():
+    mesh = unit_square_mesh(5, jitter=0.25, seed=3)
+    jac, det, jinv = affine_map(mesh.vertices[mesh.triangles])
+    assert np.array_equal(mesh.jac, jac)
+    assert np.array_equal(mesh.det, det)
+    assert np.array_equal(mesh.jinv, jinv)
+    assert np.allclose(mesh.det, 2.0 * signed_areas(mesh), rtol=1e-14, atol=0)
+    assert np.allclose(mesh.jinv @ mesh.jac, np.eye(2), rtol=0, atol=1e-13)
+
+
+def test_degenerate_triangle_is_rejected_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="triangle 1 has non-positive area 0"):
+            from_triangles([(0, 0), (1, 0), (0, 1), (2, 0)], [(0, 1, 2), (0, 1, 3)])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cauchyfem.mesh import BoundaryPart, unit_square_mesh
-from cauchyfem.spaces import (build_space, segment_rule, shape_grads,
+from cauchyfem.spaces import (build_space, edge_tables, segment_rule, shape_grads,
                               shape_hessians, shape_values, triangle_rule)
 
 from .oracles import eval_fe, loop_dirichlet_dofs, nodal_interpolant, shape_eval
@@ -155,6 +155,17 @@ def test_segment_rule_exactness(degree, a):
         a = degree
     rule = segment_rule(degree)
     assert rule.weights @ rule.points ** a == pytest.approx(1 / (a + 1), rel=1e-13)
+
+
+def test_rules_and_edge_tables_are_built_once_and_read_only():
+    assert triangle_rule(8) is triangle_rule(8)
+    assert segment_rule(9) is segment_rule(9)
+    assert edge_tables(2, 9) is edge_tables(2, 9)
+    arrays = (triangle_rule(8).points, triangle_rule(8).weights,
+              segment_rule(9).points, segment_rule(9).weights, *edge_tables(2, 9))
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_unsupported_degrees_raise():

@@ -21,8 +21,7 @@ from .spaces import (FeSpace, QuadratureRule, cell_points, shape_grads,
                      shape_values, triangle_rule)
 
 if TYPE_CHECKING:
-    # for annotations only: importing scipy.sparse before .assembly imports
-    # scipy.io measured about 8% more CPU time for the package import
+    # for annotations only
     import scipy.sparse as sp
 
 #: lower-left and upper-right corners of the local error window

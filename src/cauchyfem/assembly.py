@@ -13,7 +13,9 @@ the free boundary), l(w) = ∫ f w + ∫_data ψ w, and the data functional
 g(v) = γ_V Σ_data ∫ h_F ψ ∂_n v.  For quadratics both penalties gain an
 h_F³-weighted jump of the elementwise Laplacian on interior faces.
 
-Assembly builds the penalties and g at unit γ; `BlockSystem.scaled` applies γ.
+Assembly builds the penalties and g at unit γ; `BlockSystem.scaled` applies γ,
+and `penalty_factors` gives the factors with which `solver.build_system`
+scales the saddle matrix.
 
 Every kernel works on all triangles or faces at once: J and J⁻¹ are the
 mesh's, face traces are rows of reference-edge tables, and the quadrature sums
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .mesh import BoundaryPart
@@ -68,8 +69,15 @@ class BlockSystem:
                        data=gamma_v * self.data)
 
     def scaled_s_w(self, gamma_w):
-        """s_W at penalty γ_W; the Galerkin s_W carries no penalty."""
+        """s_W at penalty γ_W; the Galerkin s_W carries no penalty
+        (`penalty_factors`) and is returned as it is."""
         return self.s_w if self.variant == "galerkin" else gamma_w * self.s_w
+
+
+def penalty_factors(variant, gamma_v, gamma_w):
+    """The factors of S_V (and g), A and S_W at penalties γ_V, γ_W, in the
+    order of `solver.build_system`: the Galerkin s_W carries no penalty."""
+    return gamma_v, 1.0, 1.0 if variant == "galerkin" else gamma_w
 
 
 def _sample_field(name, field, x, y, *normal):
@@ -253,7 +261,3 @@ def assemble_blocks(trial, test, problem, variant="jump"):
                        s_w=assemble_dual_stab(test, variant),
                        load=assemble_load(test, problem), data=data, variant=variant)
 
-
-def dump_matrix(matrix, path):
-    """Matrix-market text dump, for diffing against external oracles."""
-    scipy.io.mmwrite(str(path), sp.coo_matrix(matrix))

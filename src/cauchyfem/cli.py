@@ -87,8 +87,6 @@ def build_parser():
     single.add_argument("--n", type=_mesh_level, default=None, help="mesh level (default 8)")
     single.add_argument("--emit-fields", action="store_true", default=None,
                         help="write u_h, z_h and the pointwise error as legacy VTK")
-    single.add_argument("--dump-matrices", default=None, metavar="DIR",
-                        help="debug: dump assembled matrices in matrix-market form")
 
     return parser
 
@@ -115,7 +113,6 @@ _CONVERTERS = {
     "gammas": _parse_gammas,
     "out": str,
     "emit_fields": _boolean,
-    "dump_matrices": str,
 }
 
 
@@ -159,8 +156,7 @@ def _print_rows(rows, label):
 _COMMANDS = {
     "convergence": (experiments.run_convergence, {}, "convergence.csv"),
     "sweep": (experiments.run_sweep, {"gammas": "gammas", "n": "n"}, "sweep.csv"),
-    "solve": (experiments.run_single, {"n": "n", "dump_matrices": "matrices_dir"},
-              "fields.vtk"),
+    "solve": (experiments.run_single, {"n": "n"}, "fields.vtk"),
 }
 _CONFIG_FIELDS = {field.name for field in dataclasses.fields(experiments.RunConfig)}
 

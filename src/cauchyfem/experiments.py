@@ -13,16 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .analysis import convergence_rate, error_report, report_data
-from .assembly import SW_VARIANTS, assemble_blocks, dump_matrix
+from .assembly import SW_VARIANTS, assemble_blocks, penalty_factors
 from .mesh import BoundaryPart, unit_square_mesh
 from .problem import quartic_example
-from .solver import SolverError, build_system, solve
+from .solver import SolverError, build_system, saddle_pattern, solve
 from .spaces import build_space
 from .vtk_io import write_vtk
 
@@ -101,9 +100,10 @@ def check_penalty(gamma):
 
 class Level:
     """What every solve on one mesh level shares, built once per mesh: the
-    problem, the mesh, the spaces and the unit-penalty blocks.  The error
-    report's γ-free data is built on first use, after the first
-    factorization, so that it is not alive during that LU."""
+    problem, the mesh, the spaces, the unit-penalty saddle pattern (whose
+    front tree is analysed by the first solve) and the unit S_W that the
+    error report reads.  The report's γ-free data is built on first use,
+    after the first factorization, so that it is not alive during it."""
 
     def __init__(self, config, n):
         self.n = n
@@ -111,8 +111,11 @@ class Level:
         mesh = unit_square_mesh(n, config.jitter, config.seed, self.problem.data_sides)
         self.trial = build_space(mesh, config.degree, BoundaryPart.DATA)
         self.test = build_space(mesh, config.degree, BoundaryPart.FREE)
-        self.blocks = assemble_blocks(self.trial, self.test, self.problem,
-                                      variant=config.sw_variant)
+        blocks = assemble_blocks(self.trial, self.test, self.problem,
+                                 variant=config.sw_variant)
+        self.variant = blocks.variant
+        self.s_w = blocks.s_w
+        self.saddle = saddle_pattern(blocks, self.trial, self.test)
 
     @cached_property
     def report_data(self):
@@ -121,13 +124,11 @@ class Level:
 
 def solve_level(level, gamma_v, gamma_w):
     """One solve on a built level at penalties γ_V, γ_W; returns (solution,
-    report).  The γ-scaled blocks live only while the saddle system is built
-    and the scaled s_W only while the report runs, so that the LU holds one
-    copy of each penalty block."""
-    solution = solve(build_system(level.blocks.scaled(gamma_v, gamma_w),
-                                  level.trial, level.test))
+    report).  The scaled s_W lives only while the report runs."""
+    factors = penalty_factors(level.variant, gamma_v, gamma_w)
+    solution = solve(build_system(level.saddle, factors))
     return solution, error_report(solution, level.report_data, gamma_v,
-                                  level.blocks.scaled_s_w(gamma_w))
+                                  factors[2] * level.s_w)
 
 
 def _solve(row, level, gamma_v, gamma_w):
@@ -179,22 +180,14 @@ def run_sweep(config, gammas=DEFAULT_SWEEP_GAMMAS, n=64):
     return rows
 
 
-def run_single(config, n=8, matrices_dir=None):
+def run_single(config, n=8):
     """Single solve; returns its row.  If the solve succeeds, optionally dumps
-    vertex fields as legacy VTK and, into `matrices_dir`, the solve's A, S_V
-    and S_W in matrix-market form."""
+    vertex fields as legacy VTK."""
     level = Level(config, n)
-    gamma_v, gamma_w = config.resolved_gamma_v, config.resolved_gamma_w
     row = Row(0, n)
-    solution = _solve(row, level, gamma_v, gamma_w)
+    solution = _solve(row, level, config.resolved_gamma_v, config.resolved_gamma_w)
     if solution is None:
         return row
-    if matrices_dir is not None:
-        outdir = Path(matrices_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        blocks = level.blocks.scaled(gamma_v, gamma_w)
-        for name in ("a", "s_v", "s_w"):
-            dump_matrix(getattr(blocks, name), outdir / f"{name}.mtx")
     if config.emit_fields and config.output_path:
         mesh = level.trial.mesh
         nv = mesh.num_vertices

@@ -119,6 +119,14 @@ def from_triangles(vertices, triangles):
     face_vertices = np.column_stack([start[lead], end[lead]])
     face_tris = np.column_stack([lead // 3, np.full(len(lead), -1)])
     again = np.flatnonzero(first[inverse] != np.arange(len(key)))
+    # two counter-clockwise neighbors walk their shared edge in opposite
+    # directions; the same direction means the triangles overlap
+    same = np.flatnonzero(start[again] != face_vertices[face_of_slot[again], 1])
+    if len(same):
+        slot = again[same[0]]
+        raise ValueError(f"triangles {lead[face_of_slot[slot]] // 3} and {slot // 3} "
+                         f"overlap: both walk edge ({start[slot]}, {end[slot]}) "
+                         "in the same direction")
     face_tris[face_of_slot[again], 1] = again // 3
     tri_faces = face_of_slot.reshape(-1, 3)
 

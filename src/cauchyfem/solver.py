@@ -8,26 +8,39 @@ is symmetric indefinite:
 
 restricted to the free DOFs of each space.  With γ_V, γ_W > 0 both penalty
 blocks are positive definite there, so the matrix is symmetric quasi-definite
-and every symmetric permutation of it factors with diagonal pivots
-(Vanderbei, SIAM J. Optim. 5(1), 1995).  SuperLU runs in symmetric mode
-(Li, ACM TOMS 31(3), 2005): minimum degree on A + Aᵀ for rows and columns,
-diagonal pivots (off-diagonal only at an exactly zero pivot); at P2 n=64
-that is 22% less fill than a column ordering with partial pivoting.
-Diagonal pivots lose digits when a penalty is small (relative residual
-1.8e-10 at γ = 1e-4, P1 n=32), so one refinement step with the same factors
-always follows (1.6e-13 there); the relative residual is then checked.
+(SQD): every symmetric permutation of it has an LDLᵀ factorization with
+diagonal pivots, + on the V unknowns and − on the W unknowns (Vanderbei,
+SIAM J. Optim. 5(1), 1995).
+
+Its pattern and unit-penalty values are stacked once per mesh
+(`SaddlePattern`); per penalty pair only the values are scaled.  On first
+use the pattern is ordered by nested dissection on the unknowns' coordinates
+and cut into the fronts of a multifrontal factorization (Duff & Reid, ACM
+TOMS 9(3), 1983; `analyse`), which every penalty pair of the mesh reuses.
+Each front factors densely with no pivoting: a Cholesky factorization of its
+V pivots, one of the negated Schur complement of its W pivots, one
+triangular solve for its off-diagonal block and two rank-k updates for what
+it passes to its parent.  One refinement step with the same factors always
+follows (diagonal pivots lose digits when a penalty is small: relative
+residual 1.8e-10 at γ = 1e-4, P1 n=32); the relative residual is then
+checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dsyrk, dtrsm, dtrsv
+from scipy.linalg.lapack import dpotrf
 
 RESIDUAL_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
+#: nested dissection stops at subdomains of at most this many unknowns
+LEAF_SIZE = 128
 
 
 class SolverError(RuntimeError):
@@ -35,21 +48,266 @@ class SolverError(RuntimeError):
 
 
 class SingularSystemError(SolverError):
-    """Factorization hit an exactly singular pivot (γ = 0 or broken constraints)."""
+    """A front's pivot block is not definite (γ = 0, broken constraints or
+    a matrix that is not quasi-definite)."""
 
 
 class UnconvergedSolveError(SolverError):
-    """The LU solution misses the residual tolerance or is not finite."""
+    """The solution misses the residual tolerance or is not finite."""
+
+
+class Front(NamedTuple):
+    """One front: pivots at positions start .. start + size of the ordering
+    (the V pivots first; `signs` is +1 on them and −1 on the W pivots), then
+    the later positions `struct` that they update.  The stored entries
+    `entries` of the matrix go to the flat (column-major) places `places` of
+    the front's pivot columns.  `children` holds (loc, runs, loc_u, runs_u)
+    per child: columns a .. b of the child's update matrix go to rows
+    `loc[a:]` of pivot columns p .. p + b - a for each (a, b, p) in `runs`,
+    and to rows `loc_u[a:]` of columns p .. p + b - a of the front's own
+    update matrix for each (a, b, p) in `runs_u`."""
+
+    start: int
+    size: int
+    v_pivots: int
+    struct: np.ndarray
+    signs: np.ndarray
+    entries: np.ndarray
+    places: np.ndarray
+    children: list
 
 
 @dataclass(frozen=True)
-class SaddleSystem:
-    matrix: sp.csc_matrix
-    rhs: np.ndarray
+class FrontTree:
+    """The symbolic analysis of one pattern: `order[p]` is the unknown
+    eliminated at position p; the fronts are in elimination order, every
+    child before its parent."""
+
+    order: np.ndarray
+    fronts: list
+
+
+def analyse(matrix, n_v, coords):
+    """Nested-dissection ordering and front tree of the symmetric pattern of
+    `matrix`, whose first `n_v` unknowns are the V unknowns.
+
+    A subdomain of more than LEAF_SIZE unknowns that do not all share one
+    coordinate is bisected at the median of its wider coordinate; its
+    separator is the set of left-side unknowns with a matrix neighbour on
+    the right, and its two parts are dissected in turn.
+    """
+    n = matrix.shape[0]
+    indptr, indices = matrix.indptr, matrix.indices
+    counts = np.diff(indptr)
+    cols = np.repeat(np.arange(n), counts)
+    off = indices != cols
+    # 0 or 1: left or right of the cut through the unknown's subdomain;
+    # 2: in a separator
+    label = np.zeros(n, dtype=np.int8)
+    pivots, kids = [], []   # per node, children first
+
+    def dissect(idx, ei, ej):
+        """Nodes of the subdomain `idx`; the edges (ei, ej) start in it and
+        end in it or in a separator.  Returns the roots of its forest."""
+        if not len(idx):
+            return []
+        pts = coords[idx]
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        axis = int(np.argmax(hi - lo))
+        if len(idx) > LEAF_SIZE and hi[axis] > lo[axis]:
+            c = pts[:, axis]
+            median = np.partition(c, len(c) // 2)[len(c) // 2]
+            right = c >= median
+            if right.all():
+                right = c > median
+            label[idx] = right
+            sep = np.unique(ei[(label[ei] == 0) & (label[ej] == 1)])
+            label[sep] = 2
+            tail = label[ei]
+            roots = (dissect(idx[label[idx] == 0], ei[tail == 0], ej[tail == 0])
+                     + dissect(idx[right], ei[tail == 1], ej[tail == 1]))
+            if not len(sep):
+                return roots
+            # V before W, each along the separator
+            idx = sep[np.lexsort((coords[sep, 1 - axis], sep >= n_v))]
+        else:
+            roots = []
+        pivots.append(idx)     # V unknowns first
+        kids.append(roots)
+        return [len(pivots) - 1]
+
+    # int64 edges: numpy converts any other index array before a gather
+    dissect(np.arange(n), indices[off].astype(np.int64), cols[off])
+    order = np.concatenate([np.empty(0, dtype=np.int64)] + pivots)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+
+    # the stored entries on and below the diagonal of the reordered matrix,
+    # column by column in elimination order
+    lens = counts[order]
+    entries = np.repeat(indptr[order + 1] - np.cumsum(lens), lens) + np.arange(lens.sum())
+    row = pos[indices[entries]]
+    col = np.repeat(np.arange(n), lens)
+    lower = row >= col
+    entries, row, col = entries[lower], row[lower], col[lower]
+    bounds = np.searchsorted(col, np.arange(n + 1))
+
+    slot = np.empty(n, dtype=np.int64)     # place of a position in its front
+    fronts, structs, start = [], [], 0
+    for piv, children in zip(pivots, kids):
+        k = len(piv)
+        end = start + k
+        span = slice(bounds[start], bounds[end])
+        rows = row[span]
+        above = [structs[c][np.searchsorted(structs[c], end):] for c in children]
+        struct = np.unique(np.concatenate([rows[rows >= end]] + above))
+        structs.append(struct)
+        m = k + len(struct)
+        slot[start:end] = np.arange(k)
+        slot[struct] = np.arange(k, m)
+        links = []
+        for c in children:
+            loc = slot[structs[c]]
+            # runs of consecutive front rows, cut where the pivot columns end
+            heads = np.flatnonzero((np.diff(loc, prepend=-2) != 1) | (loc == k))
+            runs = list(zip(heads.tolist(), heads[1:].tolist() + [len(loc)],
+                            loc[heads].tolist()))
+            links.append((loc, [run for run in runs if run[2] < k],
+                          loc - k, [(a, b, p - k) for a, b, p in runs if p >= k]))
+        v_pivots = int(np.count_nonzero(piv < n_v))
+        fronts.append(Front(start, k, v_pivots, struct,
+                            np.where(np.arange(k) < v_pivots, 1.0, -1.0),
+                            entries[span].astype(np.int32),
+                            (slot[rows] + (col[span] - start) * m).astype(np.int32),
+                            links))
+        start = end
+    return FrontTree(order=order, fronts=fronts)
+
+
+def _singular(i, front, block):
+    return SingularSystemError(
+        f"front {i} ({front.size} pivots, {front.v_pivots} of them V): its "
+        f"{block} pivot block is not positive definite; check that the "
+        "stabilization parameters are positive and the constraint sets are "
+        "intact")
+
+
+def _factor(tree, data):
+    """Per front, L (lower triangle) and Z with the front's pivot block
+    L diag(signs) Lᵀ and off-diagonal block Z Lᵀ, for the matrix values
+    `data` on the analysed pattern.  All of them are views of one buffer,
+    which is returned to the system when the solve drops them."""
+    sizes = [front.size * (front.size + len(front.struct)) for front in tree.fronts]
+    store = np.empty(sum(sizes))
+    factors, stack, at = [], [], 0
+    for i, (front, size) in enumerate(zip(tree.fronts, sizes)):
+        k, kv, r = front.size, front.v_pivots, len(front.struct)
+        f = np.zeros((k + r, k), order="F")       # the pivot columns
+        update = np.zeros((r, r), order="F")      # what goes to the parent
+        f.reshape(-1, order="F")[front.places] = data[front.entries]
+        for loc, runs, loc_u, runs_u in reversed(front.children):
+            child = stack.pop()
+            for a, b, p in runs:
+                f[loc[a:], p:p + b - a] += child[a:, a:b]
+            for a, b, p in runs_u:
+                update[loc_u[a:], p:p + b - a] += child[a:, a:b]
+        low = store[at:at + k * k].reshape((k, k), order="F")
+        off = store[at + k * k:at + size].reshape((r, k), order="F")
+        at += size
+        # V pivots: F_vv = L₁L₁ᵀ; W pivots: XXᵀ − F_ww = L₂L₂ᵀ, X = F_wv L₁⁻ᵀ
+        # (the strict upper triangles of L₁, L₂ and L are never read)
+        if kv:
+            low[:kv, :kv], info = dpotrf(f[:kv, :kv], lower=1, clean=0)
+            if info:
+                raise _singular(i, front, "V")
+        if kv < k:
+            schur = -f[kv:k, kv:k]
+            if kv:
+                low[kv:, :kv] = dtrsm(1.0, low[:kv, :kv], f[kv:k, :kv], side=1,
+                                      lower=1, trans_a=1)
+                schur = dsyrk(1.0, low[kv:, :kv], beta=-1.0, c=f[kv:k, kv:k], lower=1)
+            low[kv:, kv:], info = dpotrf(schur, lower=1, clean=0)
+            if info:
+                raise _singular(i, front, "W")
+        # off-diagonal block Z = F_uv L⁻ᵀ and the update matrix
+        # F_uu − Z_v Z_vᵀ + Z_w Z_wᵀ (lower triangle) for the parent
+        if r:
+            off[:] = f[k:]
+            dtrsm(1.0, low, off, side=1, lower=1, trans_a=1, overwrite_b=1)
+            if kv:
+                update = dsyrk(-1.0, off[:, :kv], beta=1.0, c=update, lower=1,
+                               overwrite_c=1)
+            if kv < k:
+                update = dsyrk(1.0, off[:, kv:], beta=1.0, c=update, lower=1,
+                               overwrite_c=1)
+        stack.append(update)
+        factors.append((low, off))
+    return factors
+
+
+def _substitute(tree, factors, rhs):
+    """The solution of the factored system for `rhs`."""
+    y = rhs[tree.order]
+    for front, (low, off) in zip(tree.fronts, factors):
+        piv = slice(front.start, front.start + front.size)
+        y[piv] = dtrsv(low, y[piv], lower=1)
+        y[front.struct] -= off @ (front.signs * y[piv])
+    for front, (low, off) in zip(reversed(tree.fronts), reversed(factors)):
+        piv = slice(front.start, front.start + front.size)
+        y[piv] = dtrsv(low, front.signs * (y[piv] - off.T @ y[front.struct]),
+                       lower=1, trans=1)
+    x = np.empty_like(y)
+    x[tree.order] = y
+    return x
+
+
+@dataclass(frozen=True)
+class SaddlePattern:
+    """The saddle matrix of one mesh at unit penalties, built once.
+
+    `unit` stacks the restricted S_V, A (and Aᵀ) and −S_W in canonical CSC
+    form, and `classes` gives each stored entry's block, which indexes its
+    factor in `build_system`: 0 for S_V, 1 for A or Aᵀ, 2 for S_W.  `g` and
+    `load` are the right side's unit-penalty parts.  `coords` places each
+    unknown, V unknowns first, for the ordering.
+    """
+
+    unit: sp.csc_matrix
+    classes: np.ndarray
+    g: np.ndarray
+    load: np.ndarray
     v_free: np.ndarray
     w_free: np.ndarray
     n_v: int
     n_w: int
+    coords: np.ndarray
+
+    @cached_property
+    def tperm(self):
+        """`tperm[e]` is the stored entry at the transposed place of
+        stored entry e; raises ValueError unless the pattern is symmetric."""
+        unit = self.unit
+        ids = sp.csc_matrix((np.arange(unit.nnz), unit.indices, unit.indptr),
+                            shape=unit.shape).T.tocsc()
+        if not (np.array_equal(ids.indptr, unit.indptr)
+                and np.array_equal(ids.indices, unit.indices)):
+            raise ValueError("saddle matrix pattern is not symmetric")
+        return ids.data
+
+    @cached_property
+    def tree(self):
+        """The front tree, analysed on first use."""
+        return analyse(self.unit, len(self.v_free), self.coords)
+
+
+@dataclass(frozen=True)
+class SaddleSystem:
+    """The saddle matrix and right side at one penalty pair; `matrix` shares
+    the index arrays of `pattern.unit`."""
+
+    pattern: SaddlePattern
+    matrix: sp.csc_matrix
+    rhs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -59,11 +317,13 @@ class DiscreteSolution:
     u: np.ndarray
     z: np.ndarray
     residual: float
-    lu_fill: int        # entries SuperLU stores for L and U
+    lu_fill: int        # entries of the stored factor blocks: each front's
+                        # L (lower triangle) and off-diagonal block Z
 
 
-def build_system(blocks, trial, test):
-    """Eliminate Dirichlet DOFs and stack the symmetric block matrix."""
+def saddle_pattern(blocks, trial, test):
+    """Eliminate Dirichlet DOFs and stack the unit-penalty blocks, once per
+    mesh."""
     if blocks.s_v.shape != (trial.num_dofs, trial.num_dofs):
         raise ValueError("primal stabilizer does not match the trial space")
     if blocks.a.shape != (test.num_dofs, trial.num_dofs):
@@ -74,44 +334,54 @@ def build_system(blocks, trial, test):
     v_free = trial.free_dofs
     w_free = test.free_dofs
     a = blocks.a[np.ix_(w_free, v_free)]
-    # the restricted blocks die before the symmetry check, whose temporaries
-    # are this function's memory peak
-    matrix = sp.bmat([[blocks.s_v[np.ix_(v_free, v_free)], a.T],
-                      [a, -blocks.s_w[np.ix_(w_free, w_free)]]], format="csc")
-    del a
-    defect = abs(matrix - matrix.T).max() if matrix.nnz else 0.0
+    unit = sp.bmat([[blocks.s_v[np.ix_(v_free, v_free)], a.T],
+                    [a, -blocks.s_w[np.ix_(w_free, w_free)]]], format="csc")
+    unit.sort_indices()
+    nv = len(v_free)
+    cols = np.repeat(np.arange(unit.shape[1]), np.diff(unit.indptr))
+    classes = (unit.indices >= nv).astype(np.int8) + (cols >= nv)
+    return SaddlePattern(unit=unit, classes=classes, g=blocks.data[v_free],
+                         load=blocks.load[w_free], v_free=v_free, w_free=w_free,
+                         n_v=trial.num_dofs, n_w=test.num_dofs,
+                         coords=np.vstack([trial.dof_coords[v_free],
+                                           test.dof_coords[w_free]]))
+
+
+def build_system(pattern, factors=(1.0, 1.0, 1.0)):
+    """The saddle system with each block of `pattern` times its factor in
+    `factors` (indexed by S_V, A, S_W); g is scaled with S_V."""
+    data = pattern.unit.data * np.asarray(factors, dtype=float)[pattern.classes]
+    defect = abs(data - data[pattern.tperm]).max() if len(data) else 0.0
     if defect > SYMMETRY_TOL:
         raise ValueError(f"saddle matrix asymmetry {defect:g} exceeds {SYMMETRY_TOL:g}")
-    rhs = np.concatenate([blocks.data[v_free], blocks.load[w_free]])
-    return SaddleSystem(matrix=matrix, rhs=rhs, v_free=v_free, w_free=w_free,
-                        n_v=trial.num_dofs, n_w=test.num_dofs)
+    matrix = sp.csc_matrix((data, pattern.unit.indices, pattern.unit.indptr),
+                           shape=pattern.unit.shape)
+    rhs = np.concatenate([factors[0] * pattern.g, pattern.load])
+    return SaddleSystem(pattern=pattern, matrix=matrix, rhs=rhs)
 
 
 def solve(system):
-    """Symmetric-mode sparse LU solve with one refinement step; raises
+    """Multifrontal LDLᵀ solve with one refinement step; raises
+    SingularSystemError at a pivot block that is not definite and
     UnconvergedSolveError unless the relative residual is finite and below
     RESIDUAL_TOL."""
-    try:
-        lu = spla.splu(system.matrix, permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError as err:
-        raise SingularSystemError(
-            f"sparse factorization failed ({err}); "
-            "check that the stabilization parameters are positive and the "
-            "constraint sets are intact") from err
-    x = lu.solve(system.rhs)
-    x += lu.solve(system.rhs - system.matrix @ x)
+    pattern = system.pattern
+    tree = pattern.tree
+    factors = _factor(tree, system.matrix.data)
+    x = _substitute(tree, factors, system.rhs)
+    x += _substitute(tree, factors, system.rhs - system.matrix @ x)
     rhs_norm = np.linalg.norm(system.rhs)
     res = np.linalg.norm(system.matrix @ x - system.rhs)
     residual = float(res / rhs_norm) if rhs_norm > 0 else float(res)
     if not residual < RESIDUAL_TOL:
         raise UnconvergedSolveError(
-            f"relative residual {residual:.3e} of the LU solve is not below "
+            f"relative residual {residual:.3e} of the LDLᵀ solve is not below "
             f"{RESIDUAL_TOL:g}")
 
-    nv_free = len(system.v_free)
-    u = np.zeros(system.n_v)
-    z = np.zeros(system.n_w)
-    u[system.v_free] = x[:nv_free]
-    z[system.w_free] = x[nv_free:]
-    return DiscreteSolution(u=u, z=z, residual=residual, lu_fill=int(lu.nnz))
+    nv_free = len(pattern.v_free)
+    u = np.zeros(pattern.n_v)
+    z = np.zeros(pattern.n_w)
+    u[pattern.v_free] = x[:nv_free]
+    z[pattern.w_free] = x[nv_free:]
+    fill = sum(low.shape[0] * (low.shape[0] + 1) // 2 + off.size for low, off in factors)
+    return DiscreteSolution(u=u, z=z, residual=residual, lu_fill=fill)

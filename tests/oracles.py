@@ -18,7 +18,7 @@ from cauchyfem.assembly import (VOLUME_DEGREE, BlockSystem, assemble_blocks,
                                 assemble_primal_stab, assemble_stiffness,
                                 face_operator)
 from cauchyfem.mesh import GEOM_TOL, BoundaryPart, mesh_size
-from cauchyfem.solver import build_system, solve
+from cauchyfem.solver import build_system, saddle_pattern, solve
 from cauchyfem.spaces import (build_space, cell_points, shape_grads, shape_values,
                               triangle_rule)
 
@@ -365,7 +365,7 @@ def solve_from_scratch(mesh, degree, problem, gamma_v, gamma_w, variant="jump"):
     trial = build_space(mesh, degree, BoundaryPart.DATA)
     test = build_space(mesh, degree, BoundaryPart.FREE)
     blocks = assemble_blocks(trial, test, problem, variant).scaled(gamma_v, gamma_w)
-    return solve(build_system(blocks, trial, test)), trial, test, blocks
+    return solve(build_system(saddle_pattern(blocks, trial, test))), trial, test, blocks
 
 
 def discrete_consistency_probe(mesh, degree, gamma_v, gamma_w, variant="jump",
@@ -392,7 +392,7 @@ def discrete_consistency_probe(mesh, degree, gamma_v, gamma_w, variant="jump",
     # g = S_V v at unit γ_V; scaling makes it γ_V S_V v for the scaled S_V
     unit = BlockSystem(s_v=s_v, a=a, s_w=assemble_dual_stab(test, variant),
                        load=a @ probe, data=s_v @ probe, variant=variant)
-    sol = solve(build_system(unit.scaled(gamma_v, gamma_w), trial, test))
+    sol = solve(build_system(saddle_pattern(unit.scaled(gamma_v, gamma_w), trial, test)))
     return float(max(np.abs(sol.u - probe).max(), np.abs(sol.z).max()))
 
 

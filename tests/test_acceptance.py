@@ -18,7 +18,7 @@ from cauchyfem.assembly import assemble_blocks
 from cauchyfem.experiments import RunConfig, run_convergence, run_sweep
 from cauchyfem.mesh import BoundaryPart, unit_square_mesh
 from cauchyfem.problem import quartic_example
-from cauchyfem.solver import build_system
+from cauchyfem.solver import build_system, saddle_pattern
 from cauchyfem.spaces import build_space
 
 from .oracles import (dense_data_term, dense_dual_stab, dense_face_jumps,
@@ -178,7 +178,7 @@ def test_c7_structural_invariants():
         trial = build_space(mesh, 1, BoundaryPart.DATA)
         test = build_space(mesh, 1, BoundaryPart.FREE)
         blocks = assemble_blocks(trial, test, problem, variant).scaled(0.01, 0.01)
-        system = build_system(blocks, trial, test)
+        system = build_system(saddle_pattern(blocks, trial, test))
         sym_defect = max(sym_defect, abs(system.matrix - system.matrix.T).max())
         for s in (blocks.s_v, blocks.s_w):
             x = rng.standard_normal((100, s.shape[0]))

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.io
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 from cauchyfem.analysis import report_data, stab_seminorm_u
 from cauchyfem.assembly import (FACE_DATA_DEGREE, _edge_rows, _face_points,
                                 _normal_derivs, assemble_blocks, assemble_dual_stab,
-                                assemble_load, assemble_stiffness, dump_matrix)
+                                assemble_load, assemble_stiffness)
 from cauchyfem.mesh import BoundaryPart, unit_square_mesh
 from cauchyfem.problem import CauchyProblem
 from cauchyfem.spaces import build_space, edge_tables, segment_rule
@@ -283,15 +282,6 @@ def test_smooth_consistency_interior_jumps_vanish(mesh4):
     space = build_space(mesh4, 1, BoundaryPart.DATA)
     v = nodal_interpolant(space, lambda x, y: 2.0 * x - 0.5 * y + 0.25)
     assert fe_jump_seminorm(space, v, 1.0, boundary_part=None) < 1e-13
-
-
-def test_matrix_market_dump_roundtrip(tmp_path, mesh2):
-    space = build_space(mesh2, 1, BoundaryPart.DATA)
-    s = GAMMA * primal_stab(space)
-    path = tmp_path / "s_v.mtx"
-    dump_matrix(s, path)
-    back = scipy.io.mmread(path)
-    assert np.abs(back.toarray() - s.toarray()).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------

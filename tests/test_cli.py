@@ -1,13 +1,7 @@
-import numpy as np
 import pytest
-import scipy.io
 
 from cauchyfem import experiments
 from cauchyfem.cli import main, read_config_file
-from cauchyfem.mesh import BoundaryPart, unit_square_mesh
-from cauchyfem.spaces import build_space
-
-from .oracles import primal_stab
 
 
 def test_convergence_command(tmp_path, capsys):
@@ -35,24 +29,6 @@ def test_solve_command_with_fields(tmp_path, capsys):
     assert code == 0
     assert "eta" in capsys.readouterr().out
     assert "SCALARS u_h double 1" in out.read_text()
-
-
-def test_solve_dump_matrices(tmp_path):
-    outdir = tmp_path / "mats"
-    code = main(["solve", "--n", "2", "--dump-matrices", str(outdir)])
-    assert code == 0
-    assert sorted(p.name for p in outdir.iterdir()) == ["a.mtx", "s_v.mtx", "s_w.mtx"]
-
-
-def test_dumped_matrices_are_those_of_the_solve(tmp_path, monkeypatch,
-                                                mirrored_problem):
-    monkeypatch.setattr(experiments, "quartic_example", lambda: mirrored_problem)
-    outdir = tmp_path / "mats"
-    assert main(["solve", "--n", "3", "--dump-matrices", str(outdir)]) == 0
-    mesh = unit_square_mesh(3, data_sides=mirrored_problem.data_sides)
-    expected = 0.01 * primal_stab(build_space(mesh, 1, BoundaryPart.DATA))
-    dumped = scipy.io.mmread(str(outdir / "s_v.mtx"))
-    assert np.allclose(dumped.toarray(), expected.toarray(), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("argv", [["sweep", "--n", "0", "--gammas", "1"],
@@ -253,14 +229,13 @@ def test_solve_failure_exit_code(tmp_path, monkeypatch, capsys):
         raise SingularSystemError("synthetic failure")
 
     monkeypatch.setattr(experiments, "solve_level", boom)
-    out, mats = tmp_path / "fields.vtk", tmp_path / "mats"
-    code = main(["solve", "--n", "2", "--emit-fields", "--out", str(out),
-                 "--dump-matrices", str(mats)])
+    out = tmp_path / "fields.vtk"
+    code = main(["solve", "--n", "2", "--emit-fields", "--out", str(out)])
     assert code == 1
     printed = capsys.readouterr().out
     assert "n=2 failed: SingularSystemError: synthetic failure" in printed
     assert "wrote" not in printed
-    assert not out.exists() and not mats.exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["convergence", "--levels", "2"],

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from cauchyfem import analysis, assembly, experiments, mesh as mesh_module
+from cauchyfem import analysis, assembly, experiments, mesh as mesh_module, solver
 from cauchyfem.analysis import error_report, report_data
 from cauchyfem.experiments import (CONVERGENCE_COLUMNS, SWEEP_COLUMNS, Level,
                                    RunConfig, run_convergence, run_single,
@@ -233,7 +233,7 @@ def test_sweep_rows_equal_solves_from_scratch(degree, variant):
 
 def test_mesh_blocks_and_report_data_are_built_once_per_mesh(monkeypatch):
     names = ("from_triangles", "affine_map", "assemble_blocks", "report_data",
-             "face_operator")
+             "face_operator", "analyse")
     counts = dict.fromkeys(names, 0)
     _counting(monkeypatch, mesh_module, "from_triangles", counts)
     _counting(monkeypatch, mesh_module, "affine_map", counts)
@@ -241,17 +241,19 @@ def test_mesh_blocks_and_report_data_are_built_once_per_mesh(monkeypatch):
     _counting(monkeypatch, experiments, "report_data", counts)
     _counting(monkeypatch, assembly, "face_operator", counts)
     _counting(monkeypatch, analysis, "face_operator", counts)
+    _counting(monkeypatch, solver, "analyse", counts)
     rows = run_sweep(RunConfig(degree=1), gammas=(1e-3, 1e-2, 1e-1, 1.0), n=2)
     assert all(row.report is not None for row in rows)
     # face operators: S_V with g, S_W and the report
     assert counts == {"from_triangles": 1, "affine_map": 1, "assemble_blocks": 1,
-                      "report_data": 1, "face_operator": 3}
+                      "report_data": 1, "face_operator": 3, "analyse": 1}
 
     for variant, face_operators in (("jump", 3), ("galerkin", 2)):
         counts.update(dict.fromkeys(counts, 0))
         run_convergence(RunConfig(degree=1, levels=(2, 4, 8), sw_variant=variant))
         assert counts == {"from_triangles": 3, "affine_map": 3, "assemble_blocks": 3,
-                          "report_data": 3, "face_operator": 3 * face_operators}
+                          "report_data": 3, "face_operator": 3 * face_operators,
+                          "analyse": 3}
 
 
 def test_quadrature_rules_are_built_once_per_process(monkeypatch):

@@ -67,6 +67,14 @@ def test_non_manifold_edge_rejected():
                        [(0, 1, 2), (1, 3, 2), (4, 1, 2)])
 
 
+def test_overlapping_triangles_rejected():
+    # both triangles walk the edge (0, 1) from 0 to 1: the second one lies on
+    # the same side of it as the first
+    with pytest.raises(ValueError, match=r"triangles 0 and 1 overlap: both walk edge \(0, 1\)"):
+        from_triangles([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5)],
+                       [(0, 1, 2), (0, 1, 3)])
+
+
 @pytest.mark.parametrize("n", [3, 7])
 def test_face_numbering_matches_triangle_walk(n):
     mesh = build_structured(n, jitter=0.2, seed=n)

@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cauchyfem import solver
 from cauchyfem.assembly import assemble_blocks, assemble_stiffness, BlockSystem
 from cauchyfem.mesh import BoundaryPart, from_triangles, tag_boundary, unit_square_mesh
-from cauchyfem.solver import (RESIDUAL_TOL, SaddleSystem, SingularSystemError,
-                              UnconvergedSolveError, build_system, solve)
+from cauchyfem.solver import (RESIDUAL_TOL, SaddlePattern, SingularSystemError,
+                              UnconvergedSolveError, build_system, saddle_pattern, solve)
 from cauchyfem.spaces import build_space
 
 from .oracles import (discrete_consistency_probe, eval_fe, nodal_interpolant,
@@ -19,7 +24,7 @@ def make_system(mesh, degree, problem, variant="jump", gamma=GAMMA):
     trial = build_space(mesh, degree, BoundaryPart.DATA)
     test = build_space(mesh, degree, BoundaryPart.FREE)
     blocks = assemble_blocks(trial, test, problem, variant).scaled(gamma, gamma)
-    return build_system(blocks, trial, test), trial, test, blocks
+    return build_system(saddle_pattern(blocks, trial, test)), trial, test, blocks
 
 
 def test_single_cell_free_dof_counts(mesh1, problem):
@@ -37,7 +42,7 @@ def test_zero_stabilizers_leave_offdiagonal_blocks(mesh2, problem):
     a = assemble_stiffness(trial, test)
     blocks = BlockSystem(s_v=zero, a=a, s_w=zero.copy(), load=np.zeros(n),
                          data=np.zeros(n), variant="jump")
-    system = build_system(blocks, trial, test)
+    system = build_system(saddle_pattern(blocks, trial, test))
     nv = len(trial.free_dofs)
     dense = system.matrix.toarray()
     assert np.all(dense[:nv, :nv] == 0)
@@ -54,25 +59,32 @@ def test_system_matrix_symmetric(variant, problem):
     assert abs(system.matrix - system.matrix.T).max() < 1e-13
 
 
+def _plain_system(matrix, rhs, n_v=None, coords=None):
+    """The saddle system of `matrix` with its first `n_v` unknowns (default
+    half) on V; without `coords` every unknown sits at one coordinate."""
+    matrix = sp.csc_matrix(matrix)
+    rhs = np.asarray(rhs, dtype=float)
+    n = len(rhs)
+    n_v = n // 2 if n_v is None else n_v
+    pattern = SaddlePattern(
+        unit=matrix, classes=np.zeros(matrix.nnz, dtype=np.int8), g=rhs[:n_v],
+        load=rhs[n_v:], v_free=np.arange(n_v), w_free=np.arange(n - n_v),
+        n_v=n_v, n_w=n - n_v, coords=np.zeros((n, 2)) if coords is None else coords)
+    return build_system(pattern)
+
+
 def test_solve_identity():
-    system = SaddleSystem(matrix=sp.eye(2, format="csc"),
-                          rhs=np.array([1.0, 0.0]),
-                          v_free=np.array([0]), w_free=np.array([0]),
-                          n_v=1, n_w=1)
-    sol = solve(system)
+    sol = solve(_plain_system(np.diag([1.0, -1.0]), [1.0, 2.0]))
     assert np.allclose(sol.u, [1.0])
-    assert np.allclose(sol.z, [0.0])
+    assert np.allclose(sol.z, [-2.0])
     assert sol.residual < RESIDUAL_TOL
 
 
 def test_solve_permutation_exercises_indefinite_pivoting():
-    matrix = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    system = SaddleSystem(matrix=matrix, rhs=np.array([1.0, 2.0]),
-                          v_free=np.array([0]), w_free=np.array([0]),
-                          n_v=1, n_w=1)
-    sol = solve(system)
-    assert np.allclose(sol.u, [2.0])
-    assert np.allclose(sol.z, [1.0])
+    # not quasi-definite: the V pivot block is zero, and no pivot is searched
+    system = _plain_system(np.array([[0.0, 1.0], [1.0, 0.0]]), [1.0, 2.0])
+    with pytest.raises(SingularSystemError, match=r"front 0 \(2 pivots, 1 of them V\)"):
+        solve(system)
 
 
 def test_symmetric_ordering_fills_less_than_default_lu(problem):
@@ -87,25 +99,18 @@ def test_refinement_meets_tolerance_at_smallest_sweep_gamma(problem):
 
 
 def test_singular_matrix_raises():
-    system = SaddleSystem(matrix=sp.csc_matrix((2, 2)), rhs=np.ones(2),
-                          v_free=np.array([0]), w_free=np.array([0]),
-                          n_v=1, n_w=1)
     with pytest.raises(SingularSystemError):
-        solve(system)
-
-
-def _plain_system(matrix, rhs):
-    half = len(rhs) // 2
-    return SaddleSystem(matrix=sp.csc_matrix(matrix), rhs=np.asarray(rhs, dtype=float),
-                        v_free=np.arange(half), w_free=np.arange(len(rhs) - half),
-                        n_v=half, n_w=len(rhs) - half)
+        solve(_plain_system(np.zeros((2, 2)), np.ones(2)))
 
 
 def test_inaccurate_solve_raises_with_its_residual():
     from scipy.linalg import hilbert
 
-    # condition number ~1e18: LU succeeds but misses the residual tolerance
-    system = _plain_system(hilbert(14), np.ones(14))
+    # quasi-definite, but each block has condition number ~2e16: both
+    # Cholesky factorizations succeed and the solve misses the residual
+    # tolerance (2.3e-9; Hilbert(7) blocks would reach 1.1e-12)
+    h, zero = hilbert(12), np.zeros((12, 12))
+    system = _plain_system(np.block([[h, zero], [zero, -h]]), np.ones(24))
     with pytest.raises(UnconvergedSolveError, match="residual") as info:
         solve(system)
     assert isinstance(info.value, RuntimeError)
@@ -114,9 +119,85 @@ def test_inaccurate_solve_raises_with_its_residual():
 
 
 def test_non_finite_solve_raises():
-    system = _plain_system(np.eye(2), [1.0, np.nan])
+    system = _plain_system(np.diag([1.0, -1.0]), [1.0, np.nan])
     with pytest.raises(UnconvergedSolveError, match="nan"):
         solve(system)
+
+
+def test_unit_entry_off_by_1e11_fails_the_symmetry_check(problem):
+    mesh = unit_square_mesh(4)
+    trial = build_space(mesh, 1, BoundaryPart.DATA)
+    test = build_space(mesh, 1, BoundaryPart.FREE)
+    blocks = assemble_blocks(trial, test, problem)
+    s_v = blocks.s_v.tocoo(copy=True)
+    free = np.isin(s_v.row, trial.free_dofs) & np.isin(s_v.col, trial.free_dofs)
+    e = np.flatnonzero(free & (s_v.row != s_v.col))[0]
+    s_v.data[e] += 1e-11
+    pattern = saddle_pattern(dataclasses.replace(blocks, s_v=s_v.tocsr()), trial, test)
+    with pytest.raises(ValueError, match="asymmetry 1e-11"):
+        build_system(pattern, (1.0, 1.0, 1.0))
+    build_system(saddle_pattern(blocks, trial, test), (1.0, 1.0, 1.0))  # passes
+
+
+def _random_sqd(rng, coords, n_v, density=0.3):
+    """A random sparse symmetric quasi-definite matrix on unknowns at
+    `coords`, the first `n_v` on V: neighbours closer than 0.3 are coupled,
+    and each diagonal block is strictly diagonally dominant."""
+    n = len(coords)
+    near = np.linalg.norm(coords[:, None] - coords[None], axis=-1) < 0.3
+    upper = np.triu(near & (rng.random((n, n)) < density), 1)
+    m = np.where(upper, rng.uniform(-1.0, 1.0, (n, n)), 0.0)
+    m = m + m.T
+    v = np.arange(n) < n_v
+    same = v[:, None] == v[None]
+    dominance = np.abs(np.where(same, m, 0.0)).sum(axis=1) + rng.uniform(0.5, 1.5, n)
+    return m + np.diag(np.where(v, dominance, -dominance))
+
+
+def _depth(tree):
+    """Levels of the front tree: each front is pushed after its children."""
+    depths = []
+    for front in tree.fronts:
+        below = [depths.pop() for _ in front.children]
+        depths.append(1 + max(below, default=0))
+    return max(depths)
+
+
+@pytest.mark.parametrize("case", ["one front", "three levels", "V and W apart",
+                                  "only V", "only W", "one coordinate"])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_solve_matches_dense_solve_on_random_sqd_matrices(case, seed):
+    rng = np.random.default_rng(seed)
+    n = 12 if case == "one front" else 60
+    coords = rng.random((n, 2))
+    n_v = int(rng.integers(1, n))
+    if case == "V and W apart":
+        n_v = n // 2
+        coords[:n_v, 0] *= 0.5
+        coords[n_v:, 0] = 0.5 + 0.5 * coords[n_v:, 0]
+    elif case in ("only V", "only W"):
+        n_v = n if case == "only V" else 0
+    elif case == "one coordinate":
+        coords[:] = 0.25
+    matrix = _random_sqd(rng, coords, n_v)
+    rhs = rng.standard_normal(n)
+    with pytest.MonkeyPatch.context() as patch:
+        if case != "one front":
+            patch.setattr(solver, "LEAF_SIZE", 4)
+        system = _plain_system(matrix, rhs, n_v, coords)
+        sol = solve(system)
+    x = np.concatenate([sol.u, sol.z])
+    expected = np.linalg.solve(matrix, rhs)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+    fronts = system.pattern.tree.fronts
+    if case in ("one front", "one coordinate"):
+        assert len(fronts) == 1
+    elif case == "three levels":
+        assert _depth(system.pattern.tree) >= 3
+    elif case == "V and W apart":
+        assert any(f.v_pivots == 0 for f in fronts)
+        assert any(f.v_pivots == f.size for f in fronts)
 
 
 def test_against_dense_lu_oracle(mesh2, problem):

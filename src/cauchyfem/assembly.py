@@ -13,9 +13,8 @@ the free boundary), l(w) = ∫ f w + ∫_data ψ w, and the data functional
 g(v) = γ_V Σ_data ∫ h_F ψ ∂_n v.  For quadratics both penalties gain an
 h_F³-weighted jump of the elementwise Laplacian on interior faces.
 
-Assembly builds the penalties and g at unit γ; `BlockSystem.scaled` applies γ,
-and `penalty_factors` gives the factors with which `solver.build_system`
-scales the saddle matrix.
+Assembly builds the penalties and g at unit γ; `penalty_factors` gives the
+factors with which `solver.build_system` scales the saddle matrix.
 
 Every kernel works on all triangles or faces at once: J and J⁻¹ are the
 mesh's, face traces are rows of reference-edge tables, and the quadrature sums
@@ -25,7 +24,7 @@ are einsums.  The jump penalties, the data functional and the semi-norm
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,17 +60,6 @@ class BlockSystem:
     load: np.ndarray
     data: np.ndarray
     variant: str
-
-    def scaled(self, gamma_v, gamma_w):
-        """The blocks at penalties γ_V and γ_W: s_V = γ_V BᵀB, g = γ_V Bᵀψ̂ and
-        the jump s_W = γ_W BᵀB are the unit blocks times their γ."""
-        return replace(self, s_v=gamma_v * self.s_v, s_w=self.scaled_s_w(gamma_w),
-                       data=gamma_v * self.data)
-
-    def scaled_s_w(self, gamma_w):
-        """s_W at penalty γ_W; the Galerkin s_W carries no penalty
-        (`penalty_factors`) and is returned as it is."""
-        return self.s_w if self.variant == "galerkin" else gamma_w * self.s_w
 
 
 def penalty_factors(variant, gamma_v, gamma_w):
@@ -252,8 +240,9 @@ def assemble_data_term(b, psi_hat):
 
 def assemble_blocks(trial, test, problem, variant="jump"):
     """Assemble every operator and functional of the coupled system at unit
-    penalties, for `BlockSystem.scaled`.  One data-face operator B gives both
-    S_V = BᵀB and g = Bᵀψ̂; it is dropped before the other blocks are built."""
+    penalties (`penalty_factors` applies γ).  One data-face operator B gives
+    both S_V = BᵀB and g = Bᵀψ̂; it is dropped before the other blocks are
+    built."""
     b, psi_hat = face_operator(trial, BoundaryPart.DATA, problem)
     s_v, data = assemble_primal_stab(b), assemble_data_term(b, psi_hat)
     del b, psi_hat

@@ -17,17 +17,18 @@ Its pattern and unit-penalty values are stacked once per mesh
 use the pattern is ordered by nested dissection on the unknowns' coordinates
 and cut into the fronts of a multifrontal factorization (Duff & Reid, ACM
 TOMS 9(3), 1983; `analyse`), which every penalty pair of the mesh reuses.
-Each front factors densely with no pivoting: a Cholesky factorization of its
-V pivots, one of the negated Schur complement of its W pivots, one
-triangular solve for its off-diagonal block and two rank-k updates for what
-it passes to its parent.  One refinement step with the same factors always
-follows (diagonal pivots lose digits when a penalty is small: relative
-residual 1.8e-10 at γ = 1e-4, P1 n=32); the relative residual is then
-checked.
+Each front is assembled in its slot of the factor store and factors there
+densely with no pivoting: a Cholesky factorization of its V pivots, one of
+the negated Schur complement of its W pivots, one triangular solve for its
+off-diagonal block and two rank-k updates for what it passes to its parent.
+One refinement step with the same factors always follows (diagonal pivots
+lose digits when a penalty is small: relative residual 1.8e-10 at γ = 1e-4,
+P1 n=32); the relative residual is then checked.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -59,13 +60,18 @@ class UnconvergedSolveError(SolverError):
 class Front(NamedTuple):
     """One front: pivots at positions start .. start + size of the ordering
     (the V pivots first; `signs` is +1 on them and −1 on the W pivots), then
-    the later positions `struct` that they update.  The stored entries
-    `entries` of the matrix go to the flat (column-major) places `places` of
-    the front's pivot columns.  `children` holds (loc, runs, loc_u, runs_u)
-    per child: columns a .. b of the child's update matrix go to rows
-    `loc[a:]` of pivot columns p .. p + b - a for each (a, b, p) in `runs`,
-    and to rows `loc_u[a:]` of columns p .. p + b - a of the front's own
-    update matrix for each (a, b, p) in `runs_u`."""
+    the later positions `struct` that they update.  Its slot in the factor
+    store holds the pivot block L (size × size), then the off-diagonal
+    block Z (len(struct) × size), both column-major; the stored entries
+    `entries` of the matrix go to the flat places `places` of the slot.
+    `children` holds (cut, z_rows, pivot_runs, update_runs) per child, whose
+    update matrix U has its rows 0 .. cut in the front's pivot rows and the
+    rest in its struct rows.  For each (a, b, p, rows) in `pivot_runs`,
+    columns a .. b of U go to columns p .. p + b − a of the front: U's rows
+    a .. cut to rows `rows` of L, its rows cut .. to rows `z_rows` of Z.
+    For each (a, b, q, rows) in `update_runs`, U[a:, a:b] goes to rows
+    `rows` and columns q .. q + b − a of the front's own update matrix.
+    Rows are a slice where they are consecutive."""
 
     start: int
     size: int
@@ -94,7 +100,12 @@ def analyse(matrix, n_v, coords):
     A subdomain of more than LEAF_SIZE unknowns that do not all share one
     coordinate is bisected at the median of its wider coordinate; its
     separator is the set of left-side unknowns with a matrix neighbour on
-    the right, and its two parts are dissected in turn.
+    the right, and its two parts are dissected in turn.  A separator is
+    ordered V before W; in each, the unknowns with a matrix neighbour in the
+    left part come first, then the rest, each along the cut.  A child's
+    update then maps onto a few runs of consecutive front rows, which
+    `_factor` adds as slices, and each run is cut where the front's pivot
+    rows end.
     """
     n = matrix.shape[0]
     indptr, indices = matrix.indptr, matrix.indices
@@ -107,8 +118,9 @@ def analyse(matrix, n_v, coords):
     pivots, kids = [], []   # per node, children first
 
     def dissect(idx, ei, ej):
-        """Nodes of the subdomain `idx`; the edges (ei, ej) start in it and
-        end in it or in a separator.  Returns the roots of its forest."""
+        """Nodes of the subdomain `idx`; the edges (ei, ej), sorted by ej,
+        start in it and end in it or in a separator.  Returns the roots of
+        its forest."""
         if not len(idx):
             return []
         pts = coords[idx]
@@ -124,12 +136,17 @@ def analyse(matrix, n_v, coords):
             sep = np.unique(ei[(label[ei] == 0) & (label[ej] == 1)])
             label[sep] = 2
             tail = label[ei]
-            roots = (dissect(idx[label[idx] == 0], ei[tail == 0], ej[tail == 0])
-                     + dissect(idx[right], ei[tail == 1], ej[tail == 1]))
+            ei_left, ej_left = ei[tail == 0], ej[tail == 0]
+            # the separator unknowns that end an edge of the left part
+            near = np.searchsorted(ej_left, sep, "right") > np.searchsorted(ej_left, sep)
+            roots = dissect(idx[label[idx] == 0], ei_left, ej_left)
+            del ei_left, ej_left    # freed before the right part is dissected
+            roots += dissect(idx[right], ei[tail == 1], ej[tail == 1])
             if not len(sep):
                 return roots
-            # V before W, each along the separator
-            idx = sep[np.lexsort((coords[sep, 1 - axis], sep >= n_v))]
+            # V before W; in each, the unknowns next to the left part first,
+            # so that its update lands in a few runs; then along the cut
+            idx = sep[np.lexsort((coords[sep, 1 - axis], ~near, sep >= n_v))]
         else:
             roots = []
         pivots.append(idx)     # V unknowns first
@@ -152,7 +169,10 @@ def analyse(matrix, n_v, coords):
     entries, row, col = entries[lower], row[lower], col[lower]
     bounds = np.searchsorted(col, np.arange(n + 1))
 
-    slot = np.empty(n, dtype=np.int64)     # place of a position in its front
+    # row p of a front's column j is place slot[p] + j * stride[p] of the
+    # front's slot: L (k × k) holds its pivot rows, Z (r × k) its struct rows
+    slot = np.empty(n, dtype=np.int64)
+    stride = np.empty(n, dtype=np.int64)
     fronts, structs, start = [], [], 0
     for piv, children in zip(pivots, kids):
         k = len(piv)
@@ -162,23 +182,39 @@ def analyse(matrix, n_v, coords):
         above = [structs[c][np.searchsorted(structs[c], end):] for c in children]
         struct = np.unique(np.concatenate([rows[rows >= end]] + above))
         structs.append(struct)
-        m = k + len(struct)
+        r = len(struct)
         slot[start:end] = np.arange(k)
-        slot[struct] = np.arange(k, m)
+        slot[struct] = np.arange(k * k, k * k + r)
+        stride[start:end] = k
+        stride[struct] = r
         links = []
         for c in children:
             loc = slot[structs[c]]
-            # runs of consecutive front rows, cut where the pivot columns end
-            heads = np.flatnonzero((np.diff(loc, prepend=-2) != 1) | (loc == k))
-            runs = list(zip(heads.tolist(), heads[1:].tolist() + [len(loc)],
-                            loc[heads].tolist()))
-            links.append((loc, [run for run in runs if run[2] < k],
-                          loc - k, [(a, b, p - k) for a, b, p in runs if p >= k]))
+            height = len(loc)
+            # runs (a, b, p): rows a .. b of the child go to consecutive
+            # places p .. p + b - a of a column; they are cut where L ends
+            heads = np.flatnonzero((np.diff(loc, prepend=-2) != 1) | (loc == k * k))
+            firsts = loc[heads].tolist()
+            runs = list(zip(heads.tolist(), heads[1:].tolist() + [height], firsts))
+            split = bisect_left(firsts, k)
+            shifted = loc - k * k   # rows of Z and of the update matrix
+            # rows a .. end of the child go to consecutive front rows, a
+            # slice, when the run from a reaches end
+            update_runs = [(a, b, p - k * k, slice(p - k * k, p - k * k + height - a)
+                            if b == height else shifted[a:]) for a, b, p in runs[split:]]
+            # its rows cut .. go to Z in the rows of its first update run
+            cut, z_rows = height, slice(0, 0)
+            if update_runs:
+                cut, _, _, z_rows = update_runs[0]
+            links.append((cut, z_rows,
+                          [(a, b, p, slice(p, p + cut - a) if b == cut else loc[a:cut])
+                           for a, b, p in runs[:split]],
+                          update_runs))
         v_pivots = int(np.count_nonzero(piv < n_v))
         fronts.append(Front(start, k, v_pivots, struct,
                             np.where(np.arange(k) < v_pivots, 1.0, -1.0),
                             entries[span].astype(np.int32),
-                            (slot[rows] + (col[span] - start) * m).astype(np.int32),
+                            (slot[rows] + (col[span] - start) * stride[rows]).astype(np.int32),
                             links))
         start = end
     return FrontTree(order=order, fronts=fronts)
@@ -195,44 +231,47 @@ def _singular(i, front, block):
 def _factor(tree, data):
     """Per front, L (lower triangle) and Z with the front's pivot block
     L diag(signs) Lᵀ and off-diagonal block Z Lᵀ, for the matrix values
-    `data` on the analysed pattern.  All of them are views of one buffer,
-    which is returned to the system when the solve drops them."""
+    `data` on the analysed pattern.  Each front is assembled in its slot of
+    one buffer and factored there; L and Z are views of that buffer, which
+    is returned to the system when the solve drops them.  The strict upper
+    triangle of every L stays zero."""
     sizes = [front.size * (front.size + len(front.struct)) for front in tree.fronts]
-    store = np.empty(sum(sizes))
+    store = np.zeros(sum(sizes))
     factors, stack, at = [], [], 0
     for i, (front, size) in enumerate(zip(tree.fronts, sizes)):
         k, kv, r = front.size, front.v_pivots, len(front.struct)
-        f = np.zeros((k + r, k), order="F")       # the pivot columns
-        update = np.zeros((r, r), order="F")      # what goes to the parent
-        f.reshape(-1, order="F")[front.places] = data[front.entries]
-        for loc, runs, loc_u, runs_u in reversed(front.children):
-            child = stack.pop()
-            for a, b, p in runs:
-                f[loc[a:], p:p + b - a] += child[a:, a:b]
-            for a, b, p in runs_u:
-                update[loc_u[a:], p:p + b - a] += child[a:, a:b]
-        low = store[at:at + k * k].reshape((k, k), order="F")
-        off = store[at + k * k:at + size].reshape((r, k), order="F")
+        slot = store[at:at + size]
         at += size
+        slot[front.places] = data[front.entries]
+        low = slot[:k * k].reshape((k, k), order="F")
+        off = slot[k * k:].reshape((r, k), order="F")
+        update = np.zeros((r, r), order="F")      # what goes to the parent
+        for cut, z_rows, pivot_runs, update_runs in reversed(front.children):
+            child = stack.pop()
+            for a, b, p, rows in pivot_runs:
+                low[rows, p:p + b - a] += child[a:cut, a:b]
+                off[z_rows, p:p + b - a] += child[cut:, a:b]
+            for a, b, q, rows in update_runs:
+                update[rows, q:q + b - a] += child[a:, a:b]
         # V pivots: F_vv = L₁L₁ᵀ; W pivots: XXᵀ − F_ww = L₂L₂ᵀ, X = F_wv L₁⁻ᵀ
-        # (the strict upper triangles of L₁, L₂ and L are never read)
         if kv:
-            low[:kv, :kv], info = dpotrf(f[:kv, :kv], lower=1, clean=0)
+            low[:kv, :kv], info = dpotrf(low[:kv, :kv], lower=1, clean=0,
+                                         overwrite_a=1)
             if info:
                 raise _singular(i, front, "V")
         if kv < k:
-            schur = -f[kv:k, kv:k]
             if kv:
-                low[kv:, :kv] = dtrsm(1.0, low[:kv, :kv], f[kv:k, :kv], side=1,
+                low[kv:, :kv] = dtrsm(1.0, low[:kv, :kv], low[kv:, :kv], side=1,
                                       lower=1, trans_a=1)
-                schur = dsyrk(1.0, low[kv:, :kv], beta=-1.0, c=f[kv:k, kv:k], lower=1)
-            low[kv:, kv:], info = dpotrf(schur, lower=1, clean=0)
+                schur = dsyrk(1.0, low[kv:, :kv], beta=-1.0, c=low[kv:, kv:], lower=1)
+            else:
+                schur = np.negative(low, out=low)
+            low[kv:, kv:], info = dpotrf(schur, lower=1, clean=0, overwrite_a=1)
             if info:
                 raise _singular(i, front, "W")
         # off-diagonal block Z = F_uv L⁻ᵀ and the update matrix
         # F_uu − Z_v Z_vᵀ + Z_w Z_wᵀ (lower triangle) for the parent
         if r:
-            off[:] = f[k:]
             dtrsm(1.0, low, off, side=1, lower=1, trans_a=1, overwrite_b=1)
             if kv:
                 update = dsyrk(-1.0, off[:, :kv], beta=1.0, c=update, lower=1,

@@ -9,14 +9,14 @@ helpers that only tests use.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from cauchyfem.assembly import (VOLUME_DEGREE, BlockSystem, assemble_blocks,
                                 assemble_data_term, assemble_dual_stab,
                                 assemble_primal_stab, assemble_stiffness,
-                                face_operator)
+                                face_operator, penalty_factors)
 from cauchyfem.mesh import GEOM_TOL, BoundaryPart, mesh_size
 from cauchyfem.solver import build_system, saddle_pattern, solve
 from cauchyfem.spaces import (build_space, cell_points, shape_grads, shape_values,
@@ -339,9 +339,10 @@ def structured_triangles(n):
 
 
 # ---------------------------------------------------------------------------
-# helpers only tests use: a solve from scratch, the discrete consistency
-# probe, interpolation and point evaluation, mesh quality, the discrete
-# Poincaré ratio and the continuous-dependence reference curves
+# helpers only tests use: the blocks at given penalties, a solve from
+# scratch, the discrete consistency probe, interpolation and point
+# evaluation, mesh quality, the discrete Poincaré ratio and the
+# continuous-dependence reference curves
 
 
 def primal_stab(space):
@@ -359,12 +360,21 @@ def volume_points(mesh):
     return cell_points(mesh, triangle_rule(VOLUME_DEGREE).points)
 
 
+def scaled(blocks, gamma_v, gamma_w):
+    """The unit blocks at penalties γ_V and γ_W: s_V and g times the S_V
+    factor of `penalty_factors`, s_W times the S_W factor (1 for the
+    Galerkin s_W); A and the load are shared with `blocks`."""
+    f_v, _, f_w = penalty_factors(blocks.variant, gamma_v, gamma_w)
+    return replace(blocks, s_v=f_v * blocks.s_v, s_w=f_w * blocks.s_w,
+                   data=f_v * blocks.data)
+
+
 def solve_from_scratch(mesh, degree, problem, gamma_v, gamma_w, variant="jump"):
     """Spaces, blocks at (γ_V, γ_W), saddle system and solve on `mesh`,
     without the drivers' per-mesh reuse.  Returns (solution, V, W, blocks)."""
     trial = build_space(mesh, degree, BoundaryPart.DATA)
     test = build_space(mesh, degree, BoundaryPart.FREE)
-    blocks = assemble_blocks(trial, test, problem, variant).scaled(gamma_v, gamma_w)
+    blocks = scaled(assemble_blocks(trial, test, problem, variant), gamma_v, gamma_w)
     return solve(build_system(saddle_pattern(blocks, trial, test))), trial, test, blocks
 
 
@@ -392,7 +402,7 @@ def discrete_consistency_probe(mesh, degree, gamma_v, gamma_w, variant="jump",
     # g = S_V v at unit γ_V; scaling makes it γ_V S_V v for the scaled S_V
     unit = BlockSystem(s_v=s_v, a=a, s_w=assemble_dual_stab(test, variant),
                        load=a @ probe, data=s_v @ probe, variant=variant)
-    sol = solve(build_system(saddle_pattern(unit.scaled(gamma_v, gamma_w), trial, test)))
+    sol = solve(build_system(saddle_pattern(scaled(unit, gamma_v, gamma_w), trial, test)))
     return float(max(np.abs(sol.u - probe).max(), np.abs(sol.z).max()))
 
 

@@ -23,7 +23,7 @@ from cauchyfem.spaces import build_space
 
 from .oracles import (dense_data_term, dense_dual_stab, dense_face_jumps,
                       dense_load, dense_stiffness, discrete_consistency_probe,
-                      loop_stab_seminorm_u, shape_eval, signed_areas)
+                      loop_stab_seminorm_u, scaled, shape_eval, signed_areas)
 
 P1_STUDY = RunConfig(degree=1, levels=(8, 16, 32, 64), jitter=0.2, seed=1)
 P2_STUDY = RunConfig(degree=2, levels=(8, 16, 32, 64), jitter=0.0, seed=0)
@@ -73,7 +73,7 @@ def test_c1_oracle_equivalence():
             worst = max(worst, abs(stab_seminorm_u(report_data(trial, problem), u, 0.01)
                                    - loop_stab_seminorm_u(trial, u, problem, 0.01)))
             for variant in ("galerkin", "jump"):
-                blocks = assemble_blocks(trial, test, problem, variant).scaled(0.01, 0.01)
+                blocks = scaled(assemble_blocks(trial, test, problem, variant), 0.01, 0.01)
                 worst = max(
                     worst,
                     np.abs(blocks.a.toarray() - dense_stiffness(trial, test)).max(),
@@ -177,7 +177,7 @@ def test_c7_structural_invariants():
     for variant in ("galerkin", "jump"):
         trial = build_space(mesh, 1, BoundaryPart.DATA)
         test = build_space(mesh, 1, BoundaryPart.FREE)
-        blocks = assemble_blocks(trial, test, problem, variant).scaled(0.01, 0.01)
+        blocks = scaled(assemble_blocks(trial, test, problem, variant), 0.01, 0.01)
         system = build_system(saddle_pattern(blocks, trial, test))
         sym_defect = max(sym_defect, abs(system.matrix - system.matrix.T).max())
         for s in (blocks.s_v, blocks.s_w):

@@ -15,7 +15,7 @@ from cauchyfem.spaces import build_space, edge_tables, segment_rule
 from .oracles import (data_term, dense_data_term, dense_dual_stab, dense_face_jumps,
                       dense_load, dense_stiffness, fe_jump_seminorm,
                       loop_stab_seminorm_u, mapped_traces, nodal_interpolant,
-                      primal_stab, solve_from_scratch, triangle_points)
+                      primal_stab, scaled, solve_from_scratch, triangle_points)
 
 GAMMA = 0.01
 
@@ -69,9 +69,9 @@ def _same_bits(x, y):
 
 
 def test_gamma_scaling(problem):
-    # γ enters only in BlockSystem.scaled: s_V, g and the jump s_W are γ times
-    # a fresh unit block, the Galerkin s_W is passed through, and the unit
-    # blocks are left as they were
+    # γ enters only through the factors of penalty_factors: s_V, g and the
+    # jump s_W are γ times a fresh unit block, the Galerkin s_W keeps the
+    # bits of a fresh unit block, and the unit blocks are left as they were
     mesh = unit_square_mesh(3, jitter=0.2, seed=3)
     gamma_v, gamma_w = 0.01, 0.3
     for degree in (1, 2):
@@ -80,16 +80,14 @@ def test_gamma_scaling(problem):
             unit = assemble_blocks(trial, test, problem, variant)
             before = {name: getattr(unit, name).copy()
                       for name in ("s_v", "a", "s_w", "load", "data")}
-            blocks = unit.scaled(gamma_v, gamma_w)
+            blocks = scaled(unit, gamma_v, gamma_w)
             assert _same_bits(blocks.s_v, gamma_v * primal_stab(trial))
             assert np.array_equal(blocks.data,
                                   gamma_v * data_term(trial, problem))
             if variant == "jump":
                 assert _same_bits(blocks.s_w, gamma_w * assemble_dual_stab(test, "jump"))
-                assert _same_bits(unit.scaled_s_w(gamma_w), blocks.s_w)
             else:
-                assert blocks.s_w is unit.s_w
-                assert unit.scaled_s_w(gamma_w) is unit.s_w
+                assert _same_bits(blocks.s_w, assemble_dual_stab(test, "galerkin"))
             assert blocks.a is unit.a and blocks.load is unit.load
             for name in ("s_v", "a", "s_w"):
                 assert _same_bits(getattr(unit, name), before[name]), name
@@ -218,7 +216,7 @@ def test_operators_match_dense_oracle(n, degree, problem):
     assert np.abs(GAMMA * primal_stab(trial).toarray()
                   - dense_face_jumps(trial, BoundaryPart.DATA, GAMMA)).max() < 1e-12
     for variant in ("galerkin", "jump"):
-        s_w = assemble_blocks(trial, test, problem, variant).scaled(GAMMA, GAMMA).s_w
+        s_w = scaled(assemble_blocks(trial, test, problem, variant), GAMMA, GAMMA).s_w
         assert np.abs(s_w.toarray() - dense_dual_stab(test, variant, GAMMA)).max() < 1e-12
     assert np.abs(assemble_load(test, problem) - dense_load(test, problem)).max() < 1e-12
     assert np.abs(GAMMA * data_term(trial, problem)
@@ -230,7 +228,7 @@ def test_operators_match_dense_oracle(n, degree, problem):
 def test_stabilizers_symmetric_psd(degree, variant, problem):
     mesh = unit_square_mesh(4)
     trial, test = spaces_on(mesh, degree)
-    blocks = assemble_blocks(trial, test, problem, variant).scaled(GAMMA, GAMMA)
+    blocks = scaled(assemble_blocks(trial, test, problem, variant), GAMMA, GAMMA)
     rng = np.random.default_rng(7)
     for name, s in (("s_v", blocks.s_v), ("s_w", blocks.s_w)):
         assert abs(s - s.T).max() < 1e-13, name
@@ -245,7 +243,7 @@ def test_stabilizers_symmetric_psd(degree, variant, problem):
 def test_batched_kernels_property(n, jitter, seed, degree, variant, problem):
     mesh = unit_square_mesh(n, jitter, seed)
     trial, test = spaces_on(mesh, degree)
-    blocks = assemble_blocks(trial, test, problem, variant).scaled(GAMMA, GAMMA)
+    blocks = scaled(assemble_blocks(trial, test, problem, variant), GAMMA, GAMMA)
     for name, s in (("s_v", blocks.s_v), ("s_w", blocks.s_w)):
         dense = s.toarray()
         # the face penalties γBᵀB are symmetric to the last bit; the Galerkin

@@ -15,7 +15,7 @@ from cauchyfem.solver import (RESIDUAL_TOL, SaddlePattern, SingularSystemError,
 from cauchyfem.spaces import build_space
 
 from .oracles import (discrete_consistency_probe, eval_fe, nodal_interpolant,
-                      solve_from_scratch)
+                      scaled, solve_from_scratch)
 
 GAMMA = 0.01
 
@@ -23,7 +23,7 @@ GAMMA = 0.01
 def make_system(mesh, degree, problem, variant="jump", gamma=GAMMA):
     trial = build_space(mesh, degree, BoundaryPart.DATA)
     test = build_space(mesh, degree, BoundaryPart.FREE)
-    blocks = assemble_blocks(trial, test, problem, variant).scaled(gamma, gamma)
+    blocks = scaled(assemble_blocks(trial, test, problem, variant), gamma, gamma)
     return build_system(saddle_pattern(blocks, trial, test)), trial, test, blocks
 
 
@@ -198,6 +198,73 @@ def test_solve_matches_dense_solve_on_random_sqd_matrices(case, seed):
     elif case == "V and W apart":
         assert any(f.v_pivots == 0 for f in fronts)
         assert any(f.v_pivots == f.size for f in fronts)
+
+
+def _child_plans(tree):
+    """(front, child front, plan) for every child of every front."""
+    stack = []
+    for i, front in enumerate(tree.fronts):
+        kids = stack[len(stack) - len(front.children):]
+        del stack[len(stack) - len(front.children):]
+        for c, plan in zip(kids, front.children):
+            yield front, tree.fronts[c], plan
+        stack.append(i)
+
+
+def _row_list(rows):
+    return np.arange(rows.start, rows.stop) if isinstance(rows, slice) else rows
+
+
+@pytest.mark.parametrize("leaf_size", [solver.LEAF_SIZE, 4])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_extend_add_runs_lie_in_pivot_or_struct_rows(leaf_size, degree, problem):
+    # each run of a child's update maps to consecutive front rows that lie
+    # wholly in the pivot rows (L and Z) or wholly in the struct rows (the
+    # front's update matrix); every L is assembled and factored in place,
+    # and its strict upper triangle stays zero
+    system, *_ = make_system(unit_square_mesh(12, jitter=0.2, seed=2), degree, problem)
+    pattern = system.pattern
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "LEAF_SIZE", leaf_size)
+        tree = solver.analyse(pattern.unit, len(pattern.v_free), pattern.coords)
+    assert len(tree.fronts) > 2
+    for front, child, (cut, z_rows, pivot_runs, update_runs) in _child_plans(tree):
+        k = front.size
+        inside = child.struct < front.start + k
+        expected = np.where(inside, child.struct - front.start,
+                            k + np.searchsorted(front.struct, child.struct))
+        assert cut == np.count_nonzero(inside)
+        mapped = np.full(len(expected), -1)
+        for a, b, p, rows in pivot_runs:
+            assert b <= cut and p + b - a <= k
+            mapped[a:b] = np.arange(p, p + b - a)
+            assert np.array_equal(_row_list(rows), expected[a:cut])
+        for a, b, q, rows in update_runs:
+            assert a >= cut and q >= 0
+            mapped[a:b] = k + np.arange(q, q + b - a)
+            assert np.array_equal(k + _row_list(rows), expected[a:])
+        assert np.array_equal(mapped, expected)
+        assert np.array_equal(k + _row_list(z_rows), expected[cut:])
+    for low, _ in solver._factor(tree, system.matrix.data):
+        assert not np.triu(low, 1).any()
+
+
+@pytest.mark.parametrize("jitter, seed", [(0.0, 0), (0.25, 3)])
+def test_child_updates_map_onto_few_runs(jitter, seed, problem):
+    # a separator's unknowns next to its left part come first, so the left
+    # child's update does not split at every other row (64 and 34 runs for
+    # one child when a separator was ordered only along the cut)
+    system, *_ = make_system(unit_square_mesh(16, jitter, seed), 2, problem, gamma=1e-3)
+    runs = [len(pivot_runs) + len(update_runs)
+            for front in system.pattern.tree.fronts
+            for _, _, pivot_runs, update_runs in front.children]
+    assert max(runs) <= 24
+
+
+def test_fill_at_p2_n16_is_pinned(problem):
+    # the order inside a separator moves no fill
+    system, *_ = make_system(unit_square_mesh(16), 2, problem, gamma=1e-3)
+    assert solve(system).lu_fill == 383_631
 
 
 def test_against_dense_lu_oracle(mesh2, problem):

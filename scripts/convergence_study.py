@@ -1,13 +1,14 @@
 """Refinement study for both polynomial degrees.
 
-Writes convergence_p1.csv and convergence_p2.csv with global/local errors,
-stabilization semi-norms, the error estimator, and observed rates.
+Runs `cauchyfem convergence` once per degree, writing convergence_p1.csv and
+convergence_p2.csv with global/local errors, stabilization semi-norms, the
+error estimator, and observed rates.
 """
 
 import pathlib
 import sys
 
-from cauchyfem.experiments import RunConfig, run_convergence
+from cauchyfem import cli
 
 OUT_DIR = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path(".")
 LEVELS = (8, 16, 32, 64)
@@ -15,25 +16,18 @@ JITTER = 0.2  # emulates an unstructured mesh family; set 0.0 for lattice meshes
 
 
 def main():
+    """One run of the command per degree; returns 1 if a solve failed."""
     OUT_DIR.mkdir(parents=True, exist_ok=True)
+    status = 0
     for degree in (1, 2):
-        out = OUT_DIR / f"convergence_p{degree}.csv"
-        config = RunConfig(degree=degree, levels=LEVELS, jitter=JITTER, seed=1,
-                           output_path=str(out))
-        rows = run_convergence(config)
-        print(f"P{degree} (gamma={config.resolved_gamma_v}):")
-        for row in rows:
-            r = row.report
-            if r is None:
-                print(f"  n={row.n}: failed ({row.error})")
-                continue
-            rate = "" if row.rate_local_l2 is None else \
-                f"  rate_loc={row.rate_local_l2:.2f} rate_stab={row.rate_stab:.2f}"
-            print(f"  n={row.n:3d} h={r.h:.4f} global={r.global_l2:.3e} "
-                  f"local={r.local_l2:.3e} stab={r.stab_u + r.stab_z:.3e} "
-                  f"eta={r.eta:.3e}{rate}")
-        print(f"  -> {out}")
+        print(f"P{degree}:")
+        status = max(status, cli.main([
+            "convergence", "--degree", str(degree),
+            "--levels", ",".join(str(n) for n in LEVELS),
+            "--jitter", repr(float(JITTER)), "--seed", "1",
+            "--out", str(OUT_DIR / f"convergence_p{degree}.csv")]))
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,7 +1,7 @@
 """Error study under variation of the penalty parameter on a fixed 64x64 mesh.
 
-One solve per gamma with gamma_v = gamma_w = gamma, for both degrees; writes
-sweep_p1.csv and sweep_p2.csv.
+Runs `cauchyfem sweep` once per degree, one solve per gamma with
+gamma_v = gamma_w = gamma; writes sweep_p1.csv and sweep_p2.csv.
 """
 
 import pathlib
@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from cauchyfem.experiments import RunConfig, run_sweep
+from cauchyfem import cli
 
 OUT_DIR = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path(".")
 GAMMAS = np.logspace(-4.0, 0.0, 9)
@@ -17,21 +17,19 @@ N = 64
 
 
 def main():
+    """One run of the command per degree; returns 1 if a solve failed."""
     OUT_DIR.mkdir(parents=True, exist_ok=True)
+    status = 0
     for degree in (1, 2):
-        out = OUT_DIR / f"sweep_p{degree}.csv"
-        config = RunConfig(degree=degree, output_path=str(out))
-        rows = run_sweep(config, gammas=GAMMAS, n=N)
-        print(f"P{degree}, n={N}:")
-        for row in rows:
-            r = row.report
-            if r is None:
-                print(f"  gamma={row.key:.1e}: failed ({row.error})")
-                continue
-            print(f"  gamma={row.key:.1e} global={r.global_l2:.3e} "
-                  f"local={r.local_l2:.3e} eta={r.eta:.3e}")
-        print(f"  -> {out}")
+        print(f"P{degree}:")
+        # a float's repr parses back to the same float; a numpy float64's
+        # repr (np.float64(...)) does not parse
+        status = max(status, cli.main([
+            "sweep", "--degree", str(degree), "--n", str(N),
+            "--gammas", ",".join(repr(float(g)) for g in GAMMAS),
+            "--out", str(OUT_DIR / f"sweep_p{degree}.csv")]))
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

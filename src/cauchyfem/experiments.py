@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .analysis import convergence_rate, error_report, report_data
 from .assembly import SW_VARIANTS, assemble_blocks, penalty_factors
-from .mesh import BoundaryPart, unit_square_mesh
+from .mesh import MAX_JITTER, BoundaryPart, unit_square_mesh
 from .problem import quartic_example
 from .solver import SolverError, build_system, saddle_pattern, solve
 from .spaces import build_space
@@ -49,7 +50,6 @@ class RunConfig:
     jitter: float = 0.0
     seed: int = 0
     output_path: Optional[str] = None
-    emit_fields: bool = False
 
     def __post_init__(self):
         if self.degree not in (1, 2):
@@ -57,8 +57,8 @@ class RunConfig:
         if self.sw_variant not in SW_VARIANTS:
             raise ValueError(f"unknown dual stabilizer variant {self.sw_variant!r}; "
                              f"expected one of {SW_VARIANTS}")
-        if not 0.0 <= self.jitter < 0.3:
-            raise ValueError(f"jitter {self.jitter:g} must lie in [0, 0.3)")
+        if not 0.0 <= self.jitter < MAX_JITTER:
+            raise ValueError(f"jitter {self.jitter:g} must lie in [0, {MAX_JITTER:g})")
         if not self.levels or any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("levels must be non-empty and strictly increasing")
         if self.seed < 0:
@@ -66,6 +66,9 @@ class RunConfig:
         for g in (self.gamma_v, self.gamma_w):
             if g is not None:
                 check_penalty(g)
+        if self.output_path and not Path(self.output_path).parent.is_dir():
+            raise ValueError(f"output path {self.output_path!r}: "
+                             "its directory does not exist")
 
     @property
     def resolved_gamma_v(self):
@@ -181,14 +184,14 @@ def run_sweep(config, gammas=DEFAULT_SWEEP_GAMMAS, n=64):
 
 
 def run_single(config, n=8):
-    """Single solve; returns its row.  If the solve succeeds, optionally dumps
-    vertex fields as legacy VTK."""
+    """Single solve; returns its row.  If the solve succeeds and
+    config.output_path is set, writes the vertex fields there as legacy VTK."""
     level = Level(config, n)
     row = Row(0, n)
     solution = _solve(row, level, config.resolved_gamma_v, config.resolved_gamma_w)
     if solution is None:
         return row
-    if config.emit_fields and config.output_path:
+    if config.output_path:
         mesh = level.trial.mesh
         nv = mesh.num_vertices
         exact = level.problem.exact_u(mesh.vertices[:, 0], mesh.vertices[:, 1])

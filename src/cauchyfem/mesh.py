@@ -15,6 +15,9 @@ import numpy as np
 
 GEOM_TOL = 1e-12
 
+#: jitter lies in [0, MAX_JITTER), in units of the lattice spacing
+MAX_JITTER = 0.3
+
 #: face_part codes for faces that are not (yet) assigned to a boundary part
 INTERIOR = -1
 UNTAGGED = -2
@@ -145,8 +148,8 @@ def build_structured(n, jitter=0.0, seed=0):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 0.0 <= jitter < 0.3:
-        raise ValueError("jitter must lie in [0, 0.3)")
+    if not 0.0 <= jitter < MAX_JITTER:
+        raise ValueError(f"jitter must lie in [0, {MAX_JITTER:g})")
 
     side = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(side, side, indexing="xy")

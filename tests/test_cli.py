@@ -1,7 +1,9 @@
 import pytest
 
-from cauchyfem import experiments
-from cauchyfem.cli import main, read_config_file
+from cauchyfem import cli, experiments, mesh as mesh_module
+from cauchyfem.cli import build_parser, main, read_config_file
+
+from .test_experiments import _counting
 
 
 def test_convergence_command(tmp_path, capsys):
@@ -13,7 +15,9 @@ def test_convergence_command(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("level,n,h,dofs_V,dofs_W,global_l2")
     assert len(lines) == 3
-    assert "n=4" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "rate_l2 rate_stab" in printed.splitlines()[0]
+    assert "n=4" in printed
 
 
 def test_sweep_command(tmp_path):
@@ -25,10 +29,19 @@ def test_sweep_command(tmp_path):
 
 def test_solve_command_with_fields(tmp_path, capsys):
     out = tmp_path / "fields.vtk"
-    code = main(["solve", "--n", "4", "--emit-fields", "--out", str(out)])
+    code = main(["solve", "--n", "4", "--out", str(out)])
     assert code == 0
-    assert "eta" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "eta" in printed and f"wrote {out}" in printed
     assert "SCALARS u_h double 1" in out.read_text()
+
+
+def test_solve_out_from_config_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("out = fields.vtk\n")
+    assert main(["solve", "--n", "2", "--config", "run.cfg"]) == 0
+    assert "wrote fields.vtk" in capsys.readouterr().out
+    assert "SCALARS u_h double 1" in (tmp_path / "fields.vtk").read_text()
 
 
 @pytest.mark.parametrize("argv", [["sweep", "--n", "0", "--gammas", "1"],
@@ -37,6 +50,38 @@ def test_mesh_level_below_one_is_rejected(tmp_path, capsys, argv):
     with pytest.raises(SystemExit):
         main(argv + ["--out", str(tmp_path / "out")])
     assert "--n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, option, text", [
+    (["sweep", "--n", "2.5"], "--n", "2.5"),
+    (["solve", "--n", "two"], "--n", "two"),
+    (["convergence", "--levels", "2,x"], "--levels", "x")],
+    ids=["sweep", "solve", "convergence"])
+def test_non_integer_mesh_level_is_named(capsys, argv, option, text):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: mesh level {text!r} is not an integer" in err
+    assert f"usage: cauchyfem {argv[0]} " in err
+
+
+@pytest.mark.parametrize("argv", [["convergence", "--levels", "2"],
+                                  ["sweep", "--n", "2", "--gammas", "0.1"],
+                                  ["solve", "--n", "2"]],
+                         ids=["convergence", "sweep", "solve"])
+def test_missing_output_directory_is_rejected_before_any_mesh(tmp_path, monkeypatch,
+                                                             capsys, argv):
+    counts = {"from_triangles": 0}
+    _counting(monkeypatch, mesh_module, "from_triangles", counts)
+    out = tmp_path / "no" / "such" / "out"
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--out", str(out)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"output path {str(out)!r}: its directory does not exist" in err
+    assert f"usage: cauchyfem {argv[0]} " in err
+    assert counts["from_triangles"] == 0
 
 
 @pytest.mark.parametrize("option, value, named", [
@@ -69,10 +114,10 @@ def test_empty_lists_are_rejected(tmp_path, capsys, argv, option):
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("degree = 2\ngamma-v = 0.005  # overridden below\n"
-                   "levels = 2,4\nemit_fields = true\n")
+                   "levels = 2,4\nout = fields.vtk\n")
     values = read_config_file(cfg)
     assert values == {"degree": 2, "gamma_v": 0.005, "levels": (2, 4),
-                      "emit_fields": True}
+                      "out": "fields.vtk"}
     bad = tmp_path / "bad.cfg"
     bad.write_text("degree 2\n")
     with pytest.raises(ValueError):
@@ -110,12 +155,10 @@ def test_config_file_degree_zero_is_not_the_default(tmp_path, capsys):
     (["convergence", "--levels", "2"], "degree = 3\n", "degree must be 1 or 2"),
     (["convergence", "--levels", "2"], "sw_variant = nitsche\n", "'nitsche'"),
     (["sweep", "--n", "2"], "gama_v = 5\n", "run.cfg:1: unknown key 'gama_v'"),
-    (["solve", "--n", "2", "--emit-fields"], "emit_fields = true\ngammas = 0\n",
+    (["solve", "--n", "2"], "degree = 2\ngammas = 0\n",
      "run.cfg:2: gammas: penalty 0.0 must be positive"),
-    (["solve", "--n", "2"], "emit_fields = ture\n",
-     "run.cfg:1: emit_fields: expected 1/0, true/false, yes/no or on/off, got 'ture'"),
 ], ids=["jitter", "seed", "levels", "degree", "sw_variant", "unknown_key",
-        "bad_value", "emit_fields"])
+        "bad_value"])
 def test_rejected_options_are_usage_errors(tmp_path, capsys, argv, cfg_text, named):
     out = tmp_path / "out"
     if cfg_text is not None:
@@ -125,7 +168,9 @@ def test_rejected_options_are_usage_errors(tmp_path, capsys, argv, cfg_text, nam
     with pytest.raises(SystemExit) as info:
         main(argv + ["--out", str(out)])
     assert info.value.code == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err
+    assert f"usage: cauchyfem {argv[0]} " in err
     assert not out.exists()
 
 
@@ -141,28 +186,38 @@ def test_config_key_of_another_command_is_a_usage_error(tmp_path, capsys, argv,
     with pytest.raises(SystemExit) as info:
         main(argv + ["--config", str(cfg), "--out", str(out)])
     assert info.value.code == 2
-    assert (f"{cfg}: key {key!r} is not an option of the {argv[0]} command"
-            in capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert f"{cfg}: key {key!r} is not an option of the {argv[0]} command" in err
+    assert f"usage: cauchyfem {argv[0]} " in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cfg_text", [None, "out = wanted.vtk\n",
-                                      "emit_fields = no\n"],
-                         ids=["flag", "config_out", "config_no_fields"])
-def test_solve_out_without_emit_fields_is_a_usage_error(tmp_path, capsys, monkeypatch,
-                                                        cfg_text):
+#: a value for every option, unlike its default
+OPTION_VALUES = {"degree": "2", "gamma_v": "0.005", "gamma_w": "0.002",
+                 "sw_variant": "galerkin", "jitter": "0.1", "seed": "3",
+                 "out": "out.txt", "levels": "2,4", "n": "3", "gammas": "0.1,0.2"}
+
+
+@pytest.mark.parametrize("command, dest", [
+    (command, dest) for command, (_, options) in build_parser()[1].items()
+    for dest in options])
+def test_config_key_reaches_the_driver_as_its_flag(tmp_path, monkeypatch, command,
+                                                   dest):
     monkeypatch.chdir(tmp_path)
-    argv = ["solve", "--n", "2"]
-    if cfg_text is not None:
-        (tmp_path / "run.cfg").write_text(cfg_text)
-        argv += ["--config", "run.cfg"]
-    if cfg_text != "out = wanted.vtk\n":
-        argv += ["--out", "wanted.vtk"]
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
-    assert "--out only with --emit-fields" in capsys.readouterr().err
-    assert not (tmp_path / "wanted.vtk").exists()
+    calls = []
+
+    def driver(config, **keywords):
+        calls.append((config, keywords))
+        return []
+
+    monkeypatch.setitem(cli._COMMANDS, command, (driver,) + cli._COMMANDS[command][1:])
+    _, options = build_parser()[1][command]
+    flag = options[dest].option_strings[0]
+    (tmp_path / "run.cfg").write_text(f"{dest} = {OPTION_VALUES[dest]}\n")
+    for argv in ([], [flag, OPTION_VALUES[dest]], ["--config", "run.cfg"]):
+        assert main([command] + argv) == 0
+    unset, from_flag, from_file = calls
+    assert from_file == from_flag != unset
 
 
 def test_solve_without_out_or_fields_writes_nothing(tmp_path, capsys, monkeypatch):
@@ -180,15 +235,6 @@ def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys):
     assert info.value.code == 2
     assert str(missing) in capsys.readouterr().err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("text, value", [
-    ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
-    ("0", False), ("False", False), ("NO", False), ("off", False)])
-def test_config_file_booleans(tmp_path, text, value):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"emit_fields = {text}\n")
-    assert read_config_file(cfg) == {"emit_fields": value}
 
 
 def test_flags_win_over_config_file(tmp_path):
@@ -230,7 +276,7 @@ def test_solve_failure_exit_code(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(experiments, "solve_level", boom)
     out = tmp_path / "fields.vtk"
-    code = main(["solve", "--n", "2", "--emit-fields", "--out", str(out)])
+    code = main(["solve", "--n", "2", "--out", str(out)])
     assert code == 1
     printed = capsys.readouterr().out
     assert "n=2 failed: SingularSystemError: synthetic failure" in printed
@@ -240,7 +286,7 @@ def test_solve_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [["convergence", "--levels", "2"],
                                   ["sweep", "--n", "2", "--gammas", "0.1"],
-                                  ["solve", "--n", "2", "--emit-fields"]],
+                                  ["solve", "--n", "2"]],
                          ids=["convergence", "sweep", "solve"])
 def test_errors_while_running_propagate(tmp_path, monkeypatch, argv):
     def bad_data(level, gamma_v, gamma_w):

@@ -65,6 +65,13 @@ def test_config_rejects_non_finite_penalties(bad):
         RunConfig(**bad)
 
 
+def test_config_rejects_output_path_in_missing_directory(tmp_path):
+    out = tmp_path / "missing" / "out.csv"
+    with pytest.raises(ValueError, match=re.escape(f"output path {str(out)!r}")):
+        RunConfig(output_path=str(out))
+    assert RunConfig(output_path="out.csv").output_path == "out.csv"
+
+
 def test_gamma_defaults_per_degree():
     assert RunConfig(degree=1).resolved_gamma_v == 0.01
     assert RunConfig(degree=2).resolved_gamma_v == 0.001
@@ -165,7 +172,7 @@ def test_sweep_csv_schema(tmp_path):
 
 def test_run_single_emits_vtk(tmp_path):
     out = tmp_path / "fields.vtk"
-    config = RunConfig(degree=1, emit_fields=True, output_path=str(out))
+    config = RunConfig(degree=1, output_path=str(out))
     row = run_single(config, 4)
     assert row.report.eta > 0
     text = out.read_text().splitlines()

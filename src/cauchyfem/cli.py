@@ -144,12 +144,12 @@ def _print_rows(rows, label, rates):
         print(line)
 
 
-#: command -> (driver, option -> driver keyword, output file when --out is
-#: unset, or None to write nothing)
+#: command -> (driver, output file when --out is unset, or None to write
+#: nothing); its options other than --out and RunConfig's are driver keywords
 _COMMANDS = {
-    "convergence": (experiments.run_convergence, {}, "convergence.csv"),
-    "sweep": (experiments.run_sweep, {"gammas": "gammas", "n": "n"}, "sweep.csv"),
-    "solve": (experiments.run_single, {"n": "n"}, None),
+    "convergence": (experiments.run_convergence, "convergence.csv"),
+    "sweep": (experiments.run_sweep, "sweep.csv"),
+    "solve": (experiments.run_single, None),
 }
 _CONFIG_FIELDS = {field.name for field in dataclasses.fields(experiments.RunConfig)}
 
@@ -158,7 +158,7 @@ def main(argv=None):
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     command, options = commands[args.command]
-    driver, keywords, out_default = _COMMANDS[args.command]
+    driver, out_default = _COMMANDS[args.command]
     try:
         # an option set neither by a flag nor by the file is left out, so the
         # default of RunConfig or of the driver holds; flags win over the file
@@ -175,9 +175,8 @@ def main(argv=None):
                                        **fields)
     except (OSError, ValueError) as err:
         command.error(str(err))
-    rows = driver(config, **{keyword: opts[option]
-                             for option, keyword in keywords.items() if option in opts})
-    rows = rows if isinstance(rows, list) else [rows]
+    rows = driver(config, **{key: value for key, value in opts.items()
+                             if key in options and key not in _CONFIG_FIELDS | {"out"}})
     _print_rows(rows, "{0.key:.1e}" if args.command == "sweep" else "n={0.n}",
                 rates=args.command == "convergence")
     failed = any(row.report is None for row in rows)

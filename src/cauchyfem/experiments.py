@@ -66,6 +66,8 @@ class RunConfig:
         for g in (self.gamma_v, self.gamma_w):
             if g is not None:
                 check_penalty(g)
+        if self.output_path and Path(self.output_path).is_dir():
+            raise ValueError(f"output path {self.output_path!r}: it is a directory")
         if self.output_path and not Path(self.output_path).parent.is_dir():
             raise ValueError(f"output path {self.output_path!r}: "
                              "its directory does not exist")
@@ -103,10 +105,10 @@ def check_penalty(gamma):
 
 class Level:
     """What every solve on one mesh level shares, built once per mesh: the
-    problem, the mesh, the spaces, the unit-penalty saddle pattern (whose
-    front tree is analysed by the first solve) and the unit S_W that the
-    error report reads.  The report's γ-free data is built on first use,
-    after the first factorization, so that it is not alive during it."""
+    problem, the mesh, the spaces, the unit-penalty saddle pattern with its
+    ordering and front tree, and the unit S_W that the error report reads.
+    The report's γ-free data is built on first use, after the first
+    factorization, so that it is not alive during it."""
 
     def __init__(self, config, n):
         self.n = n
@@ -184,14 +186,12 @@ def run_sweep(config, gammas=DEFAULT_SWEEP_GAMMAS, n=64):
 
 
 def run_single(config, n=8):
-    """Single solve; returns its row.  If the solve succeeds and
+    """Single solve; returns a list of its one row.  If the solve succeeds and
     config.output_path is set, writes the vertex fields there as legacy VTK."""
     level = Level(config, n)
     row = Row(0, n)
     solution = _solve(row, level, config.resolved_gamma_v, config.resolved_gamma_w)
-    if solution is None:
-        return row
-    if config.output_path:
+    if solution is not None and config.output_path:
         mesh = level.trial.mesh
         nv = mesh.num_vertices
         exact = level.problem.exact_u(mesh.vertices[:, 0], mesh.vertices[:, 1])
@@ -200,7 +200,7 @@ def run_single(config, n=8):
             "z_h": solution.z[:nv],
             "error": exact - solution.u[:nv],
         })
-    return row
+    return [row]
 
 
 # ---------------------------------------------------------------------------

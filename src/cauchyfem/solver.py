@@ -12,11 +12,11 @@ blocks are positive definite there, so the matrix is symmetric quasi-definite
 diagonal pivots, + on the V unknowns and − on the W unknowns (Vanderbei,
 SIAM J. Optim. 5(1), 1995).
 
-Its pattern and unit-penalty values are stacked once per mesh
-(`SaddlePattern`); per penalty pair only the values are scaled.  On first
-use the pattern is ordered by nested dissection on the unknowns' coordinates
+Its pattern and unit-penalty values are stacked once per mesh, and the
+pattern is then ordered by nested dissection on the unknowns' coordinates
 and cut into the fronts of a multifrontal factorization (Duff & Reid, ACM
-TOMS 9(3), 1983; `analyse`), which every penalty pair of the mesh reuses.
+TOMS 9(3), 1983; `analyse`); every penalty pair of the mesh reuses this
+`SaddlePattern` and only scales the values.
 Each front is assembled in its slot of the factor store and factors there
 densely with no pivoting: a Cholesky factorization of its V pivots, one of
 the negated Schur complement of its W pivots, one triangular solve for its
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -83,19 +82,11 @@ class Front(NamedTuple):
     children: list
 
 
-@dataclass(frozen=True)
-class FrontTree:
-    """The symbolic analysis of one pattern: `order[p]` is the unknown
-    eliminated at position p; the fronts are in elimination order, every
-    child before its parent."""
-
-    order: np.ndarray
-    fronts: list
-
-
 def analyse(matrix, n_v, coords):
-    """Nested-dissection ordering and front tree of the symmetric pattern of
-    `matrix`, whose first `n_v` unknowns are the V unknowns.
+    """Nested-dissection ordering and fronts of the symmetric pattern of
+    `matrix`, whose first `n_v` unknowns are the V unknowns: `order[p]` is
+    the unknown eliminated at position p, and the fronts are in elimination
+    order, every child before its parent.
 
     A subdomain of more than LEAF_SIZE unknowns that do not all share one
     coordinate is bisected at the median of its wider coordinate; its
@@ -217,7 +208,7 @@ def analyse(matrix, n_v, coords):
                             (slot[rows] + (col[span] - start) * stride[rows]).astype(np.int32),
                             links))
         start = end
-    return FrontTree(order=order, fronts=fronts)
+    return order, fronts
 
 
 def _singular(i, front, block):
@@ -228,17 +219,17 @@ def _singular(i, front, block):
         "intact")
 
 
-def _factor(tree, data):
+def _factor(pattern, data):
     """Per front, L (lower triangle) and Z with the front's pivot block
     L diag(signs) Lᵀ and off-diagonal block Z Lᵀ, for the matrix values
     `data` on the analysed pattern.  Each front is assembled in its slot of
     one buffer and factored there; L and Z are views of that buffer, which
     is returned to the system when the solve drops them.  The strict upper
     triangle of every L stays zero."""
-    sizes = [front.size * (front.size + len(front.struct)) for front in tree.fronts]
+    sizes = [front.size * (front.size + len(front.struct)) for front in pattern.fronts]
     store = np.zeros(sum(sizes))
     factors, stack, at = [], [], 0
-    for i, (front, size) in enumerate(zip(tree.fronts, sizes)):
+    for i, (front, size) in enumerate(zip(pattern.fronts, sizes)):
         k, kv, r = front.size, front.v_pivots, len(front.struct)
         slot = store[at:at + size]
         at += size
@@ -284,59 +275,45 @@ def _factor(tree, data):
     return factors
 
 
-def _substitute(tree, factors, rhs):
+def _substitute(pattern, factors, rhs):
     """The solution of the factored system for `rhs`."""
-    y = rhs[tree.order]
-    for front, (low, off) in zip(tree.fronts, factors):
+    y = rhs[pattern.order]
+    for front, (low, off) in zip(pattern.fronts, factors):
         piv = slice(front.start, front.start + front.size)
         y[piv] = dtrsv(low, y[piv], lower=1)
         y[front.struct] -= off @ (front.signs * y[piv])
-    for front, (low, off) in zip(reversed(tree.fronts), reversed(factors)):
+    for front, (low, off) in zip(reversed(pattern.fronts), reversed(factors)):
         piv = slice(front.start, front.start + front.size)
         y[piv] = dtrsv(low, front.signs * (y[piv] - off.T @ y[front.struct]),
                        lower=1, trans=1)
     x = np.empty_like(y)
-    x[tree.order] = y
+    x[pattern.order] = y
     return x
 
 
 @dataclass(frozen=True)
 class SaddlePattern:
-    """The saddle matrix of one mesh at unit penalties, built once.
+    """The saddle matrix of one mesh at unit penalties, analysed once.
 
     `unit` stacks the restricted S_V, A (and Aᵀ) and −S_W in canonical CSC
     form, and `classes` gives each stored entry's block, which indexes its
-    factor in `build_system`: 0 for S_V, 1 for A or Aᵀ, 2 for S_W.  `g` and
-    `load` are the right side's unit-penalty parts.  `coords` places each
-    unknown, V unknowns first, for the ordering.
+    factor in `build_system`: 0 for S_V, 1 for A or Aᵀ, 2 for S_W.
+    `tperm[e]` is the stored entry at the transposed place of stored entry
+    e.  `g` and `load` are the right side's unit-penalty parts.  `order` and
+    `fronts` are the nested-dissection ordering and the fronts of `analyse`.
     """
 
     unit: sp.csc_matrix
     classes: np.ndarray
+    tperm: np.ndarray
     g: np.ndarray
     load: np.ndarray
     v_free: np.ndarray
     w_free: np.ndarray
     n_v: int
     n_w: int
-    coords: np.ndarray
-
-    @cached_property
-    def tperm(self):
-        """`tperm[e]` is the stored entry at the transposed place of
-        stored entry e; raises ValueError unless the pattern is symmetric."""
-        unit = self.unit
-        ids = sp.csc_matrix((np.arange(unit.nnz), unit.indices, unit.indptr),
-                            shape=unit.shape).T.tocsc()
-        if not (np.array_equal(ids.indptr, unit.indptr)
-                and np.array_equal(ids.indices, unit.indices)):
-            raise ValueError("saddle matrix pattern is not symmetric")
-        return ids.data
-
-    @cached_property
-    def tree(self):
-        """The front tree, analysed on first use."""
-        return analyse(self.unit, len(self.v_free), self.coords)
+    order: np.ndarray
+    fronts: list
 
 
 @dataclass(frozen=True)
@@ -375,15 +352,26 @@ def saddle_pattern(blocks, trial, test):
     a = blocks.a[np.ix_(w_free, v_free)]
     unit = sp.bmat([[blocks.s_v[np.ix_(v_free, v_free)], a.T],
                     [a, -blocks.s_w[np.ix_(w_free, w_free)]]], format="csc")
+    return analysed_pattern(unit, np.vstack([trial.dof_coords[v_free],
+                                             test.dof_coords[w_free]]),
+                            blocks.data[v_free], blocks.load[w_free], v_free,
+                            w_free, trial.num_dofs, test.num_dofs)
+
+
+def analysed_pattern(unit, coords, g, load, v_free, w_free, n_v, n_w):
+    """The `SaddlePattern` of the CSC matrix `unit`, whose first
+    len(v_free) unknowns are the V unknowns and whose unknowns lie at
+    `coords`; raises ValueError unless its pattern is symmetric."""
     unit.sort_indices()
     nv = len(v_free)
-    cols = np.repeat(np.arange(unit.shape[1]), np.diff(unit.indptr))
-    classes = (unit.indices >= nv).astype(np.int8) + (cols >= nv)
-    return SaddlePattern(unit=unit, classes=classes, g=blocks.data[v_free],
-                         load=blocks.load[w_free], v_free=v_free, w_free=w_free,
-                         n_v=trial.num_dofs, n_w=test.num_dofs,
-                         coords=np.vstack([trial.dof_coords[v_free],
-                                           test.dof_coords[w_free]]))
+    classes = (unit.indices >= nv).astype(np.int8) + (np.arange(unit.nnz) >= unit.indptr[nv])
+    ids = sp.csc_matrix((np.arange(unit.nnz), unit.indices, unit.indptr),
+                        shape=unit.shape).T.tocsc()
+    if not (np.array_equal(ids.indptr, unit.indptr)
+            and np.array_equal(ids.indices, unit.indices)):
+        raise ValueError("saddle matrix pattern is not symmetric")
+    return SaddlePattern(unit, classes, ids.data, g, load, v_free, w_free, n_v, n_w,
+                         *analyse(unit, nv, coords))
 
 
 def build_system(pattern, factors=(1.0, 1.0, 1.0)):
@@ -405,10 +393,9 @@ def solve(system):
     UnconvergedSolveError unless the relative residual is finite and below
     RESIDUAL_TOL."""
     pattern = system.pattern
-    tree = pattern.tree
-    factors = _factor(tree, system.matrix.data)
-    x = _substitute(tree, factors, system.rhs)
-    x += _substitute(tree, factors, system.rhs - system.matrix @ x)
+    factors = _factor(pattern, system.matrix.data)
+    x = _substitute(pattern, factors, system.rhs)
+    x += _substitute(pattern, factors, system.rhs - system.matrix @ x)
     rhs_norm = np.linalg.norm(system.rhs)
     res = np.linalg.norm(system.matrix @ x - system.rhs)
     residual = float(res / rhs_norm) if rhs_norm > 0 else float(res)

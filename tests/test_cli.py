@@ -66,20 +66,24 @@ def test_non_integer_mesh_level_is_named(capsys, argv, option, text):
     assert f"usage: cauchyfem {argv[0]} " in err
 
 
-@pytest.mark.parametrize("argv", [["convergence", "--levels", "2"],
-                                  ["sweep", "--n", "2", "--gammas", "0.1"],
-                                  ["solve", "--n", "2"]],
-                         ids=["convergence", "sweep", "solve"])
+# --out in a missing directory, or --out naming a directory
+@pytest.mark.parametrize("argv, name, reason", [
+    pytest.param(argv, name, reason, id=command + suffix)
+    for name, reason, suffix in (("no/such/out", "its directory does not exist", ""),
+                                 ("", "it is a directory", "-directory"))
+    for command, argv in (("convergence", ["convergence", "--levels", "2"]),
+                          ("sweep", ["sweep", "--n", "2", "--gammas", "0.1"]),
+                          ("solve", ["solve", "--n", "2"]))])
 def test_missing_output_directory_is_rejected_before_any_mesh(tmp_path, monkeypatch,
-                                                             capsys, argv):
+                                                             capsys, argv, name, reason):
     counts = {"from_triangles": 0}
     _counting(monkeypatch, mesh_module, "from_triangles", counts)
-    out = tmp_path / "no" / "such" / "out"
+    out = tmp_path / name
     with pytest.raises(SystemExit) as info:
         main(argv + ["--out", str(out)])
     assert info.value.code == 2
     err = capsys.readouterr().err
-    assert f"output path {str(out)!r}: its directory does not exist" in err
+    assert f"output path {str(out)!r}: {reason}" in err
     assert f"usage: cauchyfem {argv[0]} " in err
     assert counts["from_triangles"] == 0
 

@@ -173,7 +173,7 @@ def test_sweep_csv_schema(tmp_path):
 def test_run_single_emits_vtk(tmp_path):
     out = tmp_path / "fields.vtk"
     config = RunConfig(degree=1, output_path=str(out))
-    row = run_single(config, 4)
+    [row] = run_single(config, 4)
     assert row.report.eta > 0
     text = out.read_text().splitlines()
     names = [line.split()[1] for line in text if line.startswith("SCALARS")]
@@ -261,6 +261,16 @@ def test_mesh_blocks_and_report_data_are_built_once_per_mesh(monkeypatch):
         assert counts == {"from_triangles": 3, "affine_map": 3, "assemble_blocks": 3,
                           "report_data": 3, "face_operator": 3 * face_operators,
                           "analyse": 3}
+
+
+def test_pattern_is_analysed_when_the_level_is_built(monkeypatch):
+    counts = {"analyse": 0}
+    _counting(monkeypatch, solver, "analyse", counts)
+    level = Level(RunConfig(), 4)
+    assert counts["analyse"] == 1
+    for gamma in (1e-2, 1e-1):
+        solve_level(level, gamma, gamma)
+    assert counts["analyse"] == 1
 
 
 def test_quadrature_rules_are_built_once_per_process(monkeypatch):

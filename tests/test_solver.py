@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from cauchyfem import solver
 from cauchyfem.assembly import assemble_blocks, assemble_stiffness, BlockSystem
 from cauchyfem.mesh import BoundaryPart, from_triangles, tag_boundary, unit_square_mesh
-from cauchyfem.solver import (RESIDUAL_TOL, SaddlePattern, SingularSystemError,
-                              UnconvergedSolveError, build_system, saddle_pattern, solve)
+from cauchyfem.solver import (RESIDUAL_TOL, SingularSystemError, UnconvergedSolveError,
+                              analysed_pattern, build_system, saddle_pattern, solve)
 from cauchyfem.spaces import build_space
 
 from .oracles import (discrete_consistency_probe, eval_fe, nodal_interpolant,
@@ -66,10 +66,9 @@ def _plain_system(matrix, rhs, n_v=None, coords=None):
     rhs = np.asarray(rhs, dtype=float)
     n = len(rhs)
     n_v = n // 2 if n_v is None else n_v
-    pattern = SaddlePattern(
-        unit=matrix, classes=np.zeros(matrix.nnz, dtype=np.int8), g=rhs[:n_v],
-        load=rhs[n_v:], v_free=np.arange(n_v), w_free=np.arange(n - n_v),
-        n_v=n_v, n_w=n - n_v, coords=np.zeros((n, 2)) if coords is None else coords)
+    pattern = analysed_pattern(
+        matrix, np.zeros((n, 2)) if coords is None else coords, rhs[:n_v], rhs[n_v:],
+        np.arange(n_v), np.arange(n - n_v), n_v, n - n_v)
     return build_system(pattern)
 
 
@@ -78,6 +77,11 @@ def test_solve_identity():
     assert np.allclose(sol.u, [1.0])
     assert np.allclose(sol.z, [-2.0])
     assert sol.residual < RESIDUAL_TOL
+
+
+def test_non_symmetric_pattern_is_rejected_when_the_pattern_is_built():
+    with pytest.raises(ValueError, match="pattern is not symmetric"):
+        _plain_system(np.array([[1.0, 1.0], [0.0, -1.0]]), [1.0, 2.0])
 
 
 def test_solve_permutation_exercises_indefinite_pivoting():
@@ -154,10 +158,10 @@ def _random_sqd(rng, coords, n_v, density=0.3):
     return m + np.diag(np.where(v, dominance, -dominance))
 
 
-def _depth(tree):
+def _depth(fronts):
     """Levels of the front tree: each front is pushed after its children."""
     depths = []
-    for front in tree.fronts:
+    for front in fronts:
         below = [depths.pop() for _ in front.children]
         depths.append(1 + max(below, default=0))
     return max(depths)
@@ -190,24 +194,24 @@ def test_solve_matches_dense_solve_on_random_sqd_matrices(case, seed):
     x = np.concatenate([sol.u, sol.z])
     expected = np.linalg.solve(matrix, rhs)
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
-    fronts = system.pattern.tree.fronts
+    fronts = system.pattern.fronts
     if case in ("one front", "one coordinate"):
         assert len(fronts) == 1
     elif case == "three levels":
-        assert _depth(system.pattern.tree) >= 3
+        assert _depth(fronts) >= 3
     elif case == "V and W apart":
         assert any(f.v_pivots == 0 for f in fronts)
         assert any(f.v_pivots == f.size for f in fronts)
 
 
-def _child_plans(tree):
+def _child_plans(fronts):
     """(front, child front, plan) for every child of every front."""
     stack = []
-    for i, front in enumerate(tree.fronts):
+    for i, front in enumerate(fronts):
         kids = stack[len(stack) - len(front.children):]
         del stack[len(stack) - len(front.children):]
         for c, plan in zip(kids, front.children):
-            yield front, tree.fronts[c], plan
+            yield front, fronts[c], plan
         stack.append(i)
 
 
@@ -222,13 +226,12 @@ def test_extend_add_runs_lie_in_pivot_or_struct_rows(leaf_size, degree, problem)
     # wholly in the pivot rows (L and Z) or wholly in the struct rows (the
     # front's update matrix); every L is assembled and factored in place,
     # and its strict upper triangle stays zero
-    system, *_ = make_system(unit_square_mesh(12, jitter=0.2, seed=2), degree, problem)
-    pattern = system.pattern
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "LEAF_SIZE", leaf_size)
-        tree = solver.analyse(pattern.unit, len(pattern.v_free), pattern.coords)
-    assert len(tree.fronts) > 2
-    for front, child, (cut, z_rows, pivot_runs, update_runs) in _child_plans(tree):
+        system, *_ = make_system(unit_square_mesh(12, jitter=0.2, seed=2), degree, problem)
+    fronts = system.pattern.fronts
+    assert len(fronts) > 2
+    for front, child, (cut, z_rows, pivot_runs, update_runs) in _child_plans(fronts):
         k = front.size
         inside = child.struct < front.start + k
         expected = np.where(inside, child.struct - front.start,
@@ -245,7 +248,7 @@ def test_extend_add_runs_lie_in_pivot_or_struct_rows(leaf_size, degree, problem)
             assert np.array_equal(k + _row_list(rows), expected[a:])
         assert np.array_equal(mapped, expected)
         assert np.array_equal(k + _row_list(z_rows), expected[cut:])
-    for low, _ in solver._factor(tree, system.matrix.data):
+    for low, _ in solver._factor(system.pattern, system.matrix.data):
         assert not np.triu(low, 1).any()
 
 
@@ -256,7 +259,7 @@ def test_child_updates_map_onto_few_runs(jitter, seed, problem):
     # one child when a separator was ordered only along the cut)
     system, *_ = make_system(unit_square_mesh(16, jitter, seed), 2, problem, gamma=1e-3)
     runs = [len(pivot_runs) + len(update_runs)
-            for front in system.pattern.tree.fronts
+            for front in system.pattern.fronts
             for _, _, pivot_runs, update_runs in front.children]
     assert max(runs) <= 24
 

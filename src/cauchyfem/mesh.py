@@ -182,8 +182,16 @@ def tag_boundary(mesh, data_sides=("bottom", "right")):
     """Assign each boundary face to BoundaryPart.DATA or .FREE by its midpoint.
 
     The default split puts the Cauchy data on bottom and right.  A face whose
-    midpoint lies on none of the four sides of the unit square is an error.
+    midpoint lies on none of the four sides of the unit square is an error,
+    and so is a data side that is not one of their names, or a bare string.
     """
+    names = [side for side, _, _ in _SIDES]
+    if isinstance(data_sides, str):
+        raise ValueError(f"data sides must be a tuple of side names, not the string "
+                         f"{data_sides!r}; the sides are {names}")
+    bad = [side for side in data_sides if side not in names]
+    if bad:
+        raise ValueError(f"unknown data side {bad[0]!r}; the sides are {names}")
     faces = mesh.boundary_faces()
     mid = 0.5 * (mesh.vertices[mesh.face_vertices[faces, 0]]
                  + mesh.vertices[mesh.face_vertices[faces, 1]])

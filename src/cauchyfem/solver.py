@@ -97,55 +97,67 @@ def analyse(matrix, n_v, coords):
     update then maps onto a few runs of consecutive front rows, which
     `_factor` adds as slices, and each run is cut where the front's pivot
     rows end.
+
+    The subdomains are cut depth by depth.  An unknown's neighbours lie in
+    its subdomain or in an earlier separator, so for all subdomains of a
+    depth at once, one product of the 0/1 pattern with the right sides
+    finds the separators, and one with the left parts their unknowns next
+    to the left.  The products read the CSC columns as rows, which needs a
+    symmetric pattern: `analysed_pattern` checks that before it analyses.
     """
     n = matrix.shape[0]
     indptr, indices = matrix.indptr, matrix.indices
     counts = np.diff(indptr)
-    cols = np.repeat(np.arange(n), counts)
-    off = indices != cols
-    # 0 or 1: left or right of the cut through the unknown's subdomain;
-    # 2: in a separator
-    label = np.zeros(n, dtype=np.int8)
-    pivots, kids = [], []   # per node, children first
-
-    def dissect(idx, ei, ej):
-        """Nodes of the subdomain `idx`; the edges (ei, ej), sorted by ej,
-        start in it and end in it or in a separator.  Returns the roots of
-        its forest."""
-        if not len(idx):
-            return []
-        pts = coords[idx]
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        axis = int(np.argmax(hi - lo))
-        if len(idx) > LEAF_SIZE and hi[axis] > lo[axis]:
-            c = pts[:, axis]
-            median = np.partition(c, len(c) // 2)[len(c) // 2]
-            right = c >= median
-            if right.all():
-                right = c > median
-            label[idx] = right
-            sep = np.unique(ei[(label[ei] == 0) & (label[ej] == 1)])
-            label[sep] = 2
-            tail = label[ei]
-            ei_left, ej_left = ei[tail == 0], ej[tail == 0]
-            # the separator unknowns that end an edge of the left part
-            near = np.searchsorted(ej_left, sep, "right") > np.searchsorted(ej_left, sep)
-            roots = dissect(idx[label[idx] == 0], ei_left, ej_left)
-            del ei_left, ej_left    # freed before the right part is dissected
-            roots += dissect(idx[right], ei[tail == 1], ej[tail == 1])
-            if not len(sep):
-                return roots
+    # the 0/1 pattern read row by row: its columns, as the pattern is symmetric
+    adjacent = sp.csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr),
+                             shape=(n, n))
+    label = np.zeros(n, dtype=np.int8)  # 0/1: left/right of its cut; 2: separator
+    # per subdomain, parents first: (its unknowns,), once cut (separator, left, right)
+    parts = [(np.arange(n),)]
+    depth = [0]
+    while True:
+        split = []             # (subdomain, its unknowns, right side, axis)
+        for d in depth:
+            idx = parts[d][0]
+            if len(idx) <= LEAF_SIZE:
+                continue
+            extent = np.ptp(coords[idx], axis=0)
+            axis = int(np.argmax(extent))
+            if extent[axis] > 0:
+                c = coords[idx, axis]
+                median = np.partition(c, len(c) // 2)[len(c) // 2]
+                right = c >= median
+                if right.all():
+                    right = c > median
+                label[idx] = right
+                split.append((d, idx, right, axis))
+        if not split:
+            break
+        has_right = adjacent @ (label == 1)
+        seps = [idx[~right & has_right[idx]] for _, idx, right, _ in split]
+        label[np.concatenate(seps)] = 2
+        near = adjacent @ (label == 0)   # next to a left part
+        depth = range(len(parts), len(parts) + 2 * len(split))
+        for (d, idx, right, axis), sep in zip(split, seps):
             # V before W; in each, the unknowns next to the left part first,
             # so that its update lands in a few runs; then along the cut
-            idx = sep[np.lexsort((coords[sep, 1 - axis], ~near, sep >= n_v))]
-        else:
-            roots = []
-        pivots.append(idx)     # V unknowns first
+            sep = sep[np.lexsort((coords[sep, 1 - axis], ~near[sep], sep >= n_v))]
+            parts[d] = (sep, len(parts), len(parts) + 1)
+            parts += [(idx[label[idx] == 0],), (idx[right],)]
+
+    pivots, kids = [], []   # per node, children first
+
+    def emit(d):
+        """Appends the nodes of subdomain d in post-order; returns their roots."""
+        piv, *halves = parts[d]     # a leaf's V unknowns come first
+        roots = [root for half in halves for root in emit(half)]
+        if not len(piv):
+            return roots
+        pivots.append(piv)
         kids.append(roots)
         return [len(pivots) - 1]
 
-    # int64 edges: numpy converts any other index array before a gather
-    dissect(np.arange(n), indices[off].astype(np.int64), cols[off])
+    emit(0)
     order = np.concatenate([np.empty(0, dtype=np.int64)] + pivots)
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
@@ -164,14 +176,16 @@ def analyse(matrix, n_v, coords):
     # front's slot: L (k × k) holds its pivot rows, Z (r × k) its struct rows
     slot = np.empty(n, dtype=np.int64)
     stride = np.empty(n, dtype=np.int64)
+    mark = np.zeros(n, dtype=bool)
     fronts, structs, start = [], [], 0
     for piv, children in zip(pivots, kids):
         k = len(piv)
         end = start + k
         span = slice(bounds[start], bounds[end])
         rows = row[span]
-        above = [structs[c][np.searchsorted(structs[c], end):] for c in children]
-        struct = np.unique(np.concatenate([rows[rows >= end]] + above))
+        mark[np.concatenate([rows] + [structs[c] for c in children])] = True
+        struct = np.flatnonzero(mark[end:]) + end
+        mark[struct] = False    # positions before end are not read again
         structs.append(struct)
         r = len(struct)
         slot[start:end] = np.arange(k)

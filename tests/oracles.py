@@ -9,16 +9,18 @@ helpers that only tests use.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from cauchyfem import solver
 from cauchyfem.assembly import (VOLUME_DEGREE, BlockSystem, assemble_blocks,
                                 assemble_data_term, assemble_dual_stab,
                                 assemble_primal_stab, assemble_stiffness,
                                 face_operator, penalty_factors)
 from cauchyfem.mesh import GEOM_TOL, BoundaryPart, mesh_size
-from cauchyfem.solver import build_system, saddle_pattern, solve
+from cauchyfem.solver import Front, build_system, saddle_pattern, solve
 from cauchyfem.spaces import (build_space, cell_points, shape_grads, shape_values,
                               triangle_rule)
 
@@ -404,6 +406,139 @@ def discrete_consistency_probe(mesh, degree, gamma_v, gamma_w, variant="jump",
                        load=a @ probe, data=s_v @ probe, variant=variant)
     sol = solve(build_system(saddle_pattern(scaled(unit, gamma_v, gamma_w), trial, test)))
     return float(max(np.abs(sol.u - probe).max(), np.abs(sol.z).max()))
+
+
+def edge_list_analyse(matrix, n_v, coords):
+    """`solver.analyse` as it was written with per-subdomain edge lists,
+    kept as the reference for its ordering and fronts: each subdomain
+    carries the int64 edges (ei, ej) that start in it.
+
+    Nested-dissection ordering and fronts of the symmetric pattern of
+    `matrix`, whose first `n_v` unknowns are the V unknowns: `order[p]` is
+    the unknown eliminated at position p, and the fronts are in elimination
+    order, every child before its parent.
+
+    A subdomain of more than LEAF_SIZE unknowns that do not all share one
+    coordinate is bisected at the median of its wider coordinate; its
+    separator is the set of left-side unknowns with a matrix neighbour on
+    the right, and its two parts are dissected in turn.  A separator is
+    ordered V before W; in each, the unknowns with a matrix neighbour in the
+    left part come first, then the rest, each along the cut.  A child's
+    update then maps onto a few runs of consecutive front rows, which
+    `_factor` adds as slices, and each run is cut where the front's pivot
+    rows end.
+    """
+    n = matrix.shape[0]
+    indptr, indices = matrix.indptr, matrix.indices
+    counts = np.diff(indptr)
+    cols = np.repeat(np.arange(n), counts)
+    off = indices != cols
+    # 0 or 1: left or right of the cut through the unknown's subdomain;
+    # 2: in a separator
+    label = np.zeros(n, dtype=np.int8)
+    pivots, kids = [], []   # per node, children first
+
+    def dissect(idx, ei, ej):
+        """Nodes of the subdomain `idx`; the edges (ei, ej), sorted by ej,
+        start in it and end in it or in a separator.  Returns the roots of
+        its forest."""
+        if not len(idx):
+            return []
+        pts = coords[idx]
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        axis = int(np.argmax(hi - lo))
+        if len(idx) > solver.LEAF_SIZE and hi[axis] > lo[axis]:
+            c = pts[:, axis]
+            median = np.partition(c, len(c) // 2)[len(c) // 2]
+            right = c >= median
+            if right.all():
+                right = c > median
+            label[idx] = right
+            sep = np.unique(ei[(label[ei] == 0) & (label[ej] == 1)])
+            label[sep] = 2
+            tail = label[ei]
+            ei_left, ej_left = ei[tail == 0], ej[tail == 0]
+            # the separator unknowns that end an edge of the left part
+            near = np.searchsorted(ej_left, sep, "right") > np.searchsorted(ej_left, sep)
+            roots = dissect(idx[label[idx] == 0], ei_left, ej_left)
+            del ei_left, ej_left    # freed before the right part is dissected
+            roots += dissect(idx[right], ei[tail == 1], ej[tail == 1])
+            if not len(sep):
+                return roots
+            # V before W; in each, the unknowns next to the left part first,
+            # so that its update lands in a few runs; then along the cut
+            idx = sep[np.lexsort((coords[sep, 1 - axis], ~near, sep >= n_v))]
+        else:
+            roots = []
+        pivots.append(idx)     # V unknowns first
+        kids.append(roots)
+        return [len(pivots) - 1]
+
+    # int64 edges: numpy converts any other index array before a gather
+    dissect(np.arange(n), indices[off].astype(np.int64), cols[off])
+    order = np.concatenate([np.empty(0, dtype=np.int64)] + pivots)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+
+    # the stored entries on and below the diagonal of the reordered matrix,
+    # column by column in elimination order
+    lens = counts[order]
+    entries = np.repeat(indptr[order + 1] - np.cumsum(lens), lens) + np.arange(lens.sum())
+    row = pos[indices[entries]]
+    col = np.repeat(np.arange(n), lens)
+    lower = row >= col
+    entries, row, col = entries[lower], row[lower], col[lower]
+    bounds = np.searchsorted(col, np.arange(n + 1))
+
+    # row p of a front's column j is place slot[p] + j * stride[p] of the
+    # front's slot: L (k × k) holds its pivot rows, Z (r × k) its struct rows
+    slot = np.empty(n, dtype=np.int64)
+    stride = np.empty(n, dtype=np.int64)
+    fronts, structs, start = [], [], 0
+    for piv, children in zip(pivots, kids):
+        k = len(piv)
+        end = start + k
+        span = slice(bounds[start], bounds[end])
+        rows = row[span]
+        above = [structs[c][np.searchsorted(structs[c], end):] for c in children]
+        struct = np.unique(np.concatenate([rows[rows >= end]] + above))
+        structs.append(struct)
+        r = len(struct)
+        slot[start:end] = np.arange(k)
+        slot[struct] = np.arange(k * k, k * k + r)
+        stride[start:end] = k
+        stride[struct] = r
+        links = []
+        for c in children:
+            loc = slot[structs[c]]
+            height = len(loc)
+            # runs (a, b, p): rows a .. b of the child go to consecutive
+            # places p .. p + b - a of a column; they are cut where L ends
+            heads = np.flatnonzero((np.diff(loc, prepend=-2) != 1) | (loc == k * k))
+            firsts = loc[heads].tolist()
+            runs = list(zip(heads.tolist(), heads[1:].tolist() + [height], firsts))
+            split = bisect_left(firsts, k)
+            shifted = loc - k * k   # rows of Z and of the update matrix
+            # rows a .. end of the child go to consecutive front rows, a
+            # slice, when the run from a reaches end
+            update_runs = [(a, b, p - k * k, slice(p - k * k, p - k * k + height - a)
+                            if b == height else shifted[a:]) for a, b, p in runs[split:]]
+            # its rows cut .. go to Z in the rows of its first update run
+            cut, z_rows = height, slice(0, 0)
+            if update_runs:
+                cut, _, _, z_rows = update_runs[0]
+            links.append((cut, z_rows,
+                          [(a, b, p, slice(p, p + cut - a) if b == cut else loc[a:cut])
+                           for a, b, p in runs[:split]],
+                          update_runs))
+        v_pivots = int(np.count_nonzero(piv < n_v))
+        fronts.append(Front(start, k, v_pivots, struct,
+                            np.where(np.arange(k) < v_pivots, 1.0, -1.0),
+                            entries[span].astype(np.int32),
+                            (slot[rows] + (col[span] - start) * stride[rows]).astype(np.int32),
+                            links))
+        start = end
+    return order, fronts
 
 
 def nodal_interpolant(space, field):

@@ -119,6 +119,19 @@ def test_tagging_rejects_off_boundary_midpoints():
         tag_boundary(tri)
 
 
+@pytest.mark.parametrize("data_sides, bad", [(("bottom", "rigth"), "'rigth'"),
+                                             ("bottom", "'bottom'")],
+                         ids=["misspelt", "bare string"])
+def test_unknown_or_bare_string_data_side_is_rejected(data_sides, bad):
+    # a misspelt side used to tag only the other side's faces, and a bare
+    # string matched every side named by one of its substrings
+    with pytest.raises(ValueError, match="the sides are") as info:
+        unit_square_mesh(4, data_sides=data_sides)
+    message = str(info.value)
+    assert bad in message
+    assert all(repr(side) in message for side in ("bottom", "right", "top", "left"))
+
+
 def test_face_geometry(mesh2):
     # horizontal boundary face from (0,0) to (0.5,0)
     for f in mesh2.boundary_faces():

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from cauchyfem import solver
 from cauchyfem.assembly import assemble_blocks, assemble_stiffness, BlockSystem
 from cauchyfem.mesh import BoundaryPart, from_triangles, tag_boundary, unit_square_mesh
-from cauchyfem.solver import (RESIDUAL_TOL, SingularSystemError, UnconvergedSolveError,
-                              analysed_pattern, build_system, saddle_pattern, solve)
+from cauchyfem.solver import (RESIDUAL_TOL, Front, SingularSystemError,
+                              UnconvergedSolveError, analysed_pattern, build_system,
+                              saddle_pattern, solve)
 from cauchyfem.spaces import build_space
 
-from .oracles import (discrete_consistency_probe, eval_fe, nodal_interpolant,
-                      scaled, solve_from_scratch)
+from .oracles import (discrete_consistency_probe, edge_list_analyse, eval_fe,
+                      nodal_interpolant, scaled, solve_from_scratch)
 
 GAMMA = 0.01
 
@@ -167,8 +168,28 @@ def _depth(fronts):
     return max(depths)
 
 
+def _same(x, y):
+    """x and y hold equal values of the same types; arrays have equal dtypes."""
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and x.dtype == y.dtype and np.array_equal(x, y)
+    if isinstance(x, (list, tuple)):
+        return type(x) is type(y) and len(x) == len(y) and all(map(_same, x, y))
+    return type(x) is type(y) and x == y
+
+
+def _assert_matches_edge_list_oracle(pattern, coords):
+    """The ordering and every front field of `pattern` are those of the
+    edge-list analysis of its matrix."""
+    order, fronts = edge_list_analyse(pattern.unit, len(pattern.v_free), coords)
+    assert _same(pattern.order, order)
+    assert len(pattern.fronts) == len(fronts)
+    for i, (front, expected) in enumerate(zip(pattern.fronts, fronts)):
+        for field in Front._fields:
+            assert _same(getattr(front, field), getattr(expected, field)), (i, field)
+
+
 @pytest.mark.parametrize("case", ["one front", "three levels", "V and W apart",
-                                  "only V", "only W", "one coordinate"])
+                                  "only V", "only W", "one coordinate", "coarse grid"])
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_solve_matches_dense_solve_on_random_sqd_matrices(case, seed):
@@ -184,12 +205,17 @@ def test_solve_matches_dense_solve_on_random_sqd_matrices(case, seed):
         n_v = n if case == "only V" else 0
     elif case == "one coordinate":
         coords[:] = 0.25
+    elif case == "coarse grid":
+        # many unknowns share a point or a coordinate: medians tie, and some
+        # subdomains of more than LEAF_SIZE unknowns have no extent
+        coords = 0.25 * rng.integers(0, 4, (n, 2))
     matrix = _random_sqd(rng, coords, n_v)
     rhs = rng.standard_normal(n)
     with pytest.MonkeyPatch.context() as patch:
         if case != "one front":
             patch.setattr(solver, "LEAF_SIZE", 4)
         system = _plain_system(matrix, rhs, n_v, coords)
+        _assert_matches_edge_list_oracle(system.pattern, coords)
         sol = solve(system)
     x = np.concatenate([sol.u, sol.z])
     expected = np.linalg.solve(matrix, rhs)
@@ -262,6 +288,24 @@ def test_child_updates_map_onto_few_runs(jitter, seed, problem):
             for front in system.pattern.fronts
             for _, _, pivot_runs, update_runs in front.children]
     assert max(runs) <= 24
+
+
+@pytest.mark.parametrize("leaf_size", [solver.LEAF_SIZE, 4])
+@pytest.mark.parametrize("n", [4, 12, 32])
+@pytest.mark.parametrize("variant", ["jump", "galerkin"])
+@pytest.mark.parametrize("jitter, seed", [(0.0, 0), (0.2, 1), (0.29, 2)])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_analysis_matches_edge_list_oracle(degree, jitter, seed, variant, n, leaf_size,
+                                           problem):
+    mesh = unit_square_mesh(n, jitter, seed)
+    trial = build_space(mesh, degree, BoundaryPart.DATA)
+    test = build_space(mesh, degree, BoundaryPart.FREE)
+    blocks = assemble_blocks(trial, test, problem, variant)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "LEAF_SIZE", leaf_size)
+        _assert_matches_edge_list_oracle(
+            saddle_pattern(blocks, trial, test),
+            np.vstack([trial.dof_coords[trial.free_dofs], test.dof_coords[test.free_dofs]]))
 
 
 def test_fill_at_p2_n16_is_pinned(problem):

@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
-from .assembly import VOLUME_DEGREE, face_operator
-from .mesh import BoundaryPart, mesh_size
+from .assembly import VOLUME_DEGREE
+from .mesh import mesh_size
 from .spaces import (FeSpace, QuadratureRule, cell_points, shape_grads,
                      shape_values, triangle_rule)
-
-if TYPE_CHECKING:
-    # for annotations only
-    import scipy.sparse as sp
 
 #: lower-left and upper-right corners of the local error window
 LOCAL_WINDOW = ((0.5, 0.0), (1.0, 0.5))
@@ -59,8 +56,8 @@ class ReportData:
 
     The volume rule, the exact u and ∇u at its points ((nt, nq) and (nt, nq, 2);
     None where the problem does not know them), the triangles of ω, h, ‖f‖ and
-    the data-boundary face operator B with ψ̂ (`assembly.face_operator`).  Built
-    once per mesh; a report from it evaluates no exact field.
+    the data-face operator B with ψ̂ that S_V and g were assembled from
+    (`BlockSystem.b`).  Built once per mesh; a report evaluates no exact field.
     """
 
     space: FeSpace
@@ -74,13 +71,12 @@ class ReportData:
     psi_hat: np.ndarray
 
 
-def report_data(space, problem):
-    """ReportData of `space` (the trial space) for `problem`."""
+def report_data(space, problem, b, psi_hat):
+    """ReportData of the trial space `space` for `problem`, with its B and ψ̂."""
     mesh = space.mesh
     rule = triangle_rule(VOLUME_DEGREE)
     points = cell_points(mesh, rule.points)
     x, y = points[..., 0], points[..., 1]
-    b, psi_hat = face_operator(space, BoundaryPart.DATA, problem)
     return ReportData(space=space, rule=rule,
                       exact_u=None if problem.exact_u is None else problem.exact_u(x, y),
                       exact_grad=None if problem.exact_grad is None
@@ -146,11 +142,10 @@ def eta(h, f_l2, stab_u, stab_z):
     return h * f_l2 + stab_u + stab_z
 
 
-def error_report(solution, data, gamma_v, s_w):
+def error_report(solution, data, gamma_v, stab_z):
     """All error quantities of one solve, from the ReportData of its mesh, its
-    primal penalty γ_V and its dual stabilizer matrix s_W."""
+    primal penalty γ_V and its |z_h|_{s_W} (`stab_seminorm_z`)."""
     stab_u = stab_seminorm_u(data, solution.u, gamma_v)
-    stab_z = stab_seminorm_z(solution.z, s_w)
     return ErrorReport(
         h=data.h,
         dofs_v=len(solution.u),

@@ -18,8 +18,8 @@ factors with which `solver.build_system` scales the saddle matrix.
 
 Every kernel works on all triangles or faces at once: J and J⁻¹ are the
 mesh's, face traces are rows of reference-edge tables, and the quadrature sums
-are einsums.  The jump penalties, the data functional and the semi-norm
-|u - u_h|_{s_V} all come from one sparse face-trace operator (`face_operator`).
+are einsums.  The jump penalties come from the sparse face-trace operator
+(`face_operator`); one data-face B per mesh gives S_V, g and |u - u_h|_{s_V}.
 """
 
 from __future__ import annotations
@@ -46,12 +46,13 @@ SW_VARIANTS = ("galerkin", "jump")
 class BlockSystem:
     """Assembled operators over the full (unconstrained) DOF sets.
 
-    s_v   (n_V, n_V) primal stabilizer, symmetric PSD, unit penalty
-    a     (n_W, n_V) stiffness, rows test against W basis functions
-    s_w   (n_W, n_W) dual stabilizer, symmetric PSD (unit penalty for the
-          jump variant; the Galerkin variant is the plain energy matrix)
-    load  (n_W,) right side l
-    data  (n_V,) right side g built from the flux data, unit penalty
+    s_v      (n_V, n_V) primal stabilizer BᵀB, symmetric PSD, unit penalty
+    a        (n_W, n_V) stiffness, rows test against W basis functions
+    s_w      (n_W, n_W) dual stabilizer, symmetric PSD (unit penalty for the
+             jump variant; the Galerkin variant is the plain energy matrix)
+    load     (n_W,) right side l
+    data     (n_V,) right side g = Bᵀψ̂ built from the flux data, unit penalty
+    b, psi_hat  the trial space's data-face operator B and data vector ψ̂
     """
 
     s_v: sp.csr_matrix
@@ -60,6 +61,8 @@ class BlockSystem:
     load: np.ndarray
     data: np.ndarray
     variant: str
+    b: sp.csr_matrix
+    psi_hat: np.ndarray
 
 
 def penalty_factors(variant, gamma_v, gamma_w):
@@ -241,12 +244,11 @@ def assemble_data_term(b, psi_hat):
 def assemble_blocks(trial, test, problem, variant="jump"):
     """Assemble every operator and functional of the coupled system at unit
     penalties (`penalty_factors` applies γ).  One data-face operator B gives
-    both S_V = BᵀB and g = Bᵀψ̂; it is dropped before the other blocks are
-    built."""
+    S_V = BᵀB and g = Bᵀψ̂, and is kept with ψ̂ for the error report."""
     b, psi_hat = face_operator(trial, BoundaryPart.DATA, problem)
-    s_v, data = assemble_primal_stab(b), assemble_data_term(b, psi_hat)
-    del b, psi_hat
-    return BlockSystem(s_v=s_v, a=assemble_stiffness(trial, test),
+    return BlockSystem(s_v=assemble_primal_stab(b), a=assemble_stiffness(trial, test),
                        s_w=assemble_dual_stab(test, variant),
-                       load=assemble_load(test, problem), data=data, variant=variant)
+                       load=assemble_load(test, problem),
+                       data=assemble_data_term(b, psi_hat), variant=variant,
+                       b=b, psi_hat=psi_hat)
 

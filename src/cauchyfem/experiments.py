@@ -11,16 +11,16 @@ remaining solves still run.  Any other error propagates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .analysis import convergence_rate, error_report, report_data
+from .analysis import convergence_rate, error_report, report_data, stab_seminorm_z
 from .assembly import SW_VARIANTS, assemble_blocks, penalty_factors
-from .mesh import MAX_JITTER, BoundaryPart, unit_square_mesh
+from .mesh import MAX_JITTER, BoundaryPart, check_level, unit_square_mesh
 from .problem import quartic_example
 from .solver import SolverError, build_system, saddle_pattern, solve
 from .spaces import build_space
@@ -59,6 +59,8 @@ class RunConfig:
                              f"expected one of {SW_VARIANTS}")
         if not 0.0 <= self.jitter < MAX_JITTER:
             raise ValueError(f"jitter {self.jitter:g} must lie in [0, {MAX_JITTER:g})")
+        for n in self.levels:
+            check_level(n)
         if not self.levels or any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("levels must be non-empty and strictly increasing")
         if self.seed < 0:
@@ -106,9 +108,9 @@ def check_penalty(gamma):
 class Level:
     """What every solve on one mesh level shares, built once per mesh: the
     problem, the mesh, the spaces, the unit-penalty saddle pattern with its
-    ordering and front tree, and the unit S_W that the error report reads.
-    The report's γ-free data is built on first use, after the first
-    factorization, so that it is not alive during it."""
+    ordering and front tree, and the data-face B and ψ̂ that S_V and g came
+    from.  The report's γ-free data is built from them on first use, after
+    the first factorization, so that the rest of it is not alive during it."""
 
     def __init__(self, config, n):
         self.n = n
@@ -119,21 +121,24 @@ class Level:
         blocks = assemble_blocks(self.trial, self.test, self.problem,
                                  variant=config.sw_variant)
         self.variant = blocks.variant
-        self.s_w = blocks.s_w
+        self._data_face = blocks.b, blocks.psi_hat
         self.saddle = saddle_pattern(blocks, self.trial, self.test)
 
     @cached_property
     def report_data(self):
-        return report_data(self.trial, self.problem)
+        return report_data(self.trial, self.problem, *self._data_face)
 
 
 def solve_level(level, gamma_v, gamma_w):
     """One solve on a built level at penalties γ_V, γ_W; returns (solution,
-    report).  The scaled s_W lives only while the report runs."""
+    report).  |z_h|_{s_W} reads the pattern's −S_W block, on the free W DOFs:
+    z_h is zero on the others."""
     factors = penalty_factors(level.variant, gamma_v, gamma_w)
-    solution = solve(build_system(level.saddle, factors))
-    return solution, error_report(solution, level.report_data, gamma_v,
-                                  factors[2] * level.s_w)
+    pattern, nv = level.saddle, len(level.saddle.v_free)
+    solution = solve(build_system(pattern, factors))
+    stab_z = stab_seminorm_z(solution.z[pattern.w_free],
+                             -factors[2] * pattern.unit[nv:, nv:])
+    return solution, error_report(solution, level.report_data, gamma_v, stab_z)
 
 
 def _solve(row, level, gamma_v, gamma_w):
@@ -155,14 +160,12 @@ def run_convergence(config):
                config.resolved_gamma_w)
 
     for prev, cur in zip(rows, rows[1:]):
-        if prev.report is None or cur.report is None:
+        a, b = prev.report, cur.report
+        if a is None or b is None:
             continue
-        hs = (prev.report.h, cur.report.h)
-        cur.rate_local_l2 = convergence_rate(
-            (prev.report.local_l2, cur.report.local_l2), hs)[0]
-        cur.rate_stab = convergence_rate(
-            (prev.report.stab_u + prev.report.stab_z,
-             cur.report.stab_u + cur.report.stab_z), hs)[0]
+        hs = (a.h, b.h)
+        cur.rate_local_l2 = convergence_rate((a.local_l2, b.local_l2), hs)[0]
+        cur.rate_stab = convergence_rate((a.stab_u + a.stab_z, b.stab_u + b.stab_z), hs)[0]
 
     if config.output_path:
         write_csv(config.output_path, CONVERGENCE_COLUMNS,
@@ -215,14 +218,11 @@ def _fmt(value):
 
 
 def _cells(row):
-    """The key, n and report cells of a row; NA for a failed solve's report."""
+    """The key, n and report cells of a row (the ErrorReport fields, in the
+    order of the columns); NA for a failed solve's report."""
     report = row.report
-    if report is None:
-        return [_fmt(row.key), str(row.n)] + [NA] * 9
-    return [_fmt(row.key), str(row.n),
-            _fmt(report.h), _fmt(report.dofs_v), _fmt(report.dofs_w),
-            _fmt(report.global_l2), _fmt(report.local_l2), _fmt(report.h1_semi),
-            _fmt(report.stab_u), _fmt(report.stab_z), _fmt(report.eta)]
+    cells = [NA] * 9 if report is None else map(_fmt, astuple(report))
+    return [_fmt(row.key), str(row.n), *cells]
 
 
 def write_csv(path, columns, rows):

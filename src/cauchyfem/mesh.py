@@ -139,6 +139,12 @@ def from_triangles(vertices, triangles):
                 jac=jac, det=det, jinv=jinv)
 
 
+def check_level(n):
+    """Raises ValueError naming the mesh level n unless it is an integer >= 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"mesh level {n!r} must be an integer >= 1")
+
+
 def build_structured(n, jitter=0.0, seed=0):
     """n-by-n grid of the unit square, each cell split along its (+1,+1) diagonal.
 
@@ -146,8 +152,7 @@ def build_structured(n, jitter=0.0, seed=0):
     drawn per vertex index (deterministic for a given seed); boundary vertices
     stay put, so boundary faces remain on the square's edges.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_level(n)
     if not 0.0 <= jitter < MAX_JITTER:
         raise ValueError(f"jitter must lie in [0, {MAX_JITTER:g})")
 

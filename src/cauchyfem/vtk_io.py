@@ -21,19 +21,16 @@ def write_vtk(path, mesh, point_data=None):
     lines = ["# vtk DataFile Version 3.0", "cauchyfem fields", "ASCII",
              "DATASET UNSTRUCTURED_GRID",
              f"POINTS {mesh.num_vertices} double"]
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.16g} {y:.16g} 0")
+    lines += [f"{x:.16g} {y:.16g} 0" for x, y in mesh.vertices]
     nt = mesh.num_triangles
     lines.append(f"CELLS {nt} {4 * nt}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"3 {a} {b} {c}")
+    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
     lines.append(f"CELL_TYPES {nt}")
     lines.extend([str(VTK_TRIANGLE)] * nt)
     if point_data:
         lines.append(f"POINT_DATA {mesh.num_vertices}")
         for name, values in point_data.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
+            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
             lines.extend(f"{v:.16g}" for v in np.asarray(values, dtype=float))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from cauchyfem import solver
+from cauchyfem.analysis import report_data
 from cauchyfem.assembly import (VOLUME_DEGREE, BlockSystem, assemble_blocks,
                                 assemble_data_term, assemble_dual_stab,
                                 assemble_primal_stab, assemble_stiffness,
@@ -357,6 +358,12 @@ def data_term(space, problem):
     return assemble_data_term(*face_operator(space, BoundaryPart.DATA, problem))
 
 
+def fresh_report_data(space, problem):
+    """`analysis.report_data` of a trial space for `problem`, from its own
+    data-face operator."""
+    return report_data(space, problem, *face_operator(space, BoundaryPart.DATA, problem))
+
+
 def volume_points(mesh):
     """Physical points of the shared volume rule in every triangle."""
     return cell_points(mesh, triangle_rule(VOLUME_DEGREE).points)
@@ -403,7 +410,8 @@ def discrete_consistency_probe(mesh, degree, gamma_v, gamma_w, variant="jump",
     a = assemble_stiffness(trial, test)
     # g = S_V v at unit γ_V; scaling makes it γ_V S_V v for the scaled S_V
     unit = BlockSystem(s_v=s_v, a=a, s_w=assemble_dual_stab(test, variant),
-                       load=a @ probe, data=s_v @ probe, variant=variant)
+                       load=a @ probe, data=s_v @ probe, variant=variant,
+                       b=None, psi_hat=None)   # no report on this system
     sol = solve(build_system(saddle_pattern(scaled(unit, gamma_v, gamma_w), trial, test)))
     return float(max(np.abs(sol.u - probe).max(), np.abs(sol.z).max()))
 

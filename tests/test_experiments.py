@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 from cauchyfem import analysis, assembly, experiments, mesh as mesh_module, solver
-from cauchyfem.analysis import error_report, report_data
+from cauchyfem.analysis import error_report, stab_seminorm_u, stab_seminorm_z
+from cauchyfem.assembly import assemble_dual_stab, penalty_factors
 from cauchyfem.experiments import (CONVERGENCE_COLUMNS, SWEEP_COLUMNS, Level,
                                    RunConfig, run_convergence, run_single,
                                    run_sweep, solve_level)
 from cauchyfem.mesh import BoundaryPart, unit_square_mesh
 from cauchyfem.problem import quartic_example
-from cauchyfem.solver import SingularSystemError
+from cauchyfem.solver import SingularSystemError, saddle_pattern
 from cauchyfem.spaces import edge_tables, segment_rule, triangle_rule
 
-from .oracles import solve_from_scratch
+from .oracles import fresh_report_data, solve_from_scratch
 
 
 def parse_csv(path):
@@ -51,7 +52,10 @@ def test_config_rejects_bad_jitter_and_variant(bad, message):
 
 @pytest.mark.parametrize("bad, message", [
     ({"levels": ()}, "levels must be non-empty"),
-    ({"seed": -1, "jitter": 0.1}, "seed -1 must be non-negative")])
+    ({"seed": -1, "jitter": 0.1}, "seed -1 must be non-negative"),
+    ({"levels": (2, 4.5)}, re.escape("mesh level 4.5 must be an integer >= 1")),
+    ({"levels": (0, 2)}, "mesh level 0 must be an integer >= 1"),
+    ({"levels": ("8",)}, "mesh level '8' must be an integer >= 1")])
 def test_config_rejects_empty_levels_and_negative_seed(bad, message):
     with pytest.raises(ValueError, match=message):
         RunConfig(**bad)
@@ -211,6 +215,17 @@ def test_sweep_rejects_bad_penalty_before_building_the_mesh(monkeypatch, bad):
     assert counts["from_triangles"] == 0
 
 
+@pytest.mark.parametrize("driver", [run_sweep, run_single])
+@pytest.mark.parametrize("bad", [2.5, 0, -3, True])
+def test_sweep_and_single_reject_bad_level_before_building_the_mesh(monkeypatch,
+                                                                    driver, bad):
+    counts = {"from_triangles": 0}
+    _counting(monkeypatch, mesh_module, "from_triangles", counts)
+    with pytest.raises(ValueError, match=re.escape(f"mesh level {bad!r} must be")):
+        driver(RunConfig(degree=1), n=bad)
+    assert counts["from_triangles"] == 0
+
+
 def test_sweep_rejects_empty_gammas_before_building_the_mesh(monkeypatch):
     counts = {"from_triangles": 0}
     _counting(monkeypatch, mesh_module, "from_triangles", counts)
@@ -224,18 +239,39 @@ def test_sweep_rejects_empty_gammas_before_building_the_mesh(monkeypatch):
 def test_sweep_rows_equal_solves_from_scratch(degree, variant):
     """One level's unit blocks scaled per γ and its cached report data give,
     bit for bit, what a fresh mesh, fresh blocks at γ and a fresh report
-    give."""
+    give; |z_h|_{s_W} reads the −S_W block of the fresh saddle pattern."""
     config = RunConfig(degree=degree, sw_variant=variant, jitter=0.1, seed=2)
     gammas = (1e-3, 0.05, 1.0)
     rows = run_sweep(config, gammas=gammas, n=4)
     problem = quartic_example()
     for gamma, row in zip(gammas, rows):
         mesh = unit_square_mesh(4, config.jitter, config.seed, problem.data_sides)
-        solution, trial, _, blocks = solve_from_scratch(mesh, degree, problem,
-                                                        gamma, gamma, variant)
-        expected = error_report(solution, report_data(trial, problem), gamma,
-                                blocks.s_w)
+        solution, trial, test, blocks = solve_from_scratch(mesh, degree, problem,
+                                                           gamma, gamma, variant)
+        pattern = saddle_pattern(blocks, trial, test)
+        nv = len(pattern.v_free)
+        stab_z = stab_seminorm_z(solution.z[pattern.w_free], -pattern.unit[nv:, nv:])
+        expected = error_report(solution, fresh_report_data(trial, problem), gamma,
+                                stab_z)
         assert dataclasses.astuple(row.report) == dataclasses.astuple(expected)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("variant", ["jump", "galerkin"])
+def test_report_reads_the_operators_the_solve_was_built_from(degree, variant):
+    """|z_h|_{s_W} from the pattern's −S_W block equals the quadratic form of
+    the full S_W, and |u - u_h|_{s_V} from the level's data-face B equals the
+    one from a fresh data-face operator, bit for bit."""
+    gamma_v, gamma_w = 0.02, 0.005
+    level = Level(RunConfig(degree=degree, sw_variant=variant, jitter=0.2, seed=3), 6)
+    solution, report = solve_level(level, gamma_v, gamma_w)
+    f_w = penalty_factors(variant, gamma_v, gamma_w)[2]
+    s_w = f_w * assemble_dual_stab(level.test, variant)
+    assert report.stab_z == pytest.approx(math.sqrt(solution.z @ (s_w @ solution.z)),
+                                          rel=1e-13)
+    fresh = stab_seminorm_u(fresh_report_data(level.trial, level.problem), solution.u,
+                            gamma_v)
+    assert report.stab_u == fresh
 
 
 def test_mesh_blocks_and_report_data_are_built_once_per_mesh(monkeypatch):
@@ -247,15 +283,15 @@ def test_mesh_blocks_and_report_data_are_built_once_per_mesh(monkeypatch):
     _counting(monkeypatch, experiments, "assemble_blocks", counts)
     _counting(monkeypatch, experiments, "report_data", counts)
     _counting(monkeypatch, assembly, "face_operator", counts)
-    _counting(monkeypatch, analysis, "face_operator", counts)
     _counting(monkeypatch, solver, "analyse", counts)
     rows = run_sweep(RunConfig(degree=1), gammas=(1e-3, 1e-2, 1e-1, 1.0), n=2)
     assert all(row.report is not None for row in rows)
-    # face operators: S_V with g, S_W and the report
+    # face operators: S_V with g and the report's |u - u_h|_{s_V}, and S_W
     assert counts == {"from_triangles": 1, "affine_map": 1, "assemble_blocks": 1,
-                      "report_data": 1, "face_operator": 3, "analyse": 1}
+                      "report_data": 1, "face_operator": 2, "analyse": 1}
+    assert not hasattr(analysis, "face_operator")
 
-    for variant, face_operators in (("jump", 3), ("galerkin", 2)):
+    for variant, face_operators in (("jump", 2), ("galerkin", 1)):
         counts.update(dict.fromkeys(counts, 0))
         run_convergence(RunConfig(degree=1, levels=(2, 4, 8), sw_variant=variant))
         assert counts == {"from_triangles": 3, "affine_map": 3, "assemble_blocks": 3,

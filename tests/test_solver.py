@@ -42,7 +42,7 @@ def test_zero_stabilizers_leave_offdiagonal_blocks(mesh2, problem):
     zero = sp.csr_matrix((n, n))
     a = assemble_stiffness(trial, test)
     blocks = BlockSystem(s_v=zero, a=a, s_w=zero.copy(), load=np.zeros(n),
-                         data=np.zeros(n), variant="jump")
+                         data=np.zeros(n), variant="jump", b=None, psi_hat=None)
     system = build_system(saddle_pattern(blocks, trial, test))
     nv = len(trial.free_dofs)
     dense = system.matrix.toarray()

@@ -56,7 +56,7 @@ class ReportData:
 
     The volume rule, the exact u and ∇u at its points ((nt, nq) and (nt, nq, 2);
     None where the problem does not know them), the triangles of ω, h, ‖f‖ and
-    the data-face operator B with ψ̂ that S_V and g were assembled from
+    the free-DOF data-face operator B with ψ̂ that S_V and g came from
     (`BlockSystem.b`).  Built once per mesh; a report evaluates no exact field.
     """
 
@@ -126,14 +126,19 @@ def stab_seminorm_u(data, coeffs, gamma_v):
     so interior faces see -[∂_n u_h] while data faces see ψ - ∂_n u_h: the
     value is √γ_V ‖ψ̂ - B u_h‖ with the data-boundary face operator.  This
     residual form keeps the digits that u_hᵀ S_V u_h - 2 gᵀu_h + γ_V ‖ψ̂‖²
-    loses to cancellation.
+    loses to cancellation.  B reads the free DOFs of `coeffs`.
     """
-    residual = data.psi_hat - data.b @ coeffs
+    residual = data.psi_hat - data.b @ coeffs[data.space.free_dofs]
     return math.sqrt(gamma_v * float(residual @ residual))
 
 
-def stab_seminorm_z(coeffs, stab_matrix):
-    """|z_h| in the dual stabilizer: the matrix quadratic form."""
+def stab_seminorm_z(coeffs, stab_matrix=None, b=None):
+    """|z_h| in the unit dual stabilizer for the free W coefficients: ‖B_W z‖
+    for the jump s_W = B_WᵀB_W given by `b` (this residual form keeps the
+    digits the quadratic form loses), zᵀ S z for a matrix `stab_matrix`."""
+    if b is not None:
+        jumps = b @ coeffs
+        return math.sqrt(float(jumps @ jumps))
     return math.sqrt(max(float(coeffs @ (stab_matrix @ coeffs)), 0.0))
 
 
@@ -144,7 +149,7 @@ def eta(h, f_l2, stab_u, stab_z):
 
 def error_report(solution, data, gamma_v, stab_z):
     """All error quantities of one solve, from the ReportData of its mesh, its
-    primal penalty γ_V and its |z_h|_{s_W} (`stab_seminorm_z`)."""
+    primal penalty γ_V and its |z_h|_{s_W} (from `stab_seminorm_z`)."""
     stab_u = stab_seminorm_u(data, solution.u, gamma_v)
     return ErrorReport(
         h=data.h,

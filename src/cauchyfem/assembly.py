@@ -13,13 +13,14 @@ the free boundary), l(w) = ∫ f w + ∫_data ψ w, and the data functional
 g(v) = γ_V Σ_data ∫ h_F ψ ∂_n v.  For quadratics both penalties gain an
 h_F³-weighted jump of the elementwise Laplacian on interior faces.
 
-Assembly builds the penalties and g at unit γ; `penalty_factors` gives the
-factors with which `solver.build_system` scales the saddle matrix.
+Assembly builds the penalties and g at unit γ (`penalty_factors` gives the
+factors of `solver.build_system`) on the free DOFs: the triplets and columns
+of constrained DOFs are dropped before anything is summed or multiplied.
 
 Every kernel works on all triangles or faces at once: J and J⁻¹ are the
 mesh's, face traces are rows of reference-edge tables, and the quadrature sums
-are einsums.  The jump penalties come from the sparse face-trace operator
-(`face_operator`); one data-face B per mesh gives S_V, g and |u - u_h|_{s_V}.
+are einsums.  The face-trace operators (`face_operator`) share the interior
+rows (`interior_rows`): B gives S_V, g and |u - u_h|_{s_V}, B_W the jump S_W.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ SW_VARIANTS = ("galerkin", "jump")
 
 @dataclass(frozen=True)
 class BlockSystem:
-    """Assembled operators over the full (unconstrained) DOF sets.
+    """Assembled operators on the free DOFs: n_V and n_W below count the free
+    DOFs of the trial and the test space, whose constrained DOFs are dropped
+    at assembly.
 
     s_v      (n_V, n_V) primal stabilizer BᵀB, symmetric PSD, unit penalty
     a        (n_W, n_V) stiffness, rows test against W basis functions
@@ -53,6 +56,8 @@ class BlockSystem:
     load     (n_W,) right side l
     data     (n_V,) right side g = Bᵀψ̂ built from the flux data, unit penalty
     b, psi_hat  the trial space's data-face operator B and data vector ψ̂
+    b_w      the test space's free-face operator, S_W = B_WᵀB_W (None for
+             the Galerkin S_W)
     """
 
     s_v: sp.csr_matrix
@@ -63,6 +68,7 @@ class BlockSystem:
     variant: str
     b: sp.csr_matrix
     psi_hat: np.ndarray
+    b_w: sp.csr_matrix | None
 
 
 def penalty_factors(variant, gamma_v, gamma_w):
@@ -82,7 +88,9 @@ def _sample_field(name, field, x, y, *normal):
 
 
 def assemble_stiffness(trial, test):
-    """Stiffness matrix A[i, j] = ∫ ∇φ_j^trial · ∇φ_i^test."""
+    """Stiffness matrix A[i, j] = ∫ ∇φ_j^trial · ∇φ_i^test over the free DOFs
+    of both spaces: the triplets of constrained DOFs are dropped before they
+    are summed."""
     if trial.mesh is not test.mesh:
         raise ValueError("trial and test spaces must share one mesh")
     mesh = trial.mesh
@@ -94,10 +102,11 @@ def assemble_stiffness(trial, test):
                     shape_grads(trial.degree, rule.points))
     metric = mesh.det[:, None, None] * np.einsum("tac,tbc->tab", mesh.jinv, mesh.jinv)
     local = np.einsum("ijab,tab->tij", ref, metric)
-    rows = np.broadcast_to(test.cell_dofs[:, :, None], local.shape)
-    cols = np.broadcast_to(trial.cell_dofs[:, None, :], local.shape)
-    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(test.num_dofs, trial.num_dofs)).tocsr()
+    rows = np.broadcast_to(_free_columns(test)[test.cell_dofs][:, :, None], local.shape)
+    cols = np.broadcast_to(_free_columns(trial)[trial.cell_dofs][:, None, :], local.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix((local[keep], (rows[keep], cols[keep])),
+                         shape=(len(test.free_dofs), len(trial.free_dofs))).tocsr()
 
 
 def _face_points(mesh, faces, rule):
@@ -130,67 +139,88 @@ def _normal_derivs(space, rule_degree, cells, faces, side, normal):
     return np.einsum("fqia,fa->fqi", grads, np.einsum("fab,fb->fa", mesh.jinv[cells], normal))
 
 
-def face_operator(space, part, problem=None):
-    """Face-trace operator B (sparse) and data vector ψ̂ of the jump penalty.
+def _free_columns(space):
+    """Column of each DOF of `space` in its free-DOF blocks; -1 if constrained."""
+    columns = np.full(space.num_dofs, -1, dtype=np.int32)
+    free = space.free_dofs
+    columns[free] = np.arange(len(free))
+    return columns
 
-    B has one row √w_q h_F [∂_n φ] per quadrature point of the interior faces,
-    then one row √w_q h_F ∂_n φ per quadrature point of the faces of `part`
-    (one-sided traces), and for degree 2 one row h_F² [Δφ] per interior face.
-    So γ BᵀB is the penalty ∫ h_F [∂_n ·][∂_n ·] (+ h_F³ [Δ·][Δ·]).  ψ̂ is
-    √w_q h_F ψ on the data-face rows and zero elsewhere (all zero without a
-    problem or off the data part): γ Bᵀψ̂ is the data functional g, and
-    √γ ‖ψ̂ - B u‖ is |u - u_h|_{s_V} for the smooth solution u.
 
-    Interior and free-face jumps are polynomials of degree k - 1, so the rule
-    of degree 2(k - 1) is exact for them; data faces use FACE_DATA_DEGREE
-    because ψ is only known pointwise.
-    """
+def _rows(values, dofs, num_dofs):
+    """CSR rows of `values` (nf, m, w) over the DOFs `dofs` (nf, w).  A DOF of
+    both sides of a face appears twice in a row; merging them makes (BᵀB)_ij
+    and (BᵀB)_ji the same sum in the same order: BᵀB is exactly symmetric."""
+    nf, m, w = values.shape
+    index = np.int32 if values.size < 2 ** 31 else np.int64     # as scipy would
+    rows = sp.csr_matrix((values.ravel(), np.repeat(dofs.astype(index)[:, None], m, 1).ravel(),
+                          np.arange(0, nf * m * w + 1, w, dtype=index)), (nf * m, num_dofs))
+    rows.sum_duplicates()
+    return rows
+
+
+def interior_rows(space):
+    """The interior-face rows of the jump penalties over all DOFs: one row
+    √w_q h_F [∂_n φ] per quadrature point, exact for jumps of degree k - 1,
+    and for degree 2 one row h_F² [Δφ] per face (a list of one or two CSR
+    matrices).  V and W share `cell_dofs`, so both spaces share these rows."""
     mesh = space.mesh
     jump_degree = max(2 * (space.degree - 1), 1)
-    part_degree = FACE_DATA_DEGREE if part == BoundaryPart.DATA else jump_degree
-    jump_rule, part_rule = segment_rule(jump_degree), segment_rule(part_degree)
-
+    rule = segment_rule(jump_degree)
     inner = mesh.interior_faces()
     left, right = mesh.face_tris[inner].T
     pair_dofs = np.hstack([space.cell_dofs[left], space.cell_dofs[right]])
-    length, normal, _ = _face_points(mesh, inner, jump_rule)
+    length, normal, _ = _face_points(mesh, inner, rule)
     jumps = np.concatenate(
         [_normal_derivs(space, jump_degree, left, inner, 0, normal),
          -_normal_derivs(space, jump_degree, right, inner, 1, normal)], axis=2)
-    blocks = [(length[:, None, None] * np.sqrt(jump_rule.weights)[:, None] * jumps,
-               pair_dofs)]
-
-    faces = mesh.faces_of_part(part)
-    owner = mesh.face_tris[faces, 0]
-    b_length, b_normal, b_points = _face_points(mesh, faces, part_rule)
-    b_scale = b_length[:, None] * np.sqrt(part_rule.weights)
-    blocks.append((b_scale[:, :, None] * _normal_derivs(space, part_degree, owner, faces,
-                                                          0, b_normal),
-                   space.cell_dofs[owner]))
-
+    rows = [_rows(length[:, None, None] * np.sqrt(rule.weights)[:, None] * jumps,
+                  pair_dofs, space.num_dofs)]
     if space.degree == 2:
         lap = np.einsum("icd,tca,tda->ti", shape_hessians(2), mesh.jinv, mesh.jinv)
-        blocks.append(((length ** 2)[:, None, None]
-                       * np.hstack([lap[left], -lap[right]])[:, None], pair_dofs))
+        rows.append(_rows((length ** 2)[:, None, None]
+                          * np.hstack([lap[left], -lap[right]])[:, None],
+                          pair_dofs, space.num_dofs))
+    return rows
 
-    # every row of a block has the block's width, so indptr is known up front
-    widths = np.concatenate([np.full(vals.shape[0] * vals.shape[1], vals.shape[2])
-                             for vals, _ in blocks])
-    indptr = np.concatenate([[0], np.cumsum(widths)])
-    data = np.concatenate([vals.ravel() for vals, _ in blocks])
-    indices = np.concatenate([np.broadcast_to(dofs[:, None], vals.shape).ravel()
-                              for vals, dofs in blocks])
-    b = sp.csr_matrix((data, indices, indptr), shape=(len(widths), space.num_dofs))
-    # DOFs shared by both sides of a face appear twice in a row; merging them
-    # makes (BᵀB)_ij and (BᵀB)_ji the same sum in the same order, so the
-    # penalty is exactly symmetric
-    b.sum_duplicates()
+
+def face_operator(space, part, problem=None, inner=None):
+    """Face-trace operator B on the free DOFs of `space` and data vector ψ̂
+    of the jump penalty.
+
+    B has the gradient-jump rows of `interior_rows` (built here unless given
+    as `inner`), one row √w_q h_F ∂_n φ per quadrature point of the faces of
+    `part`, then for degree 2 the Laplacian-jump rows; the columns of
+    constrained DOFs are dropped.  So γ BᵀB is the penalty ∫ h_F [∂_n ·]²
+    (+ h_F³ [Δ·]²) on the free DOFs.  ψ̂ is √w_q h_F ψ on the data-face rows
+    (data faces use FACE_DATA_DEGREE: ψ is only known pointwise) and zero
+    elsewhere: γ Bᵀψ̂ is the data functional g, and √γ ‖ψ̂ - B u‖ is
+    |u - u_h|_{s_V} for the smooth solution u.
+    """
+    mesh = space.mesh
+    if inner is None:
+        inner = interior_rows(space)
+    degree = FACE_DATA_DEGREE if part == BoundaryPart.DATA else max(2 * space.degree - 2, 1)
+    rule = segment_rule(degree)
+    faces = mesh.faces_of_part(part)
+    owner = mesh.face_tris[faces, 0]
+    length, normal, points = _face_points(mesh, faces, rule)
+    scale = length[:, None] * np.sqrt(rule.weights)
+    boundary = _rows(scale[:, :, None] * _normal_derivs(space, degree, owner, faces, 0, normal),
+                     space.cell_dofs[owner], space.num_dofs)
+    b = sp.vstack([inner[0], boundary, *inner[1:]], format="csr")
+    # the free columns keep their order: the rows stay sorted, without duplicates
+    columns = _free_columns(space)[b.indices]
+    keep = columns >= 0
+    indptr = np.concatenate([[0], np.cumsum(keep, dtype=b.indptr.dtype)])[b.indptr]
+    b = sp.csr_matrix((b.data[keep], columns[keep], indptr), (b.shape[0], len(space.free_dofs)))
+    b.has_canonical_format = True
 
     psi_hat = np.zeros(b.shape[0])
     if part == BoundaryPart.DATA and problem is not None:
-        start = len(inner) * len(jump_rule.weights)
-        psi_hat[start:start + b_scale.size] = (
-            b_scale * _sample_flux(problem, b_normal, b_points)).ravel()
+        start = inner[0].shape[0]
+        psi_hat[start:start + scale.size] = (
+            scale * _sample_flux(problem, normal, points)).ravel()
     return b, psi_hat
 
 
@@ -200,20 +230,22 @@ def assemble_primal_stab(b):
     return b.T.tocsr() @ b
 
 
-def assemble_dual_stab(space, variant):
-    """Dual stabilizer s_W: either the Galerkin energy a(z, w) itself (no γ)
-    or unit jumps over interior faces and the free boundary."""
+def assemble_dual_stab(space, variant, b=None):
+    """Dual stabilizer s_W on the free DOFs of `space`: the Galerkin energy
+    a(z, w) itself (no γ), or the unit jumps BᵀB over interior faces and the
+    free boundary, from the free-face operator `b` (built here unless given)."""
     if variant == "galerkin":
         return assemble_stiffness(space, space)
     if variant == "jump":
-        b, _ = face_operator(space, BoundaryPart.FREE)
+        if b is None:
+            b, _ = face_operator(space, BoundaryPart.FREE)
         return b.T.tocsr() @ b
     raise ValueError(f"unknown dual stabilizer variant {variant!r}; "
                      f"expected one of {SW_VARIANTS}")
 
 
 def assemble_load(space, problem):
-    """Load vector l[i] = ∫ f φ_i + Σ_data ∫ ψ φ_i."""
+    """Load vector l[i] = ∫ f φ_i + Σ_data ∫ ψ φ_i on the free DOFs."""
     mesh = space.mesh
     rule = triangle_rule(VOLUME_DEGREE)
     phys = cell_points(mesh, rule.points)
@@ -230,7 +262,7 @@ def assemble_load(space, problem):
 
     dofs = np.concatenate([space.cell_dofs.ravel(), space.cell_dofs[owner].ravel()])
     return np.bincount(dofs, weights=np.concatenate([cell.ravel(), face.ravel()]),
-                       minlength=space.num_dofs)
+                       minlength=space.num_dofs)[space.free_dofs]
 
 
 def assemble_data_term(b, psi_hat):
@@ -242,13 +274,15 @@ def assemble_data_term(b, psi_hat):
 
 
 def assemble_blocks(trial, test, problem, variant="jump"):
-    """Assemble every operator and functional of the coupled system at unit
-    penalties (`penalty_factors` applies γ).  One data-face operator B gives
-    S_V = BᵀB and g = Bᵀψ̂, and is kept with ψ̂ for the error report."""
-    b, psi_hat = face_operator(trial, BoundaryPart.DATA, problem)
+    """Every operator and functional of the coupled system on the free DOFs,
+    at unit penalties (`penalty_factors` applies γ).  The interior-face rows
+    are built once for the data-face B (S_V = BᵀB, g = Bᵀψ̂) and the jump
+    S_W's free-face B_W (S_W = B_WᵀB_W); both are kept for the report."""
+    inner = interior_rows(trial)
+    b, psi_hat = face_operator(trial, BoundaryPart.DATA, problem, inner)
+    b_w = face_operator(test, BoundaryPart.FREE, inner=inner)[0] if variant == "jump" else None
     return BlockSystem(s_v=assemble_primal_stab(b), a=assemble_stiffness(trial, test),
-                       s_w=assemble_dual_stab(test, variant),
+                       s_w=assemble_dual_stab(test, variant, b_w),
                        load=assemble_load(test, problem),
                        data=assemble_data_term(b, psi_hat), variant=variant,
-                       b=b, psi_hat=psi_hat)
-
+                       b=b, psi_hat=psi_hat, b_w=b_w)

@@ -52,6 +52,17 @@ class RunConfig:
     output_path: Optional[str] = None
 
     def __post_init__(self):
+        # a bool is an int: True would run as degree 1, seed 1 or γ = 1
+        integer, number = (int, np.integer), (int, float, np.integer, np.floating)
+        for name, kind, what in (("degree", integer, "an integer"),
+                                 ("seed", integer, "an integer"),
+                                 ("jitter", number, "a number"),
+                                 ("gamma_v", number, "a number"),
+                                 ("gamma_w", number, "a number")):
+            value = getattr(self, name)
+            if not (isinstance(value, kind) and not isinstance(value, bool)
+                    or value is None and name.startswith("gamma")):
+                raise ValueError(f"{name} {value!r} must be {what}")
         if self.degree not in (1, 2):
             raise ValueError("degree must be 1 or 2")
         if self.sw_variant not in SW_VARIANTS:
@@ -107,10 +118,10 @@ def check_penalty(gamma):
 
 class Level:
     """What every solve on one mesh level shares, built once per mesh: the
-    problem, the mesh, the spaces, the unit-penalty saddle pattern with its
-    ordering and front tree, and the data-face B and ψ̂ that S_V and g came
-    from.  The report's γ-free data is built from them on first use, after
-    the first factorization, so that the rest of it is not alive during it."""
+    problem, the mesh, the spaces, the analysed unit-penalty saddle pattern,
+    the data-face B and ψ̂ of S_V and g, and the jump S_W's free-face B_W
+    (else None).  The report's γ-free data is built from B and ψ̂ on first
+    use, after the first factorization, so that it is not alive during it."""
 
     def __init__(self, config, n):
         self.n = n
@@ -122,6 +133,7 @@ class Level:
                                  variant=config.sw_variant)
         self.variant = blocks.variant
         self._data_face = blocks.b, blocks.psi_hat
+        self.b_w = blocks.b_w
         self.saddle = saddle_pattern(blocks, self.trial, self.test)
 
     @cached_property
@@ -131,13 +143,14 @@ class Level:
 
 def solve_level(level, gamma_v, gamma_w):
     """One solve on a built level at penalties γ_V, γ_W; returns (solution,
-    report).  |z_h|_{s_W} reads the pattern's −S_W block, on the free W DOFs:
-    z_h is zero on the others."""
+    report).  |z_h|_{s_W} is √γ_W ‖B_W z_h‖, or the quadratic form of the
+    pattern's −S_W block for the Galerkin S_W, on the free W DOFs."""
     factors = penalty_factors(level.variant, gamma_v, gamma_w)
     pattern, nv = level.saddle, len(level.saddle.v_free)
     solution = solve(build_system(pattern, factors))
-    stab_z = stab_seminorm_z(solution.z[pattern.w_free],
-                             -factors[2] * pattern.unit[nv:, nv:])
+    z = solution.z[pattern.w_free]
+    stab_z = (stab_seminorm_z(z, -pattern.unit[nv:, nv:]) if level.b_w is None
+              else math.sqrt(factors[2]) * stab_seminorm_z(z, b=level.b_w))
     return solution, error_report(solution, level.report_data, gamma_v, stab_z)
 
 

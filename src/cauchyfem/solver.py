@@ -61,8 +61,7 @@ class Front(NamedTuple):
     (the V pivots first; `signs` is +1 on them and −1 on the W pivots), then
     the later positions `struct` that they update.  Its slot in the factor
     store holds the pivot block L (size × size), then the off-diagonal
-    block Z (len(struct) × size), both column-major; the stored entries
-    `entries` of the matrix go to the flat places `places` of the slot.
+    block Z (len(struct) × size), both column-major.
     `children` holds (cut, z_rows, pivot_runs, update_runs) per child, whose
     update matrix U has its rows 0 .. cut in the front's pivot rows and the
     rest in its struct rows.  For each (a, b, p, rows) in `pivot_runs`,
@@ -77,8 +76,6 @@ class Front(NamedTuple):
     v_pivots: int
     struct: np.ndarray
     signs: np.ndarray
-    entries: np.ndarray
-    places: np.ndarray
     children: list
 
 
@@ -86,7 +83,9 @@ def analyse(matrix, n_v, coords):
     """Nested-dissection ordering and fronts of the symmetric pattern of
     `matrix`, whose first `n_v` unknowns are the V unknowns: `order[p]` is
     the unknown eliminated at position p, and the fronts are in elimination
-    order, every child before its parent.
+    order, every child before its parent; then the stored `entries` on and
+    below the diagonal of the reordered matrix and their `places` in the
+    factor store of `_factor`, where the fronts' slots follow each other.
 
     A subdomain of more than LEAF_SIZE unknowns that do not all share one
     coordinate is bisected at the median of its wider coordinate; its
@@ -98,12 +97,12 @@ def analyse(matrix, n_v, coords):
     `_factor` adds as slices, and each run is cut where the front's pivot
     rows end.
 
-    The subdomains are cut depth by depth.  An unknown's neighbours lie in
-    its subdomain or in an earlier separator, so for all subdomains of a
-    depth at once, one product of the 0/1 pattern with the right sides
-    finds the separators, and one with the left parts their unknowns next
-    to the left.  The products read the CSC columns as rows, which needs a
-    symmetric pattern: `analysed_pattern` checks that before it analyses.
+    All subdomains of a depth are cut at once.  An unknown's neighbours lie
+    in its subdomain or in an earlier separator, so one product of the 0/1
+    pattern with the right sides finds the separators, and one of the
+    separators' rows with the left parts their unknowns next to the left.
+    The products read the CSC columns as rows, which needs a symmetric
+    pattern: `analysed_pattern` checks that before it analyses.
     """
     n = matrix.shape[0]
     indptr, indices = matrix.indptr, matrix.indices
@@ -111,39 +110,56 @@ def analyse(matrix, n_v, coords):
     # the 0/1 pattern read row by row: its columns, as the pattern is symmetric
     adjacent = sp.csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr),
                              shape=(n, n))
+    axes = np.ascontiguousarray(coords.T)      # one coordinate per row
     label = np.zeros(n, dtype=np.int8)  # 0/1: left/right of its cut; 2: separator
+    near = np.zeros(n, dtype=bool)      # per depth: next to a left part, at separators
     # per subdomain, parents first: (its unknowns,), once cut (separator, left, right)
     parts = [(np.arange(n),)]
     depth = [0]
     while True:
-        split = []             # (subdomain, its unknowns, right side, axis)
-        for d in depth:
-            idx = parts[d][0]
-            if len(idx) <= LEAF_SIZE:
-                continue
-            extent = np.ptp(coords[idx], axis=0)
-            axis = int(np.argmax(extent))
-            if extent[axis] > 0:
-                c = coords[idx, axis]
-                median = np.partition(c, len(c) // 2)[len(c) // 2]
-                right = c >= median
-                if right.all():
-                    right = c > median
-                label[idx] = right
-                split.append((d, idx, right, axis))
-        if not split:
+        big = [d for d in depth if len(parts[d][0]) > LEAF_SIZE]   # one after the other
+        if not big:
             break
-        has_right = adjacent @ (label == 1)
-        seps = [idx[~right & has_right[idx]] for _, idx, right, _ in split]
-        label[np.concatenate(seps)] = 2
-        near = adjacent @ (label == 0)   # next to a left part
-        depth = range(len(parts), len(parts) + 2 * len(split))
-        for (d, idx, right, axis), sep in zip(split, seps):
-            # V before W; in each, the unknowns next to the left part first,
-            # so that its update lands in a few runs; then along the cut
-            sep = sep[np.lexsort((coords[sep, 1 - axis], ~near[sep], sep >= n_v))]
-            parts[d] = (sep, len(parts), len(parts) + 1)
-            parts += [(idx[label[idx] == 0],), (idx[right],)]
+        idx = np.concatenate([parts[d][0] for d in big])
+        sizes = np.array([len(parts[d][0]) for d in big])
+        starts = np.cumsum(sizes) - sizes
+        sub = axes[:, idx]
+        extent = (np.maximum.reduceat(sub, starts, axis=1)
+                  - np.minimum.reduceat(sub, starts, axis=1))
+        axis = (extent[1] > extent[0]).astype(np.intp)
+        c = sub[np.repeat(axis, sizes), np.arange(len(idx))]
+        median = np.array([np.partition(c[a:a + m], m // 2)[m // 2]
+                           for a, m in zip(starts.tolist(), sizes.tolist())])
+        right = c >= np.repeat(median, sizes)
+        for i in np.flatnonzero(np.logical_and.reduceat(right, starts)):
+            at = slice(starts[i], starts[i] + sizes[i])
+            right[at] = c[at] > median[i]
+        # a subdomain whose unknowns share both coordinates stays a leaf
+        spread = extent[axis, np.arange(len(big))] > 0
+        if not spread.all():
+            keep = np.repeat(spread, sizes)
+            idx, right, axis, sizes = idx[keep], right[keep], axis[spread], sizes[spread]
+            big = [d for d, x in zip(big, spread) if x]
+            if not big:
+                break
+        which = np.repeat(np.arange(len(big)), sizes)
+        label[idx] = right
+        sep = ~right & (adjacent @ (label == 1))[idx]
+        rows = idx[sep]
+        label[rows] = 2
+        near[rows] = adjacent[rows] @ (label == 0)
+        # V before W; in each, the unknowns next to the left part first, so
+        # that its update lands in a few runs; then along the cut
+        along = axes[1 - axis[which[sep]], rows]
+        rows = rows[np.lexsort((along, ~near[rows], rows >= n_v, which[sep]))]
+        # each subdomain's separator, left part and right part
+        pieces = [np.split(x, np.searchsorted(which[mask], np.arange(1, len(big))))
+                  for x, mask in ((rows, sep), (idx[~right & ~sep], ~right & ~sep),
+                                  (idx[right], right))]
+        depth = range(len(parts), len(parts) + 2 * len(big))
+        for d, piv, left, rest in zip(big, *pieces):
+            parts[d] = (piv, len(parts), len(parts) + 1)
+            parts += [(left,), (rest,)]
 
     pivots, kids = [], []   # per node, children first
 
@@ -159,46 +175,59 @@ def analyse(matrix, n_v, coords):
 
     emit(0)
     order = np.concatenate([np.empty(0, dtype=np.int64)] + pivots)
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
+    itype = indices.dtype
+    pos = np.empty(n, dtype=itype)
+    pos[order] = np.arange(n, dtype=itype)
 
     # the stored entries on and below the diagonal of the reordered matrix,
-    # column by column in elimination order
-    lens = counts[order]
-    entries = np.repeat(indptr[order + 1] - np.cumsum(lens), lens) + np.arange(lens.sum())
-    row = pos[indices[entries]]
-    col = np.repeat(np.arange(n), lens)
-    lower = row >= col
-    entries, row, col = entries[lower], row[lower], col[lower]
-    bounds = np.searchsorted(col, np.arange(n + 1))
+    # column by column in elimination order: found in the stored order, then
+    # each column's entries moved as one group to the column's new place
+    row = pos[indices]
+    lower = row >= np.repeat(pos, counts)
+    before = np.concatenate([[0], np.cumsum(lower, dtype=itype)])[indptr]
+    lens = np.diff(before)[order]
+    bounds = np.concatenate([[0], np.cumsum(lens)])
+    entries = np.flatnonzero(lower).astype(itype)
+    entries = entries[np.arange(len(entries), dtype=itype)
+                      - np.repeat(bounds[:-1] - before[order], lens)]
+    row = row[entries]
+    col = np.repeat(np.arange(n, dtype=itype), lens)
 
     # row p of a front's column j is place slot[p] + j * stride[p] of the
-    # front's slot: L (k × k) holds its pivot rows, Z (r × k) its struct rows
-    slot = np.empty(n, dtype=np.int64)
-    stride = np.empty(n, dtype=np.int64)
+    # front's slot (at `offset` in the store): L (k × k) holds its pivot
+    # rows, Z (r × k) its struct rows
+    slot, stride = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    places, offset = np.empty(len(row), dtype=np.int64), 0
     mark = np.zeros(n, dtype=bool)
+    signs = np.where(order < n_v, 1.0, -1.0)    # a front's V pivots come first
+    v_before = np.concatenate([[0], np.cumsum(order < n_v)]).tolist()
     fronts, structs, start = [], [], 0
     for piv, children in zip(pivots, kids):
         k = len(piv)
         end = start + k
         span = slice(bounds[start], bounds[end])
-        rows = row[span]
-        mark[np.concatenate([rows] + [structs[c] for c in children])] = True
+        mark[np.concatenate([row[span]] + [structs[c] for c in children])] = True
         struct = np.flatnonzero(mark[end:]) + end
         mark[struct] = False    # positions before end are not read again
         structs.append(struct)
         r = len(struct)
         slot[start:end] = np.arange(k)
         slot[struct] = np.arange(k * k, k * k + r)
-        stride[start:end] = k
-        stride[struct] = r
+        stride[start:end], stride[struct] = k, r
+        rows, place = row[span], places[span]
+        np.multiply(col[span] - start, stride[rows], out=place)
+        place += slot[rows] + offset
+        offset += k * (k + r)
         links = []
         for c in children:
             loc = slot[structs[c]]
             height = len(loc)
             # runs (a, b, p): rows a .. b of the child go to consecutive
             # places p .. p + b - a of a column; they are cut where L ends
-            heads = np.flatnonzero((np.diff(loc, prepend=-2) != 1) | (loc == k * k))
+            head = loc == k * k
+            head[:1] = True
+            head[1:] |= loc[1:] - loc[:-1] != 1
+            heads = np.flatnonzero(head)
             firsts = loc[heads].tolist()
             runs = list(zip(heads.tolist(), heads[1:].tolist() + [height], firsts))
             split = bisect_left(firsts, k)
@@ -215,14 +244,11 @@ def analyse(matrix, n_v, coords):
                           [(a, b, p, slice(p, p + cut - a) if b == cut else loc[a:cut])
                            for a, b, p in runs[:split]],
                           update_runs))
-        v_pivots = int(np.count_nonzero(piv < n_v))
-        fronts.append(Front(start, k, v_pivots, struct,
-                            np.where(np.arange(k) < v_pivots, 1.0, -1.0),
-                            entries[span].astype(np.int32),
-                            (slot[rows] + (col[span] - start) * stride[rows]).astype(np.int32),
-                            links))
+        fronts.append(Front(start, k, v_before[end] - v_before[start], struct,
+                            signs[start:end], links))
         start = end
-    return order, fronts
+    # kept for the life of the mesh: half the bytes wherever they fit
+    return order, fronts, entries, places.astype(np.int32) if offset < 2 ** 31 else places
 
 
 def _singular(i, front, block):
@@ -236,18 +262,18 @@ def _singular(i, front, block):
 def _factor(pattern, data):
     """Per front, L (lower triangle) and Z with the front's pivot block
     L diag(signs) Lᵀ and off-diagonal block Z Lᵀ, for the matrix values
-    `data` on the analysed pattern.  Each front is assembled in its slot of
-    one buffer and factored there; L and Z are views of that buffer, which
-    is returned to the system when the solve drops them.  The strict upper
-    triangle of every L stays zero."""
+    `data` on the analysed pattern.  One scatter puts the stored entries in
+    one buffer; each front is assembled and factored in its slot there.  L
+    and Z are views of the buffer, which is freed when the solve drops them.
+    The strict upper triangle of every L stays zero."""
     sizes = [front.size * (front.size + len(front.struct)) for front in pattern.fronts]
     store = np.zeros(sum(sizes))
+    store[pattern.places] = data[pattern.entries]
     factors, stack, at = [], [], 0
     for i, (front, size) in enumerate(zip(pattern.fronts, sizes)):
         k, kv, r = front.size, front.v_pivots, len(front.struct)
         slot = store[at:at + size]
         at += size
-        slot[front.places] = data[front.entries]
         low = slot[:k * k].reshape((k, k), order="F")
         off = slot[k * k:].reshape((r, k), order="F")
         update = np.zeros((r, r), order="F")      # what goes to the parent
@@ -313,8 +339,8 @@ class SaddlePattern:
     form, and `classes` gives each stored entry's block, which indexes its
     factor in `build_system`: 0 for S_V, 1 for A or Aᵀ, 2 for S_W.
     `tperm[e]` is the stored entry at the transposed place of stored entry
-    e.  `g` and `load` are the right side's unit-penalty parts.  `order` and
-    `fronts` are the nested-dissection ordering and the fronts of `analyse`.
+    e.  `g` and `load` are the right side's unit-penalty parts.  `order`,
+    `fronts`, `entries` and `places` are those of `analyse`.
     """
 
     unit: sp.csc_matrix
@@ -328,6 +354,8 @@ class SaddlePattern:
     n_w: int
     order: np.ndarray
     fronts: list
+    entries: np.ndarray
+    places: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -352,24 +380,17 @@ class DiscreteSolution:
 
 
 def saddle_pattern(blocks, trial, test):
-    """Eliminate Dirichlet DOFs and stack the unit-penalty blocks, once per
-    mesh."""
-    if blocks.s_v.shape != (trial.num_dofs, trial.num_dofs):
-        raise ValueError("primal stabilizer does not match the trial space")
-    if blocks.a.shape != (test.num_dofs, trial.num_dofs):
-        raise ValueError("stiffness block does not match the spaces")
-    if blocks.s_w.shape != (test.num_dofs, test.num_dofs):
-        raise ValueError("dual stabilizer does not match the test space")
-
-    v_free = trial.free_dofs
-    w_free = test.free_dofs
-    a = blocks.a[np.ix_(w_free, v_free)]
-    unit = sp.bmat([[blocks.s_v[np.ix_(v_free, v_free)], a.T],
-                    [a, -blocks.s_w[np.ix_(w_free, w_free)]]], format="csc")
+    """Stack the unit-penalty blocks, assembled on the free DOFs, once per
+    mesh, and analyse the result."""
+    v_free, w_free = trial.free_dofs, test.free_dofs
+    nv, nw = len(v_free), len(w_free)
+    if (blocks.s_v.shape, blocks.a.shape, blocks.s_w.shape) != ((nv, nv), (nw, nv), (nw, nw)):
+        raise ValueError("the blocks do not match the free DOFs of the spaces")
+    unit = sp.bmat([[blocks.s_v, blocks.a.T], [blocks.a, -blocks.s_w]], format="csc")
     return analysed_pattern(unit, np.vstack([trial.dof_coords[v_free],
                                              test.dof_coords[w_free]]),
-                            blocks.data[v_free], blocks.load[w_free], v_free,
-                            w_free, trial.num_dofs, test.num_dofs)
+                            blocks.data, blocks.load, v_free, w_free,
+                            trial.num_dofs, test.num_dofs)
 
 
 def analysed_pattern(unit, coords, g, load, v_free, w_free, n_v, n_w):
@@ -378,9 +399,10 @@ def analysed_pattern(unit, coords, g, load, v_free, w_free, n_v, n_w):
     `coords`; raises ValueError unless its pattern is symmetric."""
     unit.sort_indices()
     nv = len(v_free)
-    classes = (unit.indices >= nv).astype(np.int8) + (np.arange(unit.nnz) >= unit.indptr[nv])
-    ids = sp.csc_matrix((np.arange(unit.nnz), unit.indices, unit.indptr),
-                        shape=unit.shape).T.tocsc()
+    classes = (unit.indices >= nv).astype(np.int8)
+    classes[unit.indptr[nv]:] += 1      # the columns of the W unknowns
+    ids = sp.csc_matrix((np.arange(unit.nnz, dtype=unit.indices.dtype), unit.indices,
+                         unit.indptr), shape=unit.shape).T.tocsc()
     if not (np.array_equal(ids.indptr, unit.indptr)
             and np.array_equal(ids.indices, unit.indices)):
         raise ValueError("saddle matrix pattern is not symmetric")

@@ -52,9 +52,14 @@ class FeSpace:
     def num_dofs(self):
         return len(self.dof_coords)
 
-    @property
+    @functools.cached_property
     def free_dofs(self):
-        return np.setdiff1d(np.arange(self.num_dofs), self.dirichlet_dofs)
+        """The unconstrained DOFs, sorted (read-only, computed once)."""
+        constrained = np.zeros(self.num_dofs, dtype=bool)
+        constrained[self.dirichlet_dofs] = True
+        free = np.flatnonzero(~constrained)
+        free.flags.writeable = False
+        return free
 
 
 def build_space(mesh, degree, constraint_side=None):
@@ -133,8 +138,9 @@ def shape_hessians(degree):
 
 def cell_points(mesh, ref_points):
     """Physical images (nt, nq, 2) of reference points in every triangle."""
+    mapped = mesh.jac.reshape(-1, 2) @ ref_points.T    # one product, not one per J
     return (mesh.vertices[mesh.triangles[:, 0]][:, None]
-            + (mesh.jac @ ref_points.T).transpose(0, 2, 1))
+            + mapped.reshape(mesh.num_triangles, 2, -1).transpose(0, 2, 1))
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,8 +11,10 @@ helpers that only tests use.
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from cauchyfem import solver
 from cauchyfem.analysis import report_data
@@ -21,7 +23,7 @@ from cauchyfem.assembly import (VOLUME_DEGREE, BlockSystem, assemble_blocks,
                                 assemble_primal_stab, assemble_stiffness,
                                 face_operator, penalty_factors)
 from cauchyfem.mesh import GEOM_TOL, BoundaryPart, mesh_size
-from cauchyfem.solver import Front, build_system, saddle_pattern, solve
+from cauchyfem.solver import build_system, saddle_pattern, solve
 from cauchyfem.spaces import (build_space, cell_points, shape_grads, shape_values,
                               triangle_rule)
 
@@ -387,6 +389,24 @@ def solve_from_scratch(mesh, degree, problem, gamma_v, gamma_w, variant="jump"):
     return solve(build_system(saddle_pattern(blocks, trial, test))), trial, test, blocks
 
 
+def full_dof_unit_matrix(mesh, degree, problem, variant):
+    """The unit saddle matrix stacked from blocks over all DOFs, as the
+    pipeline did before the blocks were restricted at assembly: the blocks
+    of the unconstrained space on `mesh` (which numbers the DOFs as the
+    constrained trial and test spaces do), restricted to the free DOFs by
+    `np.ix_` and stacked by `bmat` in canonical CSC form."""
+    trial = build_space(mesh, degree, BoundaryPart.DATA)
+    test = build_space(mesh, degree, BoundaryPart.FREE)
+    full = build_space(mesh, degree)
+    blocks = assemble_blocks(full, full, problem, variant)
+    v_free, w_free = trial.free_dofs, test.free_dofs
+    a = blocks.a[np.ix_(w_free, v_free)]
+    unit = sp.bmat([[blocks.s_v[np.ix_(v_free, v_free)], a.T],
+                    [a, -blocks.s_w[np.ix_(w_free, w_free)]]], format="csc")
+    unit.sort_indices()
+    return unit
+
+
 def discrete_consistency_probe(mesh, degree, gamma_v, gamma_w, variant="jump",
                                probe=None, seed=0):
     """Manufacture data from a coefficient vector and check it is reproduced.
@@ -409,11 +429,28 @@ def discrete_consistency_probe(mesh, degree, gamma_v, gamma_w, variant="jump",
     s_v = primal_stab(trial)
     a = assemble_stiffness(trial, test)
     # g = S_V v at unit γ_V; scaling makes it γ_V S_V v for the scaled S_V
+    free = probe[trial.free_dofs]
     unit = BlockSystem(s_v=s_v, a=a, s_w=assemble_dual_stab(test, variant),
-                       load=a @ probe, data=s_v @ probe, variant=variant,
-                       b=None, psi_hat=None)   # no report on this system
+                       load=a @ free, data=s_v @ free, variant=variant,
+                       b=None, psi_hat=None, b_w=None)   # no report on this system
     sol = solve(build_system(saddle_pattern(scaled(unit, gamma_v, gamma_w), trial, test)))
     return float(max(np.abs(sol.u - probe).max(), np.abs(sol.z).max()))
+
+
+class OracleFront(NamedTuple):
+    """A front of `edge_list_analyse`: the fields of `solver.Front`, plus
+    the stored entries `entries` of the front's columns and their places
+    `places` in the front's own slot (`analyse` returns both for all fronts
+    at once, with places in the whole factor store)."""
+
+    start: int
+    size: int
+    v_pivots: int
+    struct: np.ndarray
+    signs: np.ndarray
+    entries: np.ndarray
+    places: np.ndarray
+    children: list
 
 
 def edge_list_analyse(matrix, n_v, coords):
@@ -540,7 +577,7 @@ def edge_list_analyse(matrix, n_v, coords):
                            for a, b, p in runs[:split]],
                           update_runs))
         v_pivots = int(np.count_nonzero(piv < n_v))
-        fronts.append(Front(start, k, v_pivots, struct,
+        fronts.append(OracleFront(start, k, v_pivots, struct,
                             np.where(np.arange(k) < v_pivots, 1.0, -1.0),
                             entries[span].astype(np.int32),
                             (slot[rows] + (col[span] - start) * stride[rows]).astype(np.int32),
@@ -602,8 +639,7 @@ def poincare_ratio(space, stab_matrix, stiffness, samples=100, seed=0):
     free = space.free_dofs
     worst = 0.0
     for _ in range(samples):
-        v = np.zeros(space.num_dofs)
-        v[free] = rng.standard_normal(len(free))
+        v = rng.standard_normal(len(free))     # the blocks are on the free DOFs
         stab = math.sqrt(max(float(v @ (stab_matrix @ v)), 0.0))
         if stab < 1e-14:
             continue

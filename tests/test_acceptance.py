@@ -68,23 +68,32 @@ def test_c1_oracle_equivalence():
     for mesh in (unit_square_mesh(1), unit_square_mesh(2),
                  unit_square_mesh(3, jitter=0.2, seed=3)):
         for degree in (1, 2):
-            trial = build_space(mesh, degree, BoundaryPart.DATA)
-            test = build_space(mesh, degree, BoundaryPart.FREE)
-            u = np.random.default_rng(degree).standard_normal(trial.num_dofs)
-            worst = max(worst, abs(stab_seminorm_u(fresh_report_data(trial, problem), u, 0.01)
-                                   - loop_stab_seminorm_u(trial, u, problem, 0.01)))
-            for variant in ("galerkin", "jump"):
-                blocks = scaled(assemble_blocks(trial, test, problem, variant), 0.01, 0.01)
-                worst = max(
-                    worst,
-                    np.abs(blocks.a.toarray() - dense_stiffness(trial, test)).max(),
-                    np.abs(blocks.s_v.toarray()
-                           - dense_face_jumps(trial, BoundaryPart.DATA, 0.01)).max(),
-                    np.abs(blocks.s_w.toarray()
-                           - dense_dual_stab(test, variant, 0.01)).max(),
-                    np.abs(blocks.load - dense_load(test, problem)).max(),
-                    np.abs(blocks.data - dense_data_term(trial, problem, 0.01)).max(),
-                )
+            # the blocks over all DOFs (the unconstrained space), and on the
+            # free DOFs of the trial and test spaces, as the solver gets them
+            full = build_space(mesh, degree)
+            for trial, test in ((full, full),
+                                (build_space(mesh, degree, BoundaryPart.DATA),
+                                 build_space(mesh, degree, BoundaryPart.FREE))):
+                v, w = trial.free_dofs, test.free_dofs
+                u = np.random.default_rng(degree).standard_normal(trial.num_dofs)
+                u[trial.dirichlet_dofs] = 0.0
+                worst = max(worst, abs(stab_seminorm_u(fresh_report_data(trial, problem), u,
+                                                       0.01)
+                                       - loop_stab_seminorm_u(trial, u, problem, 0.01)))
+                for variant in ("galerkin", "jump"):
+                    blocks = scaled(assemble_blocks(trial, test, problem, variant), 0.01, 0.01)
+                    worst = max(
+                        worst,
+                        np.abs(blocks.a.toarray()
+                               - dense_stiffness(trial, test)[np.ix_(w, v)]).max(),
+                        np.abs(blocks.s_v.toarray()
+                               - dense_face_jumps(trial, BoundaryPart.DATA, 0.01)[np.ix_(v, v)]
+                               ).max(),
+                        np.abs(blocks.s_w.toarray()
+                               - dense_dual_stab(test, variant, 0.01)[np.ix_(w, w)]).max(),
+                        np.abs(blocks.load - dense_load(test, problem)[w]).max(),
+                        np.abs(blocks.data - dense_data_term(trial, problem, 0.01)[v]).max(),
+                    )
     elapsed = time.perf_counter() - t0
     verdict("C1 oracle equivalence", worst < 1e-12 and elapsed < 5.0,
             f"max deviation {worst:.2e}, {elapsed:.1f}s")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cauchyfem.analysis import (convergence_rate, error_report, h1_semi_error,
                                 l2_error, l2_norm_field, stab_seminorm_u,
                                 stab_seminorm_z)
-from cauchyfem.assembly import assemble_dual_stab, assemble_stiffness
+from cauchyfem.assembly import assemble_dual_stab, assemble_stiffness, face_operator
 from cauchyfem.mesh import BoundaryPart, mesh_size, unit_square_mesh
 from cauchyfem.problem import CauchyProblem
 from cauchyfem.solver import DiscreteSolution
@@ -84,9 +84,12 @@ def test_stab_u_interpolated_affine_has_interior_zero(mesh4):
 
 
 def test_stab_z_trivial_cases(mesh4):
-    space = build_space(mesh4, 1, BoundaryPart.FREE)
+    # constants: on the unconstrained space, where they live
+    space = build_space(mesh4, 1)
     s_w = assemble_dual_stab(space, "galerkin")
-    assert stab_seminorm_z(np.zeros(space.num_dofs), s_w) == 0.0
+    b_w, _ = face_operator(space, BoundaryPart.FREE)
+    for form in ({"stab_matrix": s_w}, {"b": b_w}):
+        assert stab_seminorm_z(np.zeros(space.num_dofs), **form) == 0.0
     assert stab_seminorm_z(np.ones(space.num_dofs), s_w) < 1e-13
 
 
@@ -105,8 +108,10 @@ def test_quadratic_form_matches_face_quadrature(degree, variant):
         else:
             s = GAMMA * assemble_dual_stab(space, variant)
         v = rng.standard_normal(space.num_dofs)
+        v[space.dirichlet_dofs] = 0.0   # the matrices are on the free DOFs
         direct = fe_jump_seminorm(space, v, GAMMA, boundary_part=part)
-        assert direct == pytest.approx(math.sqrt(v @ (s @ v)), abs=1e-12)
+        free = v[space.free_dofs]
+        assert direct == pytest.approx(math.sqrt(free @ (s @ free)), abs=1e-12)
 
 
 def test_estimator_zero_for_dataless_problem(mesh2):
@@ -150,7 +155,7 @@ def test_estimator_zero_solution_closed_form(problem):
 def test_report_estimator_dominates_seminorms(mesh4, problem):
     sol, trial, test, blocks = solve_from_scratch(mesh4, 1, problem, GAMMA, GAMMA, "jump")
     report = error_report(sol, fresh_report_data(trial, problem), GAMMA,
-                          stab_seminorm_z(sol.z, blocks.s_w))
+                          stab_seminorm_z(sol.z[test.free_dofs], blocks.s_w))
     assert report.eta >= report.stab_u + report.stab_z
     assert report.local_l2 <= report.global_l2
     assert report.dofs_v == report.dofs_w == trial.num_dofs

@@ -48,15 +48,16 @@ def test_constants_in_stiffness_kernel(mesh2, degree):
 
 def test_primal_stab_hand_value(mesh1):
     # n=1, P1, gamma=1: hat at vertex (1,0) sees the diagonal face
-    # (jump sqrt(2), contribution 4) plus bottom and right data faces (1 each)
-    space = build_space(mesh1, 1, BoundaryPart.DATA)
+    # (jump sqrt(2), contribution 4) plus bottom and right data faces (1 each);
+    # the unconstrained space keeps that vertex, which the trial space drops
+    space = build_space(mesh1, 1)
     s = primal_stab(space).toarray()
     idx = int(np.flatnonzero((space.dof_coords == (1.0, 0.0)).all(axis=1))[0])
     assert s[idx, idx] == pytest.approx(6.0, abs=1e-13)
 
 
 def test_affine_function_has_no_interior_jumps(mesh4):
-    space = build_space(mesh4, 1, BoundaryPart.DATA)
+    space = build_space(mesh4, 1)
     v = nodal_interpolant(space, lambda x, y: x + y)
     s = primal_stab(space)
     # only the data faces contribute: sum of h_F * (grad.n)^2 * |F| = 2/n
@@ -112,7 +113,7 @@ def test_unknown_variant_rejected(mesh2):
 def test_jump_dual_stab_boundary_contributions_on_free_side(mesh1):
     # beyond the interior diagonal face, the jump variant only touches
     # the triangle carrying the top and left (free) faces
-    space = build_space(mesh1, 1, BoundaryPart.FREE)
+    space = build_space(mesh1, 1)
     s_w = assemble_dual_stab(space, "jump").toarray()
     boundary_only = s_w - _dense_interior_jumps(space)
     touched = {i for i in range(space.num_dofs)
@@ -179,7 +180,7 @@ def test_data_term_zero_flux(mesh2):
 
 
 def test_data_term_unit_flux_hand_value(mesh1):
-    space = build_space(mesh1, 1, BoundaryPart.DATA)
+    space = build_space(mesh1, 1)
     g = data_term(space, constant_problem(0.0, 1.0))
     coord = {tuple(c): i for i, c in enumerate(map(tuple, space.dof_coords))}
     # constant normal derivatives on the two data faces of the lower triangle
@@ -210,18 +211,24 @@ def test_assembly_is_linear_in_data(mesh2, problem):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("degree", [1, 2])
 def test_operators_match_dense_oracle(n, degree, problem):
+    # every operator over all DOFs (the unconstrained space) and, as the
+    # solver receives it, on the free DOFs of the trial and test spaces
     mesh = unit_square_mesh(n)
-    trial, test = spaces_on(mesh, degree)
-    assert np.abs(assemble_stiffness(trial, test).toarray()
-                  - dense_stiffness(trial, test)).max() < 1e-12
-    assert np.abs(GAMMA * primal_stab(trial).toarray()
-                  - dense_face_jumps(trial, BoundaryPart.DATA, GAMMA)).max() < 1e-12
-    for variant in ("galerkin", "jump"):
-        s_w = scaled(assemble_blocks(trial, test, problem, variant), GAMMA, GAMMA).s_w
-        assert np.abs(s_w.toarray() - dense_dual_stab(test, variant, GAMMA)).max() < 1e-12
-    assert np.abs(assemble_load(test, problem) - dense_load(test, problem)).max() < 1e-12
-    assert np.abs(GAMMA * data_term(trial, problem)
-                  - dense_data_term(trial, problem, GAMMA)).max() < 1e-12
+    full = build_space(mesh, degree)
+    for trial, test in ((full, full), spaces_on(mesh, degree)):
+        v, w = np.ix_(trial.free_dofs, trial.free_dofs), np.ix_(test.free_dofs, test.free_dofs)
+        assert np.abs(assemble_stiffness(trial, test).toarray()
+                      - dense_stiffness(trial, test)[np.ix_(test.free_dofs, trial.free_dofs)]
+                      ).max() < 1e-12
+        assert np.abs(GAMMA * primal_stab(trial).toarray()
+                      - dense_face_jumps(trial, BoundaryPart.DATA, GAMMA)[v]).max() < 1e-12
+        for variant in ("galerkin", "jump"):
+            s_w = scaled(assemble_blocks(trial, test, problem, variant), GAMMA, GAMMA).s_w
+            assert np.abs(s_w.toarray() - dense_dual_stab(test, variant, GAMMA)[w]).max() < 1e-12
+        assert np.abs(assemble_load(test, problem)
+                      - dense_load(test, problem)[test.free_dofs]).max() < 1e-12
+        assert np.abs(GAMMA * data_term(trial, problem)
+                      - dense_data_term(trial, problem, GAMMA)[trial.free_dofs]).max() < 1e-12
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -255,6 +262,7 @@ def test_batched_kernels_property(n, jitter, seed, degree, variant, problem):
         eigs = np.linalg.eigvalsh(dense)
         assert eigs.min() > -1e-12 * max(eigs.max(), 1.0), name
     u = np.random.default_rng(seed).standard_normal(trial.num_dofs)
+    u[trial.dirichlet_dofs] = 0.0       # a trial function: B reads the free DOFs
     assert stab_seminorm_u(fresh_report_data(trial, problem), u, GAMMA) == pytest.approx(
         loop_stab_seminorm_u(trial, u, problem, GAMMA), rel=1e-12)
 

@@ -7,7 +7,7 @@ import pytest
 
 from cauchyfem import analysis, assembly, experiments, mesh as mesh_module, solver
 from cauchyfem.analysis import error_report, stab_seminorm_u, stab_seminorm_z
-from cauchyfem.assembly import assemble_dual_stab, penalty_factors
+from cauchyfem.assembly import assemble_dual_stab, face_operator
 from cauchyfem.experiments import (CONVERGENCE_COLUMNS, SWEEP_COLUMNS, Level,
                                    RunConfig, run_convergence, run_single,
                                    run_sweep, solve_level)
@@ -58,6 +58,22 @@ def test_config_rejects_bad_jitter_and_variant(bad, message):
     ({"levels": ("8",)}, "mesh level '8' must be an integer >= 1")])
 def test_config_rejects_empty_levels_and_negative_seed(bad, message):
     with pytest.raises(ValueError, match=message):
+        RunConfig(**bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"degree": True}, "degree True must be an integer"),
+    ({"degree": 2.0}, "degree 2.0 must be an integer"),
+    ({"seed": True}, "seed True must be an integer"),
+    ({"seed": 1.5, "jitter": 0.1}, "seed 1.5 must be an integer"),
+    ({"jitter": "0.1"}, "jitter '0.1' must be a number"),
+    ({"jitter": True}, "jitter True must be a number"),
+    ({"gamma_v": True}, "gamma_v True must be a number"),
+    ({"gamma_w": "1e-3"}, "gamma_w '1e-3' must be a number")])
+def test_config_rejects_bools_and_non_numbers_naming_the_field(bad, message):
+    # a bool is an int: degree=True ran as P1 and gamma_v=True as γ = 1;
+    # seed=1.5 failed inside the mesh build and jitter="0.1" in a comparison
+    with pytest.raises(ValueError, match=re.escape(message)):
         RunConfig(**bad)
 
 
@@ -239,7 +255,9 @@ def test_sweep_rejects_empty_gammas_before_building_the_mesh(monkeypatch):
 def test_sweep_rows_equal_solves_from_scratch(degree, variant):
     """One level's unit blocks scaled per γ and its cached report data give,
     bit for bit, what a fresh mesh, fresh blocks at γ and a fresh report
-    give; |z_h|_{s_W} reads the −S_W block of the fresh saddle pattern."""
+    give; |z_h|_{s_W} is √γ ‖B_W z_h‖ with a fresh free-face operator for
+    the jump S_W, and reads the −S_W block of the fresh saddle pattern for
+    the Galerkin S_W."""
     config = RunConfig(degree=degree, sw_variant=variant, jitter=0.1, seed=2)
     gammas = (1e-3, 0.05, 1.0)
     rows = run_sweep(config, gammas=gammas, n=4)
@@ -250,7 +268,12 @@ def test_sweep_rows_equal_solves_from_scratch(degree, variant):
                                                            gamma, gamma, variant)
         pattern = saddle_pattern(blocks, trial, test)
         nv = len(pattern.v_free)
-        stab_z = stab_seminorm_z(solution.z[pattern.w_free], -pattern.unit[nv:, nv:])
+        z = solution.z[pattern.w_free]
+        if variant == "jump":
+            b_w, _ = face_operator(test, BoundaryPart.FREE)
+            stab_z = math.sqrt(gamma) * stab_seminorm_z(z, b=b_w)
+        else:
+            stab_z = stab_seminorm_z(z, -pattern.unit[nv:, nv:])
         expected = error_report(solution, fresh_report_data(trial, problem), gamma,
                                 stab_z)
         assert dataclasses.astuple(row.report) == dataclasses.astuple(expected)
@@ -259,16 +282,20 @@ def test_sweep_rows_equal_solves_from_scratch(degree, variant):
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("variant", ["jump", "galerkin"])
 def test_report_reads_the_operators_the_solve_was_built_from(degree, variant):
-    """|z_h|_{s_W} from the pattern's −S_W block equals the quadratic form of
-    the full S_W, and |u - u_h|_{s_V} from the level's data-face B equals the
-    one from a fresh data-face operator, bit for bit."""
+    """|z_h|_{s_W} equals the residual form √γ_W ‖B_W z_h‖ of a fresh
+    free-face operator for the jump S_W and the quadratic form of a fresh
+    S_W for the Galerkin S_W, and |u - u_h|_{s_V} from the level's data-face
+    B equals the one from a fresh data-face operator, bit for bit."""
     gamma_v, gamma_w = 0.02, 0.005
     level = Level(RunConfig(degree=degree, sw_variant=variant, jitter=0.2, seed=3), 6)
     solution, report = solve_level(level, gamma_v, gamma_w)
-    f_w = penalty_factors(variant, gamma_v, gamma_w)[2]
-    s_w = f_w * assemble_dual_stab(level.test, variant)
-    assert report.stab_z == pytest.approx(math.sqrt(solution.z @ (s_w @ solution.z)),
-                                          rel=1e-13)
+    z = solution.z[level.test.free_dofs]
+    if variant == "jump":
+        jumps = face_operator(level.test, BoundaryPart.FREE)[0] @ z
+        expected = math.sqrt(gamma_w * (jumps @ jumps))
+    else:
+        expected = math.sqrt(z @ (assemble_dual_stab(level.test, variant) @ z))
+    assert report.stab_z == pytest.approx(expected, rel=1e-13)
     fresh = stab_seminorm_u(fresh_report_data(level.trial, level.problem), solution.u,
                             gamma_v)
     assert report.stab_u == fresh
@@ -276,27 +303,30 @@ def test_report_reads_the_operators_the_solve_was_built_from(degree, variant):
 
 def test_mesh_blocks_and_report_data_are_built_once_per_mesh(monkeypatch):
     names = ("from_triangles", "affine_map", "assemble_blocks", "report_data",
-             "face_operator", "analyse")
+             "interior_rows", "face_operator", "analyse")
     counts = dict.fromkeys(names, 0)
     _counting(monkeypatch, mesh_module, "from_triangles", counts)
     _counting(monkeypatch, mesh_module, "affine_map", counts)
     _counting(monkeypatch, experiments, "assemble_blocks", counts)
     _counting(monkeypatch, experiments, "report_data", counts)
+    _counting(monkeypatch, assembly, "interior_rows", counts)
     _counting(monkeypatch, assembly, "face_operator", counts)
     _counting(monkeypatch, solver, "analyse", counts)
     rows = run_sweep(RunConfig(degree=1), gammas=(1e-3, 1e-2, 1e-1, 1.0), n=2)
     assert all(row.report is not None for row in rows)
     # face operators: S_V with g and the report's |u - u_h|_{s_V}, and S_W
+    # with |z_h|_{s_W}; both from the interior rows, built once
     assert counts == {"from_triangles": 1, "affine_map": 1, "assemble_blocks": 1,
-                      "report_data": 1, "face_operator": 2, "analyse": 1}
+                      "report_data": 1, "interior_rows": 1, "face_operator": 2,
+                      "analyse": 1}
     assert not hasattr(analysis, "face_operator")
 
     for variant, face_operators in (("jump", 2), ("galerkin", 1)):
         counts.update(dict.fromkeys(counts, 0))
         run_convergence(RunConfig(degree=1, levels=(2, 4, 8), sw_variant=variant))
         assert counts == {"from_triangles": 3, "affine_map": 3, "assemble_blocks": 3,
-                          "report_data": 3, "face_operator": 3 * face_operators,
-                          "analyse": 3}
+                          "report_data": 3, "interior_rows": 3,
+                          "face_operator": 3 * face_operators, "analyse": 3}
 
 
 def test_pattern_is_analysed_when_the_level_is_built(monkeypatch):

@@ -16,7 +16,7 @@ from cauchyfem.solver import (RESIDUAL_TOL, Front, SingularSystemError,
 from cauchyfem.spaces import build_space
 
 from .oracles import (discrete_consistency_probe, edge_list_analyse, eval_fe,
-                      nodal_interpolant, scaled, solve_from_scratch)
+                      full_dof_unit_matrix, nodal_interpolant, scaled, solve_from_scratch)
 
 GAMMA = 0.01
 
@@ -38,19 +38,17 @@ def test_single_cell_free_dof_counts(mesh1, problem):
 def test_zero_stabilizers_leave_offdiagonal_blocks(mesh2, problem):
     trial = build_space(mesh2, 1, BoundaryPart.DATA)
     test = build_space(mesh2, 1, BoundaryPart.FREE)
-    n = trial.num_dofs
-    zero = sp.csr_matrix((n, n))
+    nv, nw = len(trial.free_dofs), len(test.free_dofs)
     a = assemble_stiffness(trial, test)
-    blocks = BlockSystem(s_v=zero, a=a, s_w=zero.copy(), load=np.zeros(n),
-                         data=np.zeros(n), variant="jump", b=None, psi_hat=None)
+    blocks = BlockSystem(s_v=sp.csr_matrix((nv, nv)), a=a, s_w=sp.csr_matrix((nw, nw)),
+                         load=np.zeros(nw), data=np.zeros(nv), variant="jump",
+                         b=None, psi_hat=None, b_w=None)
     system = build_system(saddle_pattern(blocks, trial, test))
-    nv = len(trial.free_dofs)
     dense = system.matrix.toarray()
     assert np.all(dense[:nv, :nv] == 0)
     assert np.all(dense[nv:, nv:] == 0)
-    a_ff = a[np.ix_(test.free_dofs, trial.free_dofs)].toarray()
-    assert np.array_equal(dense[nv:, :nv], a_ff)
-    assert np.array_equal(dense[:nv, nv:], a_ff.T)
+    assert np.array_equal(dense[nv:, :nv], a.toarray())
+    assert np.array_equal(dense[:nv, nv:], a.toarray().T)
 
 
 @pytest.mark.parametrize("variant", ["galerkin", "jump"])
@@ -135,8 +133,7 @@ def test_unit_entry_off_by_1e11_fails_the_symmetry_check(problem):
     test = build_space(mesh, 1, BoundaryPart.FREE)
     blocks = assemble_blocks(trial, test, problem)
     s_v = blocks.s_v.tocoo(copy=True)
-    free = np.isin(s_v.row, trial.free_dofs) & np.isin(s_v.col, trial.free_dofs)
-    e = np.flatnonzero(free & (s_v.row != s_v.col))[0]
+    e = np.flatnonzero(s_v.row != s_v.col)[0]
     s_v.data[e] += 1e-11
     pattern = saddle_pattern(dataclasses.replace(blocks, s_v=s_v.tocsr()), trial, test)
     with pytest.raises(ValueError, match="asymmetry 1e-11"):
@@ -178,14 +175,22 @@ def _same(x, y):
 
 
 def _assert_matches_edge_list_oracle(pattern, coords):
-    """The ordering and every front field of `pattern` are those of the
-    edge-list analysis of its matrix."""
+    """The ordering, every front field, and the stored entries with their
+    places of `pattern` are those of the edge-list analysis of its matrix,
+    which gives each front's entries and their places in the front's own
+    slot; the slots follow each other in the factor store."""
     order, fronts = edge_list_analyse(pattern.unit, len(pattern.v_free), coords)
     assert _same(pattern.order, order)
     assert len(pattern.fronts) == len(fronts)
     for i, (front, expected) in enumerate(zip(pattern.fronts, fronts)):
         for field in Front._fields:
             assert _same(getattr(front, field), getattr(expected, field)), (i, field)
+    sizes = [f.size * (f.size + len(f.struct)) for f in fronts]
+    slots = np.cumsum([0] + sizes[:-1])
+    empty = [np.empty(0, dtype=np.int64)]
+    assert np.array_equal(pattern.entries, np.concatenate(empty + [f.entries for f in fronts]))
+    assert np.array_equal(pattern.places, np.concatenate(
+        empty + [f.places + at for f, at in zip(fronts, slots)]))
 
 
 @pytest.mark.parametrize("case", ["one front", "three levels", "V and W apart",
@@ -306,6 +311,31 @@ def test_analysis_matches_edge_list_oracle(degree, jitter, seed, variant, n, lea
         _assert_matches_edge_list_oracle(
             saddle_pattern(blocks, trial, test),
             np.vstack([trial.dof_coords[trial.free_dofs], test.dof_coords[test.free_dofs]]))
+
+
+@pytest.mark.parametrize("n", [1, 4, 12])
+@pytest.mark.parametrize("jitter, seed", [(0.0, 0), (0.2, 1), (0.29, 2)])
+@pytest.mark.parametrize("variant", ["jump", "galerkin"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_unit_matrix_matches_full_dof_stacking(degree, variant, jitter, seed, n, problem):
+    # blocks restricted at assembly and stacked once give the pattern of the
+    # full-DOF blocks restricted by np.ix_, each block's values to its
+    # rounding, and a matrix that is symmetric to the last bit; the Galerkin
+    # S_W is the stiffness matrix, symmetric to rounding only, as it was
+    mesh = unit_square_mesh(n, jitter, seed)
+    trial = build_space(mesh, degree, BoundaryPart.DATA)
+    test = build_space(mesh, degree, BoundaryPart.FREE)
+    pattern = saddle_pattern(assemble_blocks(trial, test, problem, variant), trial, test)
+    expected = full_dof_unit_matrix(mesh, degree, problem, variant)
+    unit = pattern.unit
+    assert np.array_equal(unit.indptr, expected.indptr)
+    assert np.array_equal(unit.indices, expected.indices)
+    for block in range(3):
+        mine = pattern.classes == block
+        scale = np.abs(expected.data[mine]).max(initial=0.0)
+        assert np.abs(unit.data[mine] - expected.data[mine]).max(initial=0.0) <= 1e-14 * scale
+        defect = np.abs(unit.data[mine] - unit.data[pattern.tperm][mine]).max(initial=0.0)
+        assert defect <= (1e-14 * scale if variant == "galerkin" and block == 2 else 0.0)
 
 
 def test_fill_at_p2_n16_is_pinned(problem):

@@ -132,14 +132,12 @@ def stab_seminorm_u(data, coeffs, gamma_v):
     return math.sqrt(gamma_v * float(residual @ residual))
 
 
-def stab_seminorm_z(coeffs, stab_matrix=None, b=None):
-    """|z_h| in the unit dual stabilizer for the free W coefficients: ‖B_W z‖
-    for the jump s_W = B_WᵀB_W given by `b` (this residual form keeps the
-    digits the quadratic form loses), zᵀ S z for a matrix `stab_matrix`."""
-    if b is not None:
-        jumps = b @ coeffs
-        return math.sqrt(float(jumps @ jumps))
-    return math.sqrt(max(float(coeffs @ (stab_matrix @ coeffs)), 0.0))
+def stab_seminorm_z(coeffs, b):
+    """|z_h| in the unit jump dual stabilizer s_W = B_WᵀB_W for the free W
+    coefficients: ‖B_W z‖, a residual form that keeps the digits the
+    quadratic form loses."""
+    jumps = b @ coeffs
+    return math.sqrt(float(jumps @ jumps))
 
 
 def eta(h, f_l2, stab_u, stab_z):
@@ -149,7 +147,7 @@ def eta(h, f_l2, stab_u, stab_z):
 
 def error_report(solution, data, gamma_v, stab_z):
     """All error quantities of one solve, from the ReportData of its mesh, its
-    primal penalty γ_V and its |z_h|_{s_W} (from `stab_seminorm_z`)."""
+    primal penalty γ_V and its |z_h|_{s_W}."""
     stab_u = stab_seminorm_u(data, solution.u, gamma_v)
     return ErrorReport(
         h=data.h,

@@ -37,7 +37,7 @@ def _comma_list(parse, text):
 
 def _penalty(text):
     try:
-        return experiments.check_penalty(text)
+        return experiments.check_penalty(float(text))
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from err
 

@@ -22,7 +22,7 @@ from .analysis import convergence_rate, error_report, report_data, stab_seminorm
 from .assembly import SW_VARIANTS, assemble_blocks, penalty_factors
 from .mesh import MAX_JITTER, BoundaryPart, check_level, unit_square_mesh
 from .problem import quartic_example
-from .solver import SolverError, build_system, saddle_pattern, solve
+from .solver import SolverError, build_system, saddle_pattern, solve, w_form
 from .spaces import build_space
 from .vtk_io import write_vtk
 
@@ -38,6 +38,7 @@ SWEEP_COLUMNS = ("gamma", "n", "h", "dofs_V", "dofs_W", "global_l2",
                  "local_l2", "h1_semi", "stab_u", "stab_z", "eta")
 
 NA = "NA"
+_NUMBER = (int, float, np.integer, np.floating)
 
 
 @dataclass(frozen=True)
@@ -53,12 +54,11 @@ class RunConfig:
 
     def __post_init__(self):
         # a bool is an int: True would run as degree 1, seed 1 or γ = 1
-        integer, number = (int, np.integer), (int, float, np.integer, np.floating)
-        for name, kind, what in (("degree", integer, "an integer"),
-                                 ("seed", integer, "an integer"),
-                                 ("jitter", number, "a number"),
-                                 ("gamma_v", number, "a number"),
-                                 ("gamma_w", number, "a number")):
+        for name, kind, what in (("degree", (int, np.integer), "an integer"),
+                                 ("seed", (int, np.integer), "an integer"),
+                                 ("jitter", _NUMBER, "a number"),
+                                 ("gamma_v", _NUMBER, "a number"),
+                                 ("gamma_w", _NUMBER, "a number")):
             value = getattr(self, name)
             if not (isinstance(value, kind) and not isinstance(value, bool)
                     or value is None and name.startswith("gamma")):
@@ -108,8 +108,10 @@ class Row:
 
 
 def check_penalty(gamma):
-    """γ as a float; raises ValueError naming it unless it is positive and
-    finite."""
+    """γ as a float; raises ValueError naming it unless it is a number (not
+    a bool), positive and finite."""
+    if isinstance(gamma, bool) or not isinstance(gamma, _NUMBER):
+        raise ValueError(f"penalty {gamma!r} must be a number")
     gamma = float(gamma)
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"penalty {gamma!r} must be positive and finite")
@@ -143,13 +145,12 @@ class Level:
 
 def solve_level(level, gamma_v, gamma_w):
     """One solve on a built level at penalties γ_V, γ_W; returns (solution,
-    report).  |z_h|_{s_W} is √γ_W ‖B_W z_h‖, or the quadratic form of the
-    pattern's −S_W block for the Galerkin S_W, on the free W DOFs."""
+    report), with |z_h|_{s_W} = √γ_W ‖B_W z_h‖, or √(zᵀS_W z) by `w_form`."""
     factors = penalty_factors(level.variant, gamma_v, gamma_w)
-    pattern, nv = level.saddle, len(level.saddle.v_free)
+    pattern = level.saddle
     solution = solve(build_system(pattern, factors))
     z = solution.z[pattern.w_free]
-    stab_z = (stab_seminorm_z(z, -pattern.unit[nv:, nv:]) if level.b_w is None
+    stab_z = (math.sqrt(max(-w_form(pattern, z), 0.0)) if level.b_w is None
               else math.sqrt(factors[2]) * stab_seminorm_z(z, b=level.b_w))
     return solution, error_report(solution, level.report_data, gamma_v, stab_z)
 

@@ -12,18 +12,15 @@ blocks are positive definite there, so the matrix is symmetric quasi-definite
 diagonal pivots, + on the V unknowns and − on the W unknowns (Vanderbei,
 SIAM J. Optim. 5(1), 1995).
 
-Its pattern and unit-penalty values are stacked once per mesh, and the
-pattern is then ordered by nested dissection on the unknowns' coordinates
-and cut into the fronts of a multifrontal factorization (Duff & Reid, ACM
-TOMS 9(3), 1983; `analyse`); every penalty pair of the mesh reuses this
-`SaddlePattern` and only scales the values.
-Each front is assembled in its slot of the factor store and factors there
-densely with no pivoting: a Cholesky factorization of its V pivots, one of
-the negated Schur complement of its W pivots, one triangular solve for its
-off-diagonal block and two rank-k updates for what it passes to its parent.
-One refinement step with the same factors always follows (diagonal pivots
-lose digits when a penalty is small: relative residual 1.8e-10 at γ = 1e-4,
-P1 n=32); the relative residual is then checked.
+Once per mesh its unit-penalty pattern is stacked, checked, ordered by
+nested dissection on the unknowns' coordinates and cut into the fronts of a
+multifrontal factorization (Duff & Reid, ACM TOMS 9(3), 1983; `analyse`).
+The `SaddlePattern` keeps one entry per symmetric pair and each block's
+symmetry defect; every penalty pair only scales the kept values.  Fronts
+factor densely with no pivoting (`_factor`), and one refinement step with
+the same factors always follows (diagonal pivots lose digits when a penalty
+is small: relative residual 1.8e-10 at γ = 1e-4, P1 n=32); the relative
+residual is then checked.
 """
 
 from __future__ import annotations
@@ -83,9 +80,10 @@ def analyse(matrix, n_v, coords):
     """Nested-dissection ordering and fronts of the symmetric pattern of
     `matrix`, whose first `n_v` unknowns are the V unknowns: `order[p]` is
     the unknown eliminated at position p, and the fronts are in elimination
-    order, every child before its parent; then the stored `entries` on and
-    below the diagonal of the reordered matrix and their `places` in the
-    factor store of `_factor`, where the fronts' slots follow each other.
+    order, every child before its parent.  Then the half H, the stored
+    entries on and below the diagonal of the reordered matrix (mask `lower`,
+    column bounds `indptr`), with their `places` in the factor store of
+    `_factor`, the bounds `slots` of the fronts' slots there, and `fill`.
 
     A subdomain of more than LEAF_SIZE unknowns that do not all share one
     coordinate is bisected at the median of its wider coordinate; its
@@ -187,17 +185,16 @@ def analyse(matrix, n_v, coords):
     before = np.concatenate([[0], np.cumsum(lower, dtype=itype)])[indptr]
     lens = np.diff(before)[order]
     bounds = np.concatenate([[0], np.cumsum(lens)])
-    entries = np.flatnonzero(lower).astype(itype)
-    entries = entries[np.arange(len(entries), dtype=itype)
-                      - np.repeat(bounds[:-1] - before[order], lens)]
-    row = row[entries]
+    moved = (np.arange(bounds[-1], dtype=itype)
+             - np.repeat((bounds[:-1] - before[order]).astype(itype), lens))
+    row = row[lower][moved]
     col = np.repeat(np.arange(n, dtype=itype), lens)
 
     # row p of a front's column j is place slot[p] + j * stride[p] of the
-    # front's slot (at `offset` in the store): L (k × k) holds its pivot
+    # front's slot (at slots[-1] in the store): L (k × k) holds its pivot
     # rows, Z (r × k) its struct rows
     slot, stride = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    places, offset = np.empty(len(row), dtype=np.int64), 0
+    places, slots, fill = np.empty(len(row), dtype=np.int64), [0], 0
     mark = np.zeros(n, dtype=bool)
     signs = np.where(order < n_v, 1.0, -1.0)    # a front's V pivots come first
     v_before = np.concatenate([[0], np.cumsum(order < n_v)]).tolist()
@@ -216,8 +213,9 @@ def analyse(matrix, n_v, coords):
         stride[start:end], stride[struct] = k, r
         rows, place = row[span], places[span]
         np.multiply(col[span] - start, stride[rows], out=place)
-        place += slot[rows] + offset
-        offset += k * (k + r)
+        place += slot[rows] + slots[-1]
+        slots.append(slots[-1] + k * (k + r))
+        fill += k * (k + 1) // 2 + r * k
         links = []
         for c in children:
             loc = slot[structs[c]]
@@ -244,11 +242,13 @@ def analyse(matrix, n_v, coords):
                           [(a, b, p, slice(p, p + cut - a) if b == cut else loc[a:cut])
                            for a, b, p in runs[:split]],
                           update_runs))
-        fronts.append(Front(start, k, v_before[end] - v_before[start], struct,
+        fronts.append(Front(start, k, v_before[end] - v_before[start], struct.astype(itype),
                             signs[start:end], links))
         start = end
-    # kept for the life of the mesh: half the bytes wherever they fit
-    return order, fronts, entries, places.astype(np.int32) if offset < 2 ** 31 else places
+    # in the stored order, kept per mesh: half the bytes wherever they fit
+    out = np.empty(len(places), dtype=np.int32 if slots[-1] < 2 ** 31 else np.int64)
+    out[moved] = places
+    return order, fronts, lower, before, out, slots, fill
 
 
 def _singular(i, front, block):
@@ -261,19 +261,17 @@ def _singular(i, front, block):
 
 def _factor(pattern, data):
     """Per front, L (lower triangle) and Z with the front's pivot block
-    L diag(signs) Lᵀ and off-diagonal block Z Lᵀ, for the matrix values
-    `data` on the analysed pattern.  One scatter puts the stored entries in
-    one buffer; each front is assembled and factored in its slot there.  L
-    and Z are views of the buffer, which is freed when the solve drops them.
-    The strict upper triangle of every L stays zero."""
-    sizes = [front.size * (front.size + len(front.struct)) for front in pattern.fronts]
-    store = np.zeros(sum(sizes))
-    store[pattern.places] = data[pattern.entries]
-    factors, stack, at = [], [], 0
-    for i, (front, size) in enumerate(zip(pattern.fronts, sizes)):
+    L diag(signs) Lᵀ and off-diagonal block Z Lᵀ, for the values `data` of
+    the pattern's half H.  One scatter puts them in one buffer, each at its
+    place; each front is assembled and factored in its slot there.  L and Z
+    are views of the buffer, which is freed when the solve drops them.  The
+    strict upper triangle of every L stays zero."""
+    store, slots = np.zeros(pattern.slots[-1]), pattern.slots
+    store[pattern.places] = data
+    factors, stack = [], []
+    for i, (front, at, end) in enumerate(zip(pattern.fronts, slots, slots[1:])):
         k, kv, r = front.size, front.v_pivots, len(front.struct)
-        slot = store[at:at + size]
-        at += size
+        slot = store[at:end]
         low = slot[:k * k].reshape((k, k), order="F")
         off = slot[k * k:].reshape((r, k), order="F")
         update = np.zeros((r, r), order="F")      # what goes to the parent
@@ -333,19 +331,18 @@ def _substitute(pattern, factors, rhs):
 
 @dataclass(frozen=True)
 class SaddlePattern:
-    """The saddle matrix of one mesh at unit penalties, analysed once.
+    """The saddle matrix M of one mesh at unit penalties, analysed once.
 
-    `unit` stacks the restricted S_V, A (and Aᵀ) and −S_W in canonical CSC
-    form, and `classes` gives each stored entry's block, which indexes its
-    factor in `build_system`: 0 for S_V, 1 for A or Aᵀ, 2 for S_W.
-    `tperm[e]` is the stored entry at the transposed place of stored entry
-    e.  `g` and `load` are the right side's unit-penalty parts.  `order`,
-    `fronts`, `entries` and `places` are those of `analyse`.
-    """
+    M = H + Hᵀ − diag H is kept as its half H (`analyse`), one entry per
+    symmetric pair, a CSC matrix in the original numbering.  `classes`
+    gives each entry its block, which indexes its factor in `build_system`:
+    0 for S_V, 1 for A or Aᵀ, 2 for −S_W; `defects[c]` is the largest
+    |M_ij − M_ji| in block c.  `g` and `load` are the right side's
+    unit-penalty parts; the rest comes from `analyse`."""
 
-    unit: sp.csc_matrix
+    half: sp.csc_matrix
     classes: np.ndarray
-    tperm: np.ndarray
+    defects: np.ndarray
     g: np.ndarray
     load: np.ndarray
     v_free: np.ndarray
@@ -354,18 +351,20 @@ class SaddlePattern:
     n_w: int
     order: np.ndarray
     fronts: list
-    entries: np.ndarray
     places: np.ndarray
+    slots: list
+    lu_fill: int
 
 
 @dataclass(frozen=True)
 class SaddleSystem:
-    """The saddle matrix and right side at one penalty pair; `matrix` shares
-    the index arrays of `pattern.unit`."""
+    """The half H of the saddle matrix and the right side at one penalty
+    pair, and the largest |M_ij − M_ji| of its scaled blocks."""
 
     pattern: SaddlePattern
     matrix: sp.csc_matrix
     rhs: np.ndarray
+    asymmetry: float
 
 
 @dataclass(frozen=True)
@@ -375,8 +374,7 @@ class DiscreteSolution:
     u: np.ndarray
     z: np.ndarray
     residual: float
-    lu_fill: int        # entries of the stored factor blocks: each front's
-                        # L (lower triangle) and off-diagonal block Z
+    lu_fill: int        # stored factor entries: each front's L (lower) and Z
 
 
 def saddle_pattern(blocks, trial, test):
@@ -387,16 +385,16 @@ def saddle_pattern(blocks, trial, test):
     if (blocks.s_v.shape, blocks.a.shape, blocks.s_w.shape) != ((nv, nv), (nw, nv), (nw, nw)):
         raise ValueError("the blocks do not match the free DOFs of the spaces")
     unit = sp.bmat([[blocks.s_v, blocks.a.T], [blocks.a, -blocks.s_w]], format="csc")
-    return analysed_pattern(unit, np.vstack([trial.dof_coords[v_free],
-                                             test.dof_coords[w_free]]),
-                            blocks.data, blocks.load, v_free, w_free,
+    coords = np.vstack([trial.dof_coords[v_free], test.dof_coords[w_free]])
+    return analysed_pattern(unit, coords, blocks.data, blocks.load, v_free, w_free,
                             trial.num_dofs, test.num_dofs)
 
 
 def analysed_pattern(unit, coords, g, load, v_free, w_free, n_v, n_w):
     """The `SaddlePattern` of the CSC matrix `unit`, whose first
     len(v_free) unknowns are the V unknowns and whose unknowns lie at
-    `coords`; raises ValueError unless its pattern is symmetric."""
+    `coords`; raises ValueError unless its pattern is symmetric.  The
+    transpose map of that check also gives each block's symmetry defect."""
     unit.sort_indices()
     nv = len(v_free)
     classes = (unit.indices >= nv).astype(np.int8)
@@ -406,34 +404,48 @@ def analysed_pattern(unit, coords, g, load, v_free, w_free, n_v, n_w):
     if not (np.array_equal(ids.indptr, unit.indptr)
             and np.array_equal(ids.indices, unit.indices)):
         raise ValueError("saddle matrix pattern is not symmetric")
-    return SaddlePattern(unit, classes, ids.data, g, load, v_free, w_free, n_v, n_w,
-                         *analyse(unit, nv, coords))
+    defect = unit.data[ids.data]    # then |M_ij − M_ji|, in the same buffer
+    del ids
+    np.abs(np.subtract(unit.data, defect, out=defect), out=defect)
+    defects = np.array([np.max(defect, where=classes == c, initial=0.0) for c in range(3)])
+    del defect
+    order, fronts, lower, indptr, places, slots, fill = analyse(unit, nv, coords)
+    half = sp.csc_matrix((unit.data[lower], unit.indices[lower], indptr), shape=unit.shape)
+    return SaddlePattern(half, classes[lower], defects, g, load, v_free, w_free, n_v, n_w,
+                         order, fronts, places, slots, fill)
 
 
 def build_system(pattern, factors=(1.0, 1.0, 1.0)):
     """The saddle system with each block of `pattern` times its factor in
-    `factors` (indexed by S_V, A, S_W); g is scaled with S_V."""
-    data = pattern.unit.data * np.asarray(factors, dtype=float)[pattern.classes]
-    defect = abs(data - data[pattern.tperm]).max() if len(data) else 0.0
+    `factors` (indexed by S_V, A, S_W); g is scaled with S_V.  Raises
+    ValueError when a scaled block's defect exceeds SYMMETRY_TOL."""
+    factors = np.asarray(factors, dtype=float)
+    defect = float(np.max(np.abs(factors) * pattern.defects))
     if defect > SYMMETRY_TOL:
         raise ValueError(f"saddle matrix asymmetry {defect:g} exceeds {SYMMETRY_TOL:g}")
-    matrix = sp.csc_matrix((data, pattern.unit.indices, pattern.unit.indptr),
-                           shape=pattern.unit.shape)
-    rhs = np.concatenate([factors[0] * pattern.g, pattern.load])
-    return SaddleSystem(pattern=pattern, matrix=matrix, rhs=rhs)
+    half, data = pattern.half, factors[pattern.classes]
+    data *= half.data
+    return SaddleSystem(pattern, sp.csc_matrix((data, half.indices, half.indptr), half.shape),
+                        np.concatenate([factors[0] * pattern.g, pattern.load]), defect)
+
+
+def w_form(pattern, z):
+    """zᵀ M_ww z for W values z from the half H: 2 xᵀHx − Σ h_ii x_i², x = (0, z)."""
+    x, half = np.concatenate([np.zeros(len(pattern.v_free)), z]), pattern.half
+    return 2.0 * float(x @ (half @ x)) - float(half.diagonal() @ (x * x))
 
 
 def solve(system):
-    """Multifrontal LDLᵀ solve with one refinement step; raises
-    SingularSystemError at a pivot block that is not definite and
-    UnconvergedSolveError unless the relative residual is finite and below
-    RESIDUAL_TOL."""
-    pattern = system.pattern
-    factors = _factor(pattern, system.matrix.data)
+    """Multifrontal LDLᵀ solve with one refinement step, M x taken as
+    Hx + Hᵀx − diag(H)x; raises SingularSystemError at a pivot block that is
+    not definite and UnconvergedSolveError unless the relative residual is
+    finite and below RESIDUAL_TOL."""
+    pattern, half, diagonal = system.pattern, system.matrix, system.matrix.diagonal()
+    factors = _factor(pattern, half.data)
     x = _substitute(pattern, factors, system.rhs)
-    x += _substitute(pattern, factors, system.rhs - system.matrix @ x)
+    x += _substitute(pattern, factors, system.rhs - (half @ x + half.T @ x - diagonal * x))
     rhs_norm = np.linalg.norm(system.rhs)
-    res = np.linalg.norm(system.matrix @ x - system.rhs)
+    res = np.linalg.norm(half @ x + half.T @ x - diagonal * x - system.rhs)
     residual = float(res / rhs_norm) if rhs_norm > 0 else float(res)
     if not residual < RESIDUAL_TOL:
         raise UnconvergedSolveError(
@@ -445,5 +457,4 @@ def solve(system):
     z = np.zeros(pattern.n_w)
     u[pattern.v_free] = x[:nv_free]
     z[pattern.w_free] = x[nv_free:]
-    fill = sum(low.shape[0] * (low.shape[0] + 1) // 2 + off.size for low, off in factors)
-    return DiscreteSolution(u=u, z=z, residual=residual, lu_fill=fill)
+    return DiscreteSolution(u=u, z=z, residual=residual, lu_fill=pattern.lu_fill)

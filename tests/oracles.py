@@ -407,6 +407,17 @@ def full_dof_unit_matrix(mesh, degree, problem, variant):
     return unit
 
 
+def full_matrix(half):
+    """The symmetric matrix H + Hᵀ − diag H of the stored half H = `half`
+    of a saddle matrix, in canonical CSC form: every stored entry of H
+    off the diagonal is mirrored, explicit zeros included."""
+    h = half.tocoo()
+    off = h.row != h.col
+    return sp.csc_matrix((np.concatenate([h.data, h.data[off]]),
+                          (np.concatenate([h.row, h.col[off]]),
+                           np.concatenate([h.col, h.row[off]]))), shape=half.shape)
+
+
 def discrete_consistency_probe(mesh, degree, gamma_v, gamma_w, variant="jump",
                                probe=None, seed=0):
     """Manufacture data from a coefficient vector and check it is reproduced.

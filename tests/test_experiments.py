@@ -13,7 +13,7 @@ from cauchyfem.experiments import (CONVERGENCE_COLUMNS, SWEEP_COLUMNS, Level,
                                    run_sweep, solve_level)
 from cauchyfem.mesh import BoundaryPart, unit_square_mesh
 from cauchyfem.problem import quartic_example
-from cauchyfem.solver import SingularSystemError, saddle_pattern
+from cauchyfem.solver import SingularSystemError, saddle_pattern, w_form
 from cauchyfem.spaces import edge_tables, segment_rule, triangle_rule
 
 from .oracles import fresh_report_data, solve_from_scratch
@@ -83,6 +83,13 @@ def test_config_rejects_non_finite_penalties(bad):
     (value,) = bad.values()
     with pytest.raises(ValueError, match=re.escape(f"penalty {value!r}")):
         RunConfig(**bad)
+
+
+@pytest.mark.parametrize("gamma", [True, "0.1", None, [0.1]])
+def test_sweep_rejects_bool_and_non_number_penalties_naming_them(gamma):
+    # a bool is an int: gammas=(True,) ran as γ = 1; "0.1" was parsed
+    with pytest.raises(ValueError, match=re.escape(f"penalty {gamma!r} must be a number")):
+        run_sweep(RunConfig(), gammas=(0.1, gamma), n=2)
 
 
 def test_config_rejects_output_path_in_missing_directory(tmp_path):
@@ -256,8 +263,8 @@ def test_sweep_rows_equal_solves_from_scratch(degree, variant):
     """One level's unit blocks scaled per γ and its cached report data give,
     bit for bit, what a fresh mesh, fresh blocks at γ and a fresh report
     give; |z_h|_{s_W} is √γ ‖B_W z_h‖ with a fresh free-face operator for
-    the jump S_W, and reads the −S_W block of the fresh saddle pattern for
-    the Galerkin S_W."""
+    the jump S_W, and reads the −S_W part of the fresh saddle pattern's
+    half for the Galerkin S_W."""
     config = RunConfig(degree=degree, sw_variant=variant, jitter=0.1, seed=2)
     gammas = (1e-3, 0.05, 1.0)
     rows = run_sweep(config, gammas=gammas, n=4)
@@ -267,13 +274,12 @@ def test_sweep_rows_equal_solves_from_scratch(degree, variant):
         solution, trial, test, blocks = solve_from_scratch(mesh, degree, problem,
                                                            gamma, gamma, variant)
         pattern = saddle_pattern(blocks, trial, test)
-        nv = len(pattern.v_free)
         z = solution.z[pattern.w_free]
         if variant == "jump":
             b_w, _ = face_operator(test, BoundaryPart.FREE)
             stab_z = math.sqrt(gamma) * stab_seminorm_z(z, b=b_w)
         else:
-            stab_z = stab_seminorm_z(z, -pattern.unit[nv:, nv:])
+            stab_z = math.sqrt(max(-w_form(pattern, z), 0.0))
         expected = error_report(solution, fresh_report_data(trial, problem), gamma,
                                 stab_z)
         assert dataclasses.astuple(row.report) == dataclasses.astuple(expected)

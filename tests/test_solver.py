@@ -16,7 +16,8 @@ from cauchyfem.solver import (RESIDUAL_TOL, Front, SingularSystemError,
 from cauchyfem.spaces import build_space
 
 from .oracles import (discrete_consistency_probe, edge_list_analyse, eval_fe,
-                      full_dof_unit_matrix, nodal_interpolant, scaled, solve_from_scratch)
+                      full_dof_unit_matrix, full_matrix, nodal_interpolant, scaled,
+                      solve_from_scratch)
 
 GAMMA = 0.01
 
@@ -44,7 +45,7 @@ def test_zero_stabilizers_leave_offdiagonal_blocks(mesh2, problem):
                          load=np.zeros(nw), data=np.zeros(nv), variant="jump",
                          b=None, psi_hat=None, b_w=None)
     system = build_system(saddle_pattern(blocks, trial, test))
-    dense = system.matrix.toarray()
+    dense = full_matrix(system.matrix).toarray()
     assert np.all(dense[:nv, :nv] == 0)
     assert np.all(dense[nv:, nv:] == 0)
     assert np.array_equal(dense[nv:, :nv], a.toarray())
@@ -55,7 +56,9 @@ def test_zero_stabilizers_leave_offdiagonal_blocks(mesh2, problem):
 def test_system_matrix_symmetric(variant, problem):
     mesh = unit_square_mesh(4)
     system, *_ = make_system(mesh, 1, problem, variant)
-    assert abs(system.matrix - system.matrix.T).max() < 1e-13
+    # the largest |M_ij − M_ji| of the stacked matrix, which the half keeps
+    # one entry of
+    assert system.asymmetry < 1e-13
 
 
 def _plain_system(matrix, rhs, n_v=None, coords=None):
@@ -92,7 +95,7 @@ def test_solve_permutation_exercises_indefinite_pivoting():
 
 def test_symmetric_ordering_fills_less_than_default_lu(problem):
     system, *_ = make_system(unit_square_mesh(16), 2, problem, gamma=1e-3)
-    assert solve(system).lu_fill < spla.splu(system.matrix).nnz
+    assert solve(system).lu_fill < spla.splu(full_matrix(system.matrix)).nnz
 
 
 def test_refinement_meets_tolerance_at_smallest_sweep_gamma(problem):
@@ -141,6 +144,40 @@ def test_unit_entry_off_by_1e11_fails_the_symmetry_check(problem):
     build_system(saddle_pattern(blocks, trial, test), (1.0, 1.0, 1.0))  # passes
 
 
+@pytest.mark.parametrize("block", ["S_V", "A below", "A above", "S_W"])
+def test_entry_off_by_1e11_in_each_block_fails_the_symmetry_check(block, problem):
+    # one off-diagonal entry of the stacked matrix moves; the defect of its
+    # block, measured when the pattern is built, fails the check per γ
+    mesh = unit_square_mesh(4)
+    trial = build_space(mesh, 1, BoundaryPart.DATA)
+    test = build_space(mesh, 1, BoundaryPart.FREE)
+    blocks = assemble_blocks(trial, test, problem)
+    nv = len(trial.free_dofs)
+    unit = sp.bmat([[blocks.s_v, blocks.a.T], [blocks.a, -blocks.s_w]], format="coo")
+    below, right = unit.row >= nv, unit.col >= nv
+    inside = {"S_V": ~below & ~right, "A below": below & ~right,
+              "A above": ~below & right, "S_W": below & right}[block]
+    unit.data[np.flatnonzero(inside & (unit.row != unit.col))[0]] += 1e-11
+    coords = np.vstack([trial.dof_coords[trial.free_dofs], test.dof_coords[test.free_dofs]])
+    pattern = analysed_pattern(unit.tocsc(), coords, blocks.data, blocks.load,
+                               trial.free_dofs, test.free_dofs, trial.num_dofs,
+                               test.num_dofs)
+    with pytest.raises(ValueError, match="asymmetry 1e-11"):
+        build_system(pattern)
+
+
+def test_galerkin_rounding_defect_passes_the_symmetry_check(problem):
+    # the Galerkin S_W is the stiffness matrix, symmetric to rounding only
+    mesh = unit_square_mesh(8, jitter=0.2, seed=1)
+    trial = build_space(mesh, 2, BoundaryPart.DATA)
+    test = build_space(mesh, 2, BoundaryPart.FREE)
+    pattern = saddle_pattern(assemble_blocks(trial, test, problem, "galerkin"),
+                             trial, test)
+    scale = np.abs(pattern.half.data[pattern.classes == 2]).max()
+    assert 0.0 < pattern.defects[2] <= 1e-14 * scale
+    assert build_system(pattern, (1.0, 1.0, 1.0)).asymmetry == pattern.defects[2]
+
+
 def _random_sqd(rng, coords, n_v, density=0.3):
     """A random sparse symmetric quasi-definite matrix on unknowns at
     `coords`, the first `n_v` on V: neighbours closer than 0.3 are coupled,
@@ -174,23 +211,47 @@ def _same(x, y):
     return type(x) is type(y) and x == y
 
 
+def _pairs(matrix, entries):
+    """The unordered index pair (i, j), as one number, of each stored entry
+    `entries` of the CSC `matrix`."""
+    n = matrix.shape[0]
+    cols = np.repeat(np.arange(n), np.diff(matrix.indptr))[entries]
+    rows = matrix.indices[entries].astype(np.int64)
+    return np.minimum(rows, cols) * n + np.maximum(rows, cols)
+
+
 def _assert_matches_edge_list_oracle(pattern, coords):
-    """The ordering, every front field, and the stored entries with their
-    places of `pattern` are those of the edge-list analysis of its matrix,
-    which gives each front's entries and their places in the front's own
-    slot; the slots follow each other in the factor store."""
-    order, fronts = edge_list_analyse(pattern.unit, len(pattern.v_free), coords)
+    """The ordering, every front field (`struct` in the pattern's index
+    dtype), the slots and the fill of `pattern` are those of the edge-list
+    analysis of its full matrix H + Hᵀ − diag H, which gives each front's
+    entries and their places in the front's own slot; the slots follow each
+    other in the factor store, and each entry of the half H lies at the
+    place of the oracle's entry of the same index pair, with its value."""
+    full = full_matrix(pattern.half)
+    order, fronts = edge_list_analyse(full, len(pattern.v_free), coords)
     assert _same(pattern.order, order)
     assert len(pattern.fronts) == len(fronts)
+    itype = pattern.half.indices.dtype
     for i, (front, expected) in enumerate(zip(pattern.fronts, fronts)):
         for field in Front._fields:
-            assert _same(getattr(front, field), getattr(expected, field)), (i, field)
+            value = getattr(expected, field)
+            if field == "struct":
+                value = value.astype(itype)
+            assert _same(getattr(front, field), value), (i, field)
     sizes = [f.size * (f.size + len(f.struct)) for f in fronts]
-    slots = np.cumsum([0] + sizes[:-1])
+    slots = np.cumsum([0] + sizes)
+    assert pattern.slots == slots.tolist()
+    assert pattern.lu_fill == sum(f.size * (f.size + 1) // 2 + f.size * len(f.struct)
+                                  for f in fronts)
     empty = [np.empty(0, dtype=np.int64)]
-    assert np.array_equal(pattern.entries, np.concatenate(empty + [f.entries for f in fronts]))
-    assert np.array_equal(pattern.places, np.concatenate(
-        empty + [f.places + at for f, at in zip(fronts, slots)]))
+    entries = np.concatenate(empty + [f.entries for f in fronts])
+    places = np.concatenate(empty + [f.places + at for f, at in zip(fronts, slots)])
+    assert len(pattern.places) == len(places) == pattern.half.nnz
+    for mine, theirs in ((_pairs(pattern.half, slice(None)), _pairs(full, entries)),
+                         (pattern.half.data, full.data[entries])):
+        store, expected = np.full(slots[-1], -1.0), np.full(slots[-1], -1.0)
+        store[pattern.places], expected[places] = mine, theirs
+        assert np.array_equal(store, expected)
 
 
 @pytest.mark.parametrize("case", ["one front", "three levels", "V and W apart",
@@ -319,23 +380,33 @@ def test_analysis_matches_edge_list_oracle(degree, jitter, seed, variant, n, lea
 @pytest.mark.parametrize("degree", [1, 2])
 def test_unit_matrix_matches_full_dof_stacking(degree, variant, jitter, seed, n, problem):
     # blocks restricted at assembly and stacked once give the pattern of the
-    # full-DOF blocks restricted by np.ix_, each block's values to its
-    # rounding, and a matrix that is symmetric to the last bit; the Galerkin
-    # S_W is the stiffness matrix, symmetric to rounding only, as it was
+    # full-DOF blocks restricted by np.ix_, each kept entry's value to its
+    # block's rounding, and a matrix that is symmetric to the last bit; the
+    # Galerkin S_W is the stiffness matrix, symmetric to rounding only, as
+    # it was
     mesh = unit_square_mesh(n, jitter, seed)
     trial = build_space(mesh, degree, BoundaryPart.DATA)
     test = build_space(mesh, degree, BoundaryPart.FREE)
     pattern = saddle_pattern(assemble_blocks(trial, test, problem, variant), trial, test)
     expected = full_dof_unit_matrix(mesh, degree, problem, variant)
-    unit = pattern.unit
-    assert np.array_equal(unit.indptr, expected.indptr)
-    assert np.array_equal(unit.indices, expected.indices)
+    full = full_matrix(pattern.half)
+    assert np.array_equal(full.indptr, expected.indptr)
+    assert np.array_equal(full.indices, expected.indices)
+    nv = len(pattern.v_free)
+    cols = np.repeat(np.arange(expected.shape[1]), np.diff(expected.indptr))
+    classes = (expected.indices >= nv).astype(np.int8) + (cols >= nv)
+    # each entry of the half against the stacked entry at its own place
+    h = pattern.half.tocoo()
+    ids = sp.csc_matrix((np.arange(expected.nnz), expected.indices, expected.indptr),
+                        shape=expected.shape)
+    at = np.asarray(ids[h.row, h.col]).ravel()
+    assert np.array_equal(pattern.classes, classes[at])
     for block in range(3):
         mine = pattern.classes == block
-        scale = np.abs(expected.data[mine]).max(initial=0.0)
-        assert np.abs(unit.data[mine] - expected.data[mine]).max(initial=0.0) <= 1e-14 * scale
-        defect = np.abs(unit.data[mine] - unit.data[pattern.tperm][mine]).max(initial=0.0)
-        assert defect <= (1e-14 * scale if variant == "galerkin" and block == 2 else 0.0)
+        scale = np.abs(expected.data[classes == block]).max(initial=0.0)
+        assert np.abs(h.data[mine] - expected.data[at[mine]]).max(initial=0.0) <= 1e-14 * scale
+        assert pattern.defects[block] <= (1e-14 * scale if variant == "galerkin"
+                                          and block == 2 else 0.0)
 
 
 def test_fill_at_p2_n16_is_pinned(problem):
@@ -347,7 +418,7 @@ def test_fill_at_p2_n16_is_pinned(problem):
 def test_against_dense_lu_oracle(mesh2, problem):
     system, trial, test, _ = make_system(mesh2, 1, problem)
     sol = solve(system)
-    x = np.linalg.solve(system.matrix.toarray(), system.rhs)
+    x = np.linalg.solve(full_matrix(system.matrix).toarray(), system.rhs)
     stacked = np.concatenate([sol.u[trial.free_dofs], sol.z[test.free_dofs]])
     assert np.linalg.norm(stacked - x) / np.linalg.norm(x) < 1e-9
 

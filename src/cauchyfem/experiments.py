@@ -22,7 +22,7 @@ from .analysis import convergence_rate, error_report, report_data, stab_seminorm
 from .assembly import SW_VARIANTS, assemble_blocks, penalty_factors
 from .mesh import MAX_JITTER, BoundaryPart, check_level, unit_square_mesh
 from .problem import quartic_example
-from .solver import SolverError, build_system, saddle_pattern, solve, w_form
+from .solver import SolverError, analysed_pattern, build_system, solve, stacked, w_form
 from .spaces import build_space
 from .vtk_io import write_vtk
 
@@ -133,10 +133,11 @@ class Level:
         self.test = build_space(mesh, config.degree, BoundaryPart.FREE)
         blocks = assemble_blocks(self.trial, self.test, self.problem,
                                  variant=config.sw_variant)
-        self.variant = blocks.variant
+        self.variant, self.b_w = blocks.variant, blocks.b_w
         self._data_face = blocks.b, blocks.psi_hat
-        self.b_w = blocks.b_w
-        self.saddle = saddle_pattern(blocks, self.trial, self.test)
+        stack = stacked(blocks, self.trial, self.test)
+        del blocks      # S_V, A and S_W are freed before the analysis
+        self.saddle = analysed_pattern(*stack)
 
     @cached_property
     def report_data(self):

@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dsyrk, dtrsm, dtrsv
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.blas import dsyrk, dtpsv, dtrsm
+from scipy.linalg.lapack import dpotrf, dtpttr, dtrttp
 
 RESIDUAL_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
@@ -57,8 +57,9 @@ class Front(NamedTuple):
     """One front: pivots at positions start .. start + size of the ordering
     (the V pivots first; `signs` is +1 on them and −1 on the W pivots), then
     the later positions `struct` that they update.  Its slot in the factor
-    store holds the pivot block L (size × size), then the off-diagonal
-    block Z (len(struct) × size), both column-major.
+    store holds the pivot block L packed by columns (size(size + 1)/2
+    entries), then the off-diagonal block Z (len(struct) × size, column-major).
+    The runs below number L's rows as in its dense work array in `_factor_front`.
     `children` holds (cut, z_rows, pivot_runs, update_runs) per child, whose
     update matrix U has its rows 0 .. cut in the front's pivot rows and the
     rest in its struct rows.  For each (a, b, p, rows) in `pivot_runs`,
@@ -83,7 +84,8 @@ def analyse(matrix, n_v, coords):
     order, every child before its parent.  Then the half H, the stored
     entries on and below the diagonal of the reordered matrix (mask `lower`,
     column bounds `indptr`), with their `places` in the factor store of
-    `_factor`, the bounds `slots` of the fronts' slots there, and `fill`.
+    `_factor` and the bounds `slots` of the fronts' slots there; the fill
+    slots[-1] sums k(k + 1)/2 + k·r over fronts of k pivots, r struct rows.
 
     A subdomain of more than LEAF_SIZE unknowns that do not all share one
     coordinate is bisected at the median of its wider coordinate; its
@@ -190,11 +192,11 @@ def analyse(matrix, n_v, coords):
     row = row[lower][moved]
     col = np.repeat(np.arange(n, dtype=itype), lens)
 
-    # row p of a front's column j is place slot[p] + j * stride[p] of the
-    # front's slot (at slots[-1] in the store): L (k × k) holds its pivot
-    # rows, Z (r × k) its struct rows
+    # row p of a front's column j is place slot[p] + j * stride[p] of the front's
+    # slot (at slots[-1] in the store), less j(j + 1)/2 in L, packed by columns:
+    # L (k(k + 1)/2) holds its pivot rows, Z (r × k) its struct rows
     slot, stride = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    places, slots, fill = np.empty(len(row), dtype=np.int64), [0], 0
+    places, slots = np.empty(len(row), dtype=np.int64), [0]
     mark = np.zeros(n, dtype=bool)
     signs = np.where(order < n_v, 1.0, -1.0)    # a front's V pivots come first
     v_before = np.concatenate([[0], np.cumsum(order < n_v)]).tolist()
@@ -207,32 +209,32 @@ def analyse(matrix, n_v, coords):
         struct = np.flatnonzero(mark[end:]) + end
         mark[struct] = False    # positions before end are not read again
         structs.append(struct)
-        r = len(struct)
+        r, tri = len(struct), k * (k + 1) // 2
         slot[start:end] = np.arange(k)
-        slot[struct] = np.arange(k * k, k * k + r)
+        slot[struct] = np.arange(tri, tri + r)
         stride[start:end], stride[struct] = k, r
-        rows, place = row[span], places[span]
-        np.multiply(col[span] - start, stride[rows], out=place)
+        rows, place, j = row[span], places[span], col[span] - start
+        np.multiply(j, stride[rows], out=place)
         place += slot[rows] + slots[-1]
-        slots.append(slots[-1] + k * (k + r))
-        fill += k * (k + 1) // 2 + r * k
+        place -= np.where(rows < end, j * (j + 1) // 2, 0)
+        slots.append(slots[-1] + tri + k * r)
         links = []
         for c in children:
             loc = slot[structs[c]]
             height = len(loc)
-            # runs (a, b, p): rows a .. b of the child go to consecutive
-            # places p .. p + b - a of a column; they are cut where L ends
-            head = loc == k * k
+            # runs (a, b, p): rows a .. b of the child go to consecutive rows
+            # p .. p + b - a of a column (Z's from tri on); cut where L ends
+            head = loc == tri
             head[:1] = True
             head[1:] |= loc[1:] - loc[:-1] != 1
             heads = np.flatnonzero(head)
             firsts = loc[heads].tolist()
             runs = list(zip(heads.tolist(), heads[1:].tolist() + [height], firsts))
             split = bisect_left(firsts, k)
-            shifted = loc - k * k   # rows of Z and of the update matrix
+            shifted = loc - tri     # rows of Z and of the update matrix
             # rows a .. end of the child go to consecutive front rows, a
             # slice, when the run from a reaches end
-            update_runs = [(a, b, p - k * k, slice(p - k * k, p - k * k + height - a)
+            update_runs = [(a, b, p - tri, slice(p - tri, p - tri + height - a)
                             if b == height else shifted[a:]) for a, b, p in runs[split:]]
             # its rows cut .. go to Z in the rows of its first update run
             cut, z_rows = height, slice(0, 0)
@@ -242,13 +244,13 @@ def analyse(matrix, n_v, coords):
                           [(a, b, p, slice(p, p + cut - a) if b == cut else loc[a:cut])
                            for a, b, p in runs[:split]],
                           update_runs))
-        fronts.append(Front(start, k, v_before[end] - v_before[start], struct.astype(itype),
+        fronts.append(Front(start, k, v_before[end] - v_before[start], struct,
                             signs[start:end], links))
         start = end
     # in the stored order, kept per mesh: half the bytes wherever they fit
     out = np.empty(len(places), dtype=np.int32 if slots[-1] < 2 ** 31 else np.int64)
     out[moved] = places
-    return order, fronts, lower, before, out, slots, fill
+    return order, fronts, lower, before, out, slots
 
 
 def _singular(i, front, block):
@@ -260,70 +262,74 @@ def _singular(i, front, block):
 
 
 def _factor(pattern, data):
-    """Per front, L (lower triangle) and Z with the front's pivot block
-    L diag(signs) Lᵀ and off-diagonal block Z Lᵀ, for the values `data` of
-    the pattern's half H.  One scatter puts them in one buffer, each at its
-    place; each front is assembled and factored in its slot there.  L and Z
-    are views of the buffer, which is freed when the solve drops them.  The
-    strict upper triangle of every L stays zero."""
-    store, slots = np.zeros(pattern.slots[-1]), pattern.slots
+    """Per front, L and Z with the front's pivot block L diag(signs) Lᵀ and
+    off-diagonal block Z Lᵀ, for the values `data` of the pattern's half H,
+    as views of one buffer that holds exactly `lu_fill` entries.  One
+    scatter puts the values at their places; then each front is factored in
+    its slot there (`_factor_front`)."""
+    store, slots, stack = np.zeros(pattern.slots[-1]), pattern.slots, []
     store[pattern.places] = data
-    factors, stack = [], []
-    for i, (front, at, end) in enumerate(zip(pattern.fronts, slots, slots[1:])):
-        k, kv, r = front.size, front.v_pivots, len(front.struct)
-        slot = store[at:end]
-        low = slot[:k * k].reshape((k, k), order="F")
-        off = slot[k * k:].reshape((r, k), order="F")
-        update = np.zeros((r, r), order="F")      # what goes to the parent
-        for cut, z_rows, pivot_runs, update_runs in reversed(front.children):
-            child = stack.pop()
-            for a, b, p, rows in pivot_runs:
-                low[rows, p:p + b - a] += child[a:cut, a:b]
-                off[z_rows, p:p + b - a] += child[cut:, a:b]
-            for a, b, q, rows in update_runs:
-                update[rows, q:q + b - a] += child[a:, a:b]
-        # V pivots: F_vv = L₁L₁ᵀ; W pivots: XXᵀ − F_ww = L₂L₂ᵀ, X = F_wv L₁⁻ᵀ
+    return [_factor_front(i, front, store[at:end], stack)
+            for i, (front, at, end) in enumerate(zip(pattern.fronts, slots, slots[1:]))]
+
+
+def _factor_front(i, front, slot, stack):
+    """L and Z of front i, factored in its `slot` of the factor store: L in a
+    dense work array, packed back at the end, and Z in place.  Its children's
+    updates are popped from `stack`, each freed once added; its own is pushed."""
+    k, kv, r = front.size, front.v_pivots, len(front.struct)
+    tri = k * (k + 1) // 2
+    low, _ = dtpttr(k, slot[:tri], uplo="L")     # zero above the diagonal
+    off = slot[tri:].reshape((r, k), order="F")
+    update = np.zeros((r, r), order="F")      # what goes to the parent
+    for cut, z_rows, pivot_runs, update_runs in reversed(front.children):
+        child = stack.pop()
+        for a, b, p, rows in pivot_runs:
+            low[rows, p:p + b - a] += child[a:cut, a:b]
+            off[z_rows, p:p + b - a] += child[cut:, a:b]
+        for a, b, q, rows in update_runs:
+            update[rows, q:q + b - a] += child[a:, a:b]
+    child = None    # the last child's update is not kept through the kernels
+    # V pivots: F_vv = L₁L₁ᵀ; W pivots: XXᵀ − F_ww = L₂L₂ᵀ, X = F_wv L₁⁻ᵀ
+    if kv:
+        low[:kv, :kv], info = dpotrf(low[:kv, :kv], lower=1, clean=0, overwrite_a=1)
+        if info:
+            raise _singular(i, front, "V")
+    if kv < k:
         if kv:
-            low[:kv, :kv], info = dpotrf(low[:kv, :kv], lower=1, clean=0,
-                                         overwrite_a=1)
-            if info:
-                raise _singular(i, front, "V")
+            low[kv:, :kv] = dtrsm(1.0, low[:kv, :kv], low[kv:, :kv], side=1,
+                                  lower=1, trans_a=1)
+            schur = dsyrk(1.0, low[kv:, :kv], beta=-1.0, c=low[kv:, kv:], lower=1)
+        else:
+            schur = np.negative(low, out=low)
+        low[kv:, kv:], info = dpotrf(schur, lower=1, clean=0, overwrite_a=1)
+        if info:
+            raise _singular(i, front, "W")
+    # off-diagonal block Z = F_uv L⁻ᵀ and the update matrix
+    # F_uu − Z_v Z_vᵀ + Z_w Z_wᵀ (lower triangle) for the parent
+    if r:
+        dtrsm(1.0, low, off, side=1, lower=1, trans_a=1, overwrite_b=1)
+        if kv:
+            update = dsyrk(-1.0, off[:, :kv], beta=1.0, c=update, lower=1, overwrite_c=1)
         if kv < k:
-            if kv:
-                low[kv:, :kv] = dtrsm(1.0, low[:kv, :kv], low[kv:, :kv], side=1,
-                                      lower=1, trans_a=1)
-                schur = dsyrk(1.0, low[kv:, :kv], beta=-1.0, c=low[kv:, kv:], lower=1)
-            else:
-                schur = np.negative(low, out=low)
-            low[kv:, kv:], info = dpotrf(schur, lower=1, clean=0, overwrite_a=1)
-            if info:
-                raise _singular(i, front, "W")
-        # off-diagonal block Z = F_uv L⁻ᵀ and the update matrix
-        # F_uu − Z_v Z_vᵀ + Z_w Z_wᵀ (lower triangle) for the parent
-        if r:
-            dtrsm(1.0, low, off, side=1, lower=1, trans_a=1, overwrite_b=1)
-            if kv:
-                update = dsyrk(-1.0, off[:, :kv], beta=1.0, c=update, lower=1,
-                               overwrite_c=1)
-            if kv < k:
-                update = dsyrk(1.0, off[:, kv:], beta=1.0, c=update, lower=1,
-                               overwrite_c=1)
-        stack.append(update)
-        factors.append((low, off))
-    return factors
+            update = dsyrk(1.0, off[:, kv:], beta=1.0, c=update, lower=1, overwrite_c=1)
+    stack.append(update)
+    slot[:tri] = dtrttp(low, uplo="L")[0]
+    return slot[:tri], off
 
 
 def _substitute(pattern, factors, rhs):
-    """The solution of the factored system for `rhs`."""
+    """The solution of the factored system for `rhs`, each L applied in place."""
     y = rhs[pattern.order]
     for front, (low, off) in zip(pattern.fronts, factors):
-        piv = slice(front.start, front.start + front.size)
-        y[piv] = dtrsv(low, y[piv], lower=1)
-        y[front.struct] -= off @ (front.signs * y[piv])
+        piv = y[front.start:front.start + front.size]
+        dtpsv(front.size, low, piv, lower=1, overwrite_x=1)
+        y[front.struct] -= off @ (front.signs * piv)
     for front, (low, off) in zip(reversed(pattern.fronts), reversed(factors)):
-        piv = slice(front.start, front.start + front.size)
-        y[piv] = dtrsv(low, front.signs * (y[piv] - off.T @ y[front.struct]),
-                       lower=1, trans=1)
+        piv = y[front.start:front.start + front.size]
+        piv -= off.T @ y[front.struct]
+        piv *= front.signs
+        dtpsv(front.size, low, piv, lower=1, trans=1, overwrite_x=1)
     x = np.empty_like(y)
     x[pattern.order] = y
     return x
@@ -353,7 +359,10 @@ class SaddlePattern:
     fronts: list
     places: np.ndarray
     slots: list
-    lu_fill: int
+
+    @property
+    def lu_fill(self):      # stored factor entries: the size of the factor store
+        return self.slots[-1]
 
 
 @dataclass(frozen=True)
@@ -374,20 +383,20 @@ class DiscreteSolution:
     u: np.ndarray
     z: np.ndarray
     residual: float
-    lu_fill: int        # stored factor entries: each front's L (lower) and Z
+    lu_fill: int        # stored factor entries: each front's packed L and Z
 
 
-def saddle_pattern(blocks, trial, test):
-    """Stack the unit-penalty blocks, assembled on the free DOFs, once per
-    mesh, and analyse the result."""
+def stacked(blocks, trial, test):
+    """The arguments of `analysed_pattern` for the unit-penalty blocks on the
+    free DOFs: their stacked matrix, the unknowns' coordinates, the right
+    side's parts and the DOFs.  S_V, A and S_W can be freed before analysing."""
     v_free, w_free = trial.free_dofs, test.free_dofs
     nv, nw = len(v_free), len(w_free)
     if (blocks.s_v.shape, blocks.a.shape, blocks.s_w.shape) != ((nv, nv), (nw, nv), (nw, nw)):
         raise ValueError("the blocks do not match the free DOFs of the spaces")
     unit = sp.bmat([[blocks.s_v, blocks.a.T], [blocks.a, -blocks.s_w]], format="csc")
     coords = np.vstack([trial.dof_coords[v_free], test.dof_coords[w_free]])
-    return analysed_pattern(unit, coords, blocks.data, blocks.load, v_free, w_free,
-                            trial.num_dofs, test.num_dofs)
+    return unit, coords, blocks.data, blocks.load, v_free, w_free, trial.num_dofs, test.num_dofs
 
 
 def analysed_pattern(unit, coords, g, load, v_free, w_free, n_v, n_w):
@@ -407,12 +416,15 @@ def analysed_pattern(unit, coords, g, load, v_free, w_free, n_v, n_w):
     defect = unit.data[ids.data]    # then |M_ij − M_ji|, in the same buffer
     del ids
     np.abs(np.subtract(unit.data, defect, out=defect), out=defect)
-    defects = np.array([np.max(defect, where=classes == c, initial=0.0) for c in range(3)])
+    # the V columns hold S_V and A, the W columns Aᵀ, with A's defects, and −S_W
+    v_cols, w_cols = slice(unit.indptr[nv]), slice(unit.indptr[nv], None)
+    defects = np.array([np.max(defect[at], where=classes[at] == c, initial=0.0)
+                        for at, c in ((v_cols, 0), (v_cols, 1), (w_cols, 2))])
     del defect
-    order, fronts, lower, indptr, places, slots, fill = analyse(unit, nv, coords)
+    order, fronts, lower, indptr, places, slots = analyse(unit, nv, coords)
     half = sp.csc_matrix((unit.data[lower], unit.indices[lower], indptr), shape=unit.shape)
     return SaddlePattern(half, classes[lower], defects, g, load, v_free, w_free, n_v, n_w,
-                         order, fronts, places, slots, fill)
+                         order, fronts, places, slots)
 
 
 def build_system(pattern, factors=(1.0, 1.0, 1.0)):
@@ -451,10 +463,6 @@ def solve(system):
         raise UnconvergedSolveError(
             f"relative residual {residual:.3e} of the LDLᵀ solve is not below "
             f"{RESIDUAL_TOL:g}")
-
-    nv_free = len(pattern.v_free)
-    u = np.zeros(pattern.n_v)
-    z = np.zeros(pattern.n_w)
-    u[pattern.v_free] = x[:nv_free]
-    z[pattern.w_free] = x[nv_free:]
+    u, z = np.zeros(pattern.n_v), np.zeros(pattern.n_w)
+    u[pattern.v_free], z[pattern.w_free] = np.split(x, [len(pattern.v_free)])
     return DiscreteSolution(u=u, z=z, residual=residual, lu_fill=pattern.lu_fill)

@@ -23,7 +23,7 @@ from cauchyfem.assembly import (VOLUME_DEGREE, BlockSystem, assemble_blocks,
                                 assemble_primal_stab, assemble_stiffness,
                                 face_operator, penalty_factors)
 from cauchyfem.mesh import GEOM_TOL, BoundaryPart, mesh_size
-from cauchyfem.solver import build_system, saddle_pattern, solve
+from cauchyfem.solver import analysed_pattern, build_system, solve, stacked
 from cauchyfem.spaces import (build_space, cell_points, shape_grads, shape_values,
                               triangle_rule)
 
@@ -369,6 +369,12 @@ def fresh_report_data(space, problem):
 def volume_points(mesh):
     """Physical points of the shared volume rule in every triangle."""
     return cell_points(mesh, triangle_rule(VOLUME_DEGREE).points)
+
+
+def saddle_pattern(blocks, trial, test):
+    """The `solver.SaddlePattern` of the unit-penalty blocks of one mesh,
+    stacked and analysed in one call."""
+    return analysed_pattern(*stacked(blocks, trial, test))
 
 
 def scaled(blocks, gamma_v, gamma_w):

@@ -18,13 +18,13 @@ from cauchyfem.assembly import assemble_blocks
 from cauchyfem.experiments import RunConfig, run_convergence, run_sweep
 from cauchyfem.mesh import BoundaryPart, unit_square_mesh
 from cauchyfem.problem import quartic_example
-from cauchyfem.solver import build_system, saddle_pattern
+from cauchyfem.solver import build_system
 from cauchyfem.spaces import build_space
 
 from .oracles import (dense_data_term, dense_dual_stab, dense_face_jumps,
                       dense_load, dense_stiffness, discrete_consistency_probe,
-                      fresh_report_data, loop_stab_seminorm_u, scaled, shape_eval,
-                      signed_areas)
+                      fresh_report_data, loop_stab_seminorm_u, saddle_pattern, scaled,
+                      shape_eval, signed_areas)
 
 P1_STUDY = RunConfig(degree=1, levels=(8, 16, 32, 64), jitter=0.2, seed=1)
 P2_STUDY = RunConfig(degree=2, levels=(8, 16, 32, 64), jitter=0.0, seed=0)

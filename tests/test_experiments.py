@@ -13,10 +13,10 @@ from cauchyfem.experiments import (CONVERGENCE_COLUMNS, SWEEP_COLUMNS, Level,
                                    run_sweep, solve_level)
 from cauchyfem.mesh import BoundaryPart, unit_square_mesh
 from cauchyfem.problem import quartic_example
-from cauchyfem.solver import SingularSystemError, saddle_pattern, w_form
+from cauchyfem.solver import SingularSystemError, w_form
 from cauchyfem.spaces import edge_tables, segment_rule, triangle_rule
 
-from .oracles import fresh_report_data, solve_from_scratch
+from .oracles import fresh_report_data, saddle_pattern, solve_from_scratch
 
 
 def parse_csv(path):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,13 +12,12 @@ from cauchyfem import solver
 from cauchyfem.assembly import assemble_blocks, assemble_stiffness, BlockSystem
 from cauchyfem.mesh import BoundaryPart, from_triangles, tag_boundary, unit_square_mesh
 from cauchyfem.solver import (RESIDUAL_TOL, Front, SingularSystemError,
-                              UnconvergedSolveError, analysed_pattern, build_system,
-                              saddle_pattern, solve)
+                              UnconvergedSolveError, analysed_pattern, build_system, solve)
 from cauchyfem.spaces import build_space
 
 from .oracles import (discrete_consistency_probe, edge_list_analyse, eval_fe,
-                      full_dof_unit_matrix, full_matrix, nodal_interpolant, scaled,
-                      solve_from_scratch)
+                      full_dof_unit_matrix, full_matrix, nodal_interpolant,
+                      saddle_pattern, scaled, solve_from_scratch)
 
 GAMMA = 0.01
 
@@ -220,32 +220,37 @@ def _pairs(matrix, entries):
     return np.minimum(rows, cols) * n + np.maximum(rows, cols)
 
 
+def _packed_place(front, place):
+    """The place in the front's slot of the store, L packed by columns, of
+    the oracle's places `place` in a slot that holds L as a k × k square."""
+    k = front.size
+    j, p = np.divmod(place, k)
+    return np.where(place < k * k, j * k - j * (j - 1) // 2 + p - j,
+                    place - k * k + k * (k + 1) // 2)
+
+
 def _assert_matches_edge_list_oracle(pattern, coords):
-    """The ordering, every front field (`struct` in the pattern's index
-    dtype), the slots and the fill of `pattern` are those of the edge-list
-    analysis of its full matrix H + Hᵀ − diag H, which gives each front's
-    entries and their places in the front's own slot; the slots follow each
-    other in the factor store, and each entry of the half H lies at the
-    place of the oracle's entry of the same index pair, with its value."""
+    """The ordering, every front field, the slots and the fill of `pattern`
+    are those of the edge-list analysis of its full matrix H + Hᵀ − diag H,
+    which gives each front's entries and their places in the front's own
+    slot; the slots follow each other in the factor store, and each entry
+    of the half H lies at the place of the oracle's entry of the same index
+    pair, with its value."""
     full = full_matrix(pattern.half)
     order, fronts = edge_list_analyse(full, len(pattern.v_free), coords)
     assert _same(pattern.order, order)
     assert len(pattern.fronts) == len(fronts)
-    itype = pattern.half.indices.dtype
     for i, (front, expected) in enumerate(zip(pattern.fronts, fronts)):
         for field in Front._fields:
-            value = getattr(expected, field)
-            if field == "struct":
-                value = value.astype(itype)
-            assert _same(getattr(front, field), value), (i, field)
-    sizes = [f.size * (f.size + len(f.struct)) for f in fronts]
+            assert _same(getattr(front, field), getattr(expected, field)), (i, field)
+    sizes = [f.size * (f.size + 1) // 2 + f.size * len(f.struct) for f in fronts]
     slots = np.cumsum([0] + sizes)
     assert pattern.slots == slots.tolist()
-    assert pattern.lu_fill == sum(f.size * (f.size + 1) // 2 + f.size * len(f.struct)
-                                  for f in fronts)
+    assert pattern.lu_fill == slots[-1]
     empty = [np.empty(0, dtype=np.int64)]
     entries = np.concatenate(empty + [f.entries for f in fronts])
-    places = np.concatenate(empty + [f.places + at for f, at in zip(fronts, slots)])
+    places = np.concatenate(empty + [_packed_place(f, f.places) + at
+                                     for f, at in zip(fronts, slots)])
     assert len(pattern.places) == len(places) == pattern.half.nnz
     for mine, theirs in ((_pairs(pattern.half, slice(None)), _pairs(full, entries)),
                          (pattern.half.data, full.data[entries])):
@@ -316,8 +321,8 @@ def _row_list(rows):
 def test_extend_add_runs_lie_in_pivot_or_struct_rows(leaf_size, degree, problem):
     # each run of a child's update maps to consecutive front rows that lie
     # wholly in the pivot rows (L and Z) or wholly in the struct rows (the
-    # front's update matrix); every L is assembled and factored in place,
-    # and its strict upper triangle stays zero
+    # front's update matrix); every L comes back packed, k(k + 1)/2 entries
+    # with a positive diagonal
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "LEAF_SIZE", leaf_size)
         system, *_ = make_system(unit_square_mesh(12, jitter=0.2, seed=2), degree, problem)
@@ -340,8 +345,12 @@ def test_extend_add_runs_lie_in_pivot_or_struct_rows(leaf_size, degree, problem)
             assert np.array_equal(k + _row_list(rows), expected[a:])
         assert np.array_equal(mapped, expected)
         assert np.array_equal(k + _row_list(z_rows), expected[cut:])
-    for low, _ in solver._factor(system.pattern, system.matrix.data):
-        assert not np.triu(low, 1).any()
+    factors = solver._factor(system.pattern, system.matrix.data)
+    for front, (low, _) in zip(fronts, factors):
+        k = front.size
+        assert low.shape == (k * (k + 1) // 2,)
+        j = np.arange(k)
+        assert (low[j * k - j * (j - 1) // 2] > 0).all()    # the diagonal
 
 
 @pytest.mark.parametrize("jitter, seed", [(0.0, 0), (0.25, 3)])
@@ -413,6 +422,44 @@ def test_fill_at_p2_n16_is_pinned(problem):
     # the order inside a separator moves no fill
     system, *_ = make_system(unit_square_mesh(16), 2, problem, gamma=1e-3)
     assert solve(system).lu_fill == 383_631
+
+
+def test_factor_frees_each_update_once_added(problem):
+    # the factorization's traced memory: its peak is at most the store, the
+    # largest stack of live update matrices and one k × k work array; when a
+    # front's kernels start, its children's updates are freed, so the live
+    # memory is the store, the other pending updates, its own update and its
+    # work array, plus Python objects under 32 KiB
+    system, *_ = make_system(unit_square_mesh(16), 2, problem, gamma=1e-3)
+    pattern = system.pattern
+    sizes, largest, expected = [], 0, []
+    for front in pattern.fronts:
+        k, r = front.size, len(front.struct)
+        largest = max(largest, sum(sizes) + r * r)
+        del sizes[len(sizes) - len(front.children):]
+        expected.append(8 * (pattern.slots[-1] + sum(sizes) + r * r + k * k))
+        sizes.append(r * r)
+    live, dpotrf = [], solver.dpotrf
+
+    def traced_dpotrf(*args, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return dpotrf(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "dpotrf", traced_dpotrf)
+        tracemalloc.start()
+        try:
+            solver._factor(pattern, system.matrix.data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    k_max = max(front.size for front in pattern.fronts)
+    assert peak <= 8 * (pattern.slots[-1] + largest + k_max * k_max)
+    # one dpotrf call per front for its V pivots, one for its W pivots
+    calls = np.cumsum([0] + [(f.v_pivots > 0) + (f.v_pivots < f.size)
+                             for f in pattern.fronts])
+    assert len(live) == calls[-1]
+    assert (np.array(live)[calls[:-1]] - np.array(expected) < 32 * 1024).all()
 
 
 def test_against_dense_lu_oracle(mesh2, problem):

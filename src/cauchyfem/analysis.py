@@ -140,14 +140,10 @@ def stab_seminorm_z(coeffs, b):
     return math.sqrt(float(jumps @ jumps))
 
 
-def eta(h, f_l2, stab_u, stab_z):
-    """A posteriori quantity h ‖f‖ + |u - u_h|_sV + |z_h|_sW (constants = 1)."""
-    return h * f_l2 + stab_u + stab_z
-
-
 def error_report(solution, data, gamma_v, stab_z):
     """All error quantities of one solve, from the ReportData of its mesh, its
-    primal penalty γ_V and its |z_h|_{s_W}."""
+    primal penalty γ_V and its |z_h|_{s_W}; η is the a posteriori quantity
+    h ‖f‖ + |u - u_h|_{s_V} + |z_h|_{s_W} (continuity constants 1)."""
     stab_u = stab_seminorm_u(data, solution.u, gamma_v)
     return ErrorReport(
         h=data.h,
@@ -158,7 +154,7 @@ def error_report(solution, data, gamma_v, stab_z):
         h1_semi=h1_semi_error(data, solution.u),
         stab_u=stab_u,
         stab_z=stab_z,
-        eta=eta(data.h, data.f_l2, stab_u, stab_z),
+        eta=data.h * data.f_l2 + stab_u + stab_z,
     )
 
 

@@ -184,13 +184,13 @@ def interior_rows(space):
     return rows
 
 
-def face_operator(space, part, problem=None, inner=None):
+def face_operator(space, part, inner, problem=None):
     """Face-trace operator B on the free DOFs of `space` and data vector ψ̂
     of the jump penalty.
 
-    B has the gradient-jump rows of `interior_rows` (built here unless given
-    as `inner`), one row √w_q h_F ∂_n φ per quadrature point of the faces of
-    `part`, then for degree 2 the Laplacian-jump rows; the columns of
+    B has the gradient-jump rows of `inner` (the space's `interior_rows`),
+    one row √w_q h_F ∂_n φ per quadrature point of the faces of `part`,
+    then for degree 2 the Laplacian-jump rows of `inner`; the columns of
     constrained DOFs are dropped.  So γ BᵀB is the penalty ∫ h_F [∂_n ·]²
     (+ h_F³ [Δ·]²) on the free DOFs.  ψ̂ is √w_q h_F ψ on the data-face rows
     (data faces use FACE_DATA_DEGREE: ψ is only known pointwise) and zero
@@ -198,8 +198,6 @@ def face_operator(space, part, problem=None, inner=None):
     |u - u_h|_{s_V} for the smooth solution u.
     """
     mesh = space.mesh
-    if inner is None:
-        inner = interior_rows(space)
     degree = FACE_DATA_DEGREE if part == BoundaryPart.DATA else max(2 * space.degree - 2, 1)
     rule = segment_rule(degree)
     faces = mesh.faces_of_part(part)
@@ -226,19 +224,18 @@ def face_operator(space, part, problem=None, inner=None):
 
 def assemble_primal_stab(b):
     """Unit primal stabilizer s_V = BᵀB: jumps over interior faces and the data
-    boundary, from the trial space's `face_operator(trial, BoundaryPart.DATA)`."""
+    boundary, from the trial space's data-face operator B (`face_operator`)."""
     return b.T.tocsr() @ b
 
 
-def assemble_dual_stab(space, variant, b=None):
+def assemble_dual_stab(space, variant, b):
     """Dual stabilizer s_W on the free DOFs of `space`: the Galerkin energy
-    a(z, w) itself (no γ), or the unit jumps BᵀB over interior faces and the
-    free boundary, from the free-face operator `b` (built here unless given)."""
+    a(z, w) itself (no γ; `b` is not read), or the unit jumps BᵀB over
+    interior faces and the free boundary, from the free-face operator `b`,
+    `face_operator(space, BoundaryPart.FREE, inner)`."""
     if variant == "galerkin":
         return assemble_stiffness(space, space)
     if variant == "jump":
-        if b is None:
-            b, _ = face_operator(space, BoundaryPart.FREE)
         return b.T.tocsr() @ b
     raise ValueError(f"unknown dual stabilizer variant {variant!r}; "
                      f"expected one of {SW_VARIANTS}")
@@ -267,7 +264,7 @@ def assemble_load(space, problem):
 
 def assemble_data_term(b, psi_hat):
     """Unit data functional g[i] = Σ_data ∫ h_F ψ ∂_n φ_i = Bᵀψ̂, with B and ψ̂
-    from `face_operator(trial, BoundaryPart.DATA, problem)`: the primal
+    from `face_operator(trial, BoundaryPart.DATA, inner, problem)`: the primal
     stabilizer applied to the smooth exact solution, whose interior jumps
     vanish."""
     return b.T @ psi_hat
@@ -279,8 +276,8 @@ def assemble_blocks(trial, test, problem, variant="jump"):
     are built once for the data-face B (S_V = BᵀB, g = Bᵀψ̂) and the jump
     S_W's free-face B_W (S_W = B_WᵀB_W); both are kept for the report."""
     inner = interior_rows(trial)
-    b, psi_hat = face_operator(trial, BoundaryPart.DATA, problem, inner)
-    b_w = face_operator(test, BoundaryPart.FREE, inner=inner)[0] if variant == "jump" else None
+    b, psi_hat = face_operator(trial, BoundaryPart.DATA, inner, problem)
+    b_w = face_operator(test, BoundaryPart.FREE, inner)[0] if variant == "jump" else None
     return BlockSystem(s_v=assemble_primal_stab(b), a=assemble_stiffness(trial, test),
                        s_w=assemble_dual_stab(test, variant, b_w),
                        load=assemble_load(test, problem),

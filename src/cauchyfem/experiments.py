@@ -11,6 +11,7 @@ remaining solves still run.  Any other error propagates.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import astuple, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -58,10 +59,12 @@ class RunConfig:
                                  ("seed", (int, np.integer), "an integer"),
                                  ("jitter", _NUMBER, "a number"),
                                  ("gamma_v", _NUMBER, "a number"),
-                                 ("gamma_w", _NUMBER, "a number")):
+                                 ("gamma_w", _NUMBER, "a number"),
+                                 ("levels", (tuple, list), "a tuple or list"),
+                                 ("output_path", (str, os.PathLike), "a path")):
             value = getattr(self, name)
             if not (isinstance(value, kind) and not isinstance(value, bool)
-                    or value is None and name.startswith("gamma")):
+                    or value is None and name in ("gamma_v", "gamma_w", "output_path")):
                 raise ValueError(f"{name} {value!r} must be {what}")
         if self.degree not in (1, 2):
             raise ValueError("degree must be 1 or 2")
@@ -192,6 +195,8 @@ def run_convergence(config):
 def run_sweep(config, gammas=DEFAULT_SWEEP_GAMMAS, n=64):
     """One solve per penalty value with gamma_v = gamma_w = gamma, all on one
     level built once; returns one row per γ."""
+    if not isinstance(gammas, (tuple, list, np.ndarray)) or getattr(gammas, "ndim", 1) != 1:
+        raise ValueError(f"gammas {gammas!r} must be a tuple, list or 1-D array of penalties")
     rows = [Row(check_penalty(gamma), n) for gamma in gammas]
     if not rows:
         raise ValueError("gammas must not be empty")

@@ -55,7 +55,7 @@ class UnconvergedSolveError(SolverError):
 
 class Front(NamedTuple):
     """One front: pivots at positions start .. start + size of the ordering
-    (the V pivots first; `signs` is +1 on them and −1 on the W pivots), then
+    (its `v_pivots` V pivots, sign +1, before its W pivots, sign −1), then
     the later positions `struct` that they update.  Its slot in the factor
     store holds the pivot block L packed by columns (size(size + 1)/2
     entries), then the off-diagonal block Z (len(struct) × size, column-major).
@@ -73,7 +73,6 @@ class Front(NamedTuple):
     size: int
     v_pivots: int
     struct: np.ndarray
-    signs: np.ndarray
     children: list
 
 
@@ -90,12 +89,12 @@ def analyse(matrix, n_v, coords):
     A subdomain of more than LEAF_SIZE unknowns that do not all share one
     coordinate is bisected at the median of its wider coordinate; its
     separator is the set of left-side unknowns with a matrix neighbour on
-    the right, and its two parts are dissected in turn.  A separator is
-    ordered V before W; in each, the unknowns with a matrix neighbour in the
-    left part come first, then the rest, each along the cut.  A child's
-    update then maps onto a few runs of consecutive front rows, which
-    `_factor` adds as slices, and each run is cut where the front's pivot
-    rows end.
+    the right, and its two parts are dissected in turn.  A separator, like
+    a leaf, is ordered V before W (a front's signs follow from `v_pivots`);
+    in each, the unknowns with a matrix neighbour in the left part come
+    first, then the rest, each along the cut.  A child's update then maps
+    onto a few runs of consecutive front rows, which `_factor` adds as
+    slices, and each run is cut where the front's pivot rows end.
 
     All subdomains of a depth are cut at once.  An unknown's neighbours lie
     in its subdomain or in an earlier separator, so one product of the 0/1
@@ -198,7 +197,6 @@ def analyse(matrix, n_v, coords):
     slot, stride = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     places, slots = np.empty(len(row), dtype=np.int64), [0]
     mark = np.zeros(n, dtype=bool)
-    signs = np.where(order < n_v, 1.0, -1.0)    # a front's V pivots come first
     v_before = np.concatenate([[0], np.cumsum(order < n_v)]).tolist()
     fronts, structs, start = [], [], 0
     for piv, children in zip(pivots, kids):
@@ -244,8 +242,7 @@ def analyse(matrix, n_v, coords):
                           [(a, b, p, slice(p, p + cut - a) if b == cut else loc[a:cut])
                            for a, b, p in runs[:split]],
                           update_runs))
-        fronts.append(Front(start, k, v_before[end] - v_before[start], struct,
-                            signs[start:end], links))
+        fronts.append(Front(start, k, v_before[end] - v_before[start], struct, links))
         start = end
     # in the stored order, kept per mesh: half the bytes wherever they fit
     out = np.empty(len(places), dtype=np.int32 if slots[-1] < 2 ** 31 else np.int64)
@@ -262,11 +259,11 @@ def _singular(i, front, block):
 
 
 def _factor(pattern, data):
-    """Per front, L and Z with the front's pivot block L diag(signs) Lᵀ and
-    off-diagonal block Z Lᵀ, for the values `data` of the pattern's half H,
-    as views of one buffer that holds exactly `lu_fill` entries.  One
-    scatter puts the values at their places; then each front is factored in
-    its slot there (`_factor_front`)."""
+    """Per front, L and Z with the front's pivot block L D Lᵀ (D = +1 on the
+    V pivots, −1 on the W pivots) and off-diagonal block Z Lᵀ, for the
+    values `data` of the pattern's half H, as views of one buffer that holds
+    exactly `lu_fill` entries.  One scatter puts the values at their places;
+    then each front is factored in its slot there (`_factor_front`)."""
     store, slots, stack = np.zeros(pattern.slots[-1]), pattern.slots, []
     store[pattern.places] = data
     return [_factor_front(i, front, store[at:end], stack)
@@ -324,11 +321,13 @@ def _substitute(pattern, factors, rhs):
     for front, (low, off) in zip(pattern.fronts, factors):
         piv = y[front.start:front.start + front.size]
         dtpsv(front.size, low, piv, lower=1, overwrite_x=1)
-        y[front.struct] -= off @ (front.signs * piv)
+        signed = piv.copy()
+        signed[front.v_pivots:] *= -1.0     # D: −1 on the W pivots
+        y[front.struct] -= off @ signed
     for front, (low, off) in zip(reversed(pattern.fronts), reversed(factors)):
         piv = y[front.start:front.start + front.size]
         piv -= off.T @ y[front.struct]
-        piv *= front.signs
+        piv[front.v_pivots:] *= -1.0
         dtpsv(front.size, low, piv, lower=1, trans=1, overwrite_x=1)
     x = np.empty_like(y)
     x[pattern.order] = y
@@ -340,14 +339,13 @@ class SaddlePattern:
     """The saddle matrix M of one mesh at unit penalties, analysed once.
 
     M = H + Hᵀ − diag H is kept as its half H (`analyse`), one entry per
-    symmetric pair, a CSC matrix in the original numbering.  `classes`
-    gives each entry its block, which indexes its factor in `build_system`:
-    0 for S_V, 1 for A or Aᵀ, 2 for −S_W; `defects[c]` is the largest
-    |M_ij − M_ji| in block c.  `g` and `load` are the right side's
-    unit-penalty parts; the rest comes from `analyse`."""
+    symmetric pair, a CSC matrix in the original numbering: the V unknowns
+    before the W unknowns, so an entry's row and column give its block,
+    0 for S_V, 1 for A or Aᵀ, 2 for −S_W (`build_system`); `defects[c]` is
+    the largest |M_ij − M_ji| in block c.  `g` and `load` are the right
+    side's unit-penalty parts; the rest comes from `analyse`."""
 
     half: sp.csc_matrix
-    classes: np.ndarray
     defects: np.ndarray
     g: np.ndarray
     load: np.ndarray
@@ -383,7 +381,6 @@ class DiscreteSolution:
     u: np.ndarray
     z: np.ndarray
     residual: float
-    lu_fill: int        # stored factor entries: each front's packed L and Z
 
 
 def stacked(blocks, trial, test):
@@ -406,8 +403,6 @@ def analysed_pattern(unit, coords, g, load, v_free, w_free, n_v, n_w):
     transpose map of that check also gives each block's symmetry defect."""
     unit.sort_indices()
     nv = len(v_free)
-    classes = (unit.indices >= nv).astype(np.int8)
-    classes[unit.indptr[nv]:] += 1      # the columns of the W unknowns
     ids = sp.csc_matrix((np.arange(unit.nnz, dtype=unit.indices.dtype), unit.indices,
                          unit.indptr), shape=unit.shape).T.tocsc()
     if not (np.array_equal(ids.indptr, unit.indptr)
@@ -416,26 +411,31 @@ def analysed_pattern(unit, coords, g, load, v_free, w_free, n_v, n_w):
     defect = unit.data[ids.data]    # then |M_ij − M_ji|, in the same buffer
     del ids
     np.abs(np.subtract(unit.data, defect, out=defect), out=defect)
-    # the V columns hold S_V and A, the W columns Aᵀ, with A's defects, and −S_W
-    v_cols, w_cols = slice(unit.indptr[nv]), slice(unit.indptr[nv], None)
-    defects = np.array([np.max(defect[at], where=classes[at] == c, initial=0.0)
-                        for at, c in ((v_cols, 0), (v_cols, 1), (w_cols, 2))])
-    del defect
+    # the V columns hold S_V above A, the W columns Aᵀ (A's defects) above −S_W
+    at, below = unit.indptr[nv], unit.indices >= nv
+    defects = np.array([np.max(defect[:at], where=~below[:at], initial=0.0),
+                        np.max(defect[:at], where=below[:at], initial=0.0),
+                        np.max(defect[at:], where=below[at:], initial=0.0)])
+    del defect, below
     order, fronts, lower, indptr, places, slots = analyse(unit, nv, coords)
     half = sp.csc_matrix((unit.data[lower], unit.indices[lower], indptr), shape=unit.shape)
-    return SaddlePattern(half, classes[lower], defects, g, load, v_free, w_free, n_v, n_w,
+    return SaddlePattern(half, defects, g, load, v_free, w_free, n_v, n_w,
                          order, fronts, places, slots)
 
 
 def build_system(pattern, factors=(1.0, 1.0, 1.0)):
     """The saddle system with each block of `pattern` times its factor in
-    `factors` (indexed by S_V, A, S_W); g is scaled with S_V.  Raises
-    ValueError when a scaled block's defect exceeds SYMMETRY_TOL."""
+    `factors` (indexed by S_V, A, S_W), each entry's block read off its row
+    and column; g is scaled with S_V.  Raises ValueError when a scaled
+    block's defect exceeds SYMMETRY_TOL."""
     factors = np.asarray(factors, dtype=float)
     defect = float(np.max(np.abs(factors) * pattern.defects))
     if defect > SYMMETRY_TOL:
         raise ValueError(f"saddle matrix asymmetry {defect:g} exceeds {SYMMETRY_TOL:g}")
-    half, data = pattern.half, factors[pattern.classes]
+    half, nv = pattern.half, len(pattern.v_free)
+    block = (half.indices >= nv).astype(np.intp)   # 0: S_V, 1: A or Aᵀ, 2: −S_W
+    block[half.indptr[nv]:] += 1        # the columns of the W unknowns
+    data = factors[block]
     data *= half.data
     return SaddleSystem(pattern, sp.csc_matrix((data, half.indices, half.indptr), half.shape),
                         np.concatenate([factors[0] * pattern.g, pattern.load]), defect)
@@ -465,4 +465,4 @@ def solve(system):
             f"{RESIDUAL_TOL:g}")
     u, z = np.zeros(pattern.n_v), np.zeros(pattern.n_w)
     u[pattern.v_free], z[pattern.w_free] = np.split(x, [len(pattern.v_free)])
-    return DiscreteSolution(u=u, z=z, residual=residual, lu_fill=pattern.lu_fill)
+    return DiscreteSolution(u=u, z=z, residual=residual)

@@ -21,7 +21,7 @@ from cauchyfem.analysis import report_data
 from cauchyfem.assembly import (VOLUME_DEGREE, BlockSystem, assemble_blocks,
                                 assemble_data_term, assemble_dual_stab,
                                 assemble_primal_stab, assemble_stiffness,
-                                face_operator, penalty_factors)
+                                face_operator, interior_rows, penalty_factors)
 from cauchyfem.mesh import GEOM_TOL, BoundaryPart, mesh_size
 from cauchyfem.solver import analysed_pattern, build_system, solve, stacked
 from cauchyfem.spaces import (build_space, cell_points, shape_grads, shape_values,
@@ -352,18 +352,32 @@ def structured_triangles(n):
 
 def primal_stab(space):
     """Unit s_V of a trial space, from its own data-face operator."""
-    return assemble_primal_stab(face_operator(space, BoundaryPart.DATA)[0])
+    return assemble_primal_stab(
+        face_operator(space, BoundaryPart.DATA, interior_rows(space))[0])
 
 
 def data_term(space, problem):
     """Unit g of a trial space for `problem`, from its own data-face operator."""
-    return assemble_data_term(*face_operator(space, BoundaryPart.DATA, problem))
+    return assemble_data_term(
+        *face_operator(space, BoundaryPart.DATA, interior_rows(space), problem))
 
 
 def fresh_report_data(space, problem):
     """`analysis.report_data` of a trial space for `problem`, from its own
     data-face operator."""
-    return report_data(space, problem, *face_operator(space, BoundaryPart.DATA, problem))
+    return report_data(space, problem, *face_operator(space, BoundaryPart.DATA,
+                                                      interior_rows(space), problem))
+
+
+def free_face_operator(space):
+    """The free-face operator B_W of a test space, from its own interior rows."""
+    return face_operator(space, BoundaryPart.FREE, interior_rows(space))[0]
+
+
+def dual_stab(space, variant):
+    """Unit s_W of a test space, the jump one from its own free-face operator."""
+    return assemble_dual_stab(space, variant,
+                              free_face_operator(space) if variant == "jump" else None)
 
 
 def volume_points(mesh):
@@ -447,7 +461,7 @@ def discrete_consistency_probe(mesh, degree, gamma_v, gamma_w, variant="jump",
     a = assemble_stiffness(trial, test)
     # g = S_V v at unit γ_V; scaling makes it γ_V S_V v for the scaled S_V
     free = probe[trial.free_dofs]
-    unit = BlockSystem(s_v=s_v, a=a, s_w=assemble_dual_stab(test, variant),
+    unit = BlockSystem(s_v=s_v, a=a, s_w=dual_stab(test, variant),
                        load=a @ free, data=s_v @ free, variant=variant,
                        b=None, psi_hat=None, b_w=None)   # no report on this system
     sol = solve(build_system(saddle_pattern(scaled(unit, gamma_v, gamma_w), trial, test)))
@@ -464,7 +478,6 @@ class OracleFront(NamedTuple):
     size: int
     v_pivots: int
     struct: np.ndarray
-    signs: np.ndarray
     entries: np.ndarray
     places: np.ndarray
     children: list
@@ -595,7 +608,6 @@ def edge_list_analyse(matrix, n_v, coords):
                           update_runs))
         v_pivots = int(np.count_nonzero(piv < n_v))
         fronts.append(OracleFront(start, k, v_pivots, struct,
-                            np.where(np.arange(k) < v_pivots, 1.0, -1.0),
                             entries[span].astype(np.int32),
                             (slot[rows] + (col[span] - start) * stride[rows]).astype(np.int32),
                             links))

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from cauchyfem.analysis import (convergence_rate, error_report, h1_semi_error,
                                 l2_error, l2_norm_field, stab_seminorm_u,
                                 stab_seminorm_z)
-from cauchyfem.assembly import assemble_dual_stab, assemble_stiffness, face_operator
+from cauchyfem.assembly import assemble_stiffness
 from cauchyfem.mesh import BoundaryPart, mesh_size, unit_square_mesh
 from cauchyfem.problem import CauchyProblem
 from cauchyfem.solver import DiscreteSolution
 from cauchyfem.spaces import build_space
 
-from .oracles import (XiCurve, fe_jump_seminorm, fresh_report_data, nodal_interpolant,
+from .oracles import (XiCurve, dual_stab, fe_jump_seminorm, free_face_operator,
+                      fresh_report_data, nodal_interpolant,
                       poincare_ratio, primal_stab, solve_from_scratch, volume_points,
                       xi_eval, xi_fit)
 
@@ -86,7 +87,7 @@ def test_stab_u_interpolated_affine_has_interior_zero(mesh4):
 def test_stab_z_trivial_cases(mesh4):
     # constants: on the unconstrained space, where they live
     space = build_space(mesh4, 1)
-    b_w, _ = face_operator(space, BoundaryPart.FREE)
+    b_w = free_face_operator(space)
     assert stab_seminorm_z(np.zeros(space.num_dofs), b_w) == 0.0
     assert stab_seminorm_z(np.ones(space.num_dofs), b_w) < 1e-13
 
@@ -104,7 +105,7 @@ def test_quadratic_form_matches_face_quadrature(degree, variant):
         elif variant == "galerkin":
             continue  # Galerkin form is not a face functional
         else:
-            s = GAMMA * assemble_dual_stab(space, variant)
+            s = GAMMA * dual_stab(space, variant)
         v = rng.standard_normal(space.num_dofs)
         v[space.dirichlet_dofs] = 0.0   # the matrices are on the free DOFs
         direct = fe_jump_seminorm(space, v, GAMMA, boundary_part=part)
@@ -133,8 +134,7 @@ def test_error_quantities_need_the_exact_solution(mesh2, problem):
         h1_semi_error(u_only, zero)
     dataless = fresh_report_data(space, CauchyProblem(f=problem.f, psi=problem.psi))
     assert stab_seminorm_u(dataless, zero, GAMMA) == stab_seminorm_u(full, zero, GAMMA)
-    solution = DiscreteSolution(u=zero, z=np.zeros(space.num_dofs), residual=0.0,
-                                lu_fill=0)
+    solution = DiscreteSolution(u=zero, z=np.zeros(space.num_dofs), residual=0.0)
     with pytest.raises(ValueError, match="needs the exact solution"):
         error_report(solution, dataless, GAMMA, 0.0)
 

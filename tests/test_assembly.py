@@ -13,8 +13,8 @@ from cauchyfem.problem import CauchyProblem
 from cauchyfem.spaces import build_space, edge_tables, segment_rule
 
 from .oracles import (data_term, dense_data_term, dense_dual_stab, dense_face_jumps,
-                      dense_load, dense_stiffness, fe_jump_seminorm,
-                      fresh_report_data, loop_stab_seminorm_u, mapped_traces,
+                      dense_load, dense_stiffness, dual_stab, fe_jump_seminorm,
+                      free_face_operator, fresh_report_data, loop_stab_seminorm_u, mapped_traces,
                       nodal_interpolant, primal_stab, scaled, solve_from_scratch,
                       triangle_points)
 
@@ -87,9 +87,9 @@ def test_gamma_scaling(problem):
             assert np.array_equal(blocks.data,
                                   gamma_v * data_term(trial, problem))
             if variant == "jump":
-                assert _same_bits(blocks.s_w, gamma_w * assemble_dual_stab(test, "jump"))
+                assert _same_bits(blocks.s_w, gamma_w * dual_stab(test, "jump"))
             else:
-                assert _same_bits(blocks.s_w, assemble_dual_stab(test, "galerkin"))
+                assert _same_bits(blocks.s_w, dual_stab(test, "galerkin"))
             assert blocks.a is unit.a and blocks.load is unit.load
             for name in ("s_v", "a", "s_w"):
                 assert _same_bits(getattr(unit, name), before[name]), name
@@ -99,7 +99,7 @@ def test_gamma_scaling(problem):
 
 def test_galerkin_dual_stab_equals_stiffness(mesh2):
     space = build_space(mesh2, 2, BoundaryPart.FREE)
-    s_w = assemble_dual_stab(space, "galerkin")
+    s_w = assemble_dual_stab(space, "galerkin", None)
     a = assemble_stiffness(space, space)
     assert abs(s_w - a).max() == 0.0
 
@@ -107,14 +107,14 @@ def test_galerkin_dual_stab_equals_stiffness(mesh2):
 def test_unknown_variant_rejected(mesh2):
     space = build_space(mesh2, 1, BoundaryPart.FREE)
     with pytest.raises(ValueError):
-        assemble_dual_stab(space, "nitsche")
+        assemble_dual_stab(space, "nitsche", None)
 
 
 def test_jump_dual_stab_boundary_contributions_on_free_side(mesh1):
     # beyond the interior diagonal face, the jump variant only touches
     # the triangle carrying the top and left (free) faces
     space = build_space(mesh1, 1)
-    s_w = assemble_dual_stab(space, "jump").toarray()
+    s_w = assemble_dual_stab(space, "jump", free_face_operator(space)).toarray()
     boundary_only = s_w - _dense_interior_jumps(space)
     touched = {i for i in range(space.num_dofs)
                if np.abs(boundary_only[i]).max() > 1e-13}

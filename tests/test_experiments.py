@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from cauchyfem import analysis, assembly, experiments, mesh as mesh_module, solver
-from cauchyfem.analysis import error_report, stab_seminorm_u, stab_seminorm_z
-from cauchyfem.assembly import assemble_dual_stab, face_operator
+from cauchyfem.analysis import ErrorReport, error_report, stab_seminorm_u, stab_seminorm_z
 from cauchyfem.experiments import (CONVERGENCE_COLUMNS, SWEEP_COLUMNS, Level,
                                    RunConfig, run_convergence, run_single,
                                    run_sweep, solve_level)
@@ -16,7 +15,8 @@ from cauchyfem.problem import quartic_example
 from cauchyfem.solver import SingularSystemError, w_form
 from cauchyfem.spaces import edge_tables, segment_rule, triangle_rule
 
-from .oracles import fresh_report_data, saddle_pattern, solve_from_scratch
+from .oracles import (dual_stab, free_face_operator, fresh_report_data, saddle_pattern,
+                      solve_from_scratch)
 
 
 def parse_csv(path):
@@ -90,6 +90,31 @@ def test_sweep_rejects_bool_and_non_number_penalties_naming_them(gamma):
     # a bool is an int: gammas=(True,) ran as γ = 1; "0.1" was parsed
     with pytest.raises(ValueError, match=re.escape(f"penalty {gamma!r} must be a number")):
         run_sweep(RunConfig(), gammas=(0.1, gamma), n=2)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"levels": 8}, "levels 8 must be a tuple or list"),
+    ({"levels": np.array([8, 16])}, "levels array([ 8, 16]) must be a tuple or list"),
+    ({"output_path": 3}, "output_path 3 must be a path")])
+def test_config_rejects_levels_and_output_path_of_the_wrong_kind(bad, message):
+    # these raised a TypeError or numpy's ambiguous truth value instead
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig(**bad)
+
+
+def test_sweep_rejects_a_single_penalty_in_place_of_gammas():
+    # gammas=0.1 raised "'float' object is not iterable"; an array stays valid
+    with pytest.raises(ValueError, match=re.escape("gammas 0.1 must be a tuple, list")):
+        run_sweep(RunConfig(), gammas=0.1, n=2)
+    rows = run_sweep(RunConfig(), gammas=np.array([0.1, 1.0]), n=2)
+    assert [row.key for row in rows] == [0.1, 1.0]
+
+
+def test_csv_columns_follow_the_report_fields():
+    # `_cells` writes the ErrorReport fields in order under these headers
+    fields = [field.name for field in dataclasses.fields(ErrorReport)]
+    for columns in (CONVERGENCE_COLUMNS[2:11], SWEEP_COLUMNS[2:]):
+        assert [name.casefold() for name in columns] == fields
 
 
 def test_config_rejects_output_path_in_missing_directory(tmp_path):
@@ -276,7 +301,7 @@ def test_sweep_rows_equal_solves_from_scratch(degree, variant):
         pattern = saddle_pattern(blocks, trial, test)
         z = solution.z[pattern.w_free]
         if variant == "jump":
-            b_w, _ = face_operator(test, BoundaryPart.FREE)
+            b_w = free_face_operator(test)
             stab_z = math.sqrt(gamma) * stab_seminorm_z(z, b=b_w)
         else:
             stab_z = math.sqrt(max(-w_form(pattern, z), 0.0))
@@ -297,10 +322,10 @@ def test_report_reads_the_operators_the_solve_was_built_from(degree, variant):
     solution, report = solve_level(level, gamma_v, gamma_w)
     z = solution.z[level.test.free_dofs]
     if variant == "jump":
-        jumps = face_operator(level.test, BoundaryPart.FREE)[0] @ z
+        jumps = free_face_operator(level.test) @ z
         expected = math.sqrt(gamma_w * (jumps @ jumps))
     else:
-        expected = math.sqrt(z @ (assemble_dual_stab(level.test, variant) @ z))
+        expected = math.sqrt(z @ (dual_stab(level.test, variant) @ z))
     assert report.stab_z == pytest.approx(expected, rel=1e-13)
     fresh = stab_seminorm_u(fresh_report_data(level.trial, level.problem), solution.u,
                             gamma_v)

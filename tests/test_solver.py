@@ -95,7 +95,7 @@ def test_solve_permutation_exercises_indefinite_pivoting():
 
 def test_symmetric_ordering_fills_less_than_default_lu(problem):
     system, *_ = make_system(unit_square_mesh(16), 2, problem, gamma=1e-3)
-    assert solve(system).lu_fill < spla.splu(full_matrix(system.matrix)).nnz
+    assert system.pattern.lu_fill < spla.splu(full_matrix(system.matrix)).nnz
 
 
 def test_refinement_meets_tolerance_at_smallest_sweep_gamma(problem):
@@ -173,7 +173,8 @@ def test_galerkin_rounding_defect_passes_the_symmetry_check(problem):
     test = build_space(mesh, 2, BoundaryPart.FREE)
     pattern = saddle_pattern(assemble_blocks(trial, test, problem, "galerkin"),
                              trial, test)
-    scale = np.abs(pattern.half.data[pattern.classes == 2]).max()
+    h, nv = pattern.half.tocoo(), len(pattern.v_free)
+    scale = np.abs(h.data[(h.row >= nv) & (h.col >= nv)]).max()
     assert 0.0 < pattern.defects[2] <= 1e-14 * scale
     assert build_system(pattern, (1.0, 1.0, 1.0)).asymmetry == pattern.defects[2]
 
@@ -409,19 +410,44 @@ def test_unit_matrix_matches_full_dof_stacking(degree, variant, jitter, seed, n,
     ids = sp.csc_matrix((np.arange(expected.nnz), expected.indices, expected.indptr),
                         shape=expected.shape)
     at = np.asarray(ids[h.row, h.col]).ravel()
-    assert np.array_equal(pattern.classes, classes[at])
     for block in range(3):
-        mine = pattern.classes == block
+        mine = classes[at] == block
         scale = np.abs(expected.data[classes == block]).max(initial=0.0)
         assert np.abs(h.data[mine] - expected.data[at[mine]]).max(initial=0.0) <= 1e-14 * scale
         assert pattern.defects[block] <= (1e-14 * scale if variant == "galerkin"
                                           and block == 2 else 0.0)
 
 
+@pytest.mark.parametrize("variant", ["jump", "galerkin"])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_every_block_gets_its_own_factor(degree, variant, problem):
+    # each kept entry is scaled by the factor of the block its row and
+    # column give: the matrix is the stacked unit blocks, each times its
+    # factor, bit for bit but for the Galerkin S_W, which is symmetric to
+    # rounding only and of which the half keeps one entry per pair.  There
+    # |fl(5a) − fl(5b)| ≤ 5|a − b| + ulp(5a), below 5 × the scaled system's
+    # recorded defect 5|a − b| when a ≠ b (6 × the unit defect at P2)
+    mesh = unit_square_mesh(6, jitter=0.2, seed=1)
+    trial = build_space(mesh, degree, BoundaryPart.DATA)
+    test = build_space(mesh, degree, BoundaryPart.FREE)
+    blocks = assemble_blocks(trial, test, problem, variant)
+    pattern = saddle_pattern(blocks, trial, test)
+    system = build_system(pattern, (2.0, 3.0, 5.0))
+    full = full_matrix(system.matrix).toarray()
+    expected = sp.bmat([[2.0 * blocks.s_v, 3.0 * blocks.a.T],
+                        [3.0 * blocks.a, -5.0 * blocks.s_w]]).toarray()
+    nv = len(trial.free_dofs)
+    assert np.array_equal(full[:, :nv], expected[:, :nv])
+    assert np.array_equal(full[:nv], expected[:nv])
+    tolerance = 5.0 * system.asymmetry if variant == "galerkin" else 0.0
+    assert system.asymmetry == 5.0 * pattern.defects[2]
+    assert np.abs(full[nv:, nv:] - expected[nv:, nv:]).max() <= tolerance
+
+
 def test_fill_at_p2_n16_is_pinned(problem):
     # the order inside a separator moves no fill
     system, *_ = make_system(unit_square_mesh(16), 2, problem, gamma=1e-3)
-    assert solve(system).lu_fill == 383_631
+    assert system.pattern.lu_fill == 383_631
 
 
 def test_factor_frees_each_update_once_added(problem):

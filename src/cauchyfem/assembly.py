@@ -195,8 +195,11 @@ def face_operator(space, part, inner, problem=None):
     (+ h_F³ [Δ·]²) on the free DOFs.  ψ̂ is √w_q h_F ψ on the data-face rows
     (data faces use FACE_DATA_DEGREE: ψ is only known pointwise) and zero
     elsewhere: γ Bᵀψ̂ is the data functional g, and √γ ‖ψ̂ - B u‖ is
-    |u - u_h|_{s_V} for the smooth solution u.
+    |u - u_h|_{s_V} for the smooth solution u.  The data part needs the
+    `problem` whose flux ψ it samples; raises ValueError without it.
     """
+    if part == BoundaryPart.DATA and problem is None:
+        raise ValueError("face_operator of the data part needs `problem` for its flux ψ̂")
     mesh = space.mesh
     degree = FACE_DATA_DEGREE if part == BoundaryPart.DATA else max(2 * space.degree - 2, 1)
     rule = segment_rule(degree)
@@ -215,7 +218,7 @@ def face_operator(space, part, inner, problem=None):
     b.has_canonical_format = True
 
     psi_hat = np.zeros(b.shape[0])
-    if part == BoundaryPart.DATA and problem is not None:
+    if part == BoundaryPart.DATA:
         start = inner[0].shape[0]
         psi_hat[start:start + scale.size] = (
             scale * _sample_flux(problem, normal, points)).ravel()

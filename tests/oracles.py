@@ -350,10 +350,10 @@ def structured_triangles(n):
 # continuous-dependence reference curves
 
 
-def primal_stab(space):
-    """Unit s_V of a trial space, from its own data-face operator."""
+def primal_stab(space, problem):
+    """Unit s_V of a trial space, from its own data-face operator for `problem`."""
     return assemble_primal_stab(
-        face_operator(space, BoundaryPart.DATA, interior_rows(space))[0])
+        face_operator(space, BoundaryPart.DATA, interior_rows(space), problem)[0])
 
 
 def data_term(space, problem):
@@ -438,13 +438,15 @@ def full_matrix(half):
                            np.concatenate([h.col, h.row[off]]))), shape=half.shape)
 
 
-def discrete_consistency_probe(mesh, degree, gamma_v, gamma_w, variant="jump",
+def discrete_consistency_probe(mesh, problem, degree, gamma_v, gamma_w, variant="jump",
                                probe=None, seed=0):
     """Manufacture data from a coefficient vector and check it is reproduced.
 
     With l := A v and g := S_V v for any v in the trial space, the coupled
     system is solved exactly by (u, z) = (v, 0); the return value is the max
     of the two recovery errors in the sup norm (zero up to solver accuracy).
+    S_V comes from the data-face operator for `problem`, whose data sides
+    are those of `mesh`; its flux is not read.
     """
     trial = build_space(mesh, degree, BoundaryPart.DATA)
     test = build_space(mesh, degree, BoundaryPart.FREE)
@@ -457,7 +459,7 @@ def discrete_consistency_probe(mesh, degree, gamma_v, gamma_w, variant="jump",
         if np.any(probe[trial.dirichlet_dofs] != 0.0):
             raise ValueError("probe must vanish on constrained DOFs")
 
-    s_v = primal_stab(trial)
+    s_v = primal_stab(trial, problem)
     a = assemble_stiffness(trial, test)
     # g = S_V v at unit γ_V; scaling makes it γ_V S_V v for the scaled S_V
     free = probe[trial.free_dofs]
@@ -494,9 +496,12 @@ def edge_list_analyse(matrix, n_v, coords):
     order, every child before its parent.
 
     A subdomain of more than LEAF_SIZE unknowns that do not all share one
-    coordinate is bisected at the median of its wider coordinate; its
+    coordinate is bisected at the median m of its wider coordinate c; its
     separator is the set of left-side unknowns with a matrix neighbour on
-    the right, and its two parts are dissected in turn.  A separator is
+    the right, and its two parts are dissected in turn.  The right side is
+    c ≥ m (c > m when that is all of it), or c > m when that cut's
+    separator, found on the edge lists too, is smaller and its right side
+    is not empty.  A separator is
     ordered V before W; in each, the unknowns with a matrix neighbour in the
     left part come first, then the rest, each along the cut.  A child's
     update then maps onto a few runs of consecutive front rows, which
@@ -530,6 +535,13 @@ def edge_list_analyse(matrix, n_v, coords):
                 right = c > median
             label[idx] = right
             sep = np.unique(ei[(label[ei] == 0) & (label[ej] == 1)])
+            # the cut c > median, when its separator is smaller and its
+            # right part is not empty
+            label[idx] = c > median
+            other = np.unique(ei[(label[ei] == 0) & (label[ej] == 1)])
+            if len(other) < len(sep) and (c > median).any():
+                right, sep = c > median, other
+            label[idx] = right
             label[sep] = 2
             tail = label[ei]
             ei_left, ej_left = ei[tail == 0], ej[tail == 0]

@@ -99,7 +99,7 @@ def test_c1_oracle_equivalence():
             f"max deviation {worst:.2e}, {elapsed:.1f}s")
 
 
-def test_c2_discrete_consistency():
+def test_c2_discrete_consistency(problem):
     t0 = time.perf_counter()
     worst = 0.0
     for n in (2, 4, 8):
@@ -107,7 +107,7 @@ def test_c2_discrete_consistency():
         for degree in (1, 2):
             gamma = {1: 0.01, 2: 0.001}[degree]
             for variant in ("galerkin", "jump"):
-                err = discrete_consistency_probe(mesh, degree, gamma, gamma,
+                err = discrete_consistency_probe(mesh, problem, degree, gamma, gamma,
                                                  variant, seed=10 * n + degree)
                 worst = max(worst, err)
     elapsed = time.perf_counter() - t0

@@ -94,14 +94,14 @@ def test_stab_z_trivial_cases(mesh4):
 
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("variant", ["galerkin", "jump"])
-def test_quadratic_form_matches_face_quadrature(degree, variant):
+def test_quadratic_form_matches_face_quadrature(degree, variant, problem):
     mesh = unit_square_mesh(3, jitter=0.1, seed=4)
     rng = np.random.default_rng(degree)
     for part, matrix_of in ((BoundaryPart.DATA, primal_stab),
                             (BoundaryPart.FREE, None)):
         space = build_space(mesh, degree, part)
         if matrix_of is not None:
-            s = GAMMA * matrix_of(space)
+            s = GAMMA * matrix_of(space, problem)
         elif variant == "galerkin":
             continue  # Galerkin form is not a face functional
         else:
@@ -189,12 +189,12 @@ def test_rate_recovers_power_law(rate, scale):
 # ---------------------------------------------------------------------------
 # discrete Poincaré ratio
 
-def test_poincare_ratio_finite_and_bounded_across_levels():
+def test_poincare_ratio_finite_and_bounded_across_levels(problem):
     ratios = []
     for n in (8, 16, 32):
         mesh = unit_square_mesh(n)
         space = build_space(mesh, 1, BoundaryPart.DATA)
-        s_v = GAMMA * primal_stab(space)
+        s_v = GAMMA * primal_stab(space, problem)
         stiff = assemble_stiffness(space, space)
         r = poincare_ratio(space, s_v, stiff, samples=100, seed=n)
         assert np.isfinite(r) and r > 0

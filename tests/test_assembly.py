@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from cauchyfem.analysis import stab_seminorm_u
 from cauchyfem.assembly import (FACE_DATA_DEGREE, _edge_rows, _face_points,
                                 _normal_derivs, assemble_blocks, assemble_dual_stab,
-                                assemble_load, assemble_stiffness)
+                                assemble_load, assemble_stiffness, face_operator,
+                                interior_rows)
 from cauchyfem.mesh import BoundaryPart, unit_square_mesh
 from cauchyfem.problem import CauchyProblem
 from cauchyfem.spaces import build_space, edge_tables, segment_rule
@@ -46,20 +47,20 @@ def test_constants_in_stiffness_kernel(mesh2, degree):
     assert np.abs(a @ np.ones(space.num_dofs)).max() < 1e-13
 
 
-def test_primal_stab_hand_value(mesh1):
+def test_primal_stab_hand_value(mesh1, problem):
     # n=1, P1, gamma=1: hat at vertex (1,0) sees the diagonal face
     # (jump sqrt(2), contribution 4) plus bottom and right data faces (1 each);
     # the unconstrained space keeps that vertex, which the trial space drops
     space = build_space(mesh1, 1)
-    s = primal_stab(space).toarray()
+    s = primal_stab(space, problem).toarray()
     idx = int(np.flatnonzero((space.dof_coords == (1.0, 0.0)).all(axis=1))[0])
     assert s[idx, idx] == pytest.approx(6.0, abs=1e-13)
 
 
-def test_affine_function_has_no_interior_jumps(mesh4):
+def test_affine_function_has_no_interior_jumps(mesh4, problem):
     space = build_space(mesh4, 1)
     v = nodal_interpolant(space, lambda x, y: x + y)
-    s = primal_stab(space)
+    s = primal_stab(space, problem)
     # only the data faces contribute: sum of h_F * (grad.n)^2 * |F| = 2/n
     assert v @ (s @ v) == pytest.approx(2.0 / 4.0, abs=1e-13)
 
@@ -83,7 +84,7 @@ def test_gamma_scaling(problem):
             before = {name: getattr(unit, name).copy()
                       for name in ("s_v", "a", "s_w", "load", "data")}
             blocks = scaled(unit, gamma_v, gamma_w)
-            assert _same_bits(blocks.s_v, gamma_v * primal_stab(trial))
+            assert _same_bits(blocks.s_v, gamma_v * primal_stab(trial, problem))
             assert np.array_equal(blocks.data,
                                   gamma_v * data_term(trial, problem))
             if variant == "jump":
@@ -220,7 +221,7 @@ def test_operators_match_dense_oracle(n, degree, problem):
         assert np.abs(assemble_stiffness(trial, test).toarray()
                       - dense_stiffness(trial, test)[np.ix_(test.free_dofs, trial.free_dofs)]
                       ).max() < 1e-12
-        assert np.abs(GAMMA * primal_stab(trial).toarray()
+        assert np.abs(GAMMA * primal_stab(trial, problem).toarray()
                       - dense_face_jumps(trial, BoundaryPart.DATA, GAMMA)[v]).max() < 1e-12
         for variant in ("galerkin", "jump"):
             s_w = scaled(assemble_blocks(trial, test, problem, variant), GAMMA, GAMMA).s_w
@@ -283,6 +284,13 @@ def test_non_finite_data_is_rejected(name, problem, mesh2):
                         **fields)
     with pytest.raises(ValueError, match=f"{name} is not finite at"):
         solve_from_scratch(mesh2, 1, bad, GAMMA, GAMMA)
+
+
+def test_data_face_operator_needs_the_problem(mesh2):
+    # without the problem its flux ψ̂ would be a silent zero
+    space = build_space(mesh2, 1, BoundaryPart.DATA)
+    with pytest.raises(ValueError, match="`problem`"):
+        face_operator(space, BoundaryPart.DATA, interior_rows(space))
 
 
 def test_smooth_consistency_interior_jumps_vanish(mesh4):

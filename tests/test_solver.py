@@ -109,6 +109,15 @@ def test_singular_matrix_raises():
         solve(_plain_system(np.zeros((2, 2)), np.ones(2)))
 
 
+def test_tiny_penalty_names_rounding_as_a_cause(problem):
+    # positive penalties and intact constraints, but at γ = 1e-10 a W pivot
+    # block loses its definiteness in rounding
+    with pytest.raises(SingularSystemError, match="W pivot block") as info:
+        solve_from_scratch(unit_square_mesh(8), 1, problem, 1e-10, 1e-10)
+    assert "very small penalty" in str(info.value)
+    assert "definiteness in rounding" in str(info.value)
+
+
 def test_inaccurate_solve_raises_with_its_residual():
     from scipy.linalg import hilbert
 
@@ -445,9 +454,49 @@ def test_every_block_gets_its_own_factor(degree, variant, problem):
 
 
 def test_fill_at_p2_n16_is_pinned(problem):
-    # the order inside a separator moves no fill
+    # the order inside a separator moves no fill; the edge-list analysis
+    # gives the same 341,430
     system, *_ = make_system(unit_square_mesh(16), 2, problem, gamma=1e-3)
-    assert system.pattern.lu_fill == 383_631
+    assert system.pattern.lu_fill == 341_430
+
+
+@pytest.mark.parametrize("n, root", [(16, 158), (32, 318)])
+def test_p2_lattice_cuts_follow_vertex_lines(n, root, problem):
+    # the median is a vertex line: the cut c > m follows it, where c ≥ m
+    # follows the edge-midpoint line beside it (219 and 443 root pivots)
+    system, *_ = make_system(unit_square_mesh(n), 2, problem)
+    assert system.pattern.fronts[-1].size == root
+
+
+def test_p1_lattice_keeps_the_cuts_at_or_above_the_median(problem):
+    # at P1 both cuts give separators of one size, so every subdomain keeps
+    # c ≥ m, and its fronts and fill
+    system, *_ = make_system(unit_square_mesh(32), 1, problem)
+    assert system.pattern.lu_fill == 267_051
+    assert [f.size for f in system.pattern.fronts] == [
+        123, 65, 100, 26, 52, 56, 86, 22, 79, 121, 32, 52, 52, 56, 86, 22, 79, 121, 32,
+        52, 74, 104, 22, 104, 36, 76, 32, 32, 64, 64, 126]
+
+
+def test_median_at_the_largest_coordinate_keeps_both_parts():
+    # a chain, 3 unknowns at x < 1 and 9 at x = 1: the median is the largest
+    # x.  The cut c > m has no separator but no right part either, which
+    # would leave the whole subdomain to cut again; c ≥ m cuts off the
+    # unknown at x = 0.5, the one next to x = 1
+    n = 12
+    coords = np.column_stack([np.r_[0.0, 0.25, 0.5, np.ones(9)], np.linspace(0.0, 0.5, n)])
+    chain = np.diag(np.ones(n - 1), 1)
+    matrix = chain + chain.T + np.diag(np.where(np.arange(n) < 6, 3.0, -3.0))
+    rhs = np.arange(1.0, n + 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "LEAF_SIZE", 4)
+        system = _plain_system(matrix, rhs, 6, coords)
+        _assert_matches_edge_list_oracle(system.pattern, coords)
+        sol = solve(system)
+    root = system.pattern.fronts[-1]
+    assert root.size == 1 and system.pattern.order[root.start] == 2
+    expected = np.linalg.solve(matrix, rhs)
+    assert np.allclose(np.concatenate([sol.u, sol.z]), expected, rtol=1e-12, atol=0.0)
 
 
 def test_factor_frees_each_update_once_added(problem):
@@ -521,8 +570,8 @@ def _probe_cases():
 
 
 @pytest.mark.parametrize("n, degree, variant, gamma, jitter, seed", _probe_cases())
-def test_discrete_consistency_random_probe(n, degree, variant, gamma, jitter, seed):
-    err = discrete_consistency_probe(unit_square_mesh(n, jitter, seed), degree,
+def test_discrete_consistency_random_probe(n, degree, variant, gamma, jitter, seed, problem):
+    err = discrete_consistency_probe(unit_square_mesh(n, jitter, seed), problem, degree,
                                      gamma, gamma, variant, seed=n + degree)
     assert err < 1e-9
 
@@ -532,24 +581,25 @@ def test_discrete_consistency_interpolated_solution(problem):
     trial = build_space(mesh, 1, BoundaryPart.DATA)
     probe = nodal_interpolant(trial, problem.exact_u)
     probe[trial.dirichlet_dofs] = 0.0
-    err = discrete_consistency_probe(mesh, 1, GAMMA, GAMMA, "jump", probe=probe)
+    err = discrete_consistency_probe(mesh, problem, 1, GAMMA, GAMMA, "jump", probe=probe)
     assert err < 1e-9
 
 
-def test_probe_must_respect_constraints(mesh2):
+def test_probe_must_respect_constraints(mesh2, problem):
     trial = build_space(mesh2, 1, BoundaryPart.DATA)
     bad = np.ones(trial.num_dofs)
     with pytest.raises(ValueError):
-        discrete_consistency_probe(mesh2, 1, GAMMA, GAMMA, probe=bad)
+        discrete_consistency_probe(mesh2, problem, 1, GAMMA, GAMMA, probe=bad)
 
 
-def test_consistency_probe_independent_of_gamma(mesh4):
+def test_consistency_probe_independent_of_gamma(mesh4, problem):
     rng = np.random.default_rng(5)
     trial = build_space(mesh4, 1, BoundaryPart.DATA)
     probe = rng.standard_normal(trial.num_dofs)
     probe[trial.dirichlet_dofs] = 0.0
     for gamma in (0.01, 1.0):
-        err = discrete_consistency_probe(mesh4, 1, gamma, gamma, "jump", probe=probe)
+        err = discrete_consistency_probe(mesh4, problem, 1, gamma, gamma, "jump",
+                                         probe=probe)
         assert err < 1e-9
 
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-from .assembly import VOLUME_DEGREE
+from .assembly import VOLUME_DEGREE, RowStack
 from .mesh import mesh_size
 from .spaces import (FeSpace, QuadratureRule, cell_points, shape_grads,
                      shape_values, triangle_rule)
@@ -56,8 +55,9 @@ class ReportData:
 
     The volume rule, the exact u and ∇u at its points ((nt, nq) and (nt, nq, 2);
     None where the problem does not know them), the triangles of ω, h, ‖f‖ and
-    the free-DOF data-face operator B with ψ̂ that S_V and g came from
-    (`BlockSystem.b`).  Built once per mesh; a report evaluates no exact field.
+    the rows over all DOFs of the data-face operator B with the ψ̂ that S_V
+    and g came from (`BlockSystem.data_rows`, `BlockSystem.psi_hat`).  Built
+    once per mesh; a report evaluates no exact field.
     """
 
     space: FeSpace
@@ -67,12 +67,13 @@ class ReportData:
     local: np.ndarray
     h: float
     f_l2: float
-    b: sp.csr_matrix
+    rows: RowStack
     psi_hat: np.ndarray
 
 
-def report_data(space, problem, b, psi_hat):
-    """ReportData of the trial space `space` for `problem`, with its B and ψ̂."""
+def report_data(space, problem, rows, psi_hat):
+    """ReportData of the trial space `space` for `problem`, with the rows of
+    its B and ψ̂."""
     mesh = space.mesh
     rule = triangle_rule(VOLUME_DEGREE)
     points = cell_points(mesh, rule.points)
@@ -82,7 +83,8 @@ def report_data(space, problem, b, psi_hat):
                       exact_grad=None if problem.exact_grad is None
                       else np.stack(problem.exact_grad(x, y), axis=-1),
                       local=_local_triangles(mesh), h=mesh_size(mesh),
-                      f_l2=l2_norm_field(mesh, problem.f, points), b=b, psi_hat=psi_hat)
+                      f_l2=l2_norm_field(mesh, problem.f, points), rows=rows,
+                      psi_hat=psi_hat)
 
 
 def _exact(values):
@@ -126,16 +128,18 @@ def stab_seminorm_u(data, coeffs, gamma_v):
     so interior faces see -[∂_n u_h] while data faces see ψ - ∂_n u_h: the
     value is √γ_V ‖ψ̂ - B u_h‖ with the data-boundary face operator.  This
     residual form keeps the digits that u_hᵀ S_V u_h - 2 gᵀu_h + γ_V ‖ψ̂‖²
-    loses to cancellation.  B reads the free DOFs of `coeffs`.
+    loses to cancellation.  B reads `coeffs` over all DOFs, whose
+    constrained entries are zero.
     """
-    residual = data.psi_hat - data.b @ coeffs[data.space.free_dofs]
+    residual = data.psi_hat - data.rows @ coeffs
     return math.sqrt(gamma_v * float(residual @ residual))
 
 
 def stab_seminorm_z(coeffs, b):
-    """|z_h| in the unit jump dual stabilizer s_W = B_WᵀB_W for the free W
-    coefficients: ‖B_W z‖, a residual form that keeps the digits the
-    quadratic form loses."""
+    """|z_h| in the unit jump dual stabilizer s_W = B_WᵀB_W: ‖B_W z‖, a
+    residual form that keeps the digits the quadratic form loses.  B_W is a
+    matrix on the free DOFs and `coeffs` the free W coefficients, or B_W is
+    a row stack (`BlockSystem.free_rows`) and `coeffs` are over all DOFs."""
     jumps = b @ coeffs
     return math.sqrt(float(jumps @ jumps))
 

@@ -19,8 +19,10 @@ of constrained DOFs are dropped before anything is summed or multiplied.
 
 Every kernel works on all triangles or faces at once: J and J⁻¹ are the
 mesh's, face traces are rows of reference-edge tables, and the quadrature sums
-are einsums.  The face-trace operators (`face_operator`) share the interior
-rows (`interior_rows`): B gives S_V, g and |u - u_h|_{s_V}, B_W the jump S_W.
+are einsums.  The face-trace operators (`face_operator`) are row stacks over
+all DOFs that share the interior rows (`interior_rows`): B gives S_V, g and
+|u - u_h|_{s_V}, B_W the jump S_W and |z_h|_{s_W}.  S_V, g and S_W are built
+from their free columns (`on_free_dofs`), which are dropped once they are.
 """
 
 from __future__ import annotations
@@ -43,6 +45,15 @@ FACE_DATA_DEGREE = 9
 SW_VARIANTS = ("galerkin", "jump")
 
 
+class RowStack(tuple):
+    """The row blocks of one face operator over all DOFs, top to bottom,
+    kept apart so that two operators can share blocks: `stack @ x` is the
+    stacked operator times x, a vector over all DOFs."""
+
+    def __matmul__(self, x):
+        return np.concatenate([rows @ x for rows in self])
+
+
 @dataclass(frozen=True)
 class BlockSystem:
     """Assembled operators on the free DOFs: n_V and n_W below count the free
@@ -55,9 +66,12 @@ class BlockSystem:
              jump variant; the Galerkin variant is the plain energy matrix)
     load     (n_W,) right side l
     data     (n_V,) right side g = Bᵀψ̂ built from the flux data, unit penalty
-    b, psi_hat  the trial space's data-face operator B and data vector ψ̂
-    b_w      the test space's free-face operator, S_W = B_WᵀB_W (None for
-             the Galerkin S_W)
+    data_rows, psi_hat  the rows of the trial space's data-face operator B
+             over all DOFs and its data vector ψ̂, for the report
+    free_rows  the rows of the test space's free-face operator B_W over all
+             DOFs, S_W = B_WᵀB_W on the free ones (None for the Galerkin S_W)
+    The two row stacks share their interior-face rows; blocks built for a
+    solve alone leave all three None.
     """
 
     s_v: sp.csr_matrix
@@ -66,9 +80,9 @@ class BlockSystem:
     load: np.ndarray
     data: np.ndarray
     variant: str
-    b: sp.csr_matrix
-    psi_hat: np.ndarray
-    b_w: sp.csr_matrix | None
+    data_rows: RowStack | None = None
+    psi_hat: np.ndarray | None = None
+    free_rows: RowStack | None = None
 
 
 def penalty_factors(variant, gamma_v, gamma_w):
@@ -156,6 +170,8 @@ def _rows(values, dofs, num_dofs):
     rows = sp.csr_matrix((values.ravel(), np.repeat(dofs.astype(index)[:, None], m, 1).ravel(),
                           np.arange(0, nf * m * w + 1, w, dtype=index)), (nf * m, num_dofs))
     rows.sum_duplicates()
+    # the merged entries are views of the unmerged buffers: keep only them
+    rows.data, rows.indices = rows.data.copy(), rows.indices.copy()
     return rows
 
 
@@ -185,14 +201,14 @@ def interior_rows(space):
 
 
 def face_operator(space, part, inner, problem=None):
-    """Face-trace operator B on the free DOFs of `space` and data vector ψ̂
-    of the jump penalty.
+    """Face-trace operator B over all DOFs of `space`, a `RowStack`, and the
+    data vector ψ̂ of the jump penalty.
 
-    B has the gradient-jump rows of `inner` (the space's `interior_rows`),
-    one row √w_q h_F ∂_n φ per quadrature point of the faces of `part`,
-    then for degree 2 the Laplacian-jump rows of `inner`; the columns of
-    constrained DOFs are dropped.  So γ BᵀB is the penalty ∫ h_F [∂_n ·]²
-    (+ h_F³ [Δ·]²) on the free DOFs.  ψ̂ is √w_q h_F ψ on the data-face rows
+    B has the gradient-jump rows of `inner` (the space's `interior_rows`,
+    shared, not copied), one row √w_q h_F ∂_n φ per quadrature point of the
+    faces of `part`, then for degree 2 the Laplacian-jump rows of `inner`.
+    So γ BᵀB on the free DOFs (`on_free_dofs`) is the penalty
+    ∫ h_F [∂_n ·]² (+ h_F³ [Δ·]²).  ψ̂ is √w_q h_F ψ on the data-face rows
     (data faces use FACE_DATA_DEGREE: ψ is only known pointwise) and zero
     elsewhere: γ Bᵀψ̂ is the data functional g, and √γ ‖ψ̂ - B u‖ is
     |u - u_h|_{s_V} for the smooth solution u.  The data part needs the
@@ -209,33 +225,42 @@ def face_operator(space, part, inner, problem=None):
     scale = length[:, None] * np.sqrt(rule.weights)
     boundary = _rows(scale[:, :, None] * _normal_derivs(space, degree, owner, faces, 0, normal),
                      space.cell_dofs[owner], space.num_dofs)
-    b = sp.vstack([inner[0], boundary, *inner[1:]], format="csr")
+    rows = RowStack([inner[0], boundary, *inner[1:]])
+
+    psi_hat = np.zeros(sum(block.shape[0] for block in rows))
+    if part == BoundaryPart.DATA:
+        start = inner[0].shape[0]
+        psi_hat[start:start + scale.size] = (
+            scale * _sample_flux(problem, normal, points)).ravel()
+    return rows, psi_hat
+
+
+def on_free_dofs(rows, space):
+    """The row stack `rows` (`face_operator`) as one CSR matrix on the free
+    DOFs of `space`: the columns of constrained DOFs are dropped."""
+    b = sp.vstack(rows, format="csr")
     # the free columns keep their order: the rows stay sorted, without duplicates
     columns = _free_columns(space)[b.indices]
     keep = columns >= 0
     indptr = np.concatenate([[0], np.cumsum(keep, dtype=b.indptr.dtype)])[b.indptr]
     b = sp.csr_matrix((b.data[keep], columns[keep], indptr), (b.shape[0], len(space.free_dofs)))
     b.has_canonical_format = True
-
-    psi_hat = np.zeros(b.shape[0])
-    if part == BoundaryPart.DATA:
-        start = inner[0].shape[0]
-        psi_hat[start:start + scale.size] = (
-            scale * _sample_flux(problem, normal, points)).ravel()
-    return b, psi_hat
+    return b
 
 
 def assemble_primal_stab(b):
     """Unit primal stabilizer s_V = BᵀB: jumps over interior faces and the data
-    boundary, from the trial space's data-face operator B (`face_operator`)."""
+    boundary, from the trial space's data-face operator B on its free DOFs
+    (`on_free_dofs` of `face_operator`)."""
     return b.T.tocsr() @ b
 
 
 def assemble_dual_stab(space, variant, b):
     """Dual stabilizer s_W on the free DOFs of `space`: the Galerkin energy
     a(z, w) itself (no γ; `b` is not read), or the unit jumps BᵀB over
-    interior faces and the free boundary, from the free-face operator `b`,
-    `face_operator(space, BoundaryPart.FREE, inner)`."""
+    interior faces and the free boundary, from the free-face operator `b` on
+    the free DOFs, `on_free_dofs` of `face_operator(space, BoundaryPart.FREE,
+    inner)`."""
     if variant == "galerkin":
         return assemble_stiffness(space, space)
     if variant == "jump":
@@ -266,8 +291,9 @@ def assemble_load(space, problem):
 
 
 def assemble_data_term(b, psi_hat):
-    """Unit data functional g[i] = Σ_data ∫ h_F ψ ∂_n φ_i = Bᵀψ̂, with B and ψ̂
-    from `face_operator(trial, BoundaryPart.DATA, inner, problem)`: the primal
+    """Unit data functional g[i] = Σ_data ∫ h_F ψ ∂_n φ_i = Bᵀψ̂, with ψ̂ and
+    B on the free DOFs from `face_operator(trial, BoundaryPart.DATA, inner,
+    problem)`: the primal
     stabilizer applied to the smooth exact solution, whose interior jumps
     vanish."""
     return b.T @ psi_hat
@@ -277,12 +303,17 @@ def assemble_blocks(trial, test, problem, variant="jump"):
     """Every operator and functional of the coupled system on the free DOFs,
     at unit penalties (`penalty_factors` applies γ).  The interior-face rows
     are built once for the data-face B (S_V = BᵀB, g = Bᵀψ̂) and the jump
-    S_W's free-face B_W (S_W = B_WᵀB_W); both are kept for the report."""
+    S_W's free-face B_W (S_W = B_WᵀB_W).  Their row stacks are kept for the
+    report; B and B_W on the free DOFs are dropped once their blocks are
+    built."""
     inner = interior_rows(trial)
-    b, psi_hat = face_operator(trial, BoundaryPart.DATA, inner, problem)
-    b_w = face_operator(test, BoundaryPart.FREE, inner)[0] if variant == "jump" else None
-    return BlockSystem(s_v=assemble_primal_stab(b), a=assemble_stiffness(trial, test),
-                       s_w=assemble_dual_stab(test, variant, b_w),
-                       load=assemble_load(test, problem),
-                       data=assemble_data_term(b, psi_hat), variant=variant,
-                       b=b, psi_hat=psi_hat, b_w=b_w)
+    data_rows, psi_hat = face_operator(trial, BoundaryPart.DATA, inner, problem)
+    b = on_free_dofs(data_rows, trial)
+    s_v, data = assemble_primal_stab(b), assemble_data_term(b, psi_hat)
+    del b
+    free_rows = face_operator(test, BoundaryPart.FREE, inner)[0] if variant == "jump" else None
+    s_w = assemble_dual_stab(test, variant,
+                             None if free_rows is None else on_free_dofs(free_rows, test))
+    return BlockSystem(s_v=s_v, a=assemble_stiffness(trial, test), s_w=s_w,
+                       load=assemble_load(test, problem), data=data, variant=variant,
+                       data_rows=data_rows, psi_hat=psi_hat, free_rows=free_rows)

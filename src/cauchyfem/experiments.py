@@ -124,9 +124,11 @@ def check_penalty(gamma):
 class Level:
     """What every solve on one mesh level shares, built once per mesh: the
     problem, the mesh, the spaces, the analysed unit-penalty saddle pattern,
-    the data-face B and ψ̂ of S_V and g, and the jump S_W's free-face B_W
-    (else None).  The report's γ-free data is built from B and ψ̂ on first
-    use, after the first factorization, so that it is not alive during it."""
+    the rows over all DOFs of the data-face B with the ψ̂ of S_V and g, and
+    those of the jump S_W's free-face B_W (else None).  B and B_W share
+    their interior-face rows, held once.  The report's γ-free data is built
+    from B's rows and ψ̂ on first use, after the first factorization, so that
+    it is not alive during it."""
 
     def __init__(self, config, n):
         self.n = n
@@ -136,15 +138,15 @@ class Level:
         self.test = build_space(mesh, config.degree, BoundaryPart.FREE)
         blocks = assemble_blocks(self.trial, self.test, self.problem,
                                  variant=config.sw_variant)
-        self.variant, self.b_w = blocks.variant, blocks.b_w
-        self._data_face = blocks.b, blocks.psi_hat
+        self.variant, self.data_rows = blocks.variant, blocks.data_rows
+        self.psi_hat, self.free_rows = blocks.psi_hat, blocks.free_rows
         stack = stacked(blocks, self.trial, self.test)
         del blocks      # S_V, A and S_W are freed before the analysis
         self.saddle = analysed_pattern(*stack)
 
     @cached_property
     def report_data(self):
-        return report_data(self.trial, self.problem, *self._data_face)
+        return report_data(self.trial, self.problem, self.data_rows, self.psi_hat)
 
 
 def solve_level(level, gamma_v, gamma_w):
@@ -153,9 +155,9 @@ def solve_level(level, gamma_v, gamma_w):
     factors = penalty_factors(level.variant, gamma_v, gamma_w)
     pattern = level.saddle
     solution = solve(build_system(pattern, factors))
-    z = solution.z[pattern.w_free]
-    stab_z = (math.sqrt(max(-w_form(pattern, z), 0.0)) if level.b_w is None
-              else math.sqrt(factors[2]) * stab_seminorm_z(z, b=level.b_w))
+    stab_z = (math.sqrt(max(-w_form(pattern, solution.z[pattern.w_free]), 0.0))
+              if level.free_rows is None
+              else math.sqrt(factors[2]) * stab_seminorm_z(solution.z, b=level.free_rows))
     return solution, error_report(solution, level.report_data, gamma_v, stab_z)
 
 

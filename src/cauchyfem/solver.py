@@ -283,14 +283,18 @@ def _singular(i, front, block):
         "its definiteness in rounding")
 
 
-def _factor(pattern, data):
+def _factor(pattern, factors):
     """Per front, L and Z with the front's pivot block L D Lᵀ (D = +1 on the
     V pivots, −1 on the W pivots) and off-diagonal block Z Lᵀ, for the
-    values `data` of the pattern's half H, as views of one buffer that holds
-    exactly `lu_fill` entries.  One scatter puts the values at their places;
-    then each front is factored in its slot there (`_factor_front`)."""
+    pattern's half H with each block times its factor in `factors`, as views
+    of one buffer that holds exactly `lu_fill` entries.  One scatter puts
+    the scaled values at their places, through a temporary freed before the
+    first front; then each front is factored in its slot there
+    (`_factor_front`)."""
+    data = _scaled(pattern, factors)    # made before the store, freed before the fronts
     store, slots, stack = np.zeros(pattern.slots[-1]), pattern.slots, []
     store[pattern.places] = data
+    del data
     return [_factor_front(i, front, store[at:end], stack)
             for i, (front, at, end) in enumerate(zip(pattern.fronts, slots, slots[1:]))]
 
@@ -390,13 +394,21 @@ class SaddlePattern:
 
 @dataclass(frozen=True)
 class SaddleSystem:
-    """The half H of the saddle matrix and the right side at one penalty
-    pair, and the largest |M_ij − M_ji| of its scaled blocks."""
+    """The saddle system at one penalty pair: the factors of S_V, A and S_W
+    that scale the pattern's unit half H, the right side, and the largest
+    |M_ij − M_ji| of the scaled blocks.  It keeps no scaled copy of H."""
 
     pattern: SaddlePattern
-    matrix: sp.csc_matrix
+    factors: np.ndarray
     rhs: np.ndarray
     asymmetry: float
+
+    @property
+    def matrix(self):
+        """The half H with each block times its factor, made on each read."""
+        half = self.pattern.half
+        return sp.csc_matrix((_scaled(self.pattern, self.factors), half.indices, half.indptr),
+                             half.shape)
 
 
 @dataclass(frozen=True)
@@ -450,20 +462,27 @@ def analysed_pattern(unit, coords, g, load, v_free, w_free, n_v, n_w):
 
 def build_system(pattern, factors=(1.0, 1.0, 1.0)):
     """The saddle system with each block of `pattern` times its factor in
-    `factors` (indexed by S_V, A, S_W), each entry's block read off its row
-    and column; g is scaled with S_V.  Raises ValueError when a scaled
-    block's defect exceeds SYMMETRY_TOL."""
+    `factors` (indexed by S_V, A, S_W); g is scaled with S_V.  Keeps the
+    factors, not a scaled matrix.  Raises ValueError when a scaled block's
+    defect exceeds SYMMETRY_TOL."""
     factors = np.asarray(factors, dtype=float)
     defect = float(np.max(np.abs(factors) * pattern.defects))
     if defect > SYMMETRY_TOL:
         raise ValueError(f"saddle matrix asymmetry {defect:g} exceeds {SYMMETRY_TOL:g}")
-    half, nv = pattern.half, len(pattern.v_free)
-    block = (half.indices >= nv).astype(np.intp)   # 0: S_V, 1: A or Aᵀ, 2: −S_W
-    block[half.indptr[nv]:] += 1        # the columns of the W unknowns
-    data = factors[block]
-    data *= half.data
-    return SaddleSystem(pattern, sp.csc_matrix((data, half.indices, half.indptr), half.shape),
+    return SaddleSystem(pattern, factors,
                         np.concatenate([factors[0] * pattern.g, pattern.load]), defect)
+
+
+def _scaled(pattern, factors):
+    """The values of the pattern's half H, each times the factor of its
+    block in `factors`, the block read off the entry's row and column: the
+    V columns hold S_V above A, the W columns Aᵀ above −S_W."""
+    half, nv = pattern.half, len(pattern.v_free)
+    at, below = half.indptr[nv], half.indices >= nv
+    data = half.data * factors[1]
+    np.multiply(half.data[:at], factors[0], out=data[:at], where=~below[:at])
+    np.multiply(half.data[at:], factors[2], out=data[at:], where=below[at:])
+    return data
 
 
 def w_form(pattern, z):
@@ -474,13 +493,16 @@ def w_form(pattern, z):
 
 def solve(system):
     """Multifrontal LDLᵀ solve with one refinement step, M x taken as
-    Hx + Hᵀx − diag(H)x; raises SingularSystemError at a pivot block that is
-    not definite and UnconvergedSolveError unless the relative residual is
-    finite and below RESIDUAL_TOL."""
-    pattern, half, diagonal = system.pattern, system.matrix, system.matrix.diagonal()
-    factors = _factor(pattern, half.data)
-    x = _substitute(pattern, factors, system.rhs)
-    x += _substitute(pattern, factors, system.rhs - (half @ x + half.T @ x - diagonal * x))
+    Hx + Hᵀx − diag(H)x for the scaled half H, made once the factors are;
+    raises SingularSystemError at a pivot block that is not definite and
+    UnconvergedSolveError unless the relative residual is finite and below
+    RESIDUAL_TOL."""
+    pattern = system.pattern
+    stored = _factor(pattern, system.factors)
+    half = system.matrix
+    diagonal = half.diagonal()
+    x = _substitute(pattern, stored, system.rhs)
+    x += _substitute(pattern, stored, system.rhs - (half @ x + half.T @ x - diagonal * x))
     rhs_norm = np.linalg.norm(system.rhs)
     res = np.linalg.norm(half @ x + half.T @ x - diagonal * x - system.rhs)
     residual = float(res / rhs_norm) if rhs_norm > 0 else float(res)

@@ -21,7 +21,8 @@ from cauchyfem.analysis import report_data
 from cauchyfem.assembly import (VOLUME_DEGREE, BlockSystem, assemble_blocks,
                                 assemble_data_term, assemble_dual_stab,
                                 assemble_primal_stab, assemble_stiffness,
-                                face_operator, interior_rows, penalty_factors)
+                                face_operator, interior_rows, on_free_dofs,
+                                penalty_factors)
 from cauchyfem.mesh import GEOM_TOL, BoundaryPart, mesh_size
 from cauchyfem.solver import analysed_pattern, build_system, solve, stacked
 from cauchyfem.spaces import (build_space, cell_points, shape_grads, shape_values,
@@ -352,14 +353,14 @@ def structured_triangles(n):
 
 def primal_stab(space, problem):
     """Unit s_V of a trial space, from its own data-face operator for `problem`."""
-    return assemble_primal_stab(
-        face_operator(space, BoundaryPart.DATA, interior_rows(space), problem)[0])
+    rows, _ = face_operator(space, BoundaryPart.DATA, interior_rows(space), problem)
+    return assemble_primal_stab(on_free_dofs(rows, space))
 
 
 def data_term(space, problem):
     """Unit g of a trial space for `problem`, from its own data-face operator."""
-    return assemble_data_term(
-        *face_operator(space, BoundaryPart.DATA, interior_rows(space), problem))
+    rows, psi_hat = face_operator(space, BoundaryPart.DATA, interior_rows(space), problem)
+    return assemble_data_term(on_free_dofs(rows, space), psi_hat)
 
 
 def fresh_report_data(space, problem):
@@ -370,8 +371,9 @@ def fresh_report_data(space, problem):
 
 
 def free_face_operator(space):
-    """The free-face operator B_W of a test space, from its own interior rows."""
-    return face_operator(space, BoundaryPart.FREE, interior_rows(space))[0]
+    """The free-face operator B_W on the free DOFs of a test space, from its
+    own interior rows."""
+    return on_free_dofs(face_operator(space, BoundaryPart.FREE, interior_rows(space))[0], space)
 
 
 def dual_stab(space, variant):
@@ -464,8 +466,7 @@ def discrete_consistency_probe(mesh, problem, degree, gamma_v, gamma_w, variant=
     # g = S_V v at unit γ_V; scaling makes it γ_V S_V v for the scaled S_V
     free = probe[trial.free_dofs]
     unit = BlockSystem(s_v=s_v, a=a, s_w=dual_stab(test, variant),
-                       load=a @ free, data=s_v @ free, variant=variant,
-                       b=None, psi_hat=None, b_w=None)   # no report on this system
+                       load=a @ free, data=s_v @ free, variant=variant)
     sol = solve(build_system(saddle_pattern(scaled(unit, gamma_v, gamma_w), trial, test)))
     return float(max(np.abs(sol.u - probe).max(), np.abs(sol.z).max()))
 

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cauchyfem import analysis, assembly, experiments, mesh as mesh_module, solver
 from cauchyfem.analysis import ErrorReport, error_report, stab_seminorm_u, stab_seminorm_z
@@ -330,6 +331,28 @@ def test_report_reads_the_operators_the_solve_was_built_from(degree, variant):
     fresh = stab_seminorm_u(fresh_report_data(level.trial, level.problem), solution.u,
                             gamma_v)
     assert report.stab_u == fresh
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_level_holds_its_interior_face_rows_once(degree):
+    # B and B_W are kept as row stacks over all DOFs that share the
+    # interior-face rows (gradient jumps, and at P2 Laplacian jumps) and
+    # differ in their boundary rows; no matrix on the free DOFs is kept, the
+    # report reads the same stack, and every kept row block owns its
+    # entries instead of viewing the unmerged buffer they were summed in
+    level = Level(RunConfig(degree=degree, jitter=0.2, seed=1), 6)
+    solve_level(level, 0.01, 0.01)
+    data_rows, free_rows = level.data_rows, level.free_rows
+    inner = assembly.interior_rows(level.trial)
+    assert len(data_rows) == len(free_rows) == len(inner) + 1
+    for i, fresh in zip([0, *range(2, len(data_rows))], inner):
+        assert data_rows[i] is free_rows[i]
+        assert (data_rows[i] != fresh).nnz == 0
+    assert data_rows[1] is not free_rows[1]
+    assert level.report_data.rows is data_rows
+    assert not any(sp.issparse(value) for value in vars(level).values())
+    for rows in {id(rows): rows for rows in (*data_rows, *free_rows)}.values():
+        assert rows.data.base is None and rows.indices.base is None
 
 
 def test_mesh_blocks_and_report_data_are_built_once_per_mesh(monkeypatch):

@@ -42,8 +42,7 @@ def test_zero_stabilizers_leave_offdiagonal_blocks(mesh2, problem):
     nv, nw = len(trial.free_dofs), len(test.free_dofs)
     a = assemble_stiffness(trial, test)
     blocks = BlockSystem(s_v=sp.csr_matrix((nv, nv)), a=a, s_w=sp.csr_matrix((nw, nw)),
-                         load=np.zeros(nw), data=np.zeros(nv), variant="jump",
-                         b=None, psi_hat=None, b_w=None)
+                         load=np.zeros(nw), data=np.zeros(nv), variant="jump")
     system = build_system(saddle_pattern(blocks, trial, test))
     dense = full_matrix(system.matrix).toarray()
     assert np.all(dense[:nv, :nv] == 0)
@@ -355,7 +354,7 @@ def test_extend_add_runs_lie_in_pivot_or_struct_rows(leaf_size, degree, problem)
             assert np.array_equal(k + _row_list(rows), expected[a:])
         assert np.array_equal(mapped, expected)
         assert np.array_equal(k + _row_list(z_rows), expected[cut:])
-    factors = solver._factor(system.pattern, system.matrix.data)
+    factors = solver._factor(system.pattern, system.factors)
     for front, (low, _) in zip(fronts, factors):
         k = front.size
         assert low.shape == (k * (k + 1) // 2,)
@@ -501,10 +500,12 @@ def test_median_at_the_largest_coordinate_keeps_both_parts():
 
 def test_factor_frees_each_update_once_added(problem):
     # the factorization's traced memory: its peak is at most the store, the
-    # largest stack of live update matrices and one k × k work array; when a
-    # front's kernels start, its children's updates are freed, so the live
-    # memory is the store, the other pending updates, its own update and its
-    # work array, plus Python objects under 32 KiB
+    # largest stack of live update matrices and one k × k work array, or the
+    # store and the scatter's scaled values (8 bytes per entry of the half),
+    # freed before the first front; when a front's kernels start, its
+    # children's updates are freed, so the live memory is the store, the
+    # other pending updates, its own update and its work array, plus Python
+    # objects under 32 KiB
     system, *_ = make_system(unit_square_mesh(16), 2, problem, gamma=1e-3)
     pattern = system.pattern
     sizes, largest, expected = [], 0, []
@@ -524,17 +525,47 @@ def test_factor_frees_each_update_once_added(problem):
         patch.setattr(solver, "dpotrf", traced_dpotrf)
         tracemalloc.start()
         try:
-            solver._factor(pattern, system.matrix.data)
+            solver._factor(pattern, system.factors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     k_max = max(front.size for front in pattern.fronts)
-    assert peak <= 8 * (pattern.slots[-1] + largest + k_max * k_max)
+    assert peak <= 8 * (pattern.slots[-1] + max(largest + k_max * k_max, pattern.half.nnz))
     # one dpotrf call per front for its V pivots, one for its W pivots
     calls = np.cumsum([0] + [(f.v_pivots > 0) + (f.v_pivots < f.size)
                              for f in pattern.fronts])
     assert len(live) == calls[-1]
     assert (np.array(live)[calls[:-1]] - np.array(expected) < 32 * 1024).all()
+
+
+def test_no_scaled_copy_of_the_half_lives_through_the_factorization(problem):
+    # from before build_system to the first pivot block, the traced memory
+    # is the right side, the factor store and the first front's work array
+    # and update matrix: the system keeps the block factors, not a scaled
+    # copy of H (8 bytes per entry of the half), and the scatter's scaled
+    # values are freed before the first front
+    mesh = unit_square_mesh(16)
+    trial = build_space(mesh, 2, BoundaryPart.DATA)
+    test = build_space(mesh, 2, BoundaryPart.FREE)
+    pattern = saddle_pattern(assemble_blocks(trial, test, problem), trial, test)
+    live, dpotrf = [], solver.dpotrf
+
+    def traced_dpotrf(*args, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return dpotrf(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "dpotrf", traced_dpotrf)
+        tracemalloc.start()
+        try:
+            solve(build_system(pattern, (1e-3, 1.0, 1e-3)))
+        finally:
+            tracemalloc.stop()
+    first = pattern.fronts[0]
+    k, r = first.size, len(first.struct)
+    expected = 8 * (pattern.half.shape[0] + pattern.slots[-1] + k * k + r * r)
+    assert 8 * pattern.half.nnz > 32 * 1024
+    assert live[0] - expected < 32 * 1024
 
 
 def test_against_dense_lu_oracle(mesh2, problem):

@@ -9,6 +9,7 @@ the closure of one boundary part to zero.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,17 @@ _EDGE_PAIRS = ((1, 2), (0, 2), (0, 1))
 
 MAX_TRIANGLE_DEGREE = 8
 MAX_SEGMENT_DEGREE = 9
+
+# Dunavant's degree-8 rule (IJNME 21(6), 1985): the centroid, three orbits
+# (a, b, b) and one orbit (a, b, c), each a barycentric generator and its
+# weight on a triangle of unit area (refined to double precision)
+_DUNAVANT_8 = (
+    ((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0), 0.14431560767778717),
+    ((0.0814148234145537, 0.4592925882927232, 0.4592925882927232), 0.09509163426728462),
+    ((0.6588613844964796, 0.1705693077517602, 0.1705693077517602), 0.10321737053471824),
+    ((0.8989055433659381, 0.05054722831703098, 0.05054722831703098), 0.03245849762319808),
+    ((0.008394777409957605, 0.2631128296346381, 0.7284923929554042), 0.027230314174434993),
+)
 
 
 @dataclass(frozen=True)
@@ -176,23 +188,32 @@ def segment_rule(degree):
 def triangle_rule(degree):
     """Rule on the reference triangle exact for polynomials up to `degree`.
 
-    Degree 1 is the one-point centroid rule; higher degrees use a collapsed
-    tensor Gauss rule on the square (x, y) = (s, t(1-s)), whose Jacobian 1-s
-    raises the s-degree by one.
+    Degree 1 is the one-point centroid rule.  Degree 2 is the 2 × 2 collapsed
+    Gauss rule on the square (x, y) = (s, t(1-s)), whose Jacobian 1-s raises
+    the s-degree by one.  Degrees 3 to 8 share Dunavant's symmetric 16-point
+    rule of degree 8.
     """
     if degree > MAX_TRIANGLE_DEGREE:
         raise ValueError(f"triangle rules support degree <= {MAX_TRIANGLE_DEGREE}")
     if degree <= 1:
         return QuadratureRule(points=np.array([[1.0 / 3.0, 1.0 / 3.0]]),
                               weights=np.array([0.5]))
-    ns = math.ceil((degree + 2) / 2)
-    nt = math.ceil((degree + 1) / 2)
-    xs, ws = np.polynomial.legendre.leggauss(ns)
-    xt, wt = np.polynomial.legendre.leggauss(nt)
-    xs, ws = 0.5 * (xs + 1.0), 0.5 * ws
-    xt, wt = 0.5 * (xt + 1.0), 0.5 * wt
-    # s-major order: point (i, j) is (s_i, t_j (1 - s_i))
-    s, t = (a.ravel() for a in np.meshgrid(xs, xt, indexing="ij"))
-    w1, w2 = (a.ravel() for a in np.meshgrid(ws, wt, indexing="ij"))
-    return QuadratureRule(points=np.column_stack([s, t * (1.0 - s)]),
-                          weights=w1 * w2 * (1.0 - s))
+    if degree == 2:
+        x, w = np.polynomial.legendre.leggauss(2)
+        x, w = 0.5 * (x + 1.0), 0.5 * w
+        # s-major order: point (i, j) is (s_i, t_j (1 - s_i))
+        s, t = (a.ravel() for a in np.meshgrid(x, x, indexing="ij"))
+        w1, w2 = (a.ravel() for a in np.meshgrid(w, w, indexing="ij"))
+        return QuadratureRule(points=np.column_stack([s, t * (1.0 - s)]),
+                              weights=w1 * w2 * (1.0 - s))
+    if degree < MAX_TRIANGLE_DEGREE:
+        return triangle_rule(MAX_TRIANGLE_DEGREE)
+    # every distinct permutation of each orbit's barycentric generator
+    # (λ0, λ1, λ2) is the point (x, y) = (λ1, λ2), weighted by half the
+    # orbit's weight on a triangle of unit area
+    points, weights = [], []
+    for bary, weight in _DUNAVANT_8:
+        for lam in dict.fromkeys(itertools.permutations(bary)):
+            points.append(lam[1:])
+            weights.append(0.5 * weight)
+    return QuadratureRule(points=np.array(points), weights=np.array(weights))

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from cauchyfem import solver
-from cauchyfem.analysis import report_data
+from cauchyfem.analysis import LOCAL_WINDOW, report_data
 from cauchyfem.assembly import (VOLUME_DEGREE, BlockSystem, assemble_blocks,
                                 assemble_data_term, assemble_dual_stab,
                                 assemble_primal_stab, assemble_stiffness,
@@ -194,6 +194,29 @@ def dense_load(space, problem):
             for i, gi in enumerate(space.cell_dofs[lt]):
                 out[gi] += w * length * psi * vals[q, i]
     return out
+
+
+def oracle_volume_norms(space, coeffs, problem):
+    """‖u - u_h‖ over Ω and over ω_h, ‖∇(u - u_h)‖ and ‖f‖, triangle by
+    triangle with `oracle_triangle_rule(8)`."""
+    mesh = space.mesh
+    ref_pts, ref_wts = oracle_triangle_rule(8)
+    (x0, y0), (x1, y1) = LOCAL_WINDOW
+    sums = np.zeros(4)
+    for t in range(mesh.num_triangles):
+        pts = triangle_points(mesh, t)
+        xy = _tri_phys_points(pts, ref_pts)
+        x, y = xy[:, 0], xy[:, 1]
+        vals, grads, _ = oracle_basis(pts, space.degree, xy)
+        c = coeffs[space.cell_dofs[t]]
+        err = problem.exact_u(x, y) - vals @ c
+        grad_err = np.column_stack(problem.exact_grad(x, y)) - np.einsum("qid,i->qd", grads, c)
+        w = 2.0 * _tri_area(pts) * ref_wts
+        cx, cy = pts.mean(axis=0)
+        l2_sq = w @ err ** 2
+        sums += [l2_sq, l2_sq if x0 < cx < x1 and y0 < cy < y1 else 0.0,
+                 w @ (grad_err ** 2).sum(axis=1), w @ problem.f(x, y) ** 2]
+    return np.sqrt(sums)
 
 
 def dense_data_term(space, problem, gamma):

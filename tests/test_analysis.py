@@ -15,7 +15,7 @@ from cauchyfem.solver import DiscreteSolution
 from cauchyfem.spaces import build_space
 
 from .oracles import (XiCurve, dual_stab, fe_jump_seminorm, free_face_operator,
-                      fresh_report_data, nodal_interpolant,
+                      fresh_report_data, nodal_interpolant, oracle_volume_norms,
                       poincare_ratio, primal_stab, solve_from_scratch, volume_points,
                       xi_eval, xi_fit)
 
@@ -46,6 +46,19 @@ def test_field_path_gives_zero_error(mesh4, problem):
     assert l2_error(data, coeffs, "global") < 1e-12
     assert l2_error(data, coeffs, "local") < 1e-12
     assert h1_semi_error(data, coeffs) < 1e-12
+
+
+def test_volume_rule_agrees_with_the_oracle_rule(problem):
+    # the shared 16-point rule and the oracles' 25-point collapsed Gauss rule
+    # are both exact to degree 8, which covers (u - u_h)² for P2 and the
+    # quartic u, so on a jittered mesh they agree to rounding
+    mesh = unit_square_mesh(8, jitter=0.2, seed=7, data_sides=problem.data_sides)
+    sol, trial, *_ = solve_from_scratch(mesh, 2, problem, GAMMA, GAMMA, "jump")
+    data = fresh_report_data(trial, problem)
+    report = error_report(sol, data, GAMMA, 0.0)
+    got = (report.global_l2, report.local_l2, report.h1_semi, data.f_l2)
+    assert got == pytest.approx(tuple(oracle_volume_norms(trial, sol.u, problem)),
+                                rel=1e-12)
 
 
 def test_local_error_never_exceeds_global(mesh4, problem):

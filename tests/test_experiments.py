@@ -355,6 +355,15 @@ def test_level_holds_its_interior_face_rows_once(degree):
         assert rows.data.base is None and rows.indices.base is None
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_report_data_samples_each_triangle_at_sixteen_points(degree):
+    level = Level(RunConfig(degree=degree, jitter=0.2, seed=1), 4)
+    data = level.report_data
+    nt = level.trial.mesh.num_triangles
+    assert data.exact_u.shape == (nt, 16)
+    assert data.exact_grad.shape == (nt, 16, 2)
+
+
 def test_mesh_blocks_and_report_data_are_built_once_per_mesh(monkeypatch):
     names = ("from_triangles", "affine_map", "assemble_blocks", "report_data",
              "interior_rows", "face_operator", "analyse")
@@ -399,8 +408,8 @@ def test_quadrature_rules_are_built_once_per_process(monkeypatch):
     counts = {"leggauss": 0}
     _counting(monkeypatch, np.polynomial.legendre, "leggauss", counts)
     run_convergence(RunConfig(degree=2, levels=(2, 4)))
-    # a triangle rule takes at most two Gauss rules, a segment rule one
-    assert 0 < counts["leggauss"] <= (2 * triangle_rule.cache_info().currsize
+    # a triangle rule takes at most one Gauss rule, a segment rule one
+    assert 0 < counts["leggauss"] <= (triangle_rule.cache_info().currsize
                                       + segment_rule.cache_info().currsize)
     counts["leggauss"] = 0
     run_sweep(RunConfig(degree=2), gammas=(0.1, 1.0), n=4)

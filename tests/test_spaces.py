@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -136,6 +137,34 @@ def test_quartic_monomial_integral():
     rule = triangle_rule(4)
     val = rule.weights @ (rule.points[:, 0] ** 2 * rule.points[:, 1] ** 2)
     assert val == pytest.approx(1 / 180, abs=1e-15)
+
+
+def test_degree_eight_rule_is_the_symmetric_sixteen_point_rule():
+    rule = triangle_rule(8)
+    assert rule.points.shape == (16, 2)
+    assert np.all(rule.weights > 0)
+    assert rule.weights.sum() == pytest.approx(0.5, rel=1e-15)
+    x, y = rule.points.T
+    bary = np.column_stack([1.0 - x - y, x, y])
+    assert np.all(bary > 0)
+    # each permutation of the barycentric coordinates maps the points one to
+    # one onto points of the same weight
+    for perm in itertools.permutations(range(3)):
+        moved = bary[:, perm][:, 1:]
+        dist = np.abs(moved[:, None] - rule.points[None]).max(axis=-1)
+        match = dist.argmin(axis=1)
+        assert np.all(dist.min(axis=1) < 1e-15)
+        assert sorted(match) == list(range(16))
+        assert np.array_equal(rule.weights[match], rule.weights)
+    for a in range(9):
+        for b in range(9 - a):
+            exact = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
+            assert rule.weights @ (x ** a * y ** b) == pytest.approx(exact, rel=1e-14)
+
+
+def test_degrees_three_to_eight_share_the_degree_eight_rule():
+    assert all(triangle_rule(d) is triangle_rule(8) for d in range(3, 8))
+    assert len(triangle_rule(2).weights) == 4
 
 
 @settings(max_examples=60, deadline=None)

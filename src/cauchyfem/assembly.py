@@ -22,7 +22,8 @@ mesh's, face traces are rows of reference-edge tables, and the quadrature sums
 are einsums.  The face-trace operators (`face_operator`) are row stacks over
 all DOFs that share the interior rows (`interior_rows`): B gives S_V, g and
 |u - u_h|_{s_V}, B_W the jump S_W and |z_h|_{s_W}.  S_V, g and S_W are built
-from their free columns (`on_free_dofs`), which are dropped once they are.
+from their stacked rows' free columns (`sp.vstack(rows)[:, free_dofs]`),
+which are dropped once they are.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def face_operator(space, part, inner, problem=None):
     B has the gradient-jump rows of `inner` (the space's `interior_rows`,
     shared, not copied), one row √w_q h_F ∂_n φ per quadrature point of the
     faces of `part`, then for degree 2 the Laplacian-jump rows of `inner`.
-    So γ BᵀB on the free DOFs (`on_free_dofs`) is the penalty
+    So γ BᵀB on the free DOFs (B's free columns) is the penalty
     ∫ h_F [∂_n ·]² (+ h_F³ [Δ·]²).  ψ̂ is √w_q h_F ψ on the data-face rows
     (data faces use FACE_DATA_DEGREE: ψ is only known pointwise) and zero
     elsewhere: γ Bᵀψ̂ is the data functional g, and √γ ‖ψ̂ - B u‖ is
@@ -235,23 +236,10 @@ def face_operator(space, part, inner, problem=None):
     return rows, psi_hat
 
 
-def on_free_dofs(rows, space):
-    """The row stack `rows` (`face_operator`) as one CSR matrix on the free
-    DOFs of `space`: the columns of constrained DOFs are dropped."""
-    b = sp.vstack(rows, format="csr")
-    # the free columns keep their order: the rows stay sorted, without duplicates
-    columns = _free_columns(space)[b.indices]
-    keep = columns >= 0
-    indptr = np.concatenate([[0], np.cumsum(keep, dtype=b.indptr.dtype)])[b.indptr]
-    b = sp.csr_matrix((b.data[keep], columns[keep], indptr), (b.shape[0], len(space.free_dofs)))
-    b.has_canonical_format = True
-    return b
-
-
 def assemble_primal_stab(b):
     """Unit primal stabilizer s_V = BᵀB: jumps over interior faces and the data
     boundary, from the trial space's data-face operator B on its free DOFs
-    (`on_free_dofs` of `face_operator`)."""
+    (the free columns of `face_operator`'s stacked rows)."""
     return b.T.tocsr() @ b
 
 
@@ -259,8 +247,8 @@ def assemble_dual_stab(space, variant, b):
     """Dual stabilizer s_W on the free DOFs of `space`: the Galerkin energy
     a(z, w) itself (no γ; `b` is not read), or the unit jumps BᵀB over
     interior faces and the free boundary, from the free-face operator `b` on
-    the free DOFs, `on_free_dofs` of `face_operator(space, BoundaryPart.FREE,
-    inner)`."""
+    the free DOFs, the free columns of the stacked rows of
+    `face_operator(space, BoundaryPart.FREE, inner)`."""
     if variant == "galerkin":
         return assemble_stiffness(space, space)
     if variant == "jump":
@@ -308,12 +296,12 @@ def assemble_blocks(trial, test, problem, variant="jump"):
     built."""
     inner = interior_rows(trial)
     data_rows, psi_hat = face_operator(trial, BoundaryPart.DATA, inner, problem)
-    b = on_free_dofs(data_rows, trial)
+    b = sp.vstack(data_rows, format="csr")[:, trial.free_dofs]
     s_v, data = assemble_primal_stab(b), assemble_data_term(b, psi_hat)
     del b
     free_rows = face_operator(test, BoundaryPart.FREE, inner)[0] if variant == "jump" else None
-    s_w = assemble_dual_stab(test, variant,
-                             None if free_rows is None else on_free_dofs(free_rows, test))
+    s_w = assemble_dual_stab(test, variant, None if free_rows is None
+                             else sp.vstack(free_rows, format="csr")[:, test.free_dofs])
     return BlockSystem(s_v=s_v, a=assemble_stiffness(trial, test), s_w=s_w,
                        load=assemble_load(test, problem), data=data, variant=variant,
                        data_rows=data_rows, psi_hat=psi_hat, free_rows=free_rows)

@@ -316,18 +316,16 @@ def _factor_front(i, front, slot, stack):
         for a, b, q, rows in update_runs:
             update[rows, q:q + b - a] += child[a:, a:b]
     child = None    # the last child's update is not kept through the kernels
-    # V pivots: F_vv = L₁L₁ᵀ; W pivots: XXᵀ − F_ww = L₂L₂ᵀ, X = F_wv L₁⁻ᵀ
-    if kv:
-        low[:kv, :kv], info = dpotrf(low[:kv, :kv], lower=1, clean=0, overwrite_a=1)
-        if info:
-            raise _singular(i, front, "V")
+    # V pivots: F_vv = L₁L₁ᵀ; W pivots: XXᵀ − F_ww = L₂L₂ᵀ, X = F_wv L₁⁻ᵀ.
+    # LAPACK and BLAS take the empty blocks of a front with no V or no W
+    # pivots, but scipy's dsyrk rejects an empty output block: hence the
+    # guards on the W block and on the struct rows
+    low[:kv, :kv], info = dpotrf(low[:kv, :kv], lower=1, clean=0, overwrite_a=1)
+    if info:
+        raise _singular(i, front, "V")
+    low[kv:, :kv] = dtrsm(1.0, low[:kv, :kv], low[kv:, :kv], side=1, lower=1, trans_a=1)
     if kv < k:
-        if kv:
-            low[kv:, :kv] = dtrsm(1.0, low[:kv, :kv], low[kv:, :kv], side=1,
-                                  lower=1, trans_a=1)
-            schur = dsyrk(1.0, low[kv:, :kv], beta=-1.0, c=low[kv:, kv:], lower=1)
-        else:
-            schur = np.negative(low, out=low)
+        schur = dsyrk(1.0, low[kv:, :kv], beta=-1.0, c=low[kv:, kv:], lower=1)
         low[kv:, kv:], info = dpotrf(schur, lower=1, clean=0, overwrite_a=1)
         if info:
             raise _singular(i, front, "W")
@@ -335,10 +333,8 @@ def _factor_front(i, front, slot, stack):
     # F_uu − Z_v Z_vᵀ + Z_w Z_wᵀ (lower triangle) for the parent
     if r:
         dtrsm(1.0, low, off, side=1, lower=1, trans_a=1, overwrite_b=1)
-        if kv:
-            update = dsyrk(-1.0, off[:, :kv], beta=1.0, c=update, lower=1, overwrite_c=1)
-        if kv < k:
-            update = dsyrk(1.0, off[:, kv:], beta=1.0, c=update, lower=1, overwrite_c=1)
+        update = dsyrk(-1.0, off[:, :kv], beta=1.0, c=update, lower=1, overwrite_c=1)
+        update = dsyrk(1.0, off[:, kv:], beta=1.0, c=update, lower=1, overwrite_c=1)
     stack.append(update)
     slot[:tri] = dtrttp(low, uplo="L")[0]
     return slot[:tri], off
@@ -437,16 +433,16 @@ def analysed_pattern(unit, coords, g, load, v_free, w_free, n_v, n_w):
     """The `SaddlePattern` of the CSC matrix `unit`, whose first
     len(v_free) unknowns are the V unknowns and whose unknowns lie at
     `coords`; raises ValueError unless its pattern is symmetric.  The
-    transpose map of that check also gives each block's symmetry defect."""
+    transpose of that check, values and all, also gives each block's
+    symmetry defect."""
     unit.sort_indices()
     nv = len(v_free)
-    ids = sp.csc_matrix((np.arange(unit.nnz, dtype=unit.indices.dtype), unit.indices,
-                         unit.indptr), shape=unit.shape).T.tocsc()
-    if not (np.array_equal(ids.indptr, unit.indptr)
-            and np.array_equal(ids.indices, unit.indices)):
+    flipped = unit.T.tocsc()    # Mᵀ in sorted CSC
+    if not (np.array_equal(flipped.indptr, unit.indptr)
+            and np.array_equal(flipped.indices, unit.indices)):
         raise ValueError("saddle matrix pattern is not symmetric")
-    defect = unit.data[ids.data]    # then |M_ij − M_ji|, in the same buffer
-    del ids
+    defect = flipped.data       # M_ji, then |M_ij − M_ji| in the same buffer
+    del flipped
     np.abs(np.subtract(unit.data, defect, out=defect), out=defect)
     # the V columns hold S_V above A, the W columns Aᵀ (A's defects) above −S_W
     at, below = unit.indptr[nv], unit.indices >= nv

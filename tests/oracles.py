@@ -21,8 +21,7 @@ from cauchyfem.analysis import LOCAL_WINDOW, report_data
 from cauchyfem.assembly import (VOLUME_DEGREE, BlockSystem, assemble_blocks,
                                 assemble_data_term, assemble_dual_stab,
                                 assemble_primal_stab, assemble_stiffness,
-                                face_operator, interior_rows, on_free_dofs,
-                                penalty_factors)
+                                face_operator, interior_rows, penalty_factors)
 from cauchyfem.mesh import GEOM_TOL, BoundaryPart, mesh_size
 from cauchyfem.solver import analysed_pattern, build_system, solve, stacked
 from cauchyfem.spaces import (build_space, cell_points, shape_grads, shape_values,
@@ -377,13 +376,13 @@ def structured_triangles(n):
 def primal_stab(space, problem):
     """Unit s_V of a trial space, from its own data-face operator for `problem`."""
     rows, _ = face_operator(space, BoundaryPart.DATA, interior_rows(space), problem)
-    return assemble_primal_stab(on_free_dofs(rows, space))
+    return assemble_primal_stab(sp.vstack(rows, format="csr")[:, space.free_dofs])
 
 
 def data_term(space, problem):
     """Unit g of a trial space for `problem`, from its own data-face operator."""
     rows, psi_hat = face_operator(space, BoundaryPart.DATA, interior_rows(space), problem)
-    return assemble_data_term(on_free_dofs(rows, space), psi_hat)
+    return assemble_data_term(sp.vstack(rows, format="csr")[:, space.free_dofs], psi_hat)
 
 
 def fresh_report_data(space, problem):
@@ -396,7 +395,8 @@ def fresh_report_data(space, problem):
 def free_face_operator(space):
     """The free-face operator B_W on the free DOFs of a test space, from its
     own interior rows."""
-    return on_free_dofs(face_operator(space, BoundaryPart.FREE, interior_rows(space))[0], space)
+    rows = face_operator(space, BoundaryPart.FREE, interior_rows(space))[0]
+    return sp.vstack(rows, format="csr")[:, space.free_dofs]
 
 
 def dual_stab(space, variant):

@@ -1,5 +1,11 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import cauchyfem
 from cauchyfem import cli, experiments, mesh as mesh_module
 from cauchyfem.cli import build_parser, main, read_config_file
 
@@ -33,6 +39,21 @@ def test_solve_command_with_fields(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "eta" in printed and f"wrote {out}" in printed
+    assert "SCALARS u_h double 1" in out.read_text()
+
+
+def test_module_entry_point_runs_a_solve(tmp_path):
+    # `python -m cauchyfem` runs `__main__.py`, which the in-process tests
+    # that call `cli.main` never reach; the package is found where this
+    # process found it
+    out = tmp_path / "f.vtk"
+    src = str(pathlib.Path(cauchyfem.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "cauchyfem", "solve", "--n", "2",
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert f"wrote {out}" in done.stdout
     assert "SCALARS u_h double 1" in out.read_text()
 
 

@@ -187,6 +187,26 @@ def test_galerkin_rounding_defect_passes_the_symmetry_check(problem):
     assert build_system(pattern, (1.0, 1.0, 1.0)).asymmetry == pattern.defects[2]
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_defects_are_the_block_maxima_of_the_dense_asymmetry(degree, problem):
+    # each block's defect, read off the transpose of the stacked matrix, is
+    # exactly the largest |M_ij − M_ji| of the dense stacked matrix in that
+    # block.  The Galerkin S_W is symmetric to rounding only, so at P2 its
+    # defect is not zero (at P1 the stiffness comes out symmetric to the
+    # last bit)
+    mesh = unit_square_mesh(4, jitter=0.2, seed=1)
+    trial = build_space(mesh, degree, BoundaryPart.DATA)
+    test = build_space(mesh, degree, BoundaryPart.FREE)
+    blocks = assemble_blocks(trial, test, problem, "galerkin")
+    pattern = saddle_pattern(blocks, trial, test)
+    dense = sp.bmat([[blocks.s_v, blocks.a.T], [blocks.a, -blocks.s_w]]).toarray()
+    defect, nv = np.abs(dense - dense.T), len(trial.free_dofs)
+    expected = [defect[:nv, :nv].max(), defect[nv:, :nv].max(), defect[nv:, nv:].max()]
+    assert np.array_equal(pattern.defects, expected)
+    if degree == 2:
+        assert pattern.defects[2] > 0.0
+
+
 def _random_sqd(rng, coords, n_v, density=0.3):
     """A random sparse symmetric quasi-definite matrix on unknowns at
     `coords`, the first `n_v` on V: neighbours closer than 0.3 are coupled,

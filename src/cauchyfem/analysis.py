@@ -96,7 +96,7 @@ def _exact(values):
 def l2_error(data, coeffs, region="global"):
     """‖u - u_h‖ over Ω or the local window ω."""
     if region not in ("global", "local"):
-        raise ValueError("region must be 'global' or 'local'")
+        raise ValueError(f"region {region!r} must be 'global' or 'local'")
     cells = slice(None) if region == "global" else data.local
     space = data.space
     values = shape_values(space.degree, data.rule.points)

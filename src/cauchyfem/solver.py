@@ -87,20 +87,23 @@ def analyse(matrix, n_v, coords):
     `_factor` and the bounds `slots` of the fronts' slots there; the fill
     slots[-1] sums k(k + 1)/2 + k·r over fronts of k pivots, r struct rows.
 
-    A subdomain of more than LEAF_SIZE unknowns that do not all share one
-    coordinate is bisected at the median m of its wider coordinate c; its
-    separator is the set of left-side unknowns with a matrix neighbour on
-    the right, and its two parts are dissected in turn.  The right side is
-    c ≥ m (c > m when that is all of it), or c > m when that cut's separator
-    is smaller and its right side is not empty: cuts then follow the mesh
-    lines with the smaller separators (George, SIAM J. Numer. Anal. 10(2),
-    1973), at P2 the vertex lines, not the edge-midpoint lines beside them
-    (the root front at n=64 has 638 pivots, not 891).  A separator, like
-    a leaf, is ordered V before W (a front's signs follow from `v_pivots`);
-    in each, the unknowns with a matrix neighbour in the left part come
-    first, then the rest, each along the cut.  A child's update then maps
-    onto a few runs of consecutive front rows, which `_factor` adds as
-    slices, and each run is cut where the front's pivot rows end.
+    A subdomain of more than LEAF_SIZE unknowns is bisected at the median m
+    of its wider coordinate c; its separator is the set of left-side
+    unknowns with a matrix neighbour on the right, and its two parts are
+    dissected in turn.  The right side is c ≥ m, or c > m when that is not
+    empty and either its separator is smaller or c ≥ m is all of the
+    subdomain: cuts then follow the mesh lines with the smaller separators
+    (George, SIAM J. Numer. Anal. 10(2), 1973), at P2 the vertex lines, not
+    the edge-midpoint lines beside them (the root front at n=64 has 638
+    pivots, not 891).  A subdomain whose cut leaves a part as large as
+    itself stays a leaf, which happens only when all its unknowns sit at
+    one point; every other cut shrinks its parts, so the loop ends.  A
+    separator, like a leaf, is ordered V before W (a front's signs follow
+    from `v_pivots`); in each, the unknowns with a matrix neighbour in the
+    left part come first, then the rest, each along the cut.  A child's
+    update then maps onto a few runs of consecutive front rows, which
+    `_factor` adds as slices, and each run is cut where the front's pivot
+    rows end.
 
     All subdomains of a depth are cut at once.  An unknown's neighbours lie
     in its subdomain or in an earlier separator, so one product of the 0/1
@@ -122,9 +125,9 @@ def analyse(matrix, n_v, coords):
     near = np.zeros(n, dtype=bool)      # per depth: next to a left part, at separators
     # per subdomain, parents first: (its unknowns,), once cut (separator, left, right)
     parts = [(np.arange(n),)]
-    depth = [0]
+    depth_start = 0
     while True:
-        big = [d for d in depth if len(parts[d][0]) > LEAF_SIZE]   # one after the other
+        big = [d for d in range(depth_start, len(parts)) if len(parts[d][0]) > LEAF_SIZE]
         if not big:
             break
         idx = np.concatenate([parts[d][0] for d in big])
@@ -139,32 +142,18 @@ def analyse(matrix, n_v, coords):
                            for a, m in zip(starts.tolist(), sizes.tolist())])
         cut = np.repeat(median, sizes)
         right = c >= cut
-        for i in np.flatnonzero(np.logical_and.reduceat(right, starts)):
-            at = slice(starts[i], starts[i] + sizes[i])
-            right[at] = c[at] > median[i]
         tie = right & (c == cut)
-        # a subdomain whose unknowns share both coordinates stays a leaf
-        spread = extent[axis, np.arange(len(big))] > 0
-        if not spread.all():
-            keep = np.repeat(spread, sizes)
-            idx, right, tie = idx[keep], right[keep], tie[keep]
-            axis, sizes = axis[spread], sizes[spread]
-            big = [d for d, x in zip(big, spread) if x]
-            if not big:
-                break
         which = np.repeat(np.arange(len(big)), sizes)
         label[idx] = right
         sep = ~right & (adjacent @ (label == 1))[idx]
-        # the cut c > m moves the ties c = m to the left, so its separator
-        # holds the separator unknowns and ties with a neighbour at c > m.
-        # A subdomain takes that cut when its separator is smaller and its
-        # right part is not empty
+        # the cut c > m moves the ties left; its separator: sep | tie next to c > m
         label[idx[tie]] = 0
         other = np.zeros_like(sep)
         ends = np.flatnonzero(sep | tie)
         other[ends] = adjacent[idx[ends]] @ (label == 1)
         size = [np.bincount(which[x], minlength=len(big)) for x in (sep, other, right & ~tie)]
-        flip = ((size[1] < size[0]) & (size[2] > 0))[which]
+        whole = np.logical_and.reduceat(right, starts)
+        flip = (((size[1] < size[0]) | whole) & (size[2] > 0))[which]
         sep = np.where(flip, other, sep)
         right &= ~(tie & flip)
         label[idx] = right
@@ -179,8 +168,10 @@ def analyse(matrix, n_v, coords):
         pieces = [np.split(x, np.searchsorted(which[mask], np.arange(1, len(big))))
                   for x, mask in ((rows, sep), (idx[~right & ~sep], ~right & ~sep),
                                   (idx[right], right))]
-        depth = range(len(parts), len(parts) + 2 * len(big))
+        depth_start = len(parts)
         for d, piv, left, rest in zip(big, *pieces):
+            if len(parts[d][0]) in (len(piv), len(left), len(rest)):
+                continue    # all its unknowns at one point: it stays a leaf
             parts[d] = (piv, len(parts), len(parts) + 1)
             parts += [(left,), (rest,)]
 

@@ -81,7 +81,7 @@ def build_space(mesh, degree, constraint_side=None):
     the endpoints of every tagged face plus, for degree 2, its midpoint DOF.
     """
     if degree not in (1, 2):
-        raise ValueError("degree must be 1 or 2")
+        raise ValueError(f"degree {degree!r} must be 1 or 2")
 
     if degree == 1:
         dof_coords = mesh.vertices.copy()

@@ -69,6 +69,12 @@ def test_local_error_never_exceeds_global(mesh4, problem):
     assert 0.0 <= local <= glob
 
 
+def test_l2_error_names_an_unknown_region(mesh2, problem):
+    space = build_space(mesh2, 1, BoundaryPart.DATA)
+    with pytest.raises(ValueError, match="region 'window' must be 'global' or 'local'"):
+        l2_error(fresh_report_data(space, problem), np.zeros(space.num_dofs), "window")
+
+
 def test_interpolation_error_decays_cubically_for_quadratics(problem):
     errs, hs = [], []
     for n in (8, 16):

@@ -111,6 +111,12 @@ def test_unknown_variant_rejected(mesh2):
         assemble_dual_stab(space, "nitsche", None)
 
 
+def test_stiffness_rejects_spaces_on_two_meshes(mesh2, mesh4):
+    with pytest.raises(ValueError, match="trial and test spaces must share one mesh"):
+        assemble_stiffness(build_space(mesh2, 1, BoundaryPart.DATA),
+                           build_space(mesh4, 1, BoundaryPart.FREE))
+
+
 def test_jump_dual_stab_boundary_contributions_on_free_side(mesh1):
     # beyond the interior diagonal face, the jump variant only touches
     # the triangle carrying the top and left (free) faces

@@ -43,18 +43,19 @@ def test_solve_command_with_fields(tmp_path, capsys):
 
 
 def test_module_entry_point_runs_a_solve(tmp_path):
-    # `python -m cauchyfem` runs `__main__.py`, which the in-process tests
-    # that call `cli.main` never reach; the package is found where this
-    # process found it
-    out = tmp_path / "f.vtk"
+    # `python -m cauchyfem` runs `__main__.py`, and `python -m cauchyfem.cli`
+    # the `__main__` guard of `cli.py`, which the in-process tests that call
+    # `cli.main` never reach; the package is found where this process found it
     src = str(pathlib.Path(cauchyfem.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "cauchyfem", "solve", "--n", "2",
-                           "--out", str(out)], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert f"wrote {out}" in done.stdout
-    assert "SCALARS u_h double 1" in out.read_text()
+    for module in ("cauchyfem", "cauchyfem.cli"):
+        out = tmp_path / f"{module}.vtk"
+        done = subprocess.run([sys.executable, "-m", module, "solve", "--n", "2",
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert f"wrote {out}" in done.stdout
+        assert "SCALARS u_h double 1" in out.read_text()
 
 
 def test_solve_out_from_config_file(tmp_path, capsys, monkeypatch):

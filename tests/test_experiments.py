@@ -15,6 +15,7 @@ from cauchyfem.mesh import BoundaryPart, unit_square_mesh
 from cauchyfem.problem import quartic_example
 from cauchyfem.solver import SingularSystemError, w_form
 from cauchyfem.spaces import edge_tables, segment_rule, triangle_rule
+from cauchyfem.vtk_io import write_vtk
 
 from .oracles import (dual_stab, free_face_operator, fresh_report_data, saddle_pattern,
                       solve_from_scratch)
@@ -243,6 +244,13 @@ def test_run_single_emits_vtk(tmp_path):
               (np.abs(mesh.vertices[:, 0] - 1.0) < 1e-12)
     assert np.all(u_vals[on_data] == 0.0)
     assert np.any(u_vals != 0.0)
+
+
+def test_write_vtk_rejects_a_point_array_of_the_wrong_length(tmp_path, mesh2):
+    out = tmp_path / "fields.vtk"
+    with pytest.raises(ValueError, match="point array 'u_h' has 3 entries for 9 vertices"):
+        write_vtk(out, mesh2, {"u_h": np.zeros(3)})
+    assert not out.exists()
 
 
 def _counting(monkeypatch, module, name, counts):

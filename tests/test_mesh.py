@@ -161,6 +161,11 @@ def test_mesh_size(mesh1, mesh8):
     assert mesh_size(ref) == pytest.approx(np.sqrt(2.0))
 
 
+def test_mesh_size_rejects_a_mesh_without_triangles():
+    with pytest.raises(ValueError, match="empty mesh"):
+        mesh_size(from_triangles(np.zeros((0, 2)), np.zeros((0, 3), dtype=int)))
+
+
 def test_adjacency_is_involutive(mesh4):
     for f in range(len(mesh4.face_vertices)):
         for t in mesh4.face_tris[f]:

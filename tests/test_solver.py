@@ -12,7 +12,8 @@ from cauchyfem import solver
 from cauchyfem.assembly import assemble_blocks, assemble_stiffness, BlockSystem
 from cauchyfem.mesh import BoundaryPart, from_triangles, tag_boundary, unit_square_mesh
 from cauchyfem.solver import (RESIDUAL_TOL, Front, SingularSystemError,
-                              UnconvergedSolveError, analysed_pattern, build_system, solve)
+                              UnconvergedSolveError, analysed_pattern, build_system, solve,
+                              stacked)
 from cauchyfem.spaces import build_space
 
 from .oracles import (discrete_consistency_probe, edge_list_analyse, eval_fe,
@@ -71,6 +72,14 @@ def _plain_system(matrix, rhs, n_v=None, coords=None):
         matrix, np.zeros((n, 2)) if coords is None else coords, rhs[:n_v], rhs[n_v:],
         np.arange(n_v), np.arange(n - n_v), n_v, n - n_v)
     return build_system(pattern)
+
+
+def test_stacked_rejects_blocks_from_another_mesh(mesh2, mesh4, problem):
+    blocks = assemble_blocks(build_space(mesh4, 1, BoundaryPart.DATA),
+                             build_space(mesh4, 1, BoundaryPart.FREE), problem, "jump")
+    with pytest.raises(ValueError, match="the blocks do not match the free DOFs of the spaces"):
+        stacked(blocks, build_space(mesh2, 1, BoundaryPart.DATA),
+                build_space(mesh2, 1, BoundaryPart.FREE))
 
 
 def test_solve_identity():

@@ -205,6 +205,11 @@ def test_unsupported_degrees_raise():
         segment_rule(10)
 
 
+def test_build_space_names_an_unsupported_degree(mesh2):
+    with pytest.raises(ValueError, match="degree 3 must be 1 or 2"):
+        build_space(mesh2, 3, BoundaryPart.DATA)
+
+
 # ---------------------------------------------------------------------------
 # interpolation
 

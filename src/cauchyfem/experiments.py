@@ -1,9 +1,10 @@
 """Experiment drivers: refinement studies, penalty sweeps, single solves.
 
-Each driver builds one `Level` per mesh (mesh, spaces, unit-penalty blocks,
-report data), calls `solve_level` once per penalty pair on it and returns
-one `Row` per solve.  The study and the sweep write a CSV with a fixed
-column order and the literal marker "NA" for cells that could not be
+Each driver builds one `Level` per mesh (mesh, spaces, unit-penalty blocks),
+solves every penalty pair on it (`solve_level`), then reports each solve
+(`report_level`, which builds the level's report data on first use), and
+returns one `Row` per solve.  The study and the sweep write a CSV with a
+fixed column order and the literal marker "NA" for cells that could not be
 computed; a solve that fails (SolverError) is recorded in its row and the
 remaining solves still run.  Any other error propagates.
 """
@@ -127,8 +128,9 @@ class Level:
     the rows over all DOFs of the data-face B with the ψ̂ of S_V and g, and
     those of the jump S_W's free-face B_W (else None).  B and B_W share
     their interior-face rows, held once.  The report's γ-free data is built
-    from B's rows and ψ̂ on first use, after the first factorization, so that
-    it is not alive during it."""
+    from B's rows and ψ̂ on first use, by the first report; a driver solves
+    every penalty pair on the level before it reports any, so that no
+    factorization runs with that data alive."""
 
     def __init__(self, config, n):
         self.n = n
@@ -150,34 +152,45 @@ class Level:
 
 
 def solve_level(level, gamma_v, gamma_w):
-    """One solve on a built level at penalties γ_V, γ_W; returns (solution,
-    report), with |z_h|_{s_W} = √γ_W ‖B_W z_h‖, or √(zᵀS_W z) by `w_form`."""
-    factors = penalty_factors(level.variant, gamma_v, gamma_w)
+    """One solve on a built level at penalties γ_V, γ_W: the unit pattern
+    scaled, factored, refined once and checked; returns the solution."""
+    return solve(build_system(level.saddle, penalty_factors(level.variant, gamma_v,
+                                                            gamma_w)))
+
+
+def report_level(level, solution, gamma_v, gamma_w):
+    """The ErrorReport of a solve on `level` at γ_V, γ_W, with |z_h|_{s_W} =
+    √γ_W ‖B_W z_h‖, or √(zᵀS_W z) by `w_form` for the Galerkin S_W."""
     pattern = level.saddle
-    solution = solve(build_system(pattern, factors))
     stab_z = (math.sqrt(max(-w_form(pattern, solution.z[pattern.w_free]), 0.0))
               if level.free_rows is None
-              else math.sqrt(factors[2]) * stab_seminorm_z(solution.z, b=level.free_rows))
-    return solution, error_report(solution, level.report_data, gamma_v, stab_z)
+              else math.sqrt(gamma_w) * stab_seminorm_z(solution.z, b=level.free_rows))
+    return error_report(solution, level.report_data, gamma_v, stab_z)
 
 
-def _solve(row, level, gamma_v, gamma_w):
-    """One solve on `level` into `row`; returns the solution.  A failed solve
-    (SolverError) fills `row.error` and returns None instead."""
-    try:
-        solution, row.report = solve_level(level, gamma_v, gamma_w)
-    except SolverError as err:  # keep the remaining solves running
-        row.error = f"{type(err).__name__}: {err}"
-        return None
-    return solution
+def _run_level(level, rows, penalties):
+    """Solves `level` at each (γ_V, γ_W) of `penalties` in order, then fills
+    the report of each solve's row; returns the solutions.  A failed solve
+    (SolverError) fills its row's `error` and leaves None in its place."""
+    solutions = []
+    for row, (gamma_v, gamma_w) in zip(rows, penalties):
+        try:
+            solutions.append(solve_level(level, gamma_v, gamma_w))
+        except SolverError as err:  # keep the remaining solves running
+            row.error = f"{type(err).__name__}: {err}"
+            solutions.append(None)
+    for row, solution, (gamma_v, gamma_w) in zip(rows, solutions, penalties):
+        if solution is not None:
+            row.report = report_level(level, solution, gamma_v, gamma_w)
+    return solutions
 
 
 def run_convergence(config):
     """Refinement study over config.levels; returns one row per level."""
     rows = [Row(idx, n) for idx, n in enumerate(config.levels)]
+    penalties = [(config.resolved_gamma_v, config.resolved_gamma_w)]
     for row in rows:
-        _solve(row, Level(config, row.n), config.resolved_gamma_v,
-               config.resolved_gamma_w)
+        _run_level(Level(config, row.n), [row], penalties)
 
     for prev, cur in zip(rows, rows[1:]):
         a, b = prev.report, cur.report
@@ -196,15 +209,14 @@ def run_convergence(config):
 
 def run_sweep(config, gammas=DEFAULT_SWEEP_GAMMAS, n=64):
     """One solve per penalty value with gamma_v = gamma_w = gamma, all on one
-    level built once; returns one row per γ."""
+    level built once and all solved before the first is reported; returns
+    one row per γ."""
     if not isinstance(gammas, (tuple, list, np.ndarray)) or getattr(gammas, "ndim", 1) != 1:
         raise ValueError(f"gammas {gammas!r} must be a tuple, list or 1-D array of penalties")
     rows = [Row(check_penalty(gamma), n) for gamma in gammas]
     if not rows:
         raise ValueError("gammas must not be empty")
-    level = Level(config, n)
-    for row in rows:
-        _solve(row, level, row.key, row.key)
+    _run_level(Level(config, n), rows, [(row.key, row.key) for row in rows])
     if config.output_path:
         write_csv(config.output_path, SWEEP_COLUMNS, [_cells(row) for row in rows])
     return rows
@@ -215,7 +227,8 @@ def run_single(config, n=8):
     config.output_path is set, writes the vertex fields there as legacy VTK."""
     level = Level(config, n)
     row = Row(0, n)
-    solution = _solve(row, level, config.resolved_gamma_v, config.resolved_gamma_w)
+    [solution] = _run_level(level, [row],
+                            [(config.resolved_gamma_v, config.resolved_gamma_w)])
     if solution is not None and config.output_path:
         mesh = level.trial.mesh
         nv = mesh.num_vertices

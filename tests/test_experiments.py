@@ -9,8 +9,8 @@ import scipy.sparse as sp
 from cauchyfem import analysis, assembly, experiments, mesh as mesh_module, solver
 from cauchyfem.analysis import ErrorReport, error_report, stab_seminorm_u, stab_seminorm_z
 from cauchyfem.experiments import (CONVERGENCE_COLUMNS, SWEEP_COLUMNS, Level,
-                                   RunConfig, run_convergence, run_single,
-                                   run_sweep, solve_level)
+                                   RunConfig, report_level, run_convergence,
+                                   run_single, run_sweep, solve_level)
 from cauchyfem.mesh import BoundaryPart, unit_square_mesh
 from cauchyfem.problem import quartic_example
 from cauchyfem.solver import SingularSystemError, w_form
@@ -175,6 +175,28 @@ def test_failed_level_marked_and_others_continue(tmp_path, monkeypatch):
     cells_parse_cleanly(rows)
 
 
+def test_failed_gamma_leaves_the_other_sweep_rows_as_they_were(tmp_path, monkeypatch):
+    gammas = (1e-3, 1e-2, 1e-1)
+    expected = run_sweep(RunConfig(degree=1), gammas=gammas, n=4)
+    real = experiments.solve_level
+
+    def flaky(level, gamma_v, gamma_w):
+        if gamma_v == gammas[1]:
+            raise SingularSystemError("synthetic failure")
+        return real(level, gamma_v, gamma_w)
+
+    monkeypatch.setattr(experiments, "solve_level", flaky)
+    out = tmp_path / "sweep.csv"
+    rows = run_sweep(RunConfig(degree=1, output_path=str(out)), gammas=gammas, n=4)
+    assert [row.error is None for row in rows] == [True, False, True]
+    assert rows[1].report is None and "synthetic failure" in rows[1].error
+    for i in (0, 2):
+        assert dataclasses.astuple(rows[i].report) == dataclasses.astuple(expected[i].report)
+    header, cells = parse_csv(out)
+    assert [row[2:] == ["NA"] * (len(header) - 2) for row in cells] == [False, True, False]
+    assert [float(row[0]) for row in cells] == list(gammas)
+
+
 @pytest.mark.parametrize("driver", [
     lambda: run_convergence(RunConfig(degree=1, levels=(2, 4))),
     lambda: run_sweep(RunConfig(degree=1), gammas=(0.01,), n=2)],
@@ -190,10 +212,11 @@ def test_programming_errors_are_not_turned_into_na_rows(monkeypatch, driver):
 
 def test_solve_level_tags_the_problems_data_sides(monkeypatch, mirrored_problem):
     config = RunConfig(degree=1)
-    _, expected = solve_level(Level(config, 4), 0.01, 0.01)
+    level = Level(config, 4)
+    expected = report_level(level, solve_level(level, 0.01, 0.01), 0.01, 0.01)
     monkeypatch.setattr(experiments, "quartic_example", lambda: mirrored_problem)
     level = Level(config, 4)
-    _, report = solve_level(level, 0.01, 0.01)
+    report = report_level(level, solve_level(level, 0.01, 0.01), 0.01, 0.01)
     mesh = level.trial.mesh
     mid = mesh.vertices[mesh.face_vertices[mesh.faces_of_part(BoundaryPart.DATA)]].mean(1)
     assert np.all((mid[:, 1] == 1.0) | (mid[:, 0] == 0.0))
@@ -328,7 +351,8 @@ def test_report_reads_the_operators_the_solve_was_built_from(degree, variant):
     B equals the one from a fresh data-face operator, bit for bit."""
     gamma_v, gamma_w = 0.02, 0.005
     level = Level(RunConfig(degree=degree, sw_variant=variant, jitter=0.2, seed=3), 6)
-    solution, report = solve_level(level, gamma_v, gamma_w)
+    solution = solve_level(level, gamma_v, gamma_w)
+    report = report_level(level, solution, gamma_v, gamma_w)
     z = solution.z[level.test.free_dofs]
     if variant == "jump":
         jumps = free_face_operator(level.test) @ z
@@ -398,6 +422,27 @@ def test_mesh_blocks_and_report_data_are_built_once_per_mesh(monkeypatch):
         assert counts == {"from_triangles": 3, "affine_map": 3, "assemble_blocks": 3,
                           "report_data": 3, "interior_rows": 3,
                           "face_operator": 3 * face_operators, "analyse": 3}
+
+
+def test_sweep_builds_the_report_data_after_its_last_factorization(monkeypatch):
+    # every γ is solved before any is reported, so no factorization runs
+    # with the report's data alive
+    calls = []
+
+    def record(name):
+        real = getattr(experiments, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, recorded)
+
+    record("solve")
+    record("report_data")
+    rows = run_sweep(RunConfig(degree=1), gammas=(1e-3, 1e-2, 1e-1), n=4)
+    assert all(row.report is not None for row in rows)
+    assert calls == ["solve"] * 3 + ["report_data"]
 
 
 def test_pattern_is_analysed_when_the_level_is_built(monkeypatch):

@@ -488,6 +488,16 @@ def test_fill_at_p2_n16_is_pinned(problem):
     assert system.pattern.lu_fill == 341_430
 
 
+@pytest.mark.parametrize("n, fill", [(8, 56_670), (16, 346_829)])
+def test_fill_of_the_jittered_p2_study_is_pinned(n, fill, problem):
+    # the P2 family of scripts/convergence_study.py (jitter 0.2, seed 1): the
+    # one mesh family where the near-left separator order pays, and one that
+    # no benchmark workload runs
+    mesh = unit_square_mesh(n, 0.2, 1, problem.data_sides)
+    system, *_ = make_system(mesh, 2, problem)
+    assert system.pattern.lu_fill == fill
+
+
 @pytest.mark.parametrize("n, root", [(16, 158), (32, 318)])
 def test_p2_lattice_cuts_follow_vertex_lines(n, root, problem):
     # the median is a vertex line: the cut c > m follows it, where c ≥ m

@@ -54,10 +54,11 @@ class ReportData:
     """The γ-free part of the error report on one trial space.
 
     The volume rule, the exact u and ∇u at its points ((nt, nq) and (nt, nq, 2);
-    None where the problem does not know them), the triangles of ω, h, ‖f‖ and
-    the rows over all DOFs of the data-face operator B with the ψ̂ that S_V
-    and g came from (`BlockSystem.data_rows`, `BlockSystem.psi_hat`).  Built
-    once per mesh; a report evaluates no exact field.
+    None where the problem does not know them), the triangles of ω, h, ‖f‖,
+    and the rows over all DOFs of the data-face B with the ψ̂ of S_V and g
+    and of the jump S_W's free-face B_W (`BlockSystem.data_rows`, `psi_hat`,
+    `free_rows`; None for the Galerkin S_W).  Built once per mesh; a report
+    evaluates no exact field.
     """
 
     space: FeSpace
@@ -69,11 +70,12 @@ class ReportData:
     f_l2: float
     rows: RowStack
     psi_hat: np.ndarray
+    free_rows: Optional[RowStack]
 
 
-def report_data(space, problem, rows, psi_hat):
+def report_data(space, problem, rows, psi_hat, free_rows):
     """ReportData of the trial space `space` for `problem`, with the rows of
-    its B and ψ̂."""
+    its B, ψ̂ and the rows of the test space's B_W (or None)."""
     mesh = space.mesh
     rule = triangle_rule(VOLUME_DEGREE)
     points = cell_points(mesh, rule.points)
@@ -84,7 +86,7 @@ def report_data(space, problem, rows, psi_hat):
                       else np.stack(problem.exact_grad(x, y), axis=-1),
                       local=_local_triangles(mesh), h=mesh_size(mesh),
                       f_l2=l2_norm_field(mesh, problem.f, points), rows=rows,
-                      psi_hat=psi_hat)
+                      psi_hat=psi_hat, free_rows=free_rows)
 
 
 def _exact(values):
@@ -110,15 +112,20 @@ def l2_norm_field(mesh, field, points):
     return _root_integral(triangle_rule(VOLUME_DEGREE), mesh.det, fq * fq)
 
 
-def h1_semi_error(data, coeffs):
-    """‖∇u - ∇u_h‖ over Ω."""
+def _gradient_distance(data, coeffs, grad):
+    """‖grad - ∇u_h‖ over Ω for a gradient `grad` given at the rule's points."""
     space = data.space
     # reference gradient of u_h first, (nt, nq, 2), then the per-triangle map
     g_ref = np.tensordot(coeffs[space.cell_dofs], shape_grads(space.degree, data.rule.points),
                          axes=(1, 1))
-    diff = _exact(data.exact_grad) - g_ref @ space.mesh.jinv
+    diff = grad - g_ref @ space.mesh.jinv
     dx, dy = diff[..., 0], diff[..., 1]
     return _root_integral(data.rule, space.mesh.det, dx * dx + dy * dy)
+
+
+def h1_semi_error(data, coeffs):
+    """‖∇u - ∇u_h‖ over Ω."""
+    return _gradient_distance(data, coeffs, _exact(data.exact_grad))
 
 
 def stab_seminorm_u(data, coeffs, gamma_v):
@@ -135,20 +142,24 @@ def stab_seminorm_u(data, coeffs, gamma_v):
     return math.sqrt(gamma_v * float(residual @ residual))
 
 
-def stab_seminorm_z(coeffs, b):
-    """|z_h| in the unit jump dual stabilizer s_W = B_WᵀB_W: ‖B_W z‖, a
-    residual form that keeps the digits the quadratic form loses.  B_W is a
-    matrix on the free DOFs and `coeffs` the free W coefficients, or B_W is
-    a row stack (`BlockSystem.free_rows`) and `coeffs` are over all DOFs."""
-    jumps = b @ coeffs
-    return math.sqrt(float(jumps @ jumps))
+def stab_seminorm_z(data, coeffs, gamma_w):
+    """|z_h| in the dual stabilizer, `coeffs` over all DOFs of the test
+    space, which shares the trial space's cell DOFs.  For the jump S_W it
+    is √γ_W ‖B_W z_h‖, a residual form that keeps the digits the quadratic
+    form loses; for the Galerkin S_W, a(z_h, z_h)^½ = ‖∇z_h‖ over Ω by the
+    volume rule, exact for both degrees."""
+    if data.free_rows is None:
+        return _gradient_distance(data, coeffs, 0.0)
+    jumps = data.free_rows @ coeffs
+    return math.sqrt(gamma_w) * math.sqrt(float(jumps @ jumps))
 
 
-def error_report(solution, data, gamma_v, stab_z):
-    """All error quantities of one solve, from the ReportData of its mesh, its
-    primal penalty γ_V and its |z_h|_{s_W}; η is the a posteriori quantity
+def error_report(solution, data, gamma_v, gamma_w):
+    """All error quantities of one solve at penalties γ_V, γ_W, from the
+    ReportData of its mesh; η is the a posteriori quantity
     h ‖f‖ + |u - u_h|_{s_V} + |z_h|_{s_W} (continuity constants 1)."""
     stab_u = stab_seminorm_u(data, solution.u, gamma_v)
+    stab_z = stab_seminorm_z(data, solution.z, gamma_w)
     return ErrorReport(
         h=data.h,
         dofs_v=len(solution.u),

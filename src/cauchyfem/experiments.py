@@ -2,8 +2,8 @@
 
 Each driver builds one `Level` per mesh (mesh, spaces, unit-penalty blocks),
 solves every penalty pair on it (`solve_level`), then reports each solve
-(`report_level`, which builds the level's report data on first use), and
-returns one `Row` per solve.  The study and the sweep write a CSV with a
+(`analysis.error_report`, on the level's report data, built on first use),
+and returns one `Row` per solve.  The study and the sweep write a CSV with a
 fixed column order and the literal marker "NA" for cells that could not be
 computed; a solve that fails (SolverError) is recorded in its row and the
 remaining solves still run.  Any other error propagates.
@@ -20,11 +20,11 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import convergence_rate, error_report, report_data, stab_seminorm_z
+from .analysis import convergence_rate, error_report, report_data
 from .assembly import SW_VARIANTS, assemble_blocks, penalty_factors
 from .mesh import MAX_JITTER, BoundaryPart, check_level, unit_square_mesh
 from .problem import quartic_example
-from .solver import SolverError, analysed_pattern, build_system, solve, stacked, w_form
+from .solver import SolverError, analysed_pattern, build_system, solve, stacked
 from .spaces import build_space
 from .vtk_io import write_vtk
 
@@ -128,7 +128,7 @@ class Level:
     the rows over all DOFs of the data-face B with the ψ̂ of S_V and g, and
     those of the jump S_W's free-face B_W (else None).  B and B_W share
     their interior-face rows, held once.  The report's γ-free data is built
-    from B's rows and ψ̂ on first use, by the first report; a driver solves
+    from these on first use, by the first report; a driver solves
     every penalty pair on the level before it reports any, so that no
     factorization runs with that data alive."""
 
@@ -148,7 +148,7 @@ class Level:
 
     @cached_property
     def report_data(self):
-        return report_data(self.trial, self.problem, self.data_rows, self.psi_hat)
+        return report_data(self.trial, self.problem, self.data_rows, self.psi_hat, self.free_rows)
 
 
 def solve_level(level, gamma_v, gamma_w):
@@ -156,16 +156,6 @@ def solve_level(level, gamma_v, gamma_w):
     scaled, factored, refined once and checked; returns the solution."""
     return solve(build_system(level.saddle, penalty_factors(level.variant, gamma_v,
                                                             gamma_w)))
-
-
-def report_level(level, solution, gamma_v, gamma_w):
-    """The ErrorReport of a solve on `level` at γ_V, γ_W, with |z_h|_{s_W} =
-    √γ_W ‖B_W z_h‖, or √(zᵀS_W z) by `w_form` for the Galerkin S_W."""
-    pattern = level.saddle
-    stab_z = (math.sqrt(max(-w_form(pattern, solution.z[pattern.w_free]), 0.0))
-              if level.free_rows is None
-              else math.sqrt(gamma_w) * stab_seminorm_z(solution.z, b=level.free_rows))
-    return error_report(solution, level.report_data, gamma_v, stab_z)
 
 
 def _run_level(level, rows, penalties):
@@ -181,7 +171,7 @@ def _run_level(level, rows, penalties):
             solutions.append(None)
     for row, solution, (gamma_v, gamma_w) in zip(rows, solutions, penalties):
         if solution is not None:
-            row.report = report_level(level, solution, gamma_v, gamma_w)
+            row.report = error_report(solution, level.report_data, gamma_v, gamma_w)
     return solutions
 
 

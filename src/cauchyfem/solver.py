@@ -265,9 +265,10 @@ def analyse(matrix, n_v, coords):
     return order, fronts, lower, before, out, slots
 
 
-def _singular(i, front, block):
+def _singular(i, front, block, factors):
     return SingularSystemError(
-        f"front {i} ({front.size} pivots, {front.v_pivots} of them V): its "
+        f"front {i} ({front.size} pivots, {front.v_pivots} of them V) at penalty "
+        f"factors S_V {factors[0]:g}, A {factors[1]:g}, S_W {factors[2]:g}: its "
         f"{block} pivot block is not positive definite; check that the "
         "stabilization parameters are positive and the constraint sets are "
         "intact; with both, a very small penalty makes the pivot block lose "
@@ -286,11 +287,11 @@ def _factor(pattern, factors):
     store, slots, stack = np.zeros(pattern.slots[-1]), pattern.slots, []
     store[pattern.places] = data
     del data
-    return [_factor_front(i, front, store[at:end], stack)
+    return [_factor_front(i, front, store[at:end], stack, factors)
             for i, (front, at, end) in enumerate(zip(pattern.fronts, slots, slots[1:]))]
 
 
-def _factor_front(i, front, slot, stack):
+def _factor_front(i, front, slot, stack, factors):
     """L and Z of front i, factored in its `slot` of the factor store: L in a
     dense work array, packed back at the end, and Z in place.  Its children's
     updates are popped from `stack`, each freed once added; its own is pushed."""
@@ -313,13 +314,13 @@ def _factor_front(i, front, slot, stack):
     # guards on the W block and on the struct rows
     low[:kv, :kv], info = dpotrf(low[:kv, :kv], lower=1, clean=0, overwrite_a=1)
     if info:
-        raise _singular(i, front, "V")
+        raise _singular(i, front, "V", factors)
     low[kv:, :kv] = dtrsm(1.0, low[:kv, :kv], low[kv:, :kv], side=1, lower=1, trans_a=1)
     if kv < k:
         schur = dsyrk(1.0, low[kv:, :kv], beta=-1.0, c=low[kv:, kv:], lower=1)
         low[kv:, kv:], info = dpotrf(schur, lower=1, clean=0, overwrite_a=1)
         if info:
-            raise _singular(i, front, "W")
+            raise _singular(i, front, "W", factors)
     # off-diagonal block Z = F_uv L⁻ᵀ and the update matrix
     # F_uu − Z_v Z_vᵀ + Z_w Z_wᵀ (lower triangle) for the parent
     if r:
@@ -470,12 +471,6 @@ def _scaled(pattern, factors):
     np.multiply(half.data[:at], factors[0], out=data[:at], where=~below[:at])
     np.multiply(half.data[at:], factors[2], out=data[at:], where=below[at:])
     return data
-
-
-def w_form(pattern, z):
-    """zᵀ M_ww z for W values z from the half H: 2 xᵀHx − Σ h_ii x_i², x = (0, z)."""
-    x, half = np.concatenate([np.zeros(len(pattern.v_free)), z]), pattern.half
-    return 2.0 * float(x @ (half @ x)) - float(half.diagonal() @ (x * x))
 
 
 def solve(system):

@@ -385,11 +385,14 @@ def data_term(space, problem):
     return assemble_data_term(sp.vstack(rows, format="csr")[:, space.free_dofs], psi_hat)
 
 
-def fresh_report_data(space, problem):
+def fresh_report_data(space, problem, variant="jump"):
     """`analysis.report_data` of a trial space for `problem`, from its own
-    data-face operator."""
-    return report_data(space, problem, *face_operator(space, BoundaryPart.DATA,
-                                                      interior_rows(space), problem))
+    data-face operator and, for the jump S_W, its own free-face operator
+    (over all DOFs, so the rows of the test space's)."""
+    inner = interior_rows(space)
+    free_rows = face_operator(space, BoundaryPart.FREE, inner)[0] if variant == "jump" else None
+    return report_data(space, problem, *face_operator(space, BoundaryPart.DATA, inner, problem),
+                       free_rows)
 
 
 def free_face_operator(space):

@@ -14,10 +14,9 @@ from cauchyfem.problem import CauchyProblem
 from cauchyfem.solver import DiscreteSolution
 from cauchyfem.spaces import build_space
 
-from .oracles import (XiCurve, dual_stab, fe_jump_seminorm, free_face_operator,
-                      fresh_report_data, nodal_interpolant, oracle_volume_norms,
-                      poincare_ratio, primal_stab, solve_from_scratch, volume_points,
-                      xi_eval, xi_fit)
+from .oracles import (XiCurve, dual_stab, fe_jump_seminorm, fresh_report_data,
+                      nodal_interpolant, oracle_volume_norms, poincare_ratio, primal_stab,
+                      solve_from_scratch, volume_points, xi_eval, xi_fit)
 
 GAMMA = 0.01
 
@@ -55,7 +54,7 @@ def test_volume_rule_agrees_with_the_oracle_rule(problem):
     mesh = unit_square_mesh(8, jitter=0.2, seed=7, data_sides=problem.data_sides)
     sol, trial, *_ = solve_from_scratch(mesh, 2, problem, GAMMA, GAMMA, "jump")
     data = fresh_report_data(trial, problem)
-    report = error_report(sol, data, GAMMA, 0.0)
+    report = error_report(sol, data, GAMMA, GAMMA)
     got = (report.global_l2, report.local_l2, report.h1_semi, data.f_l2)
     assert got == pytest.approx(tuple(oracle_volume_norms(trial, sol.u, problem)),
                                 rel=1e-12)
@@ -103,12 +102,23 @@ def test_stab_u_interpolated_affine_has_interior_zero(mesh4):
     assert fe_jump_seminorm(space, v, GAMMA, boundary_part=None) < 1e-13
 
 
-def test_stab_z_trivial_cases(mesh4):
+def test_stab_z_trivial_cases(mesh4, problem):
     # constants: on the unconstrained space, where they live
     space = build_space(mesh4, 1)
-    b_w = free_face_operator(space)
-    assert stab_seminorm_z(np.zeros(space.num_dofs), b_w) == 0.0
-    assert stab_seminorm_z(np.ones(space.num_dofs), b_w) < 1e-13
+    data = fresh_report_data(space, problem)
+    assert stab_seminorm_z(data, np.zeros(space.num_dofs), 1.0) == 0.0
+    assert stab_seminorm_z(data, np.ones(space.num_dofs), 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_galerkin_stab_z_of_an_affine_field_closed_form(degree, problem):
+    # the Galerkin S_W carries no penalty: |z|_{s_W} = ‖∇z‖ = |(1, 2)| = √5
+    # on the unit square for z = x + 2y, which both degrees interpolate exactly
+    space = build_space(unit_square_mesh(4, jitter=0.2, seed=6), degree, BoundaryPart.FREE)
+    data = fresh_report_data(space, problem, "galerkin")
+    z = nodal_interpolant(space, lambda x, y: x + 2.0 * y)
+    for gamma in (1e-4, 0.01, 1.0):
+        assert stab_seminorm_z(data, z, gamma) == pytest.approx(math.sqrt(5.0), abs=1e-13)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -155,7 +165,7 @@ def test_error_quantities_need_the_exact_solution(mesh2, problem):
     assert stab_seminorm_u(dataless, zero, GAMMA) == stab_seminorm_u(full, zero, GAMMA)
     solution = DiscreteSolution(u=zero, z=np.zeros(space.num_dofs), residual=0.0)
     with pytest.raises(ValueError, match="needs the exact solution"):
-        error_report(solution, dataless, GAMMA, 0.0)
+        error_report(solution, dataless, GAMMA, GAMMA)
 
 
 def test_estimator_zero_solution_closed_form(problem):
@@ -170,10 +180,8 @@ def test_estimator_zero_solution_closed_form(problem):
 
 
 def test_report_estimator_dominates_seminorms(mesh4, problem):
-    sol, trial, test, _ = solve_from_scratch(mesh4, 1, problem, GAMMA, GAMMA, "jump")
-    report = error_report(sol, fresh_report_data(trial, problem), GAMMA,
-                          math.sqrt(GAMMA) * stab_seminorm_z(sol.z[test.free_dofs],
-                                                             free_face_operator(test)))
+    sol, trial, *_ = solve_from_scratch(mesh4, 1, problem, GAMMA, GAMMA, "jump")
+    report = error_report(sol, fresh_report_data(trial, problem), GAMMA, GAMMA)
     assert report.eta >= report.stab_u + report.stab_z
     assert report.local_l2 <= report.global_l2
     assert report.dofs_v == report.dofs_w == trial.num_dofs

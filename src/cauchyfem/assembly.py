@@ -109,7 +109,7 @@ def assemble_stiffness(trial, test):
     if trial.mesh is not test.mesh:
         raise ValueError("trial and test spaces must share one mesh")
     mesh = trial.mesh
-    rule = triangle_rule(max(2 * (max(trial.degree, test.degree) - 1), 1))
+    rule = triangle_rule(2)     # exact for ∇φ_i·∇φ_j, of degree 2(k - 1) ≤ 2
     # ∇φ_i·∇φ_j = g_i J⁻¹ J⁻ᵀ g_jᵀ with reference gradients g: the quadrature
     # sum over reference gradients is shared, each triangle adds its metric
     ref = np.einsum("q,qia,qjb->ijab", rule.weights,
@@ -194,7 +194,7 @@ def interior_rows(space):
     rows = [_rows(length[:, None, None] * np.sqrt(rule.weights)[:, None] * jumps,
                   pair_dofs, space.num_dofs)]
     if space.degree == 2:
-        lap = np.einsum("icd,tca,tda->ti", shape_hessians(2), mesh.jinv, mesh.jinv)
+        lap = np.einsum("icd,tca,tda->ti", shape_hessians(), mesh.jinv, mesh.jinv)
         rows.append(_rows((length ** 2)[:, None, None]
                           * np.hstack([lap[left], -lap[right]])[:, None],
                           pair_dofs, space.num_dofs))

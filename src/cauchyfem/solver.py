@@ -81,11 +81,11 @@ def analyse(matrix, n_v, coords):
     """Nested-dissection ordering and fronts of the symmetric pattern of
     `matrix`, whose first `n_v` unknowns are the V unknowns: `order[p]` is
     the unknown eliminated at position p, and the fronts are in elimination
-    order, every child before its parent.  Then the half H, the stored
-    entries on and below the diagonal of the reordered matrix (mask `lower`,
-    column bounds `indptr`), with their `places` in the factor store of
-    `_factor` and the bounds `slots` of the fronts' slots there; the fill
-    slots[-1] sums k(k + 1)/2 + k·r over fronts of k pivots, r struct rows.
+    order, every child before its parent, whose struct rows take in the
+    child's.  Then the half H, the stored entries on and below the diagonal
+    of the reordered matrix (mask `lower`, column bounds `indptr`), with
+    their `places` in the factor store of `_factor` and the bounds `slots` of
+    the fronts' slots there; the fill slots[-1] is the sum of their sizes.
 
     A subdomain of more than LEAF_SIZE unknowns is bisected at the median m
     of its wider coordinate c; its separator is the set of left-side
@@ -212,16 +212,14 @@ def analyse(matrix, n_v, coords):
     slot, stride = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     places, slots = np.empty(len(row), dtype=np.int64), [0]
     mark = np.zeros(n, dtype=bool)
-    v_before = np.concatenate([[0], np.cumsum(order < n_v)]).tolist()
-    fronts, structs, start = [], [], 0
+    fronts, start = [], 0
     for piv, children in zip(pivots, kids):
         k = len(piv)
         end = start + k
         span = slice(bounds[start], bounds[end])
-        mark[np.concatenate([row[span]] + [structs[c] for c in children])] = True
+        mark[np.concatenate([row[span]] + [fronts[c].struct for c in children])] = True
         struct = np.flatnonzero(mark[end:]) + end
         mark[struct] = False    # positions before end are not read again
-        structs.append(struct)
         r, tri = len(struct), k * (k + 1) // 2
         slot[start:end] = np.arange(k)
         slot[struct] = np.arange(tri, tri + r)
@@ -233,7 +231,7 @@ def analyse(matrix, n_v, coords):
         slots.append(slots[-1] + tri + k * r)
         links = []
         for c in children:
-            loc = slot[structs[c]]
+            loc = slot[fronts[c].struct]
             height = len(loc)
             # runs (a, b, p): rows a .. b of the child go to consecutive rows
             # p .. p + b - a of a column (Z's from tri on); cut where L ends
@@ -257,7 +255,7 @@ def analyse(matrix, n_v, coords):
                           [(a, b, p, slice(p, p + cut - a) if b == cut else loc[a:cut])
                            for a, b, p in runs[:split]],
                           update_runs))
-        fronts.append(Front(start, k, v_before[end] - v_before[start], struct, links))
+        fronts.append(Front(start, k, int(np.count_nonzero(piv < n_v)), struct, links))
         start = end
     # in the stored order, kept per mesh: half the bytes wherever they fit
     out = np.empty(len(places), dtype=np.int32 if slots[-1] < 2 ** 31 else np.int64)

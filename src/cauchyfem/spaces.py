@@ -135,10 +135,8 @@ def shape_grads(degree, points):
     return grads
 
 
-def shape_hessians(degree):
-    """Reference Hessians; constant for degree <= 2, shape (ndof_local, 2, 2)."""
-    if degree == 1:
-        return np.zeros((3, 2, 2))
+def shape_hessians():
+    """Reference Hessians of the degree-2 basis, constant, shape (6, 2, 2)."""
     hess = np.empty((6, 2, 2))
     for i in range(3):
         hess[i] = 4.0 * np.outer(_DLAMBDA[i], _DLAMBDA[i])
@@ -188,16 +186,14 @@ def segment_rule(degree):
 def triangle_rule(degree):
     """Rule on the reference triangle exact for polynomials up to `degree`.
 
-    Degree 1 is the one-point centroid rule.  Degree 2 is the 2 × 2 collapsed
-    Gauss rule on the square (x, y) = (s, t(1-s)), whose Jacobian 1-s raises
-    the s-degree by one.  Degrees 3 to 8 share Dunavant's symmetric 16-point
-    rule of degree 8.
+    Degrees up to 2 share the 2 × 2 collapsed Gauss rule on the square
+    (x, y) = (s, t(1-s)), whose Jacobian 1-s raises the s-degree by one.
+    Degrees 3 to 8 share Dunavant's symmetric 16-point rule of degree 8.
     """
     if degree > MAX_TRIANGLE_DEGREE:
         raise ValueError(f"triangle rules support degree <= {MAX_TRIANGLE_DEGREE}")
-    if degree <= 1:
-        return QuadratureRule(points=np.array([[1.0 / 3.0, 1.0 / 3.0]]),
-                              weights=np.array([0.5]))
+    if degree < 2:
+        return triangle_rule(2)
     if degree == 2:
         x, w = np.polynomial.legendre.leggauss(2)
         x, w = 0.5 * (x + 1.0), 0.5 * w

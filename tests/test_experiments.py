@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -452,6 +454,40 @@ def test_pattern_is_analysed_when_the_level_is_built(monkeypatch):
     for gamma in (1e-2, 1e-1):
         solve_level(level, gamma, gamma)
     assert counts["analyse"] == 1
+
+
+def test_level_frees_the_blocks_and_the_transpose_before_the_analysis(monkeypatch):
+    # when `analyse` starts, S_V, A and S_W are freed (the level drops its
+    # blocks once stacked), and of what `analysed_pattern` made only the three
+    # block defects are left: the symmetry check's transposed copy, its
+    # defects and their mask are freed, each at least one byte per entry
+    blocks, seen = [], []
+    assemble, pattern, analyse = (experiments.assemble_blocks,
+                                  experiments.analysed_pattern, solver.analyse)
+
+    def watched_blocks(*args, **kwargs):
+        made = assemble(*args, **kwargs)
+        blocks.extend(weakref.ref(m) for m in (made.s_v, made.a, made.s_w))
+        return made
+
+    def traced_pattern(*args):
+        tracemalloc.start()
+        try:
+            return pattern(*args)
+        finally:
+            tracemalloc.stop()
+
+    def watched_analyse(matrix, *args):
+        seen.append((tracemalloc.get_traced_memory()[0], matrix.nnz, [ref() for ref in blocks]))
+        return analyse(matrix, *args)
+
+    monkeypatch.setattr(experiments, "assemble_blocks", watched_blocks)
+    monkeypatch.setattr(experiments, "analysed_pattern", traced_pattern)
+    monkeypatch.setattr(solver, "analyse", watched_analyse)
+    Level(RunConfig(degree=2), 16)
+    (live, nnz, alive), = seen
+    assert alive == [None] * 3
+    assert live < nnz
 
 
 def test_quadrature_rules_are_built_once_per_process(monkeypatch):

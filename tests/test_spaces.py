@@ -106,7 +106,7 @@ def test_partition_of_unity(a, b, degree):
 
 def test_hessians_are_consistent_with_gradients():
     # directional finite difference of the P2 gradients equals H @ direction
-    hess = shape_hessians(2)
+    hess = shape_hessians()
     base = np.array([0.31, 0.17])
     step = 1e-6
     for d in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
@@ -119,11 +119,10 @@ def test_hessians_are_consistent_with_gradients():
 # ---------------------------------------------------------------------------
 # quadrature
 
-def test_degree_one_triangle_rule_is_centroid():
-    rule = triangle_rule(1)
-    assert rule.points.shape == (1, 2)
-    assert np.allclose(rule.points[0], (1 / 3, 1 / 3))
-    assert np.allclose(rule.weights, [0.5])
+def test_degrees_up_to_two_share_one_rule_and_only_p2_has_hessians():
+    # the P1 and P2 stiffness integrands have degree 0 and 2: one rule
+    assert triangle_rule(0) is triangle_rule(1) is triangle_rule(2)
+    assert shape_hessians().shape == (6, 2, 2)
 
 
 def test_degree_three_segment_rule_is_two_point_gauss():

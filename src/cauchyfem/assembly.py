@@ -248,9 +248,13 @@ def assemble_dual_stab(space, variant, b):
     a(z, w) itself (no γ; `b` is not read), or the unit jumps BᵀB over
     interior faces and the free boundary, from the free-face operator `b` on
     the free DOFs, the free columns of the stacked rows of
-    `face_operator(space, BoundaryPart.FREE, inner)`."""
+    `face_operator(space, BoundaryPart.FREE, inner)`.  The stiffness, symmetric to
+    rounding only, has its upper triangle mirrored in place: S_W = S_Wᵀ exactly."""
     if variant == "galerkin":
-        return assemble_stiffness(space, space)
+        s_w = assemble_stiffness(space, space)
+        below = s_w.indices < np.repeat(np.arange(s_w.shape[0]), np.diff(s_w.indptr))
+        s_w.data[below] = s_w.T.tocsr().data[below]
+        return s_w
     if variant == "jump":
         return b.T.tocsr() @ b
     raise ValueError(f"unknown dual stabilizer variant {variant!r}; "

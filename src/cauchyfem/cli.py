@@ -42,16 +42,17 @@ def _penalty(text):
         raise argparse.ArgumentTypeError(str(err)) from err
 
 
-def _add_common(parser):
-    """Adds the options of every command and --config; returns the options,
-    which a config file may set too."""
+def _add_common(parser, penalties=True):
+    """Adds the options of every command (the penalties only if `penalties`:
+    the sweep sets both to each of its --gammas) and --config; returns the
+    options, which a config file may set too."""
     options = [
         parser.add_argument("--degree", type=int, choices=(1, 2),
                             help="polynomial degree (default 1)"),
-        parser.add_argument("--gamma-v", type=_penalty,
-                            help="primal penalty (default 0.01 for P1, 0.001 for P2)"),
-        parser.add_argument("--gamma-w", type=_penalty,
-                            help="dual penalty (same defaults as --gamma-v)"),
+        *[parser.add_argument(flag, type=_penalty, help=text) for flag, text in (
+            ("--gamma-v", "primal penalty (default 0.01 for P1, 0.001 for P2)"),
+            ("--gamma-w", "dual penalty of the jump s_W (defaults as --gamma-v)"))
+          if penalties],
         parser.add_argument("--sw-variant", choices=SW_VARIANTS,
                             help="dual stabilizer: galerkin energy or face jumps "
                                  "(default jump)"),
@@ -81,7 +82,7 @@ def build_parser():
                           help="comma-separated mesh levels (default 8,16,32,64)")]
 
     sweep = sub.add_parser("sweep", help="penalty-parameter sweep on a fixed mesh")
-    sweep_options = _add_common(sweep) + [
+    sweep_options = _add_common(sweep, penalties=False) + [
         sweep.add_argument("--n", type=_mesh_level, help="mesh level (default 64)"),
         sweep.add_argument("--gammas", type=functools.partial(_comma_list, _penalty),
                            help="comma-separated penalty values "

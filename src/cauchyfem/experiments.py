@@ -72,6 +72,9 @@ class RunConfig:
         if self.sw_variant not in SW_VARIANTS:
             raise ValueError(f"unknown dual stabilizer variant {self.sw_variant!r}; "
                              f"expected one of {SW_VARIANTS}")
+        if self.sw_variant == "galerkin" and self.gamma_w is not None:
+            raise ValueError(f"gamma_w {self.gamma_w!r} is set, but the 'galerkin' dual "
+                             "stabilizer carries no penalty")
         if not 0.0 <= self.jitter < MAX_JITTER:
             raise ValueError(f"jitter {self.jitter:g} must lie in [0, {MAX_JITTER:g})")
         for n in self.levels:
@@ -90,12 +93,10 @@ class RunConfig:
                              "its directory does not exist")
 
     @property
-    def resolved_gamma_v(self):
-        return DEFAULT_GAMMA[self.degree] if self.gamma_v is None else self.gamma_v
-
-    @property
-    def resolved_gamma_w(self):
-        return DEFAULT_GAMMA[self.degree] if self.gamma_w is None else self.gamma_w
+    def penalties(self):
+        """(γ_V, γ_W): each as set, else the degree's default."""
+        return tuple(DEFAULT_GAMMA[self.degree] if gamma is None else gamma
+                     for gamma in (self.gamma_v, self.gamma_w))
 
 
 @dataclass
@@ -154,8 +155,7 @@ class Level:
 def solve_level(level, gamma_v, gamma_w):
     """One solve on a built level at penalties γ_V, γ_W: the unit pattern
     scaled, factored, refined once and checked; returns the solution."""
-    return solve(build_system(level.saddle, penalty_factors(level.variant, gamma_v,
-                                                            gamma_w)))
+    return solve(build_system(level.saddle, penalty_factors(level.variant, gamma_v, gamma_w)))
 
 
 def _run_level(level, rows, penalties):
@@ -178,9 +178,8 @@ def _run_level(level, rows, penalties):
 def run_convergence(config):
     """Refinement study over config.levels; returns one row per level."""
     rows = [Row(idx, n) for idx, n in enumerate(config.levels)]
-    penalties = [(config.resolved_gamma_v, config.resolved_gamma_w)]
     for row in rows:
-        _run_level(Level(config, row.n), [row], penalties)
+        _run_level(Level(config, row.n), [row], [config.penalties])
 
     for prev, cur in zip(rows, rows[1:]):
         a, b = prev.report, cur.report
@@ -200,7 +199,10 @@ def run_convergence(config):
 def run_sweep(config, gammas=DEFAULT_SWEEP_GAMMAS, n=64):
     """One solve per penalty value with gamma_v = gamma_w = gamma, all on one
     level built once and all solved before the first is reported; returns
-    one row per γ."""
+    one row per γ; a config's gamma_v or gamma_w, ignored, raises ValueError."""
+    for name in ("gamma_v", "gamma_w"):
+        if getattr(config, name) is not None:
+            raise ValueError(f"{name} is set, but the sweep solves at gamma_v = gamma_w = gamma")
     if not isinstance(gammas, (tuple, list, np.ndarray)) or getattr(gammas, "ndim", 1) != 1:
         raise ValueError(f"gammas {gammas!r} must be a tuple, list or 1-D array of penalties")
     rows = [Row(check_penalty(gamma), n) for gamma in gammas]
@@ -217,8 +219,7 @@ def run_single(config, n=8):
     config.output_path is set, writes the vertex fields there as legacy VTK."""
     level = Level(config, n)
     row = Row(0, n)
-    [solution] = _run_level(level, [row],
-                            [(config.resolved_gamma_v, config.resolved_gamma_w)])
+    [solution] = _run_level(level, [row], [config.penalties])
     if solution is not None and config.output_path:
         mesh = level.trial.mesh
         nv = mesh.num_vertices

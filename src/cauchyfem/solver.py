@@ -12,11 +12,11 @@ blocks are positive definite there, so the matrix is symmetric quasi-definite
 diagonal pivots, + on the V unknowns and − on the W unknowns (Vanderbei,
 SIAM J. Optim. 5(1), 1995).
 
-Once per mesh its unit-penalty pattern is stacked, checked, ordered by
-nested dissection on the unknowns' coordinates and cut into the fronts of a
-multifrontal factorization (Duff & Reid, ACM TOMS 9(3), 1983; `analyse`).
-The `SaddlePattern` keeps one entry per symmetric pair and each block's
-symmetry defect; every penalty pair only scales the kept values.  Fronts
+Once per mesh its unit-penalty matrix is stacked, checked to be exactly
+symmetric, ordered by nested dissection on the unknowns' coordinates and cut
+into the fronts of a multifrontal factorization (Duff & Reid, ACM TOMS 9(3),
+1983; `analyse`).  The `SaddlePattern` keeps one entry per symmetric pair;
+every penalty pair only scales each block's kept values by one factor.  Fronts
 factor densely with no pivoting (`_factor`), and one refinement step with
 the same factors always follows (diagonal pivots lose digits when a penalty
 is small: relative residual 1.8e-10 at γ = 1e-4, P1 n=32); the relative
@@ -35,7 +35,6 @@ from scipy.linalg.blas import dsyrk, dtpsv, dtrsm
 from scipy.linalg.lapack import dpotrf, dtpttr, dtrttp
 
 RESIDUAL_TOL = 1e-10
-SYMMETRY_TOL = 1e-12
 #: nested dissection stops at subdomains of at most this many unknowns
 LEAF_SIZE = 128
 
@@ -353,15 +352,14 @@ def _substitute(pattern, factors, rhs):
 class SaddlePattern:
     """The saddle matrix M of one mesh at unit penalties, analysed once.
 
-    M = H + Hᵀ − diag H is kept as its half H (`analyse`), one entry per
-    symmetric pair, a CSC matrix in the original numbering: the V unknowns
-    before the W unknowns, so an entry's row and column give its block,
-    0 for S_V, 1 for A or Aᵀ, 2 for −S_W (`build_system`); `defects[c]` is
-    the largest |M_ij − M_ji| in block c.  `g` and `load` are the right
-    side's unit-penalty parts; the rest comes from `analyse`."""
+    M = H + Hᵀ − diag H, checked to be exactly symmetric, is kept as its
+    half H (`analyse`), one entry per symmetric pair, a CSC matrix in the
+    original numbering: the V unknowns before the W unknowns, so an entry's
+    row and column give its block, 0 for S_V, 1 for A or Aᵀ, 2 for −S_W
+    (`build_system`).  `g` and `load` are the right side's unit-penalty
+    parts; the rest comes from `analyse`."""
 
     half: sp.csc_matrix
-    defects: np.ndarray
     g: np.ndarray
     load: np.ndarray
     v_free: np.ndarray
@@ -381,13 +379,12 @@ class SaddlePattern:
 @dataclass(frozen=True)
 class SaddleSystem:
     """The saddle system at one penalty pair: the factors of S_V, A and S_W
-    that scale the pattern's unit half H, the right side, and the largest
-    |M_ij − M_ji| of the scaled blocks.  It keeps no scaled copy of H."""
+    that scale the pattern's unit half H, and the right side.  It keeps no
+    scaled copy of H."""
 
     pattern: SaddlePattern
     factors: np.ndarray
     rhs: np.ndarray
-    asymmetry: float
 
     @property
     def matrix(self):
@@ -422,9 +419,9 @@ def stacked(blocks, trial, test):
 def analysed_pattern(unit, coords, g, load, v_free, w_free, n_v, n_w):
     """The `SaddlePattern` of the CSC matrix `unit`, whose first
     len(v_free) unknowns are the V unknowns and whose unknowns lie at
-    `coords`; raises ValueError unless its pattern is symmetric.  The
-    transpose of that check, values and all, also gives each block's
-    symmetry defect."""
+    `coords`.  Raises ValueError unless `unit` equals its transpose exactly,
+    pattern and values, naming the largest |M_ij − M_ji|, its entry and its
+    block; scaling each block by one factor keeps that at every penalty."""
     unit.sort_indices()
     nv = len(v_free)
     flipped = unit.T.tocsc()    # Mᵀ in sorted CSC
@@ -434,29 +431,25 @@ def analysed_pattern(unit, coords, g, load, v_free, w_free, n_v, n_w):
     defect = flipped.data       # M_ji, then |M_ij − M_ji| in the same buffer
     del flipped
     np.abs(np.subtract(unit.data, defect, out=defect), out=defect)
-    # the V columns hold S_V above A, the W columns Aᵀ (A's defects) above −S_W
-    at, below = unit.indptr[nv], unit.indices >= nv
-    defects = np.array([np.max(defect[:at], where=~below[:at], initial=0.0),
-                        np.max(defect[:at], where=below[:at], initial=0.0),
-                        np.max(defect[at:], where=below[at:], initial=0.0)])
-    del defect, below
+    if defect.any():
+        at = np.argmax(defect)
+        i, j = unit.indices[at], np.searchsorted(unit.indptr, at, side="right") - 1
+        block = "A" if (i < nv) != (j < nv) else "S_V" if i < nv else "S_W"
+        raise ValueError(f"saddle matrix is not symmetric: |M_ij − M_ji| = "
+                         f"{defect[at]:g} at ({i}, {j}), in block {block}")
+    del defect
     order, fronts, lower, indptr, places, slots = analyse(unit, nv, coords)
     half = sp.csc_matrix((unit.data[lower], unit.indices[lower], indptr), shape=unit.shape)
-    return SaddlePattern(half, defects, g, load, v_free, w_free, n_v, n_w,
+    return SaddlePattern(half, g, load, v_free, w_free, n_v, n_w,
                          order, fronts, places, slots)
 
 
 def build_system(pattern, factors=(1.0, 1.0, 1.0)):
     """The saddle system with each block of `pattern` times its factor in
     `factors` (indexed by S_V, A, S_W); g is scaled with S_V.  Keeps the
-    factors, not a scaled matrix.  Raises ValueError when a scaled block's
-    defect exceeds SYMMETRY_TOL."""
+    factors, not a scaled matrix."""
     factors = np.asarray(factors, dtype=float)
-    defect = float(np.max(np.abs(factors) * pattern.defects))
-    if defect > SYMMETRY_TOL:
-        raise ValueError(f"saddle matrix asymmetry {defect:g} exceeds {SYMMETRY_TOL:g}")
-    return SaddleSystem(pattern, factors,
-                        np.concatenate([factors[0] * pattern.g, pattern.load]), defect)
+    return SaddleSystem(pattern, factors, np.concatenate([factors[0] * pattern.g, pattern.load]))
 
 
 def _scaled(pattern, factors):

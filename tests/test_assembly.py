@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,10 +99,15 @@ def test_gamma_scaling(problem):
 
 
 def test_galerkin_dual_stab_equals_stiffness(mesh2):
+    # the stiffness, symmetric to rounding only at P2, keeps its pattern,
+    # explicit zeros and upper triangle; its lower triangle is the mirror
     space = build_space(mesh2, 2, BoundaryPart.FREE)
     s_w = assemble_dual_stab(space, "galerkin", None)
     a = assemble_stiffness(space, space)
-    assert abs(s_w - a).max() == 0.0
+    assert np.array_equal(s_w.indptr, a.indptr) and np.array_equal(s_w.indices, a.indices)
+    assert _same_bits(sp.triu(s_w, format="csr"), sp.triu(a, format="csr"))
+    assert _same_bits(s_w, s_w.T.tocsr())
+    assert 0.0 < abs(s_w - a).max() <= 1e-15 * abs(a).max()
 
 
 def test_unknown_variant_rejected(mesh2):
@@ -246,7 +251,7 @@ def test_stabilizers_symmetric_psd(degree, variant, problem):
     blocks = scaled(assemble_blocks(trial, test, problem, variant), GAMMA, GAMMA)
     rng = np.random.default_rng(7)
     for name, s in (("s_v", blocks.s_v), ("s_w", blocks.s_w)):
-        assert abs(s - s.T).max() < 1e-13, name
+        assert (s != s.T).nnz == 0, name
         x = rng.standard_normal((100, s.shape[0]))
         quad = np.einsum("ki,ki->k", x, x @ s.toarray())
         assert quad.min() > -1e-12, name
@@ -261,11 +266,9 @@ def test_batched_kernels_property(n, jitter, seed, degree, variant, problem):
     blocks = scaled(assemble_blocks(trial, test, problem, variant), GAMMA, GAMMA)
     for name, s in (("s_v", blocks.s_v), ("s_w", blocks.s_w)):
         dense = s.toarray()
-        # the face penalties γBᵀB are symmetric to the last bit; the Galerkin
-        # s_W is the stiffness matrix, symmetric up to rounding
-        face_penalty = name == "s_v" or variant == "jump"
-        slack = 0.0 if face_penalty else 1e-14 * np.abs(dense).max()
-        assert np.abs(dense - dense.T).max() <= slack, name
+        # the face penalties γBᵀB and the mirrored Galerkin s_W are
+        # symmetric to the last bit
+        assert np.array_equal(dense, dense.T), name
         eigs = np.linalg.eigvalsh(dense)
         assert eigs.min() > -1e-12 * max(eigs.max(), 1.0), name
     u = np.random.default_rng(seed).standard_normal(trial.num_dofs)

@@ -33,6 +33,18 @@ def test_sweep_command(tmp_path):
     assert len(out.read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("flag", ["--gamma-v", "--gamma-w"])
+def test_sweep_has_no_penalty_flags(tmp_path, capsys, flag):
+    # the sweep solves at γ_V = γ_W = each of --gammas: a penalty flag
+    # printed the same rows as without it
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--n", "2", "--gammas", "1e-3", flag, "5", "--out", str(out)])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_command_with_fields(tmp_path, capsys):
     out = tmp_path / "fields.vtk"
     code = main(["solve", "--n", "4", "--out", str(out)])
@@ -116,8 +128,9 @@ def test_missing_output_directory_is_rejected_before_any_mesh(tmp_path, monkeypa
     ("--gamma-v", "nan", "penalty nan"), ("--gamma-w", "0", "penalty 0.0")])
 def test_bad_penalties_are_rejected(tmp_path, capsys, option, value, named):
     out = tmp_path / "sweep.csv"
+    command = "sweep" if option == "--gammas" else "solve"
     with pytest.raises(SystemExit) as info:
-        main(["sweep", "--n", "2", option, value, "--out", str(out)])
+        main([command, "--n", "2", option, value, "--out", str(out)])
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert option in err and f"{named} must be positive and finite" in err
@@ -183,8 +196,10 @@ def test_config_file_degree_zero_is_not_the_default(tmp_path, capsys):
     (["sweep", "--n", "2"], "gama_v = 5\n", "run.cfg:1: unknown key 'gama_v'"),
     (["solve", "--n", "2"], "degree = 2\ngammas = 0\n",
      "run.cfg:2: gammas: penalty 0.0 must be positive"),
+    (["solve", "--n", "3", "--degree", "2", "--sw-variant", "galerkin", "--gamma-w", "5"],
+     None, "gamma_w 5.0 is set, but the 'galerkin' dual stabilizer carries no penalty"),
 ], ids=["jitter", "seed", "levels", "degree", "sw_variant", "unknown_key",
-        "bad_value"])
+        "bad_value", "galerkin_gamma_w"])
 def test_rejected_options_are_usage_errors(tmp_path, capsys, argv, cfg_text, named):
     out = tmp_path / "out"
     if cfg_text is not None:
@@ -204,7 +219,8 @@ def test_rejected_options_are_usage_errors(tmp_path, capsys, argv, cfg_text, nam
     (["convergence", "--levels", "2"], "gammas = 0.5\nn = 3\n", "gammas"),
     (["sweep", "--n", "2", "--gammas", "0.1"], "levels = 2,4\n", "levels"),
     (["solve", "--n", "2"], "# misplaced\nlevels = 2\n", "levels"),
-], ids=["convergence", "sweep", "solve"])
+    (["sweep", "--n", "2"], "gamma_w = 5\n", "gamma_w"),
+], ids=["convergence", "sweep", "solve", "sweep_penalty"])
 def test_config_key_of_another_command_is_a_usage_error(tmp_path, capsys, argv,
                                                        cfg_text, key):
     cfg, out = tmp_path / "run.cfg", tmp_path / "out"

@@ -105,6 +105,21 @@ def test_config_rejects_levels_and_output_path_of_the_wrong_kind(bad, message):
         RunConfig(**bad)
 
 
+@pytest.mark.parametrize("name", ["gamma_v", "gamma_w"])
+def test_sweep_rejects_penalties_it_would_ignore(name, monkeypatch):
+    # the sweep sets γ_V = γ_W = γ from gammas: a config penalty was ignored
+    monkeypatch.setattr(experiments, "Level", None)     # raises before any mesh
+    with pytest.raises(ValueError, match=f"{name} is set, but the sweep"):
+        run_sweep(RunConfig(**{name: 5.0}), gammas=(1e-3,), n=2)
+
+
+def test_galerkin_config_rejects_gamma_w():
+    # the Galerkin s_W carries no penalty, so gamma_w changed no number
+    with pytest.raises(ValueError, match="gamma_w 5.0 is set, but the 'galerkin' dual"):
+        RunConfig(sw_variant="galerkin", gamma_w=5.0)
+    assert RunConfig(sw_variant="galerkin", gamma_v=5.0).gamma_v == 5.0
+
+
 def test_sweep_rejects_a_single_penalty_in_place_of_gammas():
     # gammas=0.1 raised "'float' object is not iterable"; an array stays valid
     with pytest.raises(ValueError, match=re.escape("gammas 0.1 must be a tuple, list")):
@@ -128,9 +143,9 @@ def test_config_rejects_output_path_in_missing_directory(tmp_path):
 
 
 def test_gamma_defaults_per_degree():
-    assert RunConfig(degree=1).resolved_gamma_v == 0.01
-    assert RunConfig(degree=2).resolved_gamma_v == 0.001
-    assert RunConfig(degree=2, gamma_v=0.5).resolved_gamma_v == 0.5
+    assert RunConfig(degree=1).penalties == (0.01, 0.01)
+    assert RunConfig(degree=2).penalties == (0.001, 0.001)
+    assert RunConfig(degree=2, gamma_v=0.5).penalties == (0.5, 0.001)
 
 
 def test_small_study_writes_expected_rows(tmp_path):
@@ -458,9 +473,9 @@ def test_pattern_is_analysed_when_the_level_is_built(monkeypatch):
 
 def test_level_frees_the_blocks_and_the_transpose_before_the_analysis(monkeypatch):
     # when `analyse` starts, S_V, A and S_W are freed (the level drops its
-    # blocks once stacked), and of what `analysed_pattern` made only the three
-    # block defects are left: the symmetry check's transposed copy, its
-    # defects and their mask are freed, each at least one byte per entry
+    # blocks once stacked), and so is all that `analysed_pattern` made: the
+    # exact symmetry check's transposed copy, 12 bytes per entry, whose value
+    # buffer then holds |M_ij − M_ji|
     blocks, seen = [], []
     assemble, pattern, analyse = (experiments.assemble_blocks,
                                   experiments.analysed_pattern, solver.analyse)

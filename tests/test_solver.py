@@ -54,11 +54,13 @@ def test_zero_stabilizers_leave_offdiagonal_blocks(mesh2, problem):
 
 @pytest.mark.parametrize("variant", ["galerkin", "jump"])
 def test_system_matrix_symmetric(variant, problem):
-    mesh = unit_square_mesh(4)
-    system, *_ = make_system(mesh, 1, problem, variant)
-    # the largest |M_ij − M_ji| of the stacked matrix, which the half keeps
-    # one entry of
-    assert system.asymmetry < 1e-13
+    # the stacked matrix, which the half keeps one entry per pair of, is
+    # symmetric to the last bit at both degrees
+    mesh = unit_square_mesh(4, jitter=0.2, seed=1)
+    for degree in (1, 2):
+        *_, blocks = make_system(mesh, degree, problem, variant)
+        dense = sp.bmat([[blocks.s_v, blocks.a.T], [blocks.a, -blocks.s_w]]).toarray()
+        assert np.array_equal(dense, dense.T), degree
 
 
 def _plain_system(matrix, rhs, n_v=None, coords=None):
@@ -148,6 +150,7 @@ def test_non_finite_solve_raises():
 
 
 def test_unit_entry_off_by_1e11_fails_the_symmetry_check(problem):
+    # checked once, when the pattern is built, not per penalty pair
     mesh = unit_square_mesh(4)
     trial = build_space(mesh, 1, BoundaryPart.DATA)
     test = build_space(mesh, 1, BoundaryPart.FREE)
@@ -155,16 +158,16 @@ def test_unit_entry_off_by_1e11_fails_the_symmetry_check(problem):
     s_v = blocks.s_v.tocoo(copy=True)
     e = np.flatnonzero(s_v.row != s_v.col)[0]
     s_v.data[e] += 1e-11
-    pattern = saddle_pattern(dataclasses.replace(blocks, s_v=s_v.tocsr()), trial, test)
-    with pytest.raises(ValueError, match="asymmetry 1e-11"):
-        build_system(pattern, (1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match=r"\|M_ij − M_ji\| = 1e-11 at .*, in block S_V"):
+        saddle_pattern(dataclasses.replace(blocks, s_v=s_v.tocsr()), trial, test)
     build_system(saddle_pattern(blocks, trial, test), (1.0, 1.0, 1.0))  # passes
 
 
 @pytest.mark.parametrize("block", ["S_V", "A below", "A above", "S_W"])
 def test_entry_off_by_1e11_in_each_block_fails_the_symmetry_check(block, problem):
-    # one off-diagonal entry of the stacked matrix moves; the defect of its
-    # block, measured when the pattern is built, fails the check per γ
+    # one off-diagonal entry of the stacked matrix moves by one ulp, far
+    # less than 1e-11: the exact check, made when the pattern is built,
+    # names the entry's block
     mesh = unit_square_mesh(4)
     trial = build_space(mesh, 1, BoundaryPart.DATA)
     test = build_space(mesh, 1, BoundaryPart.FREE)
@@ -174,35 +177,35 @@ def test_entry_off_by_1e11_in_each_block_fails_the_symmetry_check(block, problem
     below, right = unit.row >= nv, unit.col >= nv
     inside = {"S_V": ~below & ~right, "A below": below & ~right,
               "A above": ~below & right, "S_W": below & right}[block]
-    unit.data[np.flatnonzero(inside & (unit.row != unit.col))[0]] += 1e-11
+    e = np.flatnonzero(inside & (unit.row != unit.col))[0]
+    unit.data[e] = np.nextafter(unit.data[e], np.inf)
     coords = np.vstack([trial.dof_coords[trial.free_dofs], test.dof_coords[test.free_dofs]])
-    pattern = analysed_pattern(unit.tocsc(), coords, blocks.data, blocks.load,
-                               trial.free_dofs, test.free_dofs, trial.num_dofs,
-                               test.num_dofs)
-    with pytest.raises(ValueError, match="asymmetry 1e-11"):
-        build_system(pattern)
+    with pytest.raises(ValueError, match=f"in block {block.split()[0]}$"):
+        analysed_pattern(unit.tocsc(), coords, blocks.data, blocks.load, trial.free_dofs,
+                         test.free_dofs, trial.num_dofs, test.num_dofs)
 
 
 def test_galerkin_rounding_defect_passes_the_symmetry_check(problem):
-    # the Galerkin S_W is the stiffness matrix, symmetric to rounding only
+    # the stiffness matrix is symmetric to rounding only at P2; the Galerkin
+    # S_W, its upper triangle mirrored, is symmetric to the last bit and
+    # within that rounding of it, so the exact check passes
     mesh = unit_square_mesh(8, jitter=0.2, seed=1)
     trial = build_space(mesh, 2, BoundaryPart.DATA)
     test = build_space(mesh, 2, BoundaryPart.FREE)
-    pattern = saddle_pattern(assemble_blocks(trial, test, problem, "galerkin"),
-                             trial, test)
-    h, nv = pattern.half.tocoo(), len(pattern.v_free)
-    scale = np.abs(h.data[(h.row >= nv) & (h.col >= nv)]).max()
-    assert 0.0 < pattern.defects[2] <= 1e-14 * scale
-    assert build_system(pattern, (1.0, 1.0, 1.0)).asymmetry == pattern.defects[2]
+    blocks = assemble_blocks(trial, test, problem, "galerkin")
+    stiffness = assemble_stiffness(test, test)
+    scale = abs(stiffness).max()
+    assert 0.0 < abs(stiffness - stiffness.T).max() <= 1e-14 * scale
+    assert (blocks.s_w != blocks.s_w.T).nnz == 0
+    assert abs(blocks.s_w - stiffness).max() <= 1e-14 * scale
+    saddle_pattern(blocks, trial, test)     # passes
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_defects_are_the_block_maxima_of_the_dense_asymmetry(degree, problem):
-    # each block's defect, read off the transpose of the stacked matrix, is
-    # exactly the largest |M_ij − M_ji| of the dense stacked matrix in that
-    # block.  The Galerkin S_W is symmetric to rounding only, so at P2 its
-    # defect is not zero (at P1 the stiffness comes out symmetric to the
-    # last bit)
+    # the largest |M_ij − M_ji| of the dense stacked matrix is 0 in each
+    # block, the Galerkin S_W's at P2 included, and the half keeps each
+    # stacked entry on and below the diagonal, bit for bit
     mesh = unit_square_mesh(4, jitter=0.2, seed=1)
     trial = build_space(mesh, degree, BoundaryPart.DATA)
     test = build_space(mesh, degree, BoundaryPart.FREE)
@@ -210,10 +213,8 @@ def test_defects_are_the_block_maxima_of_the_dense_asymmetry(degree, problem):
     pattern = saddle_pattern(blocks, trial, test)
     dense = sp.bmat([[blocks.s_v, blocks.a.T], [blocks.a, -blocks.s_w]]).toarray()
     defect, nv = np.abs(dense - dense.T), len(trial.free_dofs)
-    expected = [defect[:nv, :nv].max(), defect[nv:, :nv].max(), defect[nv:, nv:].max()]
-    assert np.array_equal(pattern.defects, expected)
-    if degree == 2:
-        assert pattern.defects[2] > 0.0
+    assert [defect[:nv, :nv].max(), defect[nv:, :nv].max(), defect[nv:, nv:].max()] == [0.0] * 3
+    assert np.array_equal(full_matrix(pattern.half).toarray(), dense)
 
 
 def _random_sqd(rng, coords, n_v, density=0.3):
@@ -428,9 +429,7 @@ def test_analysis_matches_edge_list_oracle(degree, jitter, seed, variant, n, lea
 def test_unit_matrix_matches_full_dof_stacking(degree, variant, jitter, seed, n, problem):
     # blocks restricted at assembly and stacked once give the pattern of the
     # full-DOF blocks restricted by np.ix_, each kept entry's value to its
-    # block's rounding, and a matrix that is symmetric to the last bit; the
-    # Galerkin S_W is the stiffness matrix, symmetric to rounding only, as
-    # it was
+    # block's rounding, and both matrices are symmetric to the last bit
     mesh = unit_square_mesh(n, jitter, seed)
     trial = build_space(mesh, degree, BoundaryPart.DATA)
     test = build_space(mesh, degree, BoundaryPart.FREE)
@@ -451,8 +450,7 @@ def test_unit_matrix_matches_full_dof_stacking(degree, variant, jitter, seed, n,
         mine = classes[at] == block
         scale = np.abs(expected.data[classes == block]).max(initial=0.0)
         assert np.abs(h.data[mine] - expected.data[at[mine]]).max(initial=0.0) <= 1e-14 * scale
-        assert pattern.defects[block] <= (1e-14 * scale if variant == "galerkin"
-                                          and block == 2 else 0.0)
+    assert (expected != expected.T).nnz == 0
 
 
 @pytest.mark.parametrize("variant", ["jump", "galerkin"])
@@ -460,25 +458,16 @@ def test_unit_matrix_matches_full_dof_stacking(degree, variant, jitter, seed, n,
 def test_every_block_gets_its_own_factor(degree, variant, problem):
     # each kept entry is scaled by the factor of the block its row and
     # column give: the matrix is the stacked unit blocks, each times its
-    # factor, bit for bit but for the Galerkin S_W, which is symmetric to
-    # rounding only and of which the half keeps one entry per pair.  There
-    # |fl(5a) − fl(5b)| ≤ 5|a − b| + ulp(5a), below 5 × the scaled system's
-    # recorded defect 5|a − b| when a ≠ b (6 × the unit defect at P2)
+    # factor, bit for bit, the Galerkin S_W included
     mesh = unit_square_mesh(6, jitter=0.2, seed=1)
     trial = build_space(mesh, degree, BoundaryPart.DATA)
     test = build_space(mesh, degree, BoundaryPart.FREE)
     blocks = assemble_blocks(trial, test, problem, variant)
-    pattern = saddle_pattern(blocks, trial, test)
-    system = build_system(pattern, (2.0, 3.0, 5.0))
+    system = build_system(saddle_pattern(blocks, trial, test), (2.0, 3.0, 5.0))
     full = full_matrix(system.matrix).toarray()
     expected = sp.bmat([[2.0 * blocks.s_v, 3.0 * blocks.a.T],
                         [3.0 * blocks.a, -5.0 * blocks.s_w]]).toarray()
-    nv = len(trial.free_dofs)
-    assert np.array_equal(full[:, :nv], expected[:, :nv])
-    assert np.array_equal(full[:nv], expected[:nv])
-    tolerance = 5.0 * system.asymmetry if variant == "galerkin" else 0.0
-    assert system.asymmetry == 5.0 * pattern.defects[2]
-    assert np.abs(full[nv:, nv:] - expected[nv:, nv:]).max() <= tolerance
+    assert np.array_equal(full, expected)
 
 
 def test_fill_at_p2_n16_is_pinned(problem):

@@ -28,11 +28,13 @@ def _mesh_level(text):
 
 
 def _comma_list(parse, text):
-    """The parsed items of a comma-separated list, which must not be empty."""
-    values = tuple(parse(tok) for tok in text.split(",") if tok.strip())
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected at least one value, got {text!r}")
-    return values
+    """The parsed items of a comma-separated list, none of them empty."""
+    items = text.split(",")
+    empty = [i for i, item in enumerate(items, 1) if not item.strip()]
+    if empty:
+        each = "" if len(empty) == len(items) else f" in each item (item {empty[0]} is empty)"
+        raise argparse.ArgumentTypeError(f"expected at least one value{each}, got {text!r}")
+    return tuple(map(parse, items))
 
 
 def _penalty(text):

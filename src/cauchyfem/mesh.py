@@ -44,6 +44,7 @@ class Mesh:
                    vertex i of triangle t
     face_part      (nf,) int8, INTERIOR / UNTAGGED / BoundaryPart value
     jac, det, jinv J (nt, 2, 2), det J (nt,), J^{-1} (nt, 2, 2) (`affine_map`)
+    lattice        (nv, 2) float, vertices before jitter, which the ordering bisects
     """
 
     vertices: np.ndarray
@@ -55,6 +56,7 @@ class Mesh:
     jac: np.ndarray
     det: np.ndarray
     jinv: np.ndarray
+    lattice: np.ndarray
 
     @property
     def num_vertices(self):
@@ -136,7 +138,7 @@ def from_triangles(vertices, triangles):
     face_part = np.where(face_tris[:, 1] < 0, UNTAGGED, INTERIOR).astype(np.int8)
     return Mesh(vertices=vertices, triangles=triangles, face_vertices=face_vertices,
                 face_tris=face_tris, tri_faces=tri_faces, face_part=face_part,
-                jac=jac, det=det, jinv=jinv)
+                jac=jac, det=det, jinv=jinv, lattice=vertices)
 
 
 def check_level(n):
@@ -158,9 +160,10 @@ def build_structured(n, jitter=0.0, seed=0):
 
     side = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(side, side, indexing="xy")
-    vertices = np.column_stack([xx.ravel(), yy.ravel()])
+    lattice = vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
     if jitter > 0.0:
+        vertices = lattice.copy()
         rng = np.random.default_rng(seed)
         angles = rng.uniform(0.0, 2.0 * np.pi, len(vertices))
         ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="xy")
@@ -176,7 +179,7 @@ def build_structured(n, jitter=0.0, seed=0):
     p11 = p01 + 1
     triangles = np.stack([np.column_stack([p00, p10, p11]),
                           np.column_stack([p00, p11, p01])], axis=1).reshape(-1, 3)
-    return from_triangles(vertices, triangles)
+    return replace(from_triangles(vertices, triangles), lattice=lattice)
 
 
 #: sides of the unit square as (name, axis, coordinate), in tagging order

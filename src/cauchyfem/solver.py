@@ -13,14 +13,14 @@ diagonal pivots, + on the V unknowns and − on the W unknowns (Vanderbei,
 SIAM J. Optim. 5(1), 1995).
 
 Once per mesh its unit-penalty matrix is stacked, checked to be exactly
-symmetric, ordered by nested dissection on the unknowns' coordinates and cut
-into the fronts of a multifrontal factorization (Duff & Reid, ACM TOMS 9(3),
-1983; `analyse`).  The `SaddlePattern` keeps one entry per symmetric pair;
-every penalty pair only scales each block's kept values by one factor.  Fronts
-factor densely with no pivoting (`_factor`), and one refinement step with
-the same factors always follows (diagonal pivots lose digits when a penalty
-is small: relative residual 1.8e-10 at γ = 1e-4, P1 n=32); the relative
-residual is then checked.
+symmetric, ordered by nested dissection on the unknowns' lattice positions
+and cut into the fronts of a multifrontal factorization (Duff & Reid, ACM
+TOMS 9(3), 1983; `analyse`).  The `SaddlePattern` keeps one entry per
+symmetric pair; every penalty pair only scales each block's kept values by
+one factor.  Fronts factor densely with no pivoting (`_factor`), and one
+refinement step with the same factors always follows (diagonal pivots lose
+digits when a penalty is small: relative residual 1.8e-10 at γ = 1e-4, P1
+n=32); the relative residual is then checked.
 """
 
 from __future__ import annotations
@@ -87,31 +87,29 @@ def analyse(matrix, n_v, coords):
     the fronts' slots there; the fill slots[-1] is the sum of their sizes.
 
     A subdomain of more than LEAF_SIZE unknowns is bisected at the median m
-    of its wider coordinate c; its separator is the set of left-side
-    unknowns with a matrix neighbour on the right, and its two parts are
-    dissected in turn.  The right side is c ≥ m, or c > m when that is not
-    empty and either its separator is smaller or c ≥ m is all of the
-    subdomain: cuts then follow the mesh lines with the smaller separators
-    (George, SIAM J. Numer. Anal. 10(2), 1973), at P2 the vertex lines, not
-    the edge-midpoint lines beside them (the root front at n=64 has 638
-    pivots, not 891).  A subdomain whose cut leaves a part as large as
-    itself stays a leaf, which happens only when all its unknowns sit at
-    one point; every other cut shrinks its parts, so the loop ends.  A
-    separator, like a leaf, is ordered V before W (a front's signs follow
-    from `v_pivots`); in each, the unknowns with a matrix neighbour in the
-    left part come first, then the rest, each along the cut.  A child's
+    of its wider coordinate c in `coords`; its separator is the set of
+    left-side unknowns with a matrix neighbour on the right, and its two
+    parts are dissected in turn.  The right side is c ≥ m, or c > m when
+    that is not empty and either its separator is smaller or c ≥ m is all of
+    the subdomain: cuts then follow the mesh lines with the smaller
+    separators (George, SIAM J. Numer. Anal. 10(2), 1973), at P2 the
+    vertex lines, not the edge-midpoint lines beside them (the root front at
+    n=64 has 638 pivots, not 891).  A subdomain whose cut leaves a part as
+    large as itself stays a leaf, which happens only when all its unknowns
+    sit at one point; every other cut shrinks its parts, so the loop ends.
+    A separator, like a leaf, is ordered V before W (a front's signs follow
+    from `v_pivots`), then along the cut.  On lattice positions a child's
     update then maps onto a few runs of consecutive front rows, which
     `_factor` adds as slices, and each run is cut where the front's pivot
     rows end.
 
     All subdomains of a depth are cut at once.  An unknown's neighbours lie
     in its subdomain or in an earlier separator, so one product of the 0/1
-    pattern with the right sides finds the separators, and one of the
-    separators' rows with the left parts their unknowns next to the left.
-    The two cuts differ only on the ties c = m, so the rows of the
-    separators and of the ties count the second cut's separators.
-    The products read the CSC columns as rows, which needs a symmetric
-    pattern: `analysed_pattern` checks that before it analyses.
+    pattern with the right sides finds the separators.  The two cuts differ
+    only on the ties c = m, so the rows of the separators and of the ties
+    count the second cut's separators.  The products read the CSC columns
+    as rows, which needs a symmetric pattern: `analysed_pattern` checks that
+    before it analyses.
     """
     n = matrix.shape[0]
     indptr, indices = matrix.indptr, matrix.indices
@@ -120,8 +118,7 @@ def analyse(matrix, n_v, coords):
     adjacent = sp.csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr),
                              shape=(n, n))
     axes = np.ascontiguousarray(coords.T)      # one coordinate per row
-    label = np.zeros(n, dtype=np.int8)  # 0/1: left/right of its cut; 2: separator
-    near = np.zeros(n, dtype=bool)      # per depth: next to a left part, at separators
+    label = np.zeros(n, dtype=bool)     # right of its subdomain's cut, per depth
     # per subdomain, parents first: (its unknowns,), once cut (separator, left, right)
     parts = [(np.arange(n),)]
     depth_start = 0
@@ -144,12 +141,12 @@ def analyse(matrix, n_v, coords):
         tie = right & (c == cut)
         which = np.repeat(np.arange(len(big)), sizes)
         label[idx] = right
-        sep = ~right & (adjacent @ (label == 1))[idx]
+        sep = ~right & (adjacent @ label)[idx]
         # the cut c > m moves the ties left; its separator: sep | tie next to c > m
-        label[idx[tie]] = 0
+        label[idx[tie]] = False
         other = np.zeros_like(sep)
         ends = np.flatnonzero(sep | tie)
-        other[ends] = adjacent[idx[ends]] @ (label == 1)
+        other[ends] = adjacent[idx[ends]] @ label
         size = [np.bincount(which[x], minlength=len(big)) for x in (sep, other, right & ~tie)]
         whole = np.logical_and.reduceat(right, starts)
         flip = (((size[1] < size[0]) | whole) & (size[2] > 0))[which]
@@ -157,12 +154,8 @@ def analyse(matrix, n_v, coords):
         right &= ~(tie & flip)
         label[idx] = right
         rows = idx[sep]
-        label[rows] = 2
-        near[rows] = adjacent[rows] @ (label == 0)
-        # V before W; in each, the unknowns next to the left part first, so
-        # that its update lands in a few runs; then along the cut
-        along = axes[1 - axis[which[sep]], rows]
-        rows = rows[np.lexsort((along, ~near[rows], rows >= n_v, which[sep]))]
+        # V before W, then along the cut
+        rows = rows[np.lexsort((axes[1 - axis[which[sep]], rows], rows >= n_v, which[sep]))]
         # each subdomain's separator, left part and right part
         pieces = [np.split(x, np.searchsorted(which[mask], np.arange(1, len(big))))
                   for x, mask in ((rows, sep), (idx[~right & ~sep], ~right & ~sep),
@@ -405,20 +398,21 @@ class DiscreteSolution:
 
 def stacked(blocks, trial, test):
     """The arguments of `analysed_pattern` for the unit-penalty blocks on the
-    free DOFs: their stacked matrix, the unknowns' coordinates, the right
-    side's parts and the DOFs.  S_V, A and S_W can be freed before analysing."""
+    free DOFs: their stacked matrix, the unknowns' lattice positions (so a
+    jittered mesh is ordered as its lattice), the right side's parts and the
+    DOFs.  S_V, A and S_W can be freed before analysing."""
     v_free, w_free = trial.free_dofs, test.free_dofs
     nv, nw = len(v_free), len(w_free)
     if (blocks.s_v.shape, blocks.a.shape, blocks.s_w.shape) != ((nv, nv), (nw, nv), (nw, nw)):
         raise ValueError("the blocks do not match the free DOFs of the spaces")
     unit = sp.bmat([[blocks.s_v, blocks.a.T], [blocks.a, -blocks.s_w]], format="csc")
-    coords = np.vstack([trial.dof_coords[v_free], test.dof_coords[w_free]])
+    coords = np.vstack([trial.dof_lattice[v_free], test.dof_lattice[w_free]])
     return unit, coords, blocks.data, blocks.load, v_free, w_free, trial.num_dofs, test.num_dofs
 
 
 def analysed_pattern(unit, coords, g, load, v_free, w_free, n_v, n_w):
     """The `SaddlePattern` of the CSC matrix `unit`, whose first
-    len(v_free) unknowns are the V unknowns and whose unknowns lie at
+    len(v_free) unknowns are the V unknowns, ordered by their positions
     `coords`.  Raises ValueError unless `unit` equals its transpose exactly,
     pattern and values, naming the largest |M_ij − M_ji|, its entry and its
     block; scaling each block by one factor keeps that at every penalty."""

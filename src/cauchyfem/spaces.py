@@ -52,11 +52,13 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class FeSpace:
-    """Scalar Lagrange space on a mesh with optional one-sided constraints."""
+    """Scalar Lagrange space on a mesh with optional one-sided constraints;
+    its DOFs sit at `dof_coords`, and at `dof_lattice` on the mesh's lattice."""
 
     mesh: Mesh
     degree: int
     dof_coords: np.ndarray      # (ndof, 2)
+    dof_lattice: np.ndarray     # (ndof, 2)
     cell_dofs: np.ndarray       # (nt, 3) or (nt, 6)
     dirichlet_dofs: np.ndarray  # sorted global indices constrained to zero
 
@@ -83,14 +85,13 @@ def build_space(mesh, degree, constraint_side=None):
     if degree not in (1, 2):
         raise ValueError(f"degree {degree!r} must be 1 or 2")
 
-    if degree == 1:
-        dof_coords = mesh.vertices.copy()
-        cell_dofs = mesh.triangles.copy()
-    else:
-        midpoints = 0.5 * (mesh.vertices[mesh.face_vertices[:, 0]]
-                           + mesh.vertices[mesh.face_vertices[:, 1]])
-        dof_coords = np.vstack([mesh.vertices, midpoints])
-        cell_dofs = np.hstack([mesh.triangles, mesh.num_vertices + mesh.tri_faces])
+    ends = mesh.face_vertices
+    dof_coords, dof_lattice = (
+        points.copy() if degree == 1
+        else np.vstack([points, 0.5 * (points[ends[:, 0]] + points[ends[:, 1]])])
+        for points in (mesh.vertices, mesh.lattice))
+    cell_dofs = (mesh.triangles.copy() if degree == 1 else
+                 np.hstack([mesh.triangles, mesh.num_vertices + mesh.tri_faces]))
 
     dirichlet = np.empty(0, dtype=np.int64)
     if constraint_side is not None:
@@ -100,7 +101,7 @@ def build_space(mesh, degree, constraint_side=None):
             closure.append(mesh.num_vertices + faces)
         dirichlet = np.unique(np.concatenate(closure))
 
-    return FeSpace(mesh=mesh, degree=degree, dof_coords=dof_coords,
+    return FeSpace(mesh=mesh, degree=degree, dof_coords=dof_coords, dof_lattice=dof_lattice,
                    cell_dofs=cell_dofs, dirichlet_dofs=dirichlet)
 
 

@@ -518,8 +518,9 @@ def edge_list_analyse(matrix, n_v, coords):
     carries the int64 edges (ei, ej) that start in it.
 
     Nested-dissection ordering and fronts of the symmetric pattern of
-    `matrix`, whose first `n_v` unknowns are the V unknowns: `order[p]` is
-    the unknown eliminated at position p, and the fronts are in elimination
+    `matrix`, whose first `n_v` unknowns are the V unknowns and whose
+    unknowns are bisected by their positions `coords`: `order[p]` is the
+    unknown eliminated at position p, and the fronts are in elimination
     order, every child before its parent.
 
     A subdomain of more than LEAF_SIZE unknowns that do not all share one
@@ -528,12 +529,10 @@ def edge_list_analyse(matrix, n_v, coords):
     the right, and its two parts are dissected in turn.  The right side is
     c ≥ m (c > m when that is all of it), or c > m when that cut's
     separator, found on the edge lists too, is smaller and its right side
-    is not empty.  A separator is
-    ordered V before W; in each, the unknowns with a matrix neighbour in the
-    left part come first, then the rest, each along the cut.  A child's
-    update then maps onto a few runs of consecutive front rows, which
-    `_factor` adds as slices, and each run is cut where the front's pivot
-    rows end.
+    is not empty.  A separator is ordered V before W, then along the cut.
+    On lattice positions a child's update then maps onto a few runs of
+    consecutive front rows, which `_factor` adds as slices, and each run is
+    cut where the front's pivot rows end.
     """
     n = matrix.shape[0]
     indptr, indices = matrix.indptr, matrix.indices
@@ -571,17 +570,12 @@ def edge_list_analyse(matrix, n_v, coords):
             label[idx] = right
             label[sep] = 2
             tail = label[ei]
-            ei_left, ej_left = ei[tail == 0], ej[tail == 0]
-            # the separator unknowns that end an edge of the left part
-            near = np.searchsorted(ej_left, sep, "right") > np.searchsorted(ej_left, sep)
-            roots = dissect(idx[label[idx] == 0], ei_left, ej_left)
-            del ei_left, ej_left    # freed before the right part is dissected
+            roots = dissect(idx[label[idx] == 0], ei[tail == 0], ej[tail == 0])
             roots += dissect(idx[right], ei[tail == 1], ej[tail == 1])
             if not len(sep):
                 return roots
-            # V before W; in each, the unknowns next to the left part first,
-            # so that its update lands in a few runs; then along the cut
-            idx = sep[np.lexsort((coords[sep, 1 - axis], ~near, sep >= n_v))]
+            # V before W, then along the cut
+            idx = sep[np.lexsort((coords[sep, 1 - axis], sep >= n_v))]
         else:
             roots = []
         pivots.append(idx)     # V unknowns first

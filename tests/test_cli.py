@@ -140,7 +140,10 @@ def test_bad_penalties_are_rejected(tmp_path, capsys, option, value, named):
 @pytest.mark.parametrize("argv, option", [
     (["sweep", "--n", "2", "--gammas", ""], "--gammas"),
     (["sweep", "--n", "2", "--gammas", " , "], "--gammas"),
-    (["convergence", "--levels", ","], "--levels")])
+    (["convergence", "--levels", ","], "--levels"),
+    (["convergence", "--levels", "2,,4"], "--levels"),
+    (["sweep", "--n", "2", "--gammas", "1e-3, ,1e-2"], "--gammas"),
+    (["convergence", "--levels", "2,4,"], "--levels")])
 def test_empty_lists_are_rejected(tmp_path, capsys, argv, option):
     out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as info:
@@ -168,7 +171,8 @@ def test_config_file_parsing(tmp_path):
     ("n = 0", "n: mesh level 0 must be at least 1"),
     ("gammas = 0.1,0", "gammas: penalty 0.0 must be positive"),
     ("gammas = ", "gammas: expected at least one value"),
-    ("levels = ,", "levels: expected at least one value")])
+    ("levels = ,", "levels: expected at least one value"),
+    ("levels = 2,,4", "levels: expected at least one value in each item")])
 def test_config_file_rejects_unknown_keys_and_bad_levels(tmp_path, line, named):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"degree = 1\n{line}\n")

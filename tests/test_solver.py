@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -394,9 +395,9 @@ def test_extend_add_runs_lie_in_pivot_or_struct_rows(leaf_size, degree, problem)
 
 @pytest.mark.parametrize("jitter, seed", [(0.0, 0), (0.25, 3)])
 def test_child_updates_map_onto_few_runs(jitter, seed, problem):
-    # a separator's unknowns next to its left part come first, so the left
-    # child's update does not split at every other row (64 and 34 runs for
-    # one child when a separator was ordered only along the cut)
+    # a separator is ordered V before W, then along the cut on the lattice
+    # positions, so a child's update maps onto a few runs of consecutive
+    # front rows (at most 13 per child here, jittered or not)
     system, *_ = make_system(unit_square_mesh(16, jitter, seed), 2, problem, gamma=1e-3)
     runs = [len(pivot_runs) + len(update_runs)
             for front in system.pattern.fronts
@@ -419,7 +420,7 @@ def test_analysis_matches_edge_list_oracle(degree, jitter, seed, variant, n, lea
         patch.setattr(solver, "LEAF_SIZE", leaf_size)
         _assert_matches_edge_list_oracle(
             saddle_pattern(blocks, trial, test),
-            np.vstack([trial.dof_coords[trial.free_dofs], test.dof_coords[test.free_dofs]]))
+            np.vstack([trial.dof_lattice[trial.free_dofs], test.dof_lattice[test.free_dofs]]))
 
 
 @pytest.mark.parametrize("n", [1, 4, 12])
@@ -477,14 +478,19 @@ def test_fill_at_p2_n16_is_pinned(problem):
     assert system.pattern.lu_fill == 341_430
 
 
-@pytest.mark.parametrize("n, fill", [(8, 56_670), (16, 346_829)])
-def test_fill_of_the_jittered_p2_study_is_pinned(n, fill, problem):
-    # the P2 family of scripts/convergence_study.py (jitter 0.2, seed 1): the
-    # one mesh family where the near-left separator order pays, and one that
-    # no benchmark workload runs
-    mesh = unit_square_mesh(n, 0.2, 1, problem.data_sides)
-    system, *_ = make_system(mesh, 2, problem)
-    assert system.pattern.lu_fill == fill
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_jitter_and_seed_keep_the_lattice_tree(degree, n, problem):
+    # the order bisects the lattice positions, so every jittered mesh of a
+    # lattice gets the lattice's order, fronts and fill
+    def tree(jitter, seed):
+        pattern = make_system(unit_square_mesh(n, jitter, seed), degree, problem)[0].pattern
+        return pattern.order, [f.size for f in pattern.fronts], pattern.lu_fill
+
+    order, sizes, fill = tree(0.0, 0)
+    for jitter, seed in itertools.product([0.2, 0.29], [1, 2, 3]):
+        other = tree(jitter, seed)
+        assert np.array_equal(other[0], order) and other[1:] == (sizes, fill), (jitter, seed)
 
 
 @pytest.mark.parametrize("n, root", [(16, 158), (32, 318)])

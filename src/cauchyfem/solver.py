@@ -67,13 +67,17 @@ class Front(NamedTuple):
     a .. cut to rows `rows` of L, its rows cut .. to rows `z_rows` of Z.
     For each (a, b, q, rows) in `update_runs`, U[a:, a:b] goes to rows
     `rows` and columns q .. q + b − a of the front's own update matrix.
-    Rows are a slice where they are consecutive."""
+    Rows are a slice where they are consecutive.  A front that is the `twin`
+    of an earlier front (−1: none) has no slot: it takes that front's L, Z
+    and places, and with `handoff` (its parent is no twin) its update."""
 
     start: int
     size: int
     v_pivots: int
     struct: np.ndarray
     children: list
+    twin: int = -1
+    handoff: bool = False
 
 
 def analyse(matrix, n_v, coords):
@@ -84,7 +88,7 @@ def analyse(matrix, n_v, coords):
     child's.  Then the half H, the stored entries on and below the diagonal
     of the reordered matrix (mask `lower`, column bounds `indptr`), with
     their `places` in the factor store of `_factor` and the bounds `slots` of
-    the fronts' slots there; the fill slots[-1] is the sum of their sizes.
+    the fronts' slots there, empty for a twin.
 
     A subdomain of more than LEAF_SIZE unknowns is bisected at the median m
     of its wider coordinate c in `coords`; its separator is the set of
@@ -110,6 +114,11 @@ def analyse(matrix, n_v, coords):
     count the second cut's separators.  The products read the CSC columns
     as rows, which needs a symmetric pattern: `analysed_pattern` checks that
     before it analyses.
+
+    A front is the twin of the earliest front with the same pivot counts,
+    struct rows' V/W flags, own entries (places and unit values, bit for bit,
+    in any order) and children (class and map, pair by pair), compared as
+    arrays once a key with a digest of the entries picks the candidates.
     """
     n = matrix.shape[0]
     indptr, indices = matrix.indptr, matrix.indices
@@ -193,9 +202,8 @@ def analyse(matrix, n_v, coords):
     before = np.concatenate([[0], np.cumsum(lower, dtype=itype)])[indptr]
     lens = np.diff(before)[order]
     bounds = np.concatenate([[0], np.cumsum(lens)])
-    moved = (np.arange(bounds[-1], dtype=itype)
-             - np.repeat((bounds[:-1] - before[order]).astype(itype), lens))
-    row = row[lower][moved]
+    moved = np.arange(bounds[-1]) - np.repeat(bounds[:-1] - before[order], lens)
+    row, bits = row[lower][moved], matrix.data[lower][moved].view(np.int64)
     col = np.repeat(np.arange(n, dtype=itype), lens)
 
     # row p of a front's column j is place slot[p] + j * stride[p] of the front's
@@ -204,7 +212,17 @@ def analyse(matrix, n_v, coords):
     slot, stride = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     places, slots = np.empty(len(row), dtype=np.int64), [0]
     mark = np.zeros(n, dtype=bool)
-    fronts, start = [], 0
+    fronts, start, first, is_v = [], 0, {}, order < n_v    # first: per key, fronts no twin
+
+    def same(t, span, struct):
+        other = slice(bounds[fronts[t].start], bounds[fronts[t].start + fronts[t].size])
+        mine, theirs, x, y = places[span], places[other] - slots[t], bits[span], bits[other]
+        if mine.tobytes() != theirs.tobytes():      # in another order?
+            i, j = np.argsort(mine), np.argsort(theirs)
+            mine, theirs, x, y = mine[i], theirs[j], x[i], y[j]
+        return (mine.tobytes() == theirs.tobytes() and x.tobytes() == y.tobytes()
+                and is_v[fronts[t].struct].tobytes() == is_v[struct].tobytes())
+
     for piv, children in zip(pivots, kids):
         k = len(piv)
         end = start + k
@@ -218,10 +236,9 @@ def analyse(matrix, n_v, coords):
         stride[start:end], stride[struct] = k, r
         rows, place, j = row[span], places[span], col[span] - start
         np.multiply(j, stride[rows], out=place)
-        place += slot[rows] + slots[-1]
+        place += slot[rows]
         place -= np.where(rows < end, j * (j + 1) // 2, 0)
-        slots.append(slots[-1] + tri + k * r)
-        links = []
+        links, shapes = [], []
         for c in children:
             loc = slot[fronts[c].struct]
             height = len(loc)
@@ -247,7 +264,17 @@ def analyse(matrix, n_v, coords):
                           [(a, b, p, slice(p, p + cut - a) if b == cut else loc[a:cut])
                            for a, b, p in runs[:split]],
                           update_runs))
-        fronts.append(Front(start, k, int(np.count_nonzero(piv < n_v)), struct, links))
+            shapes.append((c if fronts[c].twin < 0 else fronts[c].twin, tuple(runs)))
+        kv = int(np.count_nonzero(piv < n_v))
+        alike = first.setdefault((k, kv, r, tuple(shapes), int(bits[span] @ place)), [])
+        twin = next((t for t in alike if same(t, span, struct)), -1)
+        if twin < 0:
+            alike.append(len(fronts))
+            for c in [c for c in children if fronts[c].twin >= 0]:
+                fronts[c] = fronts[c]._replace(handoff=True)
+        place += slots[twin] if twin >= 0 else slots[-1]
+        slots.append(slots[-1] + (tri + k * r if twin < 0 else 0))
+        fronts.append(Front(start, k, kv, struct, links, twin))
         start = end
     # in the stored order, kept per mesh: half the bytes wherever they fit
     out = np.empty(len(places), dtype=np.int32 if slots[-1] < 2 ** 31 else np.int64)
@@ -269,16 +296,24 @@ def _factor(pattern, factors):
     """Per front, L and Z with the front's pivot block L D Lᵀ (D = +1 on the
     V pivots, −1 on the W pivots) and off-diagonal block Z Lᵀ, for the
     pattern's half H with each block times its factor in `factors`, as views
-    of one buffer that holds exactly `lu_fill` entries.  One scatter puts
-    the scaled values at their places, through a temporary freed before the
-    first front; then each front is factored in its slot there
-    (`_factor_front`)."""
+    of one buffer of slots[-1] entries.  One scatter puts the scaled values
+    at their places, through a temporary freed before the first front; then
+    each front is factored in its slot there (`_factor_front`); a twin takes
+    its representative's views and hands a factored parent the update kept
+    from the representative's factorization until the last such handoff."""
     data = _scaled(pattern, factors)    # made before the store, freed before the fronts
     store, slots, stack = np.zeros(pattern.slots[-1]), pattern.slots, []
     store[pattern.places] = data
     del data
-    return [_factor_front(i, front, store[at:end], stack, factors)
-            for i, (front, at, end) in enumerate(zip(pattern.fronts, slots, slots[1:]))]
+    out, kept, last = [], {}, {f.twin: i for i, f in enumerate(pattern.fronts) if f.handoff}
+    for i, (front, at, end) in enumerate(zip(pattern.fronts, slots, slots[1:])):
+        out.append(out[front.twin] if front.twin >= 0
+                   else _factor_front(i, front, store[at:end], stack, factors))
+        if front.handoff:
+            stack.append(kept[front.twin] if last[front.twin] > i else kept.pop(front.twin))
+        elif i in last:
+            kept[i] = stack[-1]
+    return out
 
 
 def _factor_front(i, front, slot, stack, factors):
@@ -365,8 +400,8 @@ class SaddlePattern:
     slots: list
 
     @property
-    def lu_fill(self):      # stored factor entries: the size of the factor store
-        return self.slots[-1]
+    def lu_fill(self):      # stored factor entries, twins' too; the store holds slots[-1]
+        return sum(f.size * (f.size + 1) // 2 + f.size * len(f.struct) for f in self.fronts)
 
 
 @dataclass(frozen=True)

@@ -53,18 +53,29 @@ class QuadratureRule:
 @dataclass(frozen=True)
 class FeSpace:
     """Scalar Lagrange space on a mesh with optional one-sided constraints;
-    its DOFs sit at `dof_coords`, and at `dof_lattice` on the mesh's lattice."""
+    its DOFs sit at `dof_coords`, and at `dof_lattice` on the lattice (made on read)."""
 
     mesh: Mesh
     degree: int
-    dof_coords: np.ndarray      # (ndof, 2)
-    dof_lattice: np.ndarray     # (ndof, 2)
     cell_dofs: np.ndarray       # (nt, 3) or (nt, 6)
     dirichlet_dofs: np.ndarray  # sorted global indices constrained to zero
 
     @property
     def num_dofs(self):
-        return len(self.dof_coords)
+        return self.mesh.num_vertices + (self.degree == 2) * len(self.mesh.face_vertices)
+
+    @property
+    def dof_coords(self):       # (ndof, 2)
+        return self._points(self.mesh.vertices)
+
+    @property
+    def dof_lattice(self):      # (ndof, 2)
+        return self._points(self.mesh.lattice)
+
+    def _points(self, points):  # the vertices at `points`, then for P2 the face midpoints
+        ends = self.mesh.face_vertices
+        return (points.copy() if self.degree == 1
+                else np.vstack([points, 0.5 * (points[ends[:, 0]] + points[ends[:, 1]])]))
 
     @functools.cached_property
     def free_dofs(self):
@@ -85,11 +96,6 @@ def build_space(mesh, degree, constraint_side=None):
     if degree not in (1, 2):
         raise ValueError(f"degree {degree!r} must be 1 or 2")
 
-    ends = mesh.face_vertices
-    dof_coords, dof_lattice = (
-        points.copy() if degree == 1
-        else np.vstack([points, 0.5 * (points[ends[:, 0]] + points[ends[:, 1]])])
-        for points in (mesh.vertices, mesh.lattice))
     cell_dofs = (mesh.triangles.copy() if degree == 1 else
                  np.hstack([mesh.triangles, mesh.num_vertices + mesh.tri_faces]))
 
@@ -101,8 +107,7 @@ def build_space(mesh, degree, constraint_side=None):
             closure.append(mesh.num_vertices + faces)
         dirichlet = np.unique(np.concatenate(closure))
 
-    return FeSpace(mesh=mesh, degree=degree, dof_coords=dof_coords, dof_lattice=dof_lattice,
-                   cell_dofs=cell_dofs, dirichlet_dofs=dirichlet)
+    return FeSpace(mesh=mesh, degree=degree, cell_dofs=cell_dofs, dirichlet_dofs=dirichlet)
 
 
 # ---------------------------------------------------------------------------

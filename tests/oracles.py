@@ -510,6 +510,8 @@ class OracleFront(NamedTuple):
     entries: np.ndarray
     places: np.ndarray
     children: list
+    twin: int
+    handoff: bool
 
 
 def edge_list_analyse(matrix, n_v, coords):
@@ -533,6 +535,12 @@ def edge_list_analyse(matrix, n_v, coords):
     On lattice positions a child's update then maps onto a few runs of
     consecutive front rows, which `_factor` adds as slices, and each run is
     cut where the front's pivot rows end.
+
+    A front is the `twin` of the earliest front whose dense front matrix
+    (its entries' values bit for bit and which entries are stored, in a
+    k × k square L and Z), pivot counts, struct rows' V/W flags, children's
+    classes (the twin's representative, or the child) and children's maps
+    into the front are equal; a twin whose parent is no twin has `handoff`.
     """
     n = matrix.shape[0]
     indptr, indices = matrix.indptr, matrix.indices
@@ -603,6 +611,7 @@ def edge_list_analyse(matrix, n_v, coords):
     slot = np.empty(n, dtype=np.int64)
     stride = np.empty(n, dtype=np.int64)
     fronts, structs, start = [], [], 0
+    groups, dense = {}, []      # fronts with no twin by their sizes and children's classes
     for piv, children in zip(pivots, kids):
         k = len(piv)
         end = start + k
@@ -640,12 +649,23 @@ def edge_list_analyse(matrix, n_v, coords):
                            for a, b, p in runs[:split]],
                           update_runs))
         v_pivots = int(np.count_nonzero(piv < n_v))
+        own = slot[rows] + (col[span] - start) * stride[rows]
+        values, stored = np.zeros(k * k + r * k), np.zeros(k * k + r * k, dtype=bool)
+        values[own], stored[own] = matrix.data[entries[span]], True
+        values = values.view(np.int64)      # compared bit for bit
+        dense.append([values, stored, order[struct] >= n_v] + [slot[structs[c]] for c in children])
+        classes = tuple(c if fronts[c].twin < 0 else fronts[c].twin for c in children)
+        group = groups.setdefault((k, v_pivots, r, classes), [])
+        twin = next((j for j in group if all(map(np.array_equal, dense[j], dense[-1]))), -1)
+        if twin < 0:
+            group.append(len(fronts))
         fronts.append(OracleFront(start, k, v_pivots, struct,
-                            entries[span].astype(np.int32),
-                            (slot[rows] + (col[span] - start) * stride[rows]).astype(np.int32),
-                            links))
+                            entries[span].astype(np.int32), own.astype(np.int32),
+                            links, twin, False))
         start = end
-    return order, fronts
+    handoffs = {c for i, children in enumerate(kids) if fronts[i].twin < 0
+                for c in children if fronts[c].twin >= 0}
+    return order, [f._replace(handoff=i in handoffs) for i, f in enumerate(fronts)]
 
 
 def nodal_interpolant(space, field):

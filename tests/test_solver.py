@@ -272,10 +272,12 @@ def _packed_place(front, place):
 def _assert_matches_edge_list_oracle(pattern, coords):
     """The ordering, every front field, the slots and the fill of `pattern`
     are those of the edge-list analysis of its full matrix H + Hᵀ − diag H,
-    which gives each front's entries and their places in the front's own
-    slot; the slots follow each other in the factor store, and each entry
+    which gives each front's entries, their places in the front's own slot
+    and its twin; the slots of the fronts with no twin follow each other in
+    the factor store, a twin's slot is its representative's, and each entry
     of the half H lies at the place of the oracle's entry of the same index
-    pair, with its value."""
+    pair.  Every entry at one place has one value, the half's: a twin's
+    entries land at its representative's places with its values."""
     full = full_matrix(pattern.half)
     order, fronts = edge_list_analyse(full, len(pattern.v_free), coords)
     assert _same(pattern.order, order)
@@ -284,19 +286,21 @@ def _assert_matches_edge_list_oracle(pattern, coords):
         for field in Front._fields:
             assert _same(getattr(front, field), getattr(expected, field)), (i, field)
     sizes = [f.size * (f.size + 1) // 2 + f.size * len(f.struct) for f in fronts]
-    slots = np.cumsum([0] + sizes)
+    slots = np.cumsum([0] + [0 if f.twin >= 0 else size for f, size in zip(fronts, sizes)])
     assert pattern.slots == slots.tolist()
-    assert pattern.lu_fill == slots[-1]
+    assert pattern.lu_fill == sum(sizes)
     empty = [np.empty(0, dtype=np.int64)]
     entries = np.concatenate(empty + [f.entries for f in fronts])
-    places = np.concatenate(empty + [_packed_place(f, f.places) + at
-                                     for f, at in zip(fronts, slots)])
+    at = [slots[i if f.twin < 0 else f.twin] for i, f in enumerate(fronts)]
+    places = np.concatenate(empty + [_packed_place(f, f.places) + a for f, a in zip(fronts, at)])
     assert len(pattern.places) == len(places) == pattern.half.nnz
-    for mine, theirs in ((_pairs(pattern.half, slice(None)), _pairs(full, entries)),
-                         (pattern.half.data, full.data[entries])):
-        store, expected = np.full(slots[-1], -1.0), np.full(slots[-1], -1.0)
-        store[pattern.places], expected[places] = mine, theirs
-        assert np.array_equal(store, expected)
+    mine, theirs = _pairs(pattern.half, slice(None)), _pairs(full, entries)
+    assert np.array_equal(np.sort(mine), np.sort(theirs))
+    assert np.array_equal(pattern.places[np.argsort(mine)], places[np.argsort(theirs)])
+    store = np.full(slots[-1], np.nan)
+    store[places] = full.data[entries]
+    assert np.array_equal(store[places], full.data[entries])
+    assert np.array_equal(store[pattern.places], pattern.half.data)
 
 
 @pytest.mark.parametrize("case", ["one front", "three levels", "V and W apart",
@@ -339,6 +343,82 @@ def test_solve_matches_dense_solve_on_random_sqd_matrices(case, seed):
     elif case == "V and W apart":
         assert any(f.v_pivots == 0 for f in fronts)
         assert any(f.v_pivots == f.size for f in fronts)
+
+
+def _twin_blocks(case):
+    """Two copies of one random SQD block of 24 unknowns (12 on V) at grid
+    points, the second 2 to the right, with the V unknowns of both first.
+    In `case` "one ulp" the diagonal entry of the second copy's V unknown 7
+    is one ulp larger; in "V to W" that unknown is moved to W, before the
+    copy's other W unknowns.  With leaves of at most 4 unknowns it lies in
+    the copy's top separator.  Returns the matrix, its unknowns'
+    coordinates, its number of V unknowns and that unknown's index."""
+    rng = np.random.default_rng(7)
+    coords = 0.125 * rng.integers(0, 8, (24, 2))
+    both = sp.block_diag([_random_sqd(rng, coords, 12)] * 2).toarray()
+    if case == "one ulp":
+        both[31, 31] = np.nextafter(both[31, 31], np.inf)
+    # V of the first copy, V of the second, W of the first, W of the second
+    order = (np.r_[0:12, 24:31, 32:36, 12:24, 31, 36:48] if case == "V to W"
+             else np.r_[0:12, 24:36, 12:24, 36:48])
+    return (both[np.ix_(order, order)], np.vstack([coords, coords + (2.0, 0.0)])[order],
+            23 if case == "V to W" else 24, int(np.flatnonzero(order == 31)[0]))
+
+
+@pytest.mark.parametrize("leaf_size", [30, 4])
+def test_second_copy_of_a_block_is_factored_as_twins(leaf_size):
+    # the first cut falls between the copies, so each copy is a subtree of
+    # the same fronts, and the second copy's fronts are twins of the first's
+    matrix, coords, n_v, _ = _twin_blocks("equal")
+    rhs = np.random.default_rng(8).standard_normal(48)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "LEAF_SIZE", leaf_size)
+        system = _plain_system(matrix, rhs, n_v, coords)
+        _assert_matches_edge_list_oracle(system.pattern, coords)
+        sol = solve(system)
+    fronts = system.pattern.fronts
+    half = len(fronts) // 2
+    assert half >= (1 if leaf_size == 30 else 3)
+    assert [f.twin for f in fronts] == [-1] * half + list(range(half))
+    assert system.pattern.slots[-1] == system.pattern.slots[half] == system.pattern.lu_fill // 2
+    expected = np.linalg.solve(matrix, rhs)
+    x = np.concatenate([sol.u, sol.z])
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("leaf_size", [30, 4])
+@pytest.mark.parametrize("case", ["one ulp", "V to W"])
+def test_copies_that_differ_in_one_bit_or_one_flag_are_not_twins(case, leaf_size):
+    # the front with the changed unknown among its pivots is no twin, nor,
+    # when the unknown moved to W, a front with it among its struct rows;
+    # with leaves of 30 unknowns each copy is that one front
+    matrix, coords, n_v, changed = _twin_blocks(case)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "LEAF_SIZE", leaf_size)
+        system = _plain_system(matrix, np.ones(48), n_v, coords)
+        _assert_matches_edge_list_oracle(system.pattern, coords)
+    fronts = system.pattern.fronts
+    at = int(np.flatnonzero(system.pattern.order == changed)[0])
+    differ = [i for i, f in enumerate(fronts) if f.start <= at < f.start + f.size
+              or case == "V to W" and at in f.struct]
+    assert len(differ) == (1 if leaf_size == 30 or case == "one ulp" else 4)
+    assert all(fronts[i].twin < 0 for i in differ)
+    if leaf_size == 30:
+        assert [f.twin for f in fronts] == [-1, -1]
+        assert system.pattern.slots[-1] == system.pattern.lu_fill
+
+
+def test_twins_on_a_lattice_solve_as_the_dense_solve(problem):
+    # with leaves of at most 4 unknowns, 45 of the 221 fronts at P2 n=16 are
+    # twins (none at n=8, whose constrained boundary DOFs break the copies)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "LEAF_SIZE", 4)
+        system, *_ = make_system(unit_square_mesh(16), 2, problem)
+        sol = solve(system)
+    assert sum(f.twin >= 0 for f in system.pattern.fronts) == 45
+    x = np.concatenate([sol.u[system.pattern.v_free], sol.z[system.pattern.w_free]])
+    expected = np.linalg.solve(full_matrix(system.matrix).toarray(), system.rhs)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def _child_plans(fronts):
@@ -532,44 +612,76 @@ def test_median_at_the_largest_coordinate_keeps_both_parts():
     assert np.allclose(np.concatenate([sol.u, sol.z]), expected, rtol=1e-12, atol=0.0)
 
 
-def test_factor_frees_each_update_once_added(problem):
-    # the factorization's traced memory: its peak is at most the store, the
-    # largest stack of live update matrices and one k × k work array, or the
-    # store and the scatter's scaled values (8 bytes per entry of the half),
-    # freed before the first front; when a front's kernels start, its
-    # children's updates are freed, so the live memory is the store, the
-    # other pending updates, its own update and its work array, plus Python
-    # objects under 32 KiB
-    system, *_ = make_system(unit_square_mesh(16), 2, problem, gamma=1e-3)
-    pattern = system.pattern
-    sizes, largest, expected = [], 0, []
-    for front in pattern.fronts:
+def _assert_factor_frees_each_update_once_added(pattern, factors, objects=32 * 1024):
+    """The factorization's traced memory: its peak is at most the store, the
+    largest set of live update matrices and one k × k work array, or the
+    store and the scatter's scaled values (8 bytes per entry of the half),
+    freed before the first front; when a front's kernels start, its
+    children's updates are freed, so the live memory is the store, the
+    other pending updates, the updates kept for a later twin, its own
+    update and its work array, plus Python objects under `objects` bytes
+    (the factors of each front done are two views and a tuple).  A twin
+    allocates nothing: one whose parent is factored hands over its
+    representative's update, kept from the representative's factorization
+    until its last such handoff."""
+    fronts = pattern.fronts
+    last = {f.twin: i for i, f in enumerate(fronts) if f.handoff}
+    stack, kept, largest, expected = [], set(), 0, []
+
+    def live():     # each update counted once, pending or kept
+        return sum(len(fronts[t].struct) ** 2 for t in set(stack) | kept)
+
+    for i, front in enumerate(fronts):
         k, r = front.size, len(front.struct)
-        largest = max(largest, sum(sizes) + r * r)
-        del sizes[len(sizes) - len(front.children):]
-        expected.append(8 * (pattern.slots[-1] + sum(sizes) + r * r + k * k))
-        sizes.append(r * r)
-    live, dpotrf = [], solver.dpotrf
+        if front.twin >= 0:
+            if front.handoff:
+                stack.append(front.twin)
+                kept -= {front.twin} if last[front.twin] == i else set()
+            continue
+        largest = max(largest, live() + r * r)
+        del stack[len(stack) - len(front.children):]
+        expected.append(8 * (pattern.slots[-1] + live() + r * r + k * k))
+        stack.append(i)
+        kept |= {i} if i in last else set()
+    live_at, dpotrf = [], solver.dpotrf
 
     def traced_dpotrf(*args, **kwargs):
-        live.append(tracemalloc.get_traced_memory()[0])
+        live_at.append(tracemalloc.get_traced_memory()[0])
         return dpotrf(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "dpotrf", traced_dpotrf)
         tracemalloc.start()
         try:
-            solver._factor(pattern, system.factors)
+            solver._factor(pattern, factors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    k_max = max(front.size for front in pattern.fronts)
+    k_max = max(front.size for front in fronts)
     assert peak <= 8 * (pattern.slots[-1] + max(largest + k_max * k_max, pattern.half.nnz))
-    # one dpotrf call per front for its V pivots, one for its W pivots
+    # one dpotrf call per factored front for its V pivots, one for its W pivots
     calls = np.cumsum([0] + [(f.v_pivots > 0) + (f.v_pivots < f.size)
-                             for f in pattern.fronts])
-    assert len(live) == calls[-1]
-    assert (np.array(live)[calls[:-1]] - np.array(expected) < 32 * 1024).all()
+                             for f in fronts if f.twin < 0])
+    assert len(live_at) == calls[-1]
+    assert (np.array(live_at)[calls[:-1]] - np.array(expected) < objects).all()
+
+
+def test_factor_frees_each_update_once_added(problem):
+    system, *_ = make_system(unit_square_mesh(16), 2, problem, gamma=1e-3)
+    assert not any(f.twin >= 0 for f in system.pattern.fronts)
+    _assert_factor_frees_each_update_once_added(system.pattern, system.factors)
+
+
+def test_factor_keeps_each_twin_handoff_until_its_last(problem):
+    # the P2 n=32 lattice has 19 twins, 11 of them under a factored front;
+    # the store holds the factored fronts' slots only.  Its 119 fronts' factor
+    # views take about 36 KiB
+    system, *_ = make_system(unit_square_mesh(32), 2, problem, gamma=1e-3)
+    pattern = system.pattern
+    assert sum(f.twin >= 0 for f in pattern.fronts) == 19
+    assert sum(f.handoff for f in pattern.fronts) == 11
+    assert (pattern.lu_fill, pattern.slots[-1]) == (1_830_315, 1_620_710)
+    _assert_factor_frees_each_update_once_added(pattern, system.factors, 64 * 1024)
 
 
 def test_no_scaled_copy_of_the_half_lives_through_the_factorization(problem):

@@ -417,7 +417,11 @@ def test_twins_on_a_lattice_solve_as_the_dense_solve(problem):
         sol = solve(system)
     assert sum(f.twin >= 0 for f in system.pattern.fronts) == 45
     x = np.concatenate([sol.u[system.pattern.v_free], sol.z[system.pattern.w_free]])
-    expected = np.linalg.solve(full_matrix(system.matrix).toarray(), system.rhs)
+    # the dense solve alone misses the solution by about 1.4e-12 relative:
+    # one refinement step takes the reference to about 1e-13
+    matrix = full_matrix(system.matrix).toarray()
+    expected = np.linalg.solve(matrix, system.rhs)
+    expected += np.linalg.solve(matrix, system.rhs - matrix @ expected)
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -620,22 +624,26 @@ def _assert_factor_frees_each_update_once_added(pattern, factors, objects=32 * 1
     children's updates are freed, so the live memory is the store, the
     other pending updates, the updates kept for a later twin, its own
     update and its work array, plus Python objects under `objects` bytes
-    (the factors of each front done are two views and a tuple).  A twin
-    allocates nothing: one whose parent is factored hands over its
-    representative's update, kept from the representative's factorization
-    until its last such handoff."""
+    (the factors of each front done are two views and a tuple).  An update
+    kept for a later twin is packed, r(r + 1)/2 entries, from the
+    representative's factorization until the twin's last handoff.  A twin
+    whose parent is factored hands over a fresh r × r copy unpacked from
+    it, which lives until that parent pops it; other twins allocate
+    nothing."""
     fronts = pattern.fronts
     last = {f.twin: i for i, f in enumerate(fronts) if f.handoff}
     stack, kept, largest, expected = [], set(), 0, []
 
-    def live():     # each update counted once, pending or kept
-        return sum(len(fronts[t].struct) ** 2 for t in set(stack) | kept)
+    def live():     # pending updates r² each, a handoff's copy its own; kept ones packed
+        return (sum(len(fronts[t].struct) ** 2 for t in stack)
+                + sum(len(fronts[t].struct) * (len(fronts[t].struct) + 1) // 2 for t in kept))
 
     for i, front in enumerate(fronts):
         k, r = front.size, len(front.struct)
         if front.twin >= 0:
             if front.handoff:
                 stack.append(front.twin)
+                largest = max(largest, live())     # the copy and its packed source
                 kept -= {front.twin} if last[front.twin] == i else set()
             continue
         largest = max(largest, live() + r * r)
@@ -643,6 +651,7 @@ def _assert_factor_frees_each_update_once_added(pattern, factors, objects=32 * 1
         expected.append(8 * (pattern.slots[-1] + live() + r * r + k * k))
         stack.append(i)
         kept |= {i} if i in last else set()
+        largest = max(largest, live())
     live_at, dpotrf = [], solver.dpotrf
 
     def traced_dpotrf(*args, **kwargs):
@@ -674,8 +683,9 @@ def test_factor_frees_each_update_once_added(problem):
 
 def test_factor_keeps_each_twin_handoff_until_its_last(problem):
     # the P2 n=32 lattice has 19 twins, 11 of them under a factored front;
-    # the store holds the factored fronts' slots only.  Its 119 fronts' factor
-    # views take about 36 KiB
+    # the store holds the factored fronts' slots only, and the updates kept
+    # for their handoffs are packed.  Its 119 fronts' factor views take about
+    # 36 KiB
     system, *_ = make_system(unit_square_mesh(32), 2, problem, gamma=1e-3)
     pattern = system.pattern
     assert sum(f.twin >= 0 for f in pattern.fronts) == 19

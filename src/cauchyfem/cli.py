@@ -1,14 +1,16 @@
 """Command line driver: convergence studies, penalty sweeps, single solves.
 
-Options may also come from a key=value config file (--config) naming options
-of the command; options given on the command line win over the file.
+Each command is described once, in `_COMMANDS`, and its help reads each
+default it names from `experiments`.  Options may also come from a key=value
+config file (--config) naming options of the command; options given on the
+command line win over the file.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
+import inspect
 import sys
 
 from . import experiments
@@ -44,29 +46,48 @@ def _penalty(text):
         raise argparse.ArgumentTypeError(str(err)) from err
 
 
-def _add_common(parser, penalties=True):
-    """Adds the options of every command (the penalties only if `penalties`:
-    the sweep sets both to each of its --gammas) and --config; returns the
-    options, which a config file may set too."""
-    options = [
-        parser.add_argument("--degree", type=int, choices=(1, 2),
-                            help="polynomial degree (default 1)"),
-        *[parser.add_argument(flag, type=_penalty, help=text) for flag, text in (
-            ("--gamma-v", "primal penalty (default 0.01 for P1, 0.001 for P2)"),
-            ("--gamma-w", "dual penalty of the jump s_W (defaults as --gamma-v)"))
-          if penalties],
-        parser.add_argument("--sw-variant", choices=SW_VARIANTS,
-                            help="dual stabilizer: galerkin energy or face jumps "
-                                 "(default jump)"),
-        parser.add_argument("--jitter", type=float,
-                            help=f"interior-vertex jitter in [0, {MAX_JITTER:g}) "
-                                 "(default 0)"),
-        parser.add_argument("--seed", type=int,
-                            help="seed for the jitter directions (default 0)"),
-        parser.add_argument("--out", help="output file path"),
-    ]
-    parser.add_argument("--config", help="key=value file of defaults for any option")
-    return options
+_DEFAULT, _SWEEP = experiments.RunConfig(), experiments.DEFAULT_SWEEP_GAMMAS
+_PER_DEGREE = ", ".join(f"{g:g} for P{d}" for d, g in experiments.DEFAULT_GAMMA.items())
+
+#: options as (flag, add_argument keywords); each default their help names
+#: is read from where it is defined, and --out's help is set per command
+_DEGREE = ("--degree", dict(type=int, choices=(1, 2),
+                            help=f"polynomial degree (default {_DEFAULT.degree})"))
+_PENALTIES = tuple((flag, dict(type=_penalty, help=f"{what} (default {_PER_DEGREE})"))
+                   for flag, what in (("--gamma-v", "primal penalty"),
+                                      ("--gamma-w", "dual penalty of the jump s_W")))
+_COMMON = (
+    ("--sw-variant", dict(choices=SW_VARIANTS, help="dual stabilizer: galerkin energy "
+                          f"or face jumps (default {_DEFAULT.sw_variant})")),
+    ("--jitter", dict(type=float, help=f"interior-vertex jitter in [0, {MAX_JITTER:g}) "
+                                       f"(default {_DEFAULT.jitter:g})")),
+    ("--seed", dict(type=int,
+                    help=f"seed for the jitter directions (default {_DEFAULT.seed})")),
+    ("--out", {}),
+    ("--config", dict(help="key=value file of defaults for any option")))
+_LEVELS = ("--levels", dict(type=functools.partial(_comma_list, _mesh_level),
+                            help="comma-separated mesh levels "
+                                 f"(default {','.join(map(str, _DEFAULT.levels))})"))
+_GAMMAS = ("--gammas", dict(type=functools.partial(_comma_list, _penalty),
+                            help=f"comma-separated penalty values (default {len(_SWEEP)} "
+                                 f"log-spaced in [{_SWEEP[0]:g}, {_SWEEP[-1]:g}])"))
+_N = {driver: ("--n", dict(type=_mesh_level, help="mesh level (default "
+                           f"{inspect.signature(driver).parameters['n'].default})"))
+      for driver in (experiments.run_sweep, experiments.run_single)}
+
+#: command -> (driver, help, output file when --out is unset or None to write
+#: nothing, row label, whether it prints rates, options in usage order); an
+#: option is a RunConfig field, a driver keyword, --out or --config
+_COMMANDS = {
+    "convergence": (experiments.run_convergence, "refinement study over mesh levels",
+                    "convergence.csv", "n={0.n}", True,
+                    (_DEGREE, *_PENALTIES, *_COMMON, _LEVELS)),
+    "sweep": (experiments.run_sweep, "penalty-parameter sweep on a fixed mesh", "sweep.csv",
+              "{0.key:.1e}", False, (_DEGREE, *_COMMON, _N[experiments.run_sweep], _GAMMAS)),
+    "solve": (experiments.run_single, "single solve; --out writes its fields as VTK", None,
+              "n={0.n}", False, (_DEGREE, *_PENALTIES, *_COMMON, _N[experiments.run_single])),
+}
+_CONFIG_FIELDS = vars(_DEFAULT).keys()
 
 
 def build_parser():
@@ -77,28 +98,15 @@ def build_parser():
         description="Stabilized primal-dual FEM for the elliptic Cauchy "
                     "problem on the unit square")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    conv = sub.add_parser("convergence", help="refinement study over mesh levels")
-    conv_options = _add_common(conv) + [
-        conv.add_argument("--levels", type=functools.partial(_comma_list, _mesh_level),
-                          help="comma-separated mesh levels (default 8,16,32,64)")]
-
-    sweep = sub.add_parser("sweep", help="penalty-parameter sweep on a fixed mesh")
-    sweep_options = _add_common(sweep, penalties=False) + [
-        sweep.add_argument("--n", type=_mesh_level, help="mesh level (default 64)"),
-        sweep.add_argument("--gammas", type=functools.partial(_comma_list, _penalty),
-                           help="comma-separated penalty values "
-                                "(default 9 log-spaced in [1e-4, 1])")]
-
-    single = sub.add_parser("solve", help="single solve; --out writes its fields as VTK")
-    single_options = _add_common(single) + [
-        single.add_argument("--n", type=_mesh_level, help="mesh level (default 8)")]
-
-    return parser, {name: (command, {action.dest: action for action in options})
-                    for name, command, options in (
-                        ("convergence", conv, conv_options),
-                        ("sweep", sweep, sweep_options),
-                        ("solve", single, single_options))}
+    commands = {}
+    for name, (_, text, out, _, _, specs) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        options = {action.dest: action
+                   for action in (command.add_argument(flag, **spec) for flag, spec in specs)}
+        del options["config"]
+        options["out"].help = f"output file path (default {out or 'none: no file'})"
+        commands[name] = command, options
+    return parser, commands
 
 
 def read_config_file(path):
@@ -106,8 +114,7 @@ def read_config_file(path):
     any command, and its value is converted by that option's type.  An
     unknown key or a value its option rejects raises ValueError naming
     path:line."""
-    converters = {dest: action.type or str
-                  for _, options in build_parser()[1].values()
+    converters = {dest: action.type or str for _, options in build_parser()[1].values()
                   for dest, action in options.items()}
     values = {}
     with open(path, encoding="utf-8") as fh:
@@ -147,21 +154,11 @@ def _print_rows(rows, label, rates):
         print(line)
 
 
-#: command -> (driver, output file when --out is unset, or None to write
-#: nothing); its options other than --out and RunConfig's are driver keywords
-_COMMANDS = {
-    "convergence": (experiments.run_convergence, "convergence.csv"),
-    "sweep": (experiments.run_sweep, "sweep.csv"),
-    "solve": (experiments.run_single, None),
-}
-_CONFIG_FIELDS = {field.name for field in dataclasses.fields(experiments.RunConfig)}
-
-
 def main(argv=None):
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     command, options = commands[args.command]
-    driver, out_default = _COMMANDS[args.command]
+    driver, _, out_default, label, rates, _ = _COMMANDS[args.command]
     try:
         # an option set neither by a flag nor by the file is left out, so the
         # default of RunConfig or of the driver holds; flags win over the file
@@ -174,17 +171,15 @@ def main(argv=None):
                                  f"option of the {args.command} command")
             opts = {**from_file, **opts}
         fields = {key: value for key, value in opts.items() if key in _CONFIG_FIELDS}
-        config = experiments.RunConfig(output_path=opts.get("out") or out_default,
-                                       **fields)
+        config = experiments.RunConfig(output_path=opts.get("out", out_default), **fields)
     except (OSError, ValueError) as err:
         command.error(str(err))
     rows = driver(config, **{key: value for key, value in opts.items()
-                             if key in options and key not in _CONFIG_FIELDS | {"out"}})
-    _print_rows(rows, "{0.key:.1e}" if args.command == "sweep" else "n={0.n}",
-                rates=args.command == "convergence")
+                             if key in options.keys() - _CONFIG_FIELDS - {"out"}})
+    _print_rows(rows, label, rates)
     failed = any(row.report is None for row in rows)
-    # a failed solve writes no VTK file
-    if config.output_path and not (failed and args.command == "solve"):
+    # a command without a default file writes a solve's fields: none if it failed
+    if config.output_path and not (failed and out_default is None):
         print(f"wrote {config.output_path}")
     return 1 if failed else 0
 

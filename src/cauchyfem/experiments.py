@@ -86,6 +86,8 @@ class RunConfig:
         for g in (self.gamma_v, self.gamma_w):
             if g is not None:
                 check_penalty(g)
+        if self.output_path == "":
+            raise ValueError("output path '': it is empty")
         if self.output_path and Path(self.output_path).is_dir():
             raise ValueError(f"output path {self.output_path!r}: it is a directory")
         if self.output_path and not Path(self.output_path).parent.is_dir():

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dsyrk, dtpsv, dtrsm
+from scipy.linalg.blas import dnrm2, dsyrk, dtpsv, dtrsm
 from scipy.linalg.lapack import dpotrf, dtpttr, dtrttp
 
 RESIDUAL_TOL = 1e-10
@@ -515,8 +515,8 @@ def solve(system):
     diagonal = half.diagonal()
     x = _substitute(pattern, stored, system.rhs)
     x += _substitute(pattern, stored, system.rhs - (half @ x + half.T @ x - diagonal * x))
-    rhs_norm = np.linalg.norm(system.rhs)
-    res = np.linalg.norm(half @ x + half.T @ x - diagonal * x - system.rhs)
+    rhs_norm = dnrm2(system.rhs)    # nrm2 scales its sum: x·x overflows once γ‖g‖ > 1e154
+    res = dnrm2(half @ x + half.T @ x - diagonal * x - system.rhs)
     residual = float(res / rhs_norm) if rhs_norm > 0 else float(res)
     if not residual < RESIDUAL_TOL:
         raise UnconvergedSolveError(

@@ -53,7 +53,7 @@ class QuadratureRule:
 @dataclass(frozen=True)
 class FeSpace:
     """Scalar Lagrange space on a mesh with optional one-sided constraints;
-    its DOFs sit at `dof_coords`, and at `dof_lattice` on the lattice (made on read)."""
+    its DOFs sit at the vertices, then for P2 at the face midpoints."""
 
     mesh: Mesh
     degree: int
@@ -65,15 +65,8 @@ class FeSpace:
         return self.mesh.num_vertices + (self.degree == 2) * len(self.mesh.face_vertices)
 
     @property
-    def dof_coords(self):       # (ndof, 2)
-        return self._points(self.mesh.vertices)
-
-    @property
-    def dof_lattice(self):      # (ndof, 2)
-        return self._points(self.mesh.lattice)
-
-    def _points(self, points):  # the vertices at `points`, then for P2 the face midpoints
-        ends = self.mesh.face_vertices
+    def dof_lattice(self):      # (ndof, 2): the DOFs on the mesh's lattice, made on read
+        points, ends = self.mesh.lattice, self.mesh.face_vertices
         return (points.copy() if self.degree == 1
                 else np.vstack([points, 0.5 * (points[ends[:, 0]] + points[ends[:, 1]])]))
 

@@ -668,9 +668,17 @@ def edge_list_analyse(matrix, n_v, coords):
     return order, [f._replace(handoff=i in handoffs) for i, f in enumerate(fronts)]
 
 
+def dof_coords(space):
+    """(ndof, 2) physical positions of the DOFs: the vertices, then for P2 the
+    face midpoints."""
+    points, ends = space.mesh.vertices, space.mesh.face_vertices
+    return (points if space.degree == 1
+            else np.vstack([points, 0.5 * (points[ends[:, 0]] + points[ends[:, 1]])]))
+
+
 def nodal_interpolant(space, field):
     """Coefficients of the pointwise interpolant: field values at DOF nodes."""
-    coords = space.dof_coords
+    coords = dof_coords(space)
     return np.asarray(field(coords[:, 0], coords[:, 1]), dtype=float)
 
 

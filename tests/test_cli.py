@@ -1,8 +1,10 @@
+import inspect
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cauchyfem
@@ -202,21 +204,27 @@ def test_config_file_degree_zero_is_not_the_default(tmp_path, capsys):
      "run.cfg:2: gammas: penalty 0.0 must be positive"),
     (["solve", "--n", "3", "--degree", "2", "--sw-variant", "galerkin", "--gamma-w", "5"],
      None, "gamma_w 5.0 is set, but the 'galerkin' dual stabilizer carries no penalty"),
+    (["convergence", "--levels", "2", "--out", ""], None, "output path '': it is empty"),
+    (["sweep", "--n", "2", "--gammas", "0.1"], "out =\n", "output path '': it is empty"),
 ], ids=["jitter", "seed", "levels", "degree", "sw_variant", "unknown_key",
-        "bad_value", "galerkin_gamma_w"])
-def test_rejected_options_are_usage_errors(tmp_path, capsys, argv, cfg_text, named):
-    out = tmp_path / "out"
+        "bad_value", "galerkin_gamma_w", "empty_out", "empty_out_key"])
+def test_rejected_options_are_usage_errors(tmp_path, monkeypatch, capsys, argv, cfg_text,
+                                           named):
+    # run where an empty --out wrote the command's default file
+    monkeypatch.chdir(tmp_path)
     if cfg_text is not None:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(cfg_text)
         argv = argv + ["--config", str(cfg)]
+    if "--out" not in argv and "out =" not in (cfg_text or ""):
+        argv = argv + ["--out", "out"]
     with pytest.raises(SystemExit) as info:
-        main(argv + ["--out", str(out)])
+        main(argv)
     assert info.value.code == 2
     err = capsys.readouterr().err
     assert named in err
     assert f"usage: cauchyfem {argv[0]} " in err
-    assert not out.exists()
+    assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"] * (cfg_text is not None)
 
 
 @pytest.mark.parametrize("argv, cfg_text, key", [
@@ -238,6 +246,19 @@ def test_config_key_of_another_command_is_a_usage_error(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+def record_driver(monkeypatch, command):
+    """Swaps `command`'s driver for one that records each call's config and
+    keywords and returns no rows; returns the list of calls."""
+    calls = []
+
+    def driver(config, **keywords):
+        calls.append((config, keywords))
+        return []
+
+    monkeypatch.setitem(cli._COMMANDS, command, (driver,) + cli._COMMANDS[command][1:])
+    return calls
+
+
 #: a value for every option, unlike its default
 OPTION_VALUES = {"degree": "2", "gamma_v": "0.005", "gamma_w": "0.002",
                  "sw_variant": "galerkin", "jitter": "0.1", "seed": "3",
@@ -250,13 +271,7 @@ OPTION_VALUES = {"degree": "2", "gamma_v": "0.005", "gamma_w": "0.002",
 def test_config_key_reaches_the_driver_as_its_flag(tmp_path, monkeypatch, command,
                                                    dest):
     monkeypatch.chdir(tmp_path)
-    calls = []
-
-    def driver(config, **keywords):
-        calls.append((config, keywords))
-        return []
-
-    monkeypatch.setitem(cli._COMMANDS, command, (driver,) + cli._COMMANDS[command][1:])
+    calls = record_driver(monkeypatch, command)
     _, options = build_parser()[1][command]
     flag = options[dest].option_strings[0]
     (tmp_path / "run.cfg").write_text(f"{dest} = {OPTION_VALUES[dest]}\n")
@@ -264,6 +279,56 @@ def test_config_key_reaches_the_driver_as_its_flag(tmp_path, monkeypatch, comman
         assert main([command] + argv) == 0
     unset, from_flag, from_file = calls
     assert from_file == from_flag != unset
+
+
+#: each command's option destinations, as they were when each command's
+#: options were written out in its own block of the parser
+COMMAND_DESTS = {
+    "convergence": {"degree", "gamma_v", "gamma_w", "sw_variant", "jitter", "seed", "out",
+                    "config", "levels"},
+    "sweep": {"degree", "sw_variant", "jitter", "seed", "out", "config", "n", "gammas"},
+    "solve": {"degree", "gamma_v", "gamma_w", "sw_variant", "jitter", "seed", "out",
+              "config", "n"},
+}
+
+
+def test_each_command_keeps_its_options():
+    parser, commands = build_parser()
+    assert commands.keys() == COMMAND_DESTS.keys()
+    for command, (_, options) in commands.items():
+        dests = vars(parser.parse_args([command])).keys() - {"command"}
+        assert dests == COMMAND_DESTS[command], command
+        # a config file may set every option but --config
+        assert options.keys() == dests - {"config"}, command
+
+
+@pytest.mark.parametrize("command", ["convergence", "sweep", "solve"])
+def test_help_states_the_defaults_the_driver_uses(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    real = cli._COMMANDS[command][0]
+    calls = record_driver(monkeypatch, command)
+    assert main([command]) == 0 and main([command, "--degree", "2"]) == 0
+    (unset, keywords), (p2, _) = calls
+    # a keyword the CLI leaves out takes the driver's own default
+    keywords = {name: parameter.default for name, parameter
+                in inspect.signature(real).parameters.items() if name != "config"} | keywords
+    penalty = [f"{unset.penalties[i]:g} for P{unset.degree}, {p2.penalties[i]:g} for P2"
+               for i in (0, 1)]
+    stated = {"degree": unset.degree, "gamma_v": penalty[0], "gamma_w": penalty[1],
+              "sw_variant": unset.sw_variant, "jitter": f"{unset.jitter:g}",
+              "seed": unset.seed, "levels": ",".join(map(str, unset.levels)),
+              "out": unset.output_path or "none", "n": keywords.get("n")}
+    gammas = keywords.get("gammas")
+    if gammas is not None:
+        # log-spaced: one ratio between neighbours
+        assert np.allclose(np.diff(np.log(gammas)), np.log(gammas[1] / gammas[0]))
+        stated["gammas"] = f"{len(gammas)} log-spaced in [{gammas[0]:g}, {gammas[-1]:g}]"
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    _, options = build_parser()[1][command]
+    for dest in options:
+        assert f"(default {stated[dest]}" in text, dest
 
 
 def test_solve_without_out_or_fields_writes_nothing(tmp_path, capsys, monkeypatch):

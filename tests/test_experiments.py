@@ -142,6 +142,12 @@ def test_config_rejects_output_path_in_missing_directory(tmp_path):
     assert RunConfig(output_path="out.csv").output_path == "out.csv"
 
 
+def test_config_rejects_an_empty_output_path():
+    # every driver read "" as "write nothing", though it was set
+    with pytest.raises(ValueError, match=re.escape("output path '': it is empty")):
+        RunConfig(output_path="")
+
+
 def test_gamma_defaults_per_degree():
     assert RunConfig(degree=1).penalties == (0.01, 0.01)
     assert RunConfig(degree=2).penalties == (0.001, 0.001)

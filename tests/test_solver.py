@@ -17,7 +17,7 @@ from cauchyfem.solver import (RESIDUAL_TOL, Front, SingularSystemError,
                               stacked)
 from cauchyfem.spaces import build_space
 
-from .oracles import (discrete_consistency_probe, edge_list_analyse, eval_fe,
+from .oracles import (discrete_consistency_probe, dof_coords, edge_list_analyse, eval_fe,
                       full_dof_unit_matrix, full_matrix, nodal_interpolant,
                       saddle_pattern, scaled, solve_from_scratch)
 
@@ -150,6 +150,14 @@ def test_non_finite_solve_raises():
         solve(system)
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_residual_check_holds_at_penalties_whose_squares_overflow(degree, problem):
+    # γ_V·‖g‖ above about 1e154: the squares of the right-hand side's entries
+    # overflow, so a norm taken as √(x·x) reads inf and the residual nan
+    solution, *_ = solve_from_scratch(unit_square_mesh(8), degree, problem, 1e160, 0.01)
+    assert solution.residual < RESIDUAL_TOL
+
+
 def test_unit_entry_off_by_1e11_fails_the_symmetry_check(problem):
     # checked once, when the pattern is built, not per penalty pair
     mesh = unit_square_mesh(4)
@@ -180,7 +188,7 @@ def test_entry_off_by_1e11_in_each_block_fails_the_symmetry_check(block, problem
               "A above": ~below & right, "S_W": below & right}[block]
     e = np.flatnonzero(inside & (unit.row != unit.col))[0]
     unit.data[e] = np.nextafter(unit.data[e], np.inf)
-    coords = np.vstack([trial.dof_coords[trial.free_dofs], test.dof_coords[test.free_dofs]])
+    coords = np.vstack([dof_coords(trial)[trial.free_dofs], dof_coords(test)[test.free_dofs]])
     with pytest.raises(ValueError, match=f"in block {block.split()[0]}$"):
         analysed_pattern(unit.tocsc(), coords, blocks.data, blocks.load, trial.free_dofs,
                          test.free_dofs, trial.num_dofs, test.num_dofs)

@@ -13,9 +13,9 @@ the free boundary), l(w) = ∫ f w + ∫_data ψ w, and the data functional
 g(v) = γ_V Σ_data ∫ h_F ψ ∂_n v.  For quadratics both penalties gain an
 h_F³-weighted jump of the elementwise Laplacian on interior faces.
 
-Assembly builds the penalties and g at unit γ (`penalty_factors` gives the
-factors of `solver.build_system`) on the free DOFs: the triplets and columns
-of constrained DOFs are dropped before anything is summed or multiplied.
+Assembly builds the penalties and g at unit γ (`experiments.solve_level`
+scales them) on the free DOFs: the triplets and columns of constrained DOFs
+are dropped before anything is summed or multiplied.
 
 Every kernel works on all triangles or faces at once: J and J⁻¹ are the
 mesh's, face traces are rows of reference-edge tables, and the quadrature sums
@@ -63,16 +63,16 @@ class BlockSystem:
 
     s_v      (n_V, n_V) primal stabilizer BᵀB, symmetric PSD, unit penalty
     a        (n_W, n_V) stiffness, rows test against W basis functions
-    s_w      (n_W, n_W) dual stabilizer, symmetric PSD (unit penalty for the
-             jump variant; the Galerkin variant is the plain energy matrix)
+    s_w      (n_W, n_W) dual stabilizer, symmetric PSD: the unit jump
+             penalty, or the Galerkin energy matrix, which takes no γ
     load     (n_W,) right side l
     data     (n_V,) right side g = Bᵀψ̂ built from the flux data, unit penalty
     data_rows, psi_hat  the rows of the trial space's data-face operator B
              over all DOFs and its data vector ψ̂, for the report
     free_rows  the rows of the test space's free-face operator B_W over all
-             DOFs, S_W = B_WᵀB_W on the free ones (None for the Galerkin S_W)
+             DOFs, S_W = B_WᵀB_W on the free ones; None marks the Galerkin S_W
     The two row stacks share their interior-face rows; blocks built for a
-    solve alone leave all three None.
+    solve alone may leave data_rows and psi_hat None.
     """
 
     s_v: sp.csr_matrix
@@ -80,16 +80,9 @@ class BlockSystem:
     s_w: sp.csr_matrix
     load: np.ndarray
     data: np.ndarray
-    variant: str
     data_rows: RowStack | None = None
     psi_hat: np.ndarray | None = None
     free_rows: RowStack | None = None
-
-
-def penalty_factors(variant, gamma_v, gamma_w):
-    """The factors of S_V (and g), A and S_W at penalties γ_V, γ_W, in the
-    order of `solver.build_system`: the Galerkin s_W carries no penalty."""
-    return gamma_v, 1.0, 1.0 if variant == "galerkin" else gamma_w
 
 
 def _sample_field(name, field, x, y, *normal):
@@ -243,22 +236,19 @@ def assemble_primal_stab(b):
     return b.T.tocsr() @ b
 
 
-def assemble_dual_stab(space, variant, b):
-    """Dual stabilizer s_W on the free DOFs of `space`: the Galerkin energy
-    a(z, w) itself (no γ; `b` is not read), or the unit jumps BᵀB over
-    interior faces and the free boundary, from the free-face operator `b` on
-    the free DOFs, the free columns of the stacked rows of
-    `face_operator(space, BoundaryPart.FREE, inner)`.  The stiffness, symmetric to
-    rounding only, has its upper triangle mirrored in place: S_W = S_Wᵀ exactly."""
-    if variant == "galerkin":
-        s_w = assemble_stiffness(space, space)
-        below = s_w.indices < np.repeat(np.arange(s_w.shape[0]), np.diff(s_w.indptr))
-        s_w.data[below] = s_w.T.tocsr().data[below]
-        return s_w
-    if variant == "jump":
+def assemble_dual_stab(space, b):
+    """Dual stabilizer s_W on the free DOFs of `space`: the unit jumps BᵀB over
+    interior faces and the free boundary from the free-face operator `b` on
+    the free DOFs (the free columns of the stacked rows of `face_operator(
+    space, BoundaryPart.FREE, inner)`), or for `b` None the Galerkin energy
+    a(z, w), which takes no γ; its stiffness, symmetric to rounding only, has
+    its upper triangle mirrored in place: S_W = S_Wᵀ exactly."""
+    if b is not None:
         return b.T.tocsr() @ b
-    raise ValueError(f"unknown dual stabilizer variant {variant!r}; "
-                     f"expected one of {SW_VARIANTS}")
+    s_w = assemble_stiffness(space, space)
+    below = s_w.indices < np.repeat(np.arange(s_w.shape[0]), np.diff(s_w.indptr))
+    s_w.data[below] = s_w.T.tocsr().data[below]
+    return s_w
 
 
 def assemble_load(space, problem):
@@ -293,19 +283,22 @@ def assemble_data_term(b, psi_hat):
 
 def assemble_blocks(trial, test, problem, variant="jump"):
     """Every operator and functional of the coupled system on the free DOFs,
-    at unit penalties (`penalty_factors` applies γ).  The interior-face rows
-    are built once for the data-face B (S_V = BᵀB, g = Bᵀψ̂) and the jump
-    S_W's free-face B_W (S_W = B_WᵀB_W).  Their row stacks are kept for the
-    report; B and B_W on the free DOFs are dropped once their blocks are
-    built."""
+    at unit penalties; a `variant` not in SW_VARIANTS raises ValueError first.
+    The interior-face rows are built once for the data-face B (S_V = BᵀB,
+    g = Bᵀψ̂) and the jump S_W's free-face B_W (S_W = B_WᵀB_W).  Their row
+    stacks are kept for the report; B and B_W on the free DOFs are dropped
+    once their blocks are built."""
+    if variant not in SW_VARIANTS:
+        raise ValueError(f"unknown dual stabilizer variant {variant!r}; "
+                         f"expected one of {SW_VARIANTS}")
     inner = interior_rows(trial)
     data_rows, psi_hat = face_operator(trial, BoundaryPart.DATA, inner, problem)
     b = sp.vstack(data_rows, format="csr")[:, trial.free_dofs]
     s_v, data = assemble_primal_stab(b), assemble_data_term(b, psi_hat)
     del b
     free_rows = face_operator(test, BoundaryPart.FREE, inner)[0] if variant == "jump" else None
-    s_w = assemble_dual_stab(test, variant, None if free_rows is None
+    s_w = assemble_dual_stab(test, None if free_rows is None
                              else sp.vstack(free_rows, format="csr")[:, test.free_dofs])
     return BlockSystem(s_v=s_v, a=assemble_stiffness(trial, test), s_w=s_w,
-                       load=assemble_load(test, problem), data=data, variant=variant,
+                       load=assemble_load(test, problem), data=data,
                        data_rows=data_rows, psi_hat=psi_hat, free_rows=free_rows)

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .analysis import convergence_rate, error_report, report_data
-from .assembly import SW_VARIANTS, assemble_blocks, penalty_factors
+from .assembly import SW_VARIANTS, assemble_blocks
 from .mesh import MAX_JITTER, BoundaryPart, check_level, unit_square_mesh
 from .problem import quartic_example
 from .solver import SolverError, analysed_pattern, build_system, solve, stacked
@@ -143,8 +143,8 @@ class Level:
         self.test = build_space(mesh, config.degree, BoundaryPart.FREE)
         blocks = assemble_blocks(self.trial, self.test, self.problem,
                                  variant=config.sw_variant)
-        self.variant, self.data_rows = blocks.variant, blocks.data_rows
-        self.psi_hat, self.free_rows = blocks.psi_hat, blocks.free_rows
+        self.data_rows, self.psi_hat = blocks.data_rows, blocks.psi_hat
+        self.free_rows = blocks.free_rows
         stack = stacked(blocks, self.trial, self.test)
         del blocks      # S_V, A and S_W are freed before the analysis
         self.saddle = analysed_pattern(*stack)
@@ -156,8 +156,10 @@ class Level:
 
 def solve_level(level, gamma_v, gamma_w):
     """One solve on a built level at penalties γ_V, γ_W: the unit pattern
-    scaled, factored, refined once and checked; returns the solution."""
-    return solve(build_system(level.saddle, penalty_factors(level.variant, gamma_v, gamma_w)))
+    scaled, factored, refined once and checked; returns the solution.  A
+    level without B_W holds the Galerkin S_W, whose factor is 1, not γ_W."""
+    gamma_s_w = 1.0 if level.free_rows is None else gamma_w
+    return solve(build_system(level.saddle, (gamma_v, 1.0, gamma_s_w)))
 
 
 def _run_level(level, rows, penalties):
@@ -199,9 +201,10 @@ def run_convergence(config):
 
 
 def run_sweep(config, gammas=DEFAULT_SWEEP_GAMMAS, n=64):
-    """One solve per penalty value with gamma_v = gamma_w = gamma, all on one
-    level built once and all solved before the first is reported; returns
-    one row per γ; a config's gamma_v or gamma_w, ignored, raises ValueError."""
+    """One solve per penalty value with gamma_v = gamma_w = gamma (the
+    Galerkin S_W keeps the factor 1), all on one level built once and all
+    solved before the first is reported; returns one row per γ; a config's
+    gamma_v or gamma_w, ignored, raises ValueError."""
     for name in ("gamma_v", "gamma_w"):
         if getattr(config, name) is not None:
             raise ValueError(f"{name} is set, but the sweep solves at gamma_v = gamma_w = gamma")

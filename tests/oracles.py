@@ -21,7 +21,7 @@ from cauchyfem.analysis import LOCAL_WINDOW, report_data
 from cauchyfem.assembly import (VOLUME_DEGREE, BlockSystem, assemble_blocks,
                                 assemble_data_term, assemble_dual_stab,
                                 assemble_primal_stab, assemble_stiffness,
-                                face_operator, interior_rows, penalty_factors)
+                                face_operator, interior_rows)
 from cauchyfem.mesh import GEOM_TOL, BoundaryPart, mesh_size
 from cauchyfem.solver import analysed_pattern, build_system, solve, stacked
 from cauchyfem.spaces import (build_space, cell_points, shape_grads, shape_values,
@@ -395,17 +395,23 @@ def fresh_report_data(space, problem, variant="jump"):
                        free_rows)
 
 
+def free_face_rows(space, variant):
+    """The rows of the free-face operator B_W over all DOFs of a test space,
+    from its own interior rows, for the jump S_W; None for the Galerkin S_W."""
+    if variant == "jump":
+        return face_operator(space, BoundaryPart.FREE, interior_rows(space))[0]
+    return None
+
+
 def free_face_operator(space):
     """The free-face operator B_W on the free DOFs of a test space, from its
     own interior rows."""
-    rows = face_operator(space, BoundaryPart.FREE, interior_rows(space))[0]
-    return sp.vstack(rows, format="csr")[:, space.free_dofs]
+    return sp.vstack(free_face_rows(space, "jump"), format="csr")[:, space.free_dofs]
 
 
 def dual_stab(space, variant):
     """Unit s_W of a test space, the jump one from its own free-face operator."""
-    return assemble_dual_stab(space, variant,
-                              free_face_operator(space) if variant == "jump" else None)
+    return assemble_dual_stab(space, free_face_operator(space) if variant == "jump" else None)
 
 
 def volume_points(mesh):
@@ -420,12 +426,12 @@ def saddle_pattern(blocks, trial, test):
 
 
 def scaled(blocks, gamma_v, gamma_w):
-    """The unit blocks at penalties γ_V and γ_W: s_V and g times the S_V
-    factor of `penalty_factors`, s_W times the S_W factor (1 for the
-    Galerkin s_W); A and the load are shared with `blocks`."""
-    f_v, _, f_w = penalty_factors(blocks.variant, gamma_v, gamma_w)
-    return replace(blocks, s_v=f_v * blocks.s_v, s_w=f_w * blocks.s_w,
-                   data=f_v * blocks.data)
+    """The unit blocks at penalties γ_V and γ_W: s_V and g times γ_V, s_W
+    times γ_W, or times 1 for the Galerkin s_W (blocks without B_W's rows);
+    A and the load are shared with `blocks`."""
+    f_w = 1.0 if blocks.free_rows is None else gamma_w
+    return replace(blocks, s_v=gamma_v * blocks.s_v, s_w=f_w * blocks.s_w,
+                   data=gamma_v * blocks.data)
 
 
 def solve_from_scratch(mesh, degree, problem, gamma_v, gamma_w, variant="jump"):
@@ -492,7 +498,7 @@ def discrete_consistency_probe(mesh, problem, degree, gamma_v, gamma_w, variant=
     # g = S_V v at unit γ_V; scaling makes it γ_V S_V v for the scaled S_V
     free = probe[trial.free_dofs]
     unit = BlockSystem(s_v=s_v, a=a, s_w=dual_stab(test, variant),
-                       load=a @ free, data=s_v @ free, variant=variant)
+                       load=a @ free, data=s_v @ free, free_rows=free_face_rows(test, variant))
     sol = solve(build_system(saddle_pattern(scaled(unit, gamma_v, gamma_w), trial, test)))
     return float(max(np.abs(sol.u - probe).max(), np.abs(sol.z).max()))
 

@@ -1,11 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cauchyfem import assembly
 from cauchyfem.analysis import stab_seminorm_u
-from cauchyfem.assembly import (FACE_DATA_DEGREE, _edge_rows, _face_points,
+from cauchyfem.assembly import (FACE_DATA_DEGREE, SW_VARIANTS, _edge_rows, _face_points,
                                 _normal_derivs, assemble_blocks, assemble_dual_stab,
                                 assemble_load, assemble_stiffness, face_operator,
                                 interior_rows)
@@ -72,9 +75,9 @@ def _same_bits(x, y):
 
 
 def test_gamma_scaling(problem):
-    # γ enters only through the factors of penalty_factors: s_V, g and the
-    # jump s_W are γ times a fresh unit block, the Galerkin s_W keeps the
-    # bits of a fresh unit block, and the unit blocks are left as they were
+    # γ enters only through the factors of the solve: s_V, g and the jump
+    # s_W are γ times a fresh unit block, the Galerkin s_W keeps the bits of
+    # a fresh unit block, and the unit blocks are left as they were
     mesh = unit_square_mesh(3, jitter=0.2, seed=3)
     gamma_v, gamma_w = 0.01, 0.3
     for degree in (1, 2):
@@ -102,7 +105,7 @@ def test_galerkin_dual_stab_equals_stiffness(mesh2):
     # the stiffness, symmetric to rounding only at P2, keeps its pattern,
     # explicit zeros and upper triangle; its lower triangle is the mirror
     space = build_space(mesh2, 2, BoundaryPart.FREE)
-    s_w = assemble_dual_stab(space, "galerkin", None)
+    s_w = assemble_dual_stab(space, None)
     a = assemble_stiffness(space, space)
     assert np.array_equal(s_w.indptr, a.indptr) and np.array_equal(s_w.indices, a.indices)
     assert _same_bits(sp.triu(s_w, format="csr"), sp.triu(a, format="csr"))
@@ -110,10 +113,17 @@ def test_galerkin_dual_stab_equals_stiffness(mesh2):
     assert 0.0 < abs(s_w - a).max() <= 1e-15 * abs(a).max()
 
 
-def test_unknown_variant_rejected(mesh2):
-    space = build_space(mesh2, 1, BoundaryPart.FREE)
-    with pytest.raises(ValueError):
-        assemble_dual_stab(space, "nitsche", None)
+def test_unknown_variant_rejected(monkeypatch, mesh2, problem):
+    # named before the interior-face rows, the first work, are built
+    calls = []
+    real = assembly.interior_rows
+    monkeypatch.setattr(assembly, "interior_rows",
+                        lambda space: calls.append(space) or real(space))
+    trial, test = spaces_on(mesh2, 1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"unknown dual stabilizer variant 'nitsche'; expected one of {SW_VARIANTS}")):
+        assemble_blocks(trial, test, problem, "nitsche")
+    assert calls == []
 
 
 def test_stiffness_rejects_spaces_on_two_meshes(mesh2, mesh4):
@@ -126,7 +136,7 @@ def test_jump_dual_stab_boundary_contributions_on_free_side(mesh1):
     # beyond the interior diagonal face, the jump variant only touches
     # the triangle carrying the top and left (free) faces
     space = build_space(mesh1, 1)
-    s_w = assemble_dual_stab(space, "jump", free_face_operator(space)).toarray()
+    s_w = assemble_dual_stab(space, free_face_operator(space)).toarray()
     boundary_only = s_w - _dense_interior_jumps(space)
     touched = {i for i in range(space.num_dofs)
                if np.abs(boundary_only[i]).max() > 1e-13}

@@ -112,8 +112,8 @@ def test_non_integer_mesh_level_is_named(capsys, argv, option, text):
                           ("solve", ["solve", "--n", "2"]))])
 def test_missing_output_directory_is_rejected_before_any_mesh(tmp_path, monkeypatch,
                                                              capsys, argv, name, reason):
-    counts = {"from_triangles": 0}
-    _counting(monkeypatch, mesh_module, "from_triangles", counts)
+    counts = {"build_structured": 0}
+    _counting(monkeypatch, mesh_module, "build_structured", counts)
     out = tmp_path / name
     with pytest.raises(SystemExit) as info:
         main(argv + ["--out", str(out)])
@@ -121,7 +121,7 @@ def test_missing_output_directory_is_rejected_before_any_mesh(tmp_path, monkeypa
     err = capsys.readouterr().err
     assert f"output path {str(out)!r}: {reason}" in err
     assert f"usage: cauchyfem {argv[0]} " in err
-    assert counts["from_triangles"] == 0
+    assert counts["build_structured"] == 0
 
 
 @pytest.mark.parametrize("option, value, named", [

@@ -308,41 +308,47 @@ def test_write_vtk_rejects_a_point_array_of_the_wrong_length(tmp_path, mesh2):
 
 
 def _counting(monkeypatch, module, name, counts):
+    """Counts in counts[name] the calls of module.name that return: a builder
+    that rejects its arguments, as build_structured a bad level, built nothing."""
     real = getattr(module, name)
 
     def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
         counts[name] += 1
-        return real(*args, **kwargs)
+        return result
 
     monkeypatch.setattr(module, name, counted)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_sweep_rejects_bad_penalty_before_building_the_mesh(monkeypatch, bad):
-    counts = {"from_triangles": 0}
-    _counting(monkeypatch, mesh_module, "from_triangles", counts)
+    counts = {"build_structured": 0}
+    _counting(monkeypatch, mesh_module, "build_structured", counts)
     with pytest.raises(ValueError, match=re.escape(f"penalty {bad!r} must be positive")):
         run_sweep(RunConfig(degree=1), gammas=(0.01, bad), n=2)
-    assert counts["from_triangles"] == 0
+    assert counts["build_structured"] == 0
 
 
 @pytest.mark.parametrize("driver", [run_sweep, run_single])
 @pytest.mark.parametrize("bad", [2.5, 0, -3, True])
 def test_sweep_and_single_reject_bad_level_before_building_the_mesh(monkeypatch,
                                                                     driver, bad):
-    counts = {"from_triangles": 0}
-    _counting(monkeypatch, mesh_module, "from_triangles", counts)
+    # build_structured itself checks the level: no build returns, and no
+    # triangle is mapped before the check
+    counts = {"build_structured": 0, "affine_map": 0}
+    _counting(monkeypatch, mesh_module, "build_structured", counts)
+    _counting(monkeypatch, mesh_module, "affine_map", counts)
     with pytest.raises(ValueError, match=re.escape(f"mesh level {bad!r} must be")):
         driver(RunConfig(degree=1), n=bad)
-    assert counts["from_triangles"] == 0
+    assert counts == {"build_structured": 0, "affine_map": 0}
 
 
 def test_sweep_rejects_empty_gammas_before_building_the_mesh(monkeypatch):
-    counts = {"from_triangles": 0}
-    _counting(monkeypatch, mesh_module, "from_triangles", counts)
+    counts = {"build_structured": 0}
+    _counting(monkeypatch, mesh_module, "build_structured", counts)
     with pytest.raises(ValueError, match="gammas must not be empty"):
         run_sweep(RunConfig(degree=1), gammas=(), n=2)
-    assert counts["from_triangles"] == 0
+    assert counts["build_structured"] == 0
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -419,10 +425,10 @@ def test_report_data_samples_each_triangle_at_sixteen_points(degree):
 
 
 def test_mesh_blocks_and_report_data_are_built_once_per_mesh(monkeypatch):
-    names = ("from_triangles", "affine_map", "assemble_blocks", "report_data",
+    names = ("build_structured", "affine_map", "assemble_blocks", "report_data",
              "interior_rows", "face_operator", "analyse")
     counts = dict.fromkeys(names, 0)
-    _counting(monkeypatch, mesh_module, "from_triangles", counts)
+    _counting(monkeypatch, mesh_module, "build_structured", counts)
     _counting(monkeypatch, mesh_module, "affine_map", counts)
     _counting(monkeypatch, experiments, "assemble_blocks", counts)
     _counting(monkeypatch, experiments, "report_data", counts)
@@ -433,7 +439,7 @@ def test_mesh_blocks_and_report_data_are_built_once_per_mesh(monkeypatch):
     assert all(row.report is not None for row in rows)
     # face operators: S_V with g and the report's |u - u_h|_{s_V}, and S_W
     # with |z_h|_{s_W}; both from the interior rows, built once
-    assert counts == {"from_triangles": 1, "affine_map": 1, "assemble_blocks": 1,
+    assert counts == {"build_structured": 1, "affine_map": 1, "assemble_blocks": 1,
                       "report_data": 1, "interior_rows": 1, "face_operator": 2,
                       "analyse": 1}
     assert not hasattr(analysis, "face_operator")
@@ -441,7 +447,7 @@ def test_mesh_blocks_and_report_data_are_built_once_per_mesh(monkeypatch):
     for variant, face_operators in (("jump", 2), ("galerkin", 1)):
         counts.update(dict.fromkeys(counts, 0))
         run_convergence(RunConfig(degree=1, levels=(2, 4, 8), sw_variant=variant))
-        assert counts == {"from_triangles": 3, "affine_map": 3, "assemble_blocks": 3,
+        assert counts == {"build_structured": 3, "affine_map": 3, "assemble_blocks": 3,
                           "report_data": 3, "interior_rows": 3,
                           "face_operator": 3 * face_operators, "analyse": 3}
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cauchyfem.mesh import (BoundaryPart, affine_map, build_structured,
                             from_triangles, mesh_size, tag_boundary,
                             unit_square_mesh)
+from cauchyfem.spaces import build_space
 
 from .oracles import (face_geometry, loop_tag_boundary, min_angle_deg, signed_areas,
                       structured_triangles, walk_faces)
@@ -218,6 +219,19 @@ def test_mesh_carries_the_affine_maps_of_its_triangles():
     assert np.array_equal(mesh.jinv, jinv)
     assert np.allclose(mesh.det, 2.0 * signed_areas(mesh), rtol=1e-14, atol=0)
     assert np.allclose(mesh.jinv @ mesh.jac, np.eye(2), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("untagged", [
+    lambda: build_structured(2),
+    lambda: from_triangles([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 2), (1, 3, 2)])],
+    ids=["build_structured", "from_triangles"])
+def test_untagged_boundary_is_named(untagged):
+    # a mesh made without tag_boundary has no boundary parts to read
+    mesh = untagged()
+    with pytest.raises(ValueError, match="mesh boundary has not been tagged"):
+        mesh.faces_of_part(BoundaryPart.DATA)
+    with pytest.raises(ValueError, match="mesh boundary has not been tagged"):
+        build_space(mesh, 2, BoundaryPart.FREE)
 
 
 def test_degenerate_triangle_is_rejected_without_a_warning():

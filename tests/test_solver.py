@@ -44,7 +44,7 @@ def test_zero_stabilizers_leave_offdiagonal_blocks(mesh2, problem):
     nv, nw = len(trial.free_dofs), len(test.free_dofs)
     a = assemble_stiffness(trial, test)
     blocks = BlockSystem(s_v=sp.csr_matrix((nv, nv)), a=a, s_w=sp.csr_matrix((nw, nw)),
-                         load=np.zeros(nw), data=np.zeros(nv), variant="jump")
+                         load=np.zeros(nw), data=np.zeros(nv))
     system = build_system(saddle_pattern(blocks, trial, test))
     dense = full_matrix(system.matrix).toarray()
     assert np.all(dense[:nv, :nv] == 0)

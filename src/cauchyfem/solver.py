@@ -25,14 +25,14 @@ n=32); the relative residual is then checked.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dnrm2, dsyrk, dtpsv, dtrsm
-from scipy.linalg.lapack import dpotrf, dtpttr, dtrttp
+from scipy.linalg.lapack import dpotrf, dtrttp
 
 RESIDUAL_TOL = 1e-10
 #: nested dissection stops at subdomains of at most this many unknowns
@@ -56,21 +56,20 @@ class UnconvergedSolveError(SolverError):
 class Front(NamedTuple):
     """One front: pivots at positions start .. start + size of the ordering
     (its `v_pivots` V pivots, sign +1, before its W pivots, sign −1), then
-    the later positions `struct` that they update.  Its slot in the factor
-    store holds the pivot block L packed by columns (size(size + 1)/2
-    entries), then the off-diagonal block Z (len(struct) × size, column-major).
-    The runs below number L's rows as in its dense work array in `_factor_front`.
-    `children` holds (cut, z_rows, pivot_runs, update_runs) per child, whose
-    update matrix U has its rows 0 .. cut in the front's pivot rows and the
-    rest in its struct rows.  For each (a, b, p, rows) in `pivot_runs`,
-    columns a .. b of U go to columns p .. p + b − a of the front: U's rows
-    a .. cut to rows `rows` of L, its rows cut .. to rows `z_rows` of Z.
-    For each (a, b, q, rows) in `update_runs`, U[a:, a:b] goes to rows
-    `rows` and columns q .. q + b − a of the front's own update matrix.
-    Rows are a slice where they are consecutive.  A front that is the `twin`
-    of an earlier front (−1: none) has no slot: it takes that front's L, Z
-    and places, and with `handoff` (its parent is no twin) its update, kept
-    packed by columns from that front's factorization."""
+    the later positions `struct` that they update.  Its slot in the
+    workspace holds the pivot block L packed by columns (size(size + 1)/2
+    entries), then the off-diagonal block Z (len(struct) × size,
+    column-major).  The runs below number L's rows as in its dense pivot
+    block.  `children` holds (child, cut, z_rows, pivot_runs, update_runs)
+    per child front, whose update matrix U has its rows 0 .. cut in the
+    front's pivot rows and the rest in its struct rows.  For each (a, b, p,
+    rows) in `pivot_runs`, columns a .. b of U go to columns p .. p + b − a
+    of the front: U's rows a .. cut to rows `rows` of L, its rows cut .. to
+    rows `z_rows` of Z.  For each (a, b, q, rows) in `update_runs`,
+    U[a:, a:b] goes to rows `rows` and columns q .. q + b − a of the front's
+    own update matrix.  Rows are a slice where they are consecutive.  A
+    front that is the `twin` of an earlier front (−1: none) has no slot: it
+    takes that front's L, Z and update."""
 
     start: int
     size: int
@@ -78,7 +77,28 @@ class Front(NamedTuple):
     struct: np.ndarray
     children: list
     twin: int = -1
-    handoff: bool = False
+
+
+class Workspace(NamedTuple):
+    """The plan of the float64 workspace of one factorization, `size`
+    entries, made once per mesh by `analyse`.  Front i's slot, which keeps
+    its factors, is slots[i] .. slots[i + 1], empty for a twin; a factored
+    front's dense pivot block (size² entries) starts at `dense[i]`, and the
+    update that it hands its parent (len(struct)² entries, column-major) at
+    `updates[i]`, a twin's at its representative's.  Past slots[-1] it
+    holds at least the entries of H.
+    Numbered column by column in elimination order, the entries of H are
+    lo .. hi for front i, (lo, mid, hi) = spans[i], those of its V columns
+    up to mid; the j-th column has lens[j] of them, entry e of it being
+    H's stored entry shift[j] + e."""
+
+    size: int
+    slots: list
+    dense: list
+    updates: list
+    spans: list
+    shift: np.ndarray
+    lens: np.ndarray
 
 
 def analyse(matrix, n_v, coords):
@@ -88,9 +108,10 @@ def analyse(matrix, n_v, coords):
     order, every child before its parent, whose struct rows take in the
     child's.  Then the half H, the stored entries on and below the diagonal
     of the reordered matrix (mask `lower`, column bounds `indptr`, their
-    `values` in the stored order), with their `places` in the factor store
-    of `_factor` and the bounds `slots` of the fronts' slots there, empty
-    for a twin.
+    `values` in the stored order), with their `places` in the workspace of
+    `_factor` (a twin's entries at its representative's places), and the
+    `Workspace` plan: the fronts' slots, one after another, then the pivot
+    blocks and updates placed by `_plan`.
 
     A subdomain of more than LEAF_SIZE unknowns is bisected at the median m
     of its wider coordinate c in `coords`; its separator is the set of
@@ -211,9 +232,9 @@ def analyse(matrix, n_v, coords):
     row, bits = row[lower][moved], values[moved].view(np.int64)
     col = np.repeat(np.arange(n, dtype=itype), lens)
 
-    # row p of a front's column j is place slot[p] + j * stride[p] of the front's
-    # slot (at slots[-1] in the store), less j(j + 1)/2 in L, packed by columns:
-    # L (k(k + 1)/2) holds its pivot rows, Z (r × k) its struct rows
+    # row p of a front's column j is place slot[p] + j * stride[p] of the front:
+    # its dense pivot block L (k × k) holds its pivot rows, then Z (r × k) its
+    # struct rows, both column-major
     slot, stride = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     places, slots = np.empty(len(row), dtype=np.int64), [0]
     mark = np.zeros(n, dtype=bool)
@@ -221,7 +242,7 @@ def analyse(matrix, n_v, coords):
 
     def same(t, span, struct):
         other = slice(bounds[fronts[t].start], bounds[fronts[t].start + fronts[t].size])
-        mine, theirs, x, y = places[span], places[other] - slots[t], bits[span], bits[other]
+        mine, theirs, x, y = places[span], places[other], bits[span], bits[other]
         if mine.tobytes() != theirs.tobytes():      # in another order?
             i, j = np.argsort(mine), np.argsort(theirs)
             mine, theirs, x, y = mine[i], theirs[j], x[i], y[j]
@@ -235,37 +256,36 @@ def analyse(matrix, n_v, coords):
         mark[np.concatenate([row[span]] + [fronts[c].struct for c in children])] = True
         struct = np.flatnonzero(mark[end:]) + end
         mark[struct] = False    # positions before end are not read again
-        r, tri = len(struct), k * (k + 1) // 2
+        r, square = len(struct), k * k
         slot[start:end] = np.arange(k)
-        slot[struct] = np.arange(tri, tri + r)
+        slot[struct] = np.arange(square, square + r)
         stride[start:end], stride[struct] = k, r
         rows, place, j = row[span], places[span], col[span] - start
         np.multiply(j, stride[rows], out=place)
         place += slot[rows]
-        place -= np.where(rows < end, j * (j + 1) // 2, 0)
         links, shapes = [], []
         for c in children:
             loc = slot[fronts[c].struct]
             height = len(loc)
             # runs (a, b, p): rows a .. b of the child go to consecutive rows
-            # p .. p + b - a of a column (Z's from tri on); cut where L ends
-            head = loc == tri
+            # p .. p + b - a of a column (Z's from k² on); cut where L ends
+            head = loc == square
             head[:1] = True
             head[1:] |= loc[1:] - loc[:-1] != 1
             heads = np.flatnonzero(head)
             firsts = loc[heads].tolist()
             runs = list(zip(heads.tolist(), heads[1:].tolist() + [height], firsts))
             split = bisect_left(firsts, k)
-            shifted = loc - tri     # rows of Z and of the update matrix
+            shifted = loc - square      # rows of Z and of the update matrix
             # rows a .. end of the child go to consecutive front rows, a
             # slice, when the run from a reaches end
-            update_runs = [(a, b, p - tri, slice(p - tri, p - tri + height - a)
+            update_runs = [(a, b, p - square, slice(p - square, p - square + height - a)
                             if b == height else shifted[a:]) for a, b, p in runs[split:]]
             # its rows cut .. go to Z in the rows of its first update run
             cut, z_rows = height, slice(0, 0)
             if update_runs:
                 cut, _, _, z_rows = update_runs[0]
-            links.append((cut, z_rows,
+            links.append((c, cut, z_rows,
                           [(a, b, p, slice(p, p + cut - a) if b == cut else loc[a:cut])
                            for a, b, p in runs[:split]],
                           update_runs))
@@ -275,16 +295,60 @@ def analyse(matrix, n_v, coords):
         twin = next((t for t in alike if same(t, span, struct)), -1)
         if twin < 0:
             alike.append(len(fronts))
-            for c in [c for c in children if fronts[c].twin >= 0]:
-                fronts[c] = fronts[c]._replace(handoff=True)
-        place += slots[twin] if twin >= 0 else slots[-1]
-        slots.append(slots[-1] + (tri + k * r if twin < 0 else 0))
+        slots.append(slots[-1] + (k * (k + 1) // 2 + k * r if twin < 0 else 0))
         fronts.append(Front(start, k, kv, struct, links, twin))
         start = end
+    size, dense, updates = _plan(fronts, slots, len(values))
+    # a pivot row's place moves to the dense pivot block of the front (of
+    # its representative, for a twin), a struct row's to Z, after L packed
+    for i, f in enumerate(fronts):
+        t, k = i if f.twin < 0 else f.twin, f.size
+        own = places[bounds[f.start]:bounds[f.start + k]]
+        own += np.where(own < k * k, dense[t], slots[t] + k * (k + 1) // 2 - k * k)
     # in the stored order, kept per mesh: half the bytes wherever they fit
-    out = np.empty(len(places), dtype=np.int32 if slots[-1] < 2 ** 31 else np.int64)
+    out = np.empty(len(places), dtype=np.int32 if size < 2 ** 31 else np.int64)
     out[moved] = places
-    return order, fronts, lower, before, values, out, slots
+    spans = [bounds[[f.start, f.start + f.v_pivots, f.start + f.size]].tolist() for f in fronts]
+    return order, fronts, lower, before, values, out, Workspace(
+        size, slots, dense, updates, spans, (before[order] - bounds[:-1]).astype(itype), lens)
+
+
+def _plan(fronts, slots, tail):
+    """The size of the workspace of the factorization of `fronts`, whose
+    slots start at `slots`, at least slots[-1] + `tail`, and the offsets of
+    the factored fronts' dense pivot blocks and updates.  A pivot block
+    lives while its front is factored; an update from its front to its last
+    reader, which is its parent or the factored parent of one of its twins
+    (a twin's parent reads the representative's update).  Each of these
+    items lies above the slots of the fronts factored by its last step, at
+    the lowest such offset clear of every item placed before it whose life
+    overlaps its own, the largest first (first fit by decreasing size):
+    below a slot, an item leaves its addresses to the slot's front before
+    that front starts."""
+    last = list(range(len(fronts)))
+    for p, f in enumerate(fronts):
+        if f.twin < 0:      # a twin reads no update
+            for c, *_ in f.children:
+                last[c if fronts[c].twin < 0 else fronts[c].twin] = p
+    items = [(size, i, end, kind) for i, f in enumerate(fronts) if f.twin < 0
+             for size, end, kind in ((f.size ** 2, i, 0), (len(f.struct) ** 2, last[i], 1))
+             if size]
+    offsets, placed = [[0] * len(fronts), [0] * len(fronts)], []     # placed: by offset
+    for size, first, end, kind in sorted(items, key=lambda item: -item[0]):
+        at = slots[end + 1]
+        for lo, hi, a, b in placed:
+            if hi <= at or b < first or a > end:
+                continue    # below it, or dead while it lives
+            if lo >= at + size:
+                break
+            at = hi
+        insort(placed, (at, at + size, first, end))
+        offsets[kind][first] = at
+    dense, updates = offsets
+    for i, f in enumerate(fronts):
+        if f.twin >= 0:
+            updates[i] = updates[f.twin]
+    return max([slots[-1] + tail] + [hi for _, hi, _, _ in placed]), dense, updates
 
 
 def _singular(i, front, block, factors):
@@ -298,49 +362,86 @@ def _singular(i, front, block, factors):
 
 
 def _factor(pattern, factors):
-    """Per front, L and Z with the front's pivot block L D Lᵀ (D = +1 on the
-    V pivots, −1 on the W pivots) and off-diagonal block Z Lᵀ, for the
-    pattern's half H with each block times its factor in `factors`, as views
-    of one buffer of slots[-1] entries.  One scatter puts the scaled values
-    at their places, through a temporary freed before the first front; then
-    each front is factored in its slot there (`_factor_front`); a twin takes
-    its representative's views and hands a factored parent the update kept
-    from the representative's factorization until the last such handoff.
-    A kept update is packed, as only its lower triangle is read, and each
-    handoff pushes a fresh r × r copy: the parent adds it, then frees it."""
-    data = _scaled(pattern, factors)    # made before the store, freed before the fronts
-    store, slots, stack = np.zeros(pattern.slots[-1]), pattern.slots, []
-    store[pattern.places] = data
-    del data
-    out, kept, last = [], {}, {f.twin: i for i, f in enumerate(pattern.fronts) if f.handoff}
-    for i, (front, at, end) in enumerate(zip(pattern.fronts, slots, slots[1:])):
-        out.append(out[front.twin] if front.twin >= 0
-                   else _factor_front(i, front, store[at:end], stack, factors))
-        if front.handoff:     # zero above the diagonal, as every update
-            stack.append(dtpttr(len(front.struct), kept[front.twin] if last[front.twin] > i
-                                else kept.pop(front.twin), uplo="L")[0])
-        elif i in last:
-            kept[i] = dtrttp(stack[-1], uplo="L")[0]
-    return out
+    """The pattern's workspace and, per front, L and Z with the front's pivot
+    block L D Lᵀ (D = +1 on the V pivots, −1 on the W pivots) and
+    off-diagonal block Z Lᵀ, for the half H with each block times its
+    factor in `factors`, as views of the workspace's slots.  The workspace
+    is allocated once, as planned by `analyse`.  Just before each factored
+    front, the parts of its Z and of the lower triangles of its dense pivot
+    block and update that earlier fronts used are zeroed (the rest is still
+    zero from the allocation, so a fresh page is first touched by the front
+    that needs it; no kernel reads an upper triangle, and an update's upper
+    triangle only adds into its parent's), and the front's own entries of
+    H, found from H's column bounds, are scaled into them; it is factored
+    there (`_factor_front`) and L is packed into its slot.  A twin takes its
+    representative's views, and its parent reads the representative's
+    update, which stays in the workspace until its last reader."""
+    plan, fronts = pattern.workspace, pattern.fronts
+    slots = plan.slots
+    work, out, top = np.zeros(plan.size), [], 0     # top: the end of what earlier fronts used
+
+    def square(at, r):
+        return work[at:at + r * r].reshape((r, r), order="F")
+
+    for i, front in enumerate(fronts):
+        if front.twin >= 0:
+            out.append(out[front.twin])
+            continue
+        k, r, dense, update = front.size, len(front.struct), plan.dense[i], plan.updates[i]
+        at = slots[i] + k * (k + 1) // 2
+        work[at:min(slots[i + 1], top)] = 0.0
+        for lo, m in ((dense, k), (update, r)):
+            # its lower triangle in panels of 128 columns, each from its
+            # first diagonal entry down (at most m(m + 128)/2 entries); the
+            # first panel is whole columns, one slice
+            work[lo:min(lo + m * min(m, 128), top)] = 0.0
+            for j in range(128, m, 128):
+                if lo + j * (m + 1) >= top:
+                    break
+                square(lo, m)[j:, j:j + 128] = 0.0
+        _scatter(pattern, i, factors, work)
+        low, off = square(dense, k), work[at:slots[i + 1]].reshape((r, k), order="F")
+        _factor_front(i, front, low, off, square(update, r), factors,
+                      [(square(plan.updates[c], len(fronts[c].struct)), *link)
+                       for c, *link in front.children])
+        work[slots[i]:at] = dtrttp(low, uplo="L")[0]
+        out.append((work[slots[i]:at], off))
+        top = max(top, dense + k * k, update + r * r)
+    return work, out
 
 
-def _factor_front(i, front, slot, stack, factors):
-    """L and Z of front i, factored in its `slot` of the factor store: L in a
-    dense work array, packed back at the end, and Z in place.  Its children's
-    updates are popped from `stack`, each freed once added; its own is pushed."""
-    k, kv, r = front.size, front.v_pivots, len(front.struct)
-    tri = k * (k + 1) // 2
-    low, _ = dtpttr(k, slot[:tri], uplo="L")     # zero above the diagonal
-    off = slot[tri:].reshape((r, k), order="F")
-    update = np.zeros((r, r), order="F")      # what goes to the parent
-    for cut, z_rows, pivot_runs, update_runs in reversed(front.children):
-        child = stack.pop()
+def _scatter(pattern, i, factors, work):
+    """Front i's own entries of the half H, each times the factor of its
+    block in `factors`, written to their places in the workspace `work`."""
+    plan, front = pattern.workspace, pattern.fronts[i]
+    (lo, mid, hi), a, b = plan.spans[i], front.start, front.start + front.size
+    own = np.repeat(plan.shift[a:b], plan.lens[a:b]) + np.arange(lo, hi)
+    block = _blocks(pattern, own, mid - lo)
+    work[pattern.places[own]] = pattern.half.data[own] * factors[block]
+
+
+def _blocks(pattern, own, w_from):
+    """The block of each of the entries `own` of the pattern's half H, 0
+    for S_V, 1 for A or Aᵀ, 2 for −S_W, read off the entry's row and
+    column: the V columns hold S_V above A, the W columns Aᵀ above −S_W.
+    The entries of `own` from `w_from` on lie in W columns."""
+    block = (pattern.half.indices[own] >= len(pattern.v_free)).view(np.int8)   # 1: A or Aᵀ
+    block[w_from:] += 1         # W columns: Aᵀ, or 2 for −S_W
+    return block
+
+
+def _factor_front(i, front, low, off, update, factors, children):
+    """Front i factored in place: its dense pivot block `low` (k × k) into L,
+    its Z block `off` (r × k) into Z and its update matrix `update` (r × r),
+    each holding the front's own entries, after its children's updates are
+    added: `children` holds each child's update with its link."""
+    kv = front.v_pivots
+    for child, cut, z_rows, pivot_runs, update_runs in reversed(children):
         for a, b, p, rows in pivot_runs:
             low[rows, p:p + b - a] += child[a:cut, a:b]
             off[z_rows, p:p + b - a] += child[cut:, a:b]
         for a, b, q, rows in update_runs:
             update[rows, q:q + b - a] += child[a:, a:b]
-    child = None    # the last child's update is not kept through the kernels
     # V pivots: F_vv = L₁L₁ᵀ; W pivots: XXᵀ − F_ww = L₂L₂ᵀ, X = F_wv L₁⁻ᵀ.
     # LAPACK and BLAS take the empty blocks of a front with no V or no W
     # pivots, but scipy's dsyrk rejects an empty output block: hence the
@@ -349,20 +450,17 @@ def _factor_front(i, front, slot, stack, factors):
     if info:
         raise _singular(i, front, "V", factors)
     low[kv:, :kv] = dtrsm(1.0, low[:kv, :kv], low[kv:, :kv], side=1, lower=1, trans_a=1)
-    if kv < k:
+    if kv < front.size:
         schur = dsyrk(1.0, low[kv:, :kv], beta=-1.0, c=low[kv:, kv:], lower=1)
         low[kv:, kv:], info = dpotrf(schur, lower=1, clean=0, overwrite_a=1)
         if info:
             raise _singular(i, front, "W", factors)
     # off-diagonal block Z = F_uv L⁻ᵀ and the update matrix
-    # F_uu − Z_v Z_vᵀ + Z_w Z_wᵀ (lower triangle) for the parent
-    if r:
+    # F_uu − Z_v Z_vᵀ + Z_w Z_wᵀ (lower triangle) for the parent, in place
+    if len(off):
         dtrsm(1.0, low, off, side=1, lower=1, trans_a=1, overwrite_b=1)
-        update = dsyrk(-1.0, off[:, :kv], beta=1.0, c=update, lower=1, overwrite_c=1)
-        update = dsyrk(1.0, off[:, kv:], beta=1.0, c=update, lower=1, overwrite_c=1)
-    stack.append(update)
-    slot[:tri] = dtrttp(low, uplo="L")[0]
-    return slot[:tri], off
+        dsyrk(-1.0, off[:, :kv], beta=1.0, c=update, lower=1, overwrite_c=1)
+        dsyrk(1.0, off[:, kv:], beta=1.0, c=update, lower=1, overwrite_c=1)
 
 
 def _substitute(pattern, factors, rhs):
@@ -393,7 +491,9 @@ class SaddlePattern:
     original numbering: the V unknowns before the W unknowns, so an entry's
     row and column give its block, 0 for S_V, 1 for A or Aᵀ, 2 for −S_W
     (`build_system`).  `g` and `load` are the right side's unit-penalty
-    parts; the rest comes from `analyse`."""
+    parts; the rest comes from `analyse`: the order, the fronts, each
+    entry's place in the workspace and the `Workspace` plan of one
+    factorization, the slots of the factors among it."""
 
     half: sp.csc_matrix
     g: np.ndarray
@@ -405,10 +505,10 @@ class SaddlePattern:
     order: np.ndarray
     fronts: list
     places: np.ndarray
-    slots: list
+    workspace: Workspace
 
     @property
-    def lu_fill(self):      # stored factor entries, twins' too; the store holds slots[-1]
+    def lu_fill(self):      # stored factor entries, twins' too; the slots hold fewer
         return sum(f.size * (f.size + 1) // 2 + f.size * len(f.struct) for f in self.fronts)
 
 
@@ -425,9 +525,7 @@ class SaddleSystem:
     @property
     def matrix(self):
         """The half H with each block times its factor, made on each read."""
-        half = self.pattern.half
-        return sp.csc_matrix((_scaled(self.pattern, self.factors), half.indices, half.indptr),
-                             half.shape)
+        return _scaled(self.pattern, self.factors, np.empty(self.pattern.half.nnz))
 
 
 @dataclass(frozen=True)
@@ -475,12 +573,12 @@ def analysed_pattern(unit, coords, g, load, v_free, w_free, n_v, n_w):
         raise ValueError(f"saddle matrix is not symmetric: |M_ij − M_ji| = "
                          f"{defect[at]:g} at ({i}, {j}), in block {block}")
     del defect
-    order, fronts, lower, indptr, values, places, slots = analyse(unit, nv, coords)
+    order, fronts, lower, indptr, values, places, workspace = analyse(unit, nv, coords)
     # built once analyse's temporaries are freed: built among them, the half
     # raised the P2 study's peak RSS by about 15 MiB (180 against 165 MiB)
     half = sp.csc_matrix((values, unit.indices[lower], indptr), shape=unit.shape)
     return SaddlePattern(half, g, load, v_free, w_free, n_v, n_w,
-                         order, fronts, places, slots)
+                         order, fronts, places, workspace)
 
 
 def build_system(pattern, factors=(1.0, 1.0, 1.0)):
@@ -491,27 +589,29 @@ def build_system(pattern, factors=(1.0, 1.0, 1.0)):
     return SaddleSystem(pattern, factors, np.concatenate([factors[0] * pattern.g, pattern.load]))
 
 
-def _scaled(pattern, factors):
-    """The values of the pattern's half H, each times the factor of its
-    block in `factors`, the block read off the entry's row and column: the
-    V columns hold S_V above A, the W columns Aᵀ above −S_W."""
-    half, nv = pattern.half, len(pattern.v_free)
-    at, below = half.indptr[nv], half.indices >= nv
-    data = half.data * factors[1]
-    np.multiply(half.data[:at], factors[0], out=data[:at], where=~below[:at])
-    np.multiply(half.data[at:], factors[2], out=data[at:], where=below[at:])
-    return data
+def _scaled(pattern, factors, data):
+    """The pattern's half H with each block (`_blocks`) times its factor in
+    `factors`, its values written to `data`."""
+    half = pattern.half
+    block = _blocks(pattern, slice(None), half.indptr[len(pattern.v_free)])
+    for b, factor in enumerate(factors):    # factors[block] would copy H's size
+        np.multiply(half.data, factor, out=data, where=block == b)
+    return sp.csc_matrix((data, half.indices, half.indptr), half.shape)
 
 
 def solve(system):
     """Multifrontal LDLᵀ solve with one refinement step, M x taken as
-    Hx + Hᵀx − diag(H)x for the scaled half H, made once the factors are;
-    raises SingularSystemError at a pivot block that is not definite and
-    UnconvergedSolveError unless the relative residual is finite and below
-    RESIDUAL_TOL."""
+    Hx + Hᵀx − diag(H)x for the scaled half H, made once the factors are,
+    in the workspace past their slots, where only dead updates and pivot
+    blocks lay; raises SingularSystemError at a pivot block that is not
+    definite and UnconvergedSolveError unless the relative residual is
+    finite and below RESIDUAL_TOL."""
     pattern = system.pattern
-    stored = _factor(pattern, system.factors)
-    half = system.matrix
+    work, stored = _factor(pattern, system.factors)
+    # scipy's csc_matrix and .T copy a view of less than half its base
+    # array: one made on the workspace's buffer has no base array
+    half = _scaled(pattern, system.factors, np.frombuffer(
+        memoryview(work), count=pattern.half.nnz, offset=8 * pattern.workspace.slots[-1]))
     diagonal = half.diagonal()
     x = _substitute(pattern, stored, system.rhs)
     x += _substitute(pattern, stored, system.rhs - (half @ x + half.T @ x - diagonal * x))

@@ -506,8 +506,8 @@ def discrete_consistency_probe(mesh, problem, degree, gamma_v, gamma_w, variant=
 class OracleFront(NamedTuple):
     """A front of `edge_list_analyse`: the fields of `solver.Front`, plus
     the stored entries `entries` of the front's columns and their places
-    `places` in the front's own slot (`analyse` returns both for all fronts
-    at once, with places in the whole factor store)."""
+    `places` in the front's own k × k pivot block and Z (`analyse` returns
+    places for all fronts at once, in the whole workspace)."""
 
     start: int
     size: int
@@ -517,7 +517,6 @@ class OracleFront(NamedTuple):
     places: np.ndarray
     children: list
     twin: int
-    handoff: bool
 
 
 def edge_list_analyse(matrix, n_v, coords):
@@ -546,7 +545,7 @@ def edge_list_analyse(matrix, n_v, coords):
     (its entries' values bit for bit and which entries are stored, in a
     k × k square L and Z), pivot counts, struct rows' V/W flags, children's
     classes (the twin's representative, or the child) and children's maps
-    into the front are equal; a twin whose parent is no twin has `handoff`.
+    into the front are equal.
     """
     n = matrix.shape[0]
     indptr, indices = matrix.indptr, matrix.indices
@@ -650,7 +649,7 @@ def edge_list_analyse(matrix, n_v, coords):
             cut, z_rows = height, slice(0, 0)
             if update_runs:
                 cut, _, _, z_rows = update_runs[0]
-            links.append((cut, z_rows,
+            links.append((c, cut, z_rows,
                           [(a, b, p, slice(p, p + cut - a) if b == cut else loc[a:cut])
                            for a, b, p in runs[:split]],
                           update_runs))
@@ -667,11 +666,9 @@ def edge_list_analyse(matrix, n_v, coords):
             group.append(len(fronts))
         fronts.append(OracleFront(start, k, v_pivots, struct,
                             entries[span].astype(np.int32), own.astype(np.int32),
-                            links, twin, False))
+                            links, twin))
         start = end
-    handoffs = {c for i, children in enumerate(kids) if fronts[i].twin < 0
-                for c in children if fronts[c].twin >= 0}
-    return order, [f._replace(handoff=i in handoffs) for i, f in enumerate(fronts)]
+    return order, fronts
 
 
 def dof_coords(space):

@@ -268,24 +268,26 @@ def _pairs(matrix, entries):
     return np.minimum(rows, cols) * n + np.maximum(rows, cols)
 
 
-def _packed_place(front, place):
-    """The place in the front's slot of the store, L packed by columns, of
-    the oracle's places `place` in a slot that holds L as a k × k square."""
-    k = front.size
-    j, p = np.divmod(place, k)
-    return np.where(place < k * k, j * k - j * (j - 1) // 2 + p - j,
-                    place - k * k + k * (k + 1) // 2)
+def _workspace_place(pattern, i, place):
+    """The place in the workspace of the oracle's places `place` in the
+    k × k pivot block and the Z of front i: in the front's dense pivot
+    block, or in its slot after L packed by columns."""
+    k = pattern.fronts[i].size
+    return np.where(place < k * k, pattern.workspace.dense[i] + place,
+                    pattern.workspace.slots[i] + k * (k + 1) // 2 + place - k * k)
 
 
 def _assert_matches_edge_list_oracle(pattern, coords):
     """The ordering, every front field, the slots and the fill of `pattern`
     are those of the edge-list analysis of its full matrix H + Hᵀ − diag H,
-    which gives each front's entries, their places in the front's own slot
-    and its twin; the slots of the fronts with no twin follow each other in
-    the factor store, a twin's slot is its representative's, and each entry
-    of the half H lies at the place of the oracle's entry of the same index
-    pair.  Every entry at one place has one value, the half's: a twin's
-    entries land at its representative's places with its values."""
+    which gives each front's entries, their places in the front's pivot
+    block and Z, and its twin; the slots of the fronts with no twin follow
+    each other in the workspace, a twin's slot is its representative's, and
+    each entry of the half H lies at the workspace place of the oracle's
+    entry of the same index pair, which the workspace holds.  The entries
+    of one front and its twins have one value at each place, the half's: a
+    twin's entries land at its representative's places with its values
+    (fronts factored at other times may share places)."""
     full = full_matrix(pattern.half)
     order, fronts = edge_list_analyse(full, len(pattern.v_free), coords)
     assert _same(pattern.order, order)
@@ -295,20 +297,31 @@ def _assert_matches_edge_list_oracle(pattern, coords):
             assert _same(getattr(front, field), getattr(expected, field)), (i, field)
     sizes = [f.size * (f.size + 1) // 2 + f.size * len(f.struct) for f in fronts]
     slots = np.cumsum([0] + [0 if f.twin >= 0 else size for f, size in zip(fronts, sizes)])
-    assert pattern.slots == slots.tolist()
+    assert pattern.workspace.slots == slots.tolist()
     assert pattern.lu_fill == sum(sizes)
     empty = [np.empty(0, dtype=np.int64)]
     entries = np.concatenate(empty + [f.entries for f in fronts])
-    at = [slots[i if f.twin < 0 else f.twin] for i, f in enumerate(fronts)]
-    places = np.concatenate(empty + [_packed_place(f, f.places) + a for f, a in zip(fronts, at)])
+    owner = [i if f.twin < 0 else f.twin for i, f in enumerate(fronts)]
+    places = np.concatenate(empty + [_workspace_place(pattern, t, f.places)
+                                     for t, f in zip(owner, fronts)])
     assert len(pattern.places) == len(places) == pattern.half.nnz
     mine, theirs = _pairs(pattern.half, slice(None)), _pairs(full, entries)
     assert np.array_equal(np.sort(mine), np.sort(theirs))
     assert np.array_equal(pattern.places[np.argsort(mine)], places[np.argsort(theirs)])
-    store = np.full(slots[-1], np.nan)
-    store[places] = full.data[entries]
-    assert np.array_equal(store[places], full.data[entries])
-    assert np.array_equal(store[pattern.places], pattern.half.data)
+    assert np.array_equal(pattern.half.data[np.argsort(mine)],
+                          full.data[entries][np.argsort(theirs)])
+    assert places.min(initial=0) >= 0 and places.max(initial=0) < pattern.workspace.size
+    # dense pivot blocks of fronts factored at other times may share places;
+    # those of one front and its twins may not, and hold one value each
+    size = pattern.workspace.size
+    counts = [len(f.places) for f in fronts]
+    keys = np.repeat(np.arange(len(fronts)), counts) * size + places
+    assert len(np.unique(keys)) == len(places)
+    group = np.repeat(owner, counts) * size + places
+    at = np.argsort(group, kind="stable")
+    same = group[at][1:] == group[at][:-1]
+    values = full.data[entries][at]
+    assert np.array_equal(values[1:][same], values[:-1][same])
 
 
 @pytest.mark.parametrize("case", ["one front", "three levels", "V and W apart",
@@ -388,7 +401,8 @@ def test_second_copy_of_a_block_is_factored_as_twins(leaf_size):
     half = len(fronts) // 2
     assert half >= (1 if leaf_size == 30 else 3)
     assert [f.twin for f in fronts] == [-1] * half + list(range(half))
-    assert system.pattern.slots[-1] == system.pattern.slots[half] == system.pattern.lu_fill // 2
+    slots = system.pattern.workspace.slots
+    assert slots[-1] == slots[half] == system.pattern.lu_fill // 2
     expected = np.linalg.solve(matrix, rhs)
     x = np.concatenate([sol.u, sol.z])
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -413,7 +427,7 @@ def test_copies_that_differ_in_one_bit_or_one_flag_are_not_twins(case, leaf_size
     assert all(fronts[i].twin < 0 for i in differ)
     if leaf_size == 30:
         assert [f.twin for f in fronts] == [-1, -1]
-        assert system.pattern.slots[-1] == system.pattern.lu_fill
+        assert system.pattern.workspace.slots[-1] == system.pattern.lu_fill
 
 
 def test_twins_on_a_lattice_solve_as_the_dense_solve(problem):
@@ -433,15 +447,80 @@ def test_twins_on_a_lattice_solve_as_the_dense_solve(problem):
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+def _workspace_items(pattern):
+    """(start, end, first, last) of each item of the workspace plan: its
+    addresses and the fronts it lives through.  Each factored front i has
+    its slot, written from front i on; its dense pivot block, live while it
+    is factored; and its update, live from front i to its last reader,
+    found here from the tree: its parent, and the parent of each of its
+    twins, each when it is factored.  Empty items are left out."""
+    fronts, plan = pattern.fronts, pattern.workspace
+    slots = plan.slots
+    parent = {c: p for p, f in enumerate(fronts) for c, *_ in f.children}
+    items = []
+    for i, f in enumerate(fronts):
+        if f.twin >= 0:
+            assert plan.updates[i] == plan.updates[f.twin]
+            continue
+        readers = [parent[j] for j, g in enumerate(fronts) if (j == i or g.twin == i)
+                   and j in parent and fronts[parent[j]].twin < 0]
+        r = len(f.struct)
+        items += [(slots[i], slots[i + 1], i, len(fronts)),
+                  (plan.dense[i], plan.dense[i] + f.size ** 2, i, i),
+                  (plan.updates[i], plan.updates[i] + r * r, i, max(readers, default=i))]
+    return np.array([item for item in items if item[1] > item[0]]).reshape((-1, 4))
+
+
+def _assert_workspace_near_its_least_size(pattern):
+    """The workspace is no smaller than the least size of any layout of its
+    items and at most 3% above it; such a layout holds the residual's half
+    H past the slots and, at each front i, the slots of fronts 0 .. i
+    (written by then and kept) and, apart from them and from each other,
+    the pivot blocks and updates live at i.  Sizes and lives come from the
+    tree (`_workspace_items`), not from the plan's offsets: a plan with
+    its pivot blocks and updates above every slot, as a factor store kept
+    apart from them is, lies 9-28% above that size on the meshes here."""
+    start, end, first, last = _workspace_items(pattern).T
+    slots, n = pattern.workspace.slots, len(pattern.fronts)
+    steps = np.arange(n)[:, None]
+    live = ((first <= steps) & (steps <= last) & (last < n)) @ (end - start)
+    least = max(slots[-1] + pattern.half.nnz, max(np.add(slots[1:], live)))
+    assert least <= pattern.workspace.size <= 1.03 * least
+
+
+@pytest.mark.parametrize("case", ["twin blocks, leaves 30", "twin blocks, leaves 4",
+                                  "P2 n=16, leaves 4", "P1 n=16 jittered"])
+def test_workspace_plan_keeps_each_item_apart_while_it_lives(case, problem):
+    # no two items of the workspace share an address while both live, so
+    # every update is intact when each of its readers adds it, and no slot
+    # is written while an earlier item still needs its addresses; past the
+    # slots the workspace holds the residual's scaled half H
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "LEAF_SIZE", 30 if case.endswith("30") else 4)
+        if case.startswith("twin"):
+            matrix, coords, n_v, _ = _twin_blocks("equal")
+            pattern = _plain_system(matrix, np.ones(48), n_v, coords).pattern
+        else:
+            mesh = unit_square_mesh(16, *((0.2, 1) if case.startswith("P1") else ()))
+            pattern = make_system(mesh, int(case[1]), problem)[0].pattern
+    items = _workspace_items(pattern)
+    # a jittered mesh has no twins; the others hand twins' updates over
+    assert any(f.twin >= 0 for f in pattern.fronts) != case.startswith("P1")
+    start, end, first, last = items.T
+    assert start.min() >= 0 and end.max() <= pattern.workspace.size
+    assert pattern.workspace.size >= pattern.workspace.slots[-1] + pattern.half.nnz
+    _assert_workspace_near_its_least_size(pattern)
+    apart = (end[:, None] <= start) | (end <= start[:, None])
+    alive = (first[:, None] <= last) & (first <= last[:, None])
+    np.fill_diagonal(alive, False)
+    assert (apart | ~alive).all()
+
+
 def _child_plans(fronts):
     """(front, child front, plan) for every child of every front."""
-    stack = []
-    for i, front in enumerate(fronts):
-        kids = stack[len(stack) - len(front.children):]
-        del stack[len(stack) - len(front.children):]
-        for c, plan in zip(kids, front.children):
+    for front in fronts:
+        for c, *plan in front.children:
             yield front, fronts[c], plan
-        stack.append(i)
 
 
 def _row_list(rows):
@@ -477,7 +556,7 @@ def test_extend_add_runs_lie_in_pivot_or_struct_rows(leaf_size, degree, problem)
             assert np.array_equal(k + _row_list(rows), expected[a:])
         assert np.array_equal(mapped, expected)
         assert np.array_equal(k + _row_list(z_rows), expected[cut:])
-    factors = solver._factor(system.pattern, system.factors)
+    _, factors = solver._factor(system.pattern, system.factors)
     for front, (low, _) in zip(fronts, factors):
         k = front.size
         assert low.shape == (k * (k + 1) // 2,)
@@ -493,7 +572,7 @@ def test_child_updates_map_onto_few_runs(jitter, seed, problem):
     system, *_ = make_system(unit_square_mesh(16, jitter, seed), 2, problem, gamma=1e-3)
     runs = [len(pivot_runs) + len(update_runs)
             for front in system.pattern.fronts
-            for _, _, pivot_runs, update_runs in front.children]
+            for _, _, _, pivot_runs, update_runs in front.children]
     assert max(runs) <= 24
 
 
@@ -625,41 +704,18 @@ def test_median_at_the_largest_coordinate_keeps_both_parts():
 
 
 def _assert_factor_frees_each_update_once_added(pattern, factors, objects=32 * 1024):
-    """The factorization's traced memory: its peak is at most the store, the
-    largest set of live update matrices and one k × k work array, or the
-    store and the scatter's scaled values (8 bytes per entry of the half),
-    freed before the first front; when a front's kernels start, its
-    children's updates are freed, so the live memory is the store, the
-    other pending updates, the updates kept for a later twin, its own
-    update and its work array, plus Python objects under `objects` bytes
-    (the factors of each front done are two views and a tuple).  An update
-    kept for a later twin is packed, r(r + 1)/2 entries, from the
-    representative's factorization until the twin's last handoff.  A twin
-    whose parent is factored hands over a fresh r × r copy unpacked from
-    it, which lives until that parent pops it; other twins allocate
-    nothing."""
-    fronts = pattern.fronts
-    last = {f.twin: i for i, f in enumerate(fronts) if f.handoff}
-    stack, kept, largest, expected = [], set(), 0, []
-
-    def live():     # pending updates r² each, a handoff's copy its own; kept ones packed
-        return (sum(len(fronts[t].struct) ** 2 for t in stack)
-                + sum(len(fronts[t].struct) * (len(fronts[t].struct) + 1) // 2 for t in kept))
-
-    for i, front in enumerate(fronts):
-        k, r = front.size, len(front.struct)
-        if front.twin >= 0:
-            if front.handoff:
-                stack.append(front.twin)
-                largest = max(largest, live())     # the copy and its packed source
-                kept -= {front.twin} if last[front.twin] == i else set()
-            continue
-        largest = max(largest, live() + r * r)
-        del stack[len(stack) - len(front.children):]
-        expected.append(8 * (pattern.slots[-1] + live() + r * r + k * k))
-        stack.append(i)
-        kept |= {i} if i in last else set()
-        largest = max(largest, live())
+    """The factorization's traced memory: its peak is at most the workspace
+    (8 bytes per entry, within 3% of the least size of its layout, found
+    from the tree: `_assert_workspace_near_its_least_size`), the kernels'
+    copies of one dense pivot block's sub-blocks (at most k² entries for
+    the largest) and `objects` bytes;
+    when each front's first pivot block is factored, the live memory is
+    the workspace plus Python objects under `objects` bytes (the factors of
+    each front done are two views and a tuple, the front's own entries an
+    index), so every update matrix and dense pivot block lies in the
+    workspace, where an update's addresses go to later items once its last
+    reader has added it
+    (`test_workspace_plan_keeps_each_item_apart_while_it_lives`)."""
     live_at, dpotrf = [], solver.dpotrf
 
     def traced_dpotrf(*args, **kwargs):
@@ -670,17 +726,20 @@ def _assert_factor_frees_each_update_once_added(pattern, factors, objects=32 * 1
         patch.setattr(solver, "dpotrf", traced_dpotrf)
         tracemalloc.start()
         try:
-            solver._factor(pattern, factors)
+            work, _ = solver._factor(pattern, factors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    fronts, size = pattern.fronts, 8 * pattern.workspace.size
+    assert work.nbytes == size
+    _assert_workspace_near_its_least_size(pattern)
     k_max = max(front.size for front in fronts)
-    assert peak <= 8 * (pattern.slots[-1] + max(largest + k_max * k_max, pattern.half.nnz))
+    assert peak <= size + 8 * k_max * k_max + objects
     # one dpotrf call per factored front for its V pivots, one for its W pivots
     calls = np.cumsum([0] + [(f.v_pivots > 0) + (f.v_pivots < f.size)
                              for f in fronts if f.twin < 0])
     assert len(live_at) == calls[-1]
-    assert (np.array(live_at)[calls[:-1]] - np.array(expected) < objects).all()
+    assert (np.array(live_at)[calls[:-1]] - size < objects).all()
 
 
 def test_factor_frees_each_update_once_added(problem):
@@ -690,46 +749,56 @@ def test_factor_frees_each_update_once_added(problem):
 
 
 def test_factor_keeps_each_twin_handoff_until_its_last(problem):
-    # the P2 n=32 lattice has 19 twins, 11 of them under a factored front;
-    # the store holds the factored fronts' slots only, and the updates kept
-    # for their handoffs are packed.  Its 119 fronts' factor views take about
-    # 36 KiB
+    # the P2 n=32 lattice has 19 twins, 11 of them under a factored front,
+    # whose parent reads its representative's update in the workspace; the
+    # slots hold the factored fronts' factors only.  Its 119 fronts' factor
+    # views take about 36 KiB
     system, *_ = make_system(unit_square_mesh(32), 2, problem, gamma=1e-3)
     pattern = system.pattern
-    assert sum(f.twin >= 0 for f in pattern.fronts) == 19
-    assert sum(f.handoff for f in pattern.fronts) == 11
-    assert (pattern.lu_fill, pattern.slots[-1]) == (1_830_315, 1_620_710)
+    fronts = pattern.fronts
+    assert sum(f.twin >= 0 for f in fronts) == 19
+    assert sum(fronts[c].twin >= 0 for f in fronts if f.twin < 0 for c, *_ in f.children) == 11
+    assert (pattern.lu_fill, pattern.workspace.slots[-1]) == (1_830_315, 1_620_710)
     _assert_factor_frees_each_update_once_added(pattern, system.factors, 64 * 1024)
 
 
 def test_no_scaled_copy_of_the_half_lives_through_the_factorization(problem):
     # from before build_system to the first pivot block, the traced memory
-    # is the right side, the factor store and the first front's work array
-    # and update matrix: the system keeps the block factors, not a scaled
-    # copy of H (8 bytes per entry of the half), and the scatter's scaled
-    # values are freed before the first front
+    # is the right side and the workspace: the system keeps the block
+    # factors, not a scaled copy of H (8 bytes per entry of the half), and
+    # each front's own entries are scaled into the workspace.  The residual
+    # then reads H scaled into the workspace's tail, through a CSC matrix
+    # and its CSR transpose that scipy would copy from a view of a larger
+    # array
     mesh = unit_square_mesh(16)
     trial = build_space(mesh, 2, BoundaryPart.DATA)
     test = build_space(mesh, 2, BoundaryPart.FREE)
     pattern = saddle_pattern(assemble_blocks(trial, test, problem), trial, test)
-    live, dpotrf = [], solver.dpotrf
+    live, made, dpotrf, factor, scaled = [], [], solver.dpotrf, solver._factor, solver._scaled
 
     def traced_dpotrf(*args, **kwargs):
         live.append(tracemalloc.get_traced_memory()[0])
         return dpotrf(*args, **kwargs)
 
+    def kept(function):
+        return lambda *args: made.append(function(*args)) or made[-1]
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "dpotrf", traced_dpotrf)
+        patch.setattr(solver, "_factor", kept(factor))
+        patch.setattr(solver, "_scaled", kept(scaled))
         tracemalloc.start()
         try:
             solve(build_system(pattern, (1e-3, 1.0, 1e-3)))
         finally:
             tracemalloc.stop()
-    first = pattern.fronts[0]
-    k, r = first.size, len(first.struct)
-    expected = 8 * (pattern.half.shape[0] + pattern.slots[-1] + k * k + r * r)
+    expected = 8 * (pattern.half.shape[0] + pattern.workspace.size)
     assert 8 * pattern.half.nnz > 32 * 1024
     assert live[0] - expected < 32 * 1024
+    (work, _), half = made
+    _assert_workspace_near_its_least_size(pattern)
+    assert np.shares_memory(half.data, work[pattern.workspace.slots[-1]:])
+    assert np.shares_memory(half.T.data, work[pattern.workspace.slots[-1]:])
 
 
 def test_against_dense_lu_oracle(mesh2, problem):

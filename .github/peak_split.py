@@ -1,6 +1,8 @@
 """Prints which phase sets the lattice P2 study's peak resident set: for
-each level, the RSS after the level build, the size of the factorization's
-planned workspace and the high-water mark after the level's solve.
+each level, the RSS after the level build, the bytes of the saddle
+pattern's long-lived arrays (the half H's values, rows and column bounds
+and the places of its entries), the size of the factorization's planned
+workspace and the high-water mark after the level's solve.
 
     python3 .github/peak_split.py
 
@@ -24,14 +26,17 @@ def status(key):
 
 
 config = experiments.RunConfig(degree=2, levels=(8, 16, 32, 64))
-table = ["| n | RSS after the level build (MiB) | workspace (MiB) | VmHWM after the solve (MiB) |",
-         "|---|---|---|---|"]
+table = ["| n | RSS after the level build (MiB) | pattern arrays (MiB) | workspace (MiB) "
+         "| VmHWM after the solve (MiB) |",
+         "|---|---|---|---|---|"]
 for n in config.levels:
     level = experiments.Level(config, n)
     built = status("VmRSS")
+    half = level.saddle.half
+    kept = sum(a.nbytes for a in (half.data, half.indices, half.indptr, level.saddle.places))
     experiments.solve_level(level, *config.penalties)
-    table.append(f"| {n} | {built:.1f} | {8 * level.saddle.workspace.size / MIB:.1f} "
-                 f"| {status('VmHWM'):.1f} |")
+    table.append(f"| {n} | {built:.1f} | {kept / MIB:.1f} "
+                 f"| {8 * level.saddle.workspace.size / MIB:.1f} | {status('VmHWM'):.1f} |")
     del level
 print("\n".join(table))
 if os.environ.get("GITHUB_STEP_SUMMARY"):

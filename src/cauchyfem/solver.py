@@ -16,11 +16,12 @@ Once per mesh its unit-penalty matrix is stacked, checked to be exactly
 symmetric, ordered by nested dissection on the unknowns' lattice positions
 and cut into the fronts of a multifrontal factorization (Duff & Reid, ACM
 TOMS 9(3), 1983; `analyse`).  The `SaddlePattern` keeps one entry per
-symmetric pair; every penalty pair only scales each block's kept values by
-one factor.  Fronts factor densely with no pivoting (`_factor`), and one
-refinement step with the same factors always follows (diagonal pivots lose
-digits when a penalty is small: relative residual 1.8e-10 at γ = 1e-4, P1
-n=32); the relative residual is then checked.
+symmetric pair, in elimination order from the analysis to the residual;
+every penalty pair only scales each block's kept values by one factor.
+Fronts factor densely with no pivoting (`_factor`), and one refinement
+step with the same factors always follows (diagonal pivots lose digits
+when a penalty is small: relative residual 1.8e-10 at γ = 1e-4, P1 n=32);
+the relative residual is then checked.
 """
 
 from __future__ import annotations
@@ -86,19 +87,12 @@ class Workspace(NamedTuple):
     front's dense pivot block (size² entries) starts at `dense[i]`, and the
     update that it hands its parent (len(struct)² entries, column-major) at
     `updates[i]`, a twin's at its representative's.  Past slots[-1] it
-    holds at least the entries of H.
-    Numbered column by column in elimination order, the entries of H are
-    lo .. hi for front i, (lo, mid, hi) = spans[i], those of its V columns
-    up to mid; the j-th column has lens[j] of them, entry e of it being
-    H's stored entry shift[j] + e."""
+    holds at least the entries of H."""
 
     size: int
     slots: list
     dense: list
     updates: list
-    spans: list
-    shift: np.ndarray
-    lens: np.ndarray
 
 
 def analyse(matrix, n_v, coords):
@@ -107,11 +101,11 @@ def analyse(matrix, n_v, coords):
     the unknown eliminated at position p, and the fronts are in elimination
     order, every child before its parent, whose struct rows take in the
     child's.  Then the half H, the stored entries on and below the diagonal
-    of the reordered matrix (mask `lower`, column bounds `indptr`, their
-    `values` in the stored order), with their `places` in the workspace of
-    `_factor` (a twin's entries at its representative's places), and the
-    `Workspace` plan: the fronts' slots, one after another, then the pivot
-    blocks and updates placed by `_plan`.
+    of the reordered matrix, column by column in elimination order (column
+    bounds `indptr`, their positions `rows` and `values`), with their
+    `places` in the workspace of `_factor` (a twin's entries at its
+    representative's places), and the `Workspace` plan: the fronts' slots,
+    one after another, then the pivot blocks and updates placed by `_plan`.
 
     A subdomain of more than LEAF_SIZE unknowns is bisected at the median m
     of its wider coordinate c in `coords`; its separator is the set of
@@ -222,14 +216,12 @@ def analyse(matrix, n_v, coords):
     # each column's entries moved as one group to the column's new place
     row = pos[indices]
     lower = row >= np.repeat(pos, counts)
-    # H's values, kept: made after the arrays below, they raised the peak
-    # RSS of the sweep and of the P1 study by about 0.4 and 1 MiB
-    values = matrix.data[lower]
     before = np.concatenate([[0], np.cumsum(lower, dtype=itype)])[indptr]
     lens = np.diff(before)[order]
     bounds = np.concatenate([[0], np.cumsum(lens)])
     moved = np.arange(bounds[-1]) - np.repeat(bounds[:-1] - before[order], lens)
-    row, bits = row[lower][moved], values[moved].view(np.int64)
+    row, values = row[lower][moved], matrix.data[lower][moved]
+    bits = values.view(np.int64)
     col = np.repeat(np.arange(n, dtype=itype), lens)
 
     # row p of a front's column j is place slot[p] + j * stride[p] of the front:
@@ -305,12 +297,7 @@ def analyse(matrix, n_v, coords):
         t, k = i if f.twin < 0 else f.twin, f.size
         own = places[bounds[f.start]:bounds[f.start + k]]
         own += np.where(own < k * k, dense[t], slots[t] + k * (k + 1) // 2 - k * k)
-    # in the stored order, kept per mesh: half the bytes wherever they fit
-    out = np.empty(len(places), dtype=np.int32 if size < 2 ** 31 else np.int64)
-    out[moved] = places
-    spans = [bounds[[f.start, f.start + f.v_pivots, f.start + f.size]].tolist() for f in fronts]
-    return order, fronts, lower, before, values, out, Workspace(
-        size, slots, dense, updates, spans, (before[order] - bounds[:-1]).astype(itype), lens)
+    return order, fronts, bounds, row, values, places, Workspace(size, slots, dense, updates)
 
 
 def _plan(fronts, slots, tail):
@@ -372,7 +359,7 @@ def _factor(pattern, factors):
     zero from the allocation, so a fresh page is first touched by the front
     that needs it; no kernel reads an upper triangle, and an update's upper
     triangle only adds into its parent's), and the front's own entries of
-    H, found from H's column bounds, are scaled into them; it is factored
+    H, its columns' slice of H, are scaled into them; it is factored
     there (`_factor_front`) and L is packed into its slot.  A twin takes its
     representative's views, and its parent reads the representative's
     update, which stays in the workspace until its last reader."""
@@ -412,22 +399,14 @@ def _factor(pattern, factors):
 
 def _scatter(pattern, i, factors, work):
     """Front i's own entries of the half H, each times the factor of its
-    block in `factors`, written to their places in the workspace `work`."""
-    plan, front = pattern.workspace, pattern.fronts[i]
-    (lo, mid, hi), a, b = plan.spans[i], front.start, front.start + front.size
-    own = np.repeat(plan.shift[a:b], plan.lens[a:b]) + np.arange(lo, hi)
-    block = _blocks(pattern, own, mid - lo)
-    work[pattern.places[own]] = pattern.half.data[own] * factors[block]
-
-
-def _blocks(pattern, own, w_from):
-    """The block of each of the entries `own` of the pattern's half H, 0
-    for S_V, 1 for A or Aᵀ, 2 for −S_W, read off the entry's row and
-    column: the V columns hold S_V above A, the W columns Aᵀ above −S_W.
-    The entries of `own` from `w_from` on lie in W columns."""
-    block = (pattern.half.indices[own] >= len(pattern.v_free)).view(np.int8)   # 1: A or Aᵀ
-    block[w_from:] += 1         # W columns: Aᵀ, or 2 for −S_W
-    return block
+    block in `factors`, written to their places in the workspace `work`:
+    its V columns hold S_V above A, its W columns Aᵀ above −S_W."""
+    half, front = pattern.half, pattern.fronts[i]
+    lo, mid, hi = half.indptr[[front.start, front.start + front.v_pivots,
+                               front.start + front.size]]
+    block = (pattern.order[half.indices[lo:hi]] >= len(pattern.v_free)).view(np.int8)
+    block[mid - lo:] += 1       # W columns: Aᵀ, or 2 for −S_W
+    work[pattern.places[lo:hi]] = half.data[lo:hi] * factors[block]
 
 
 def _factor_front(i, front, low, off, update, factors, children):
@@ -464,8 +443,9 @@ def _factor_front(i, front, low, off, update, factors, children):
 
 
 def _substitute(pattern, factors, rhs):
-    """The solution of the factored system for `rhs`, each L applied in place."""
-    y = rhs[pattern.order]
+    """The solution of the factored system for `rhs`, both in elimination
+    order, each L applied in place."""
+    y = rhs.copy()
     for front, (low, off) in zip(pattern.fronts, factors):
         piv = y[front.start:front.start + front.size]
         dtpsv(front.size, low, piv, lower=1, overwrite_x=1)
@@ -477,9 +457,7 @@ def _substitute(pattern, factors, rhs):
         piv -= off.T @ y[front.struct]
         piv[front.v_pivots:] *= -1.0
         dtpsv(front.size, low, piv, lower=1, trans=1, overwrite_x=1)
-    x = np.empty_like(y)
-    x[pattern.order] = y
-    return x
+    return y
 
 
 @dataclass(frozen=True)
@@ -487,13 +465,15 @@ class SaddlePattern:
     """The saddle matrix M of one mesh at unit penalties, analysed once.
 
     M = H + Hᵀ − diag H, checked to be exactly symmetric, is kept as its
-    half H (`analyse`), one entry per symmetric pair, a CSC matrix in the
-    original numbering: the V unknowns before the W unknowns, so an entry's
-    row and column give its block, 0 for S_V, 1 for A or Aᵀ, 2 for −S_W
-    (`build_system`).  `g` and `load` are the right side's unit-penalty
-    parts; the rest comes from `analyse`: the order, the fronts, each
-    entry's place in the workspace and the `Workspace` plan of one
-    factorization, the slots of the factors among it."""
+    half H (`analyse`), one entry per symmetric pair, a CSC matrix on the
+    elimination positions (unknown order[p] at p, on V when below
+    len(v_free)): front i's own entries are its columns' slice, V columns
+    first.  Its rows are unsorted, so its arrays and `places` are
+    read-only: an in-place sort, merge or prune would move entries from
+    their places.  `g` and `load`, the right side's unit-penalty parts, are
+    in the original numbering; the rest comes from `analyse`: the order,
+    the fronts, each entry's place in the workspace and the `Workspace`
+    plan of one factorization, the slots of the factors among it."""
 
     half: sp.csc_matrix
     g: np.ndarray
@@ -524,8 +504,11 @@ class SaddleSystem:
 
     @property
     def matrix(self):
-        """The half H with each block times its factor, made on each read."""
-        return _scaled(self.pattern, self.factors, np.empty(self.pattern.half.nnz))
+        """The half H with each block times its factor, made on each read,
+        in the original numbering of `rhs`."""
+        h = _scaled(self.pattern, self.factors, np.empty(self.pattern.half.nnz)).tocoo()
+        order = self.pattern.order
+        return sp.csc_matrix((h.data, (order[h.row], order[h.col])), shape=h.shape)
 
 
 @dataclass(frozen=True)
@@ -573,10 +556,14 @@ def analysed_pattern(unit, coords, g, load, v_free, w_free, n_v, n_w):
         raise ValueError(f"saddle matrix is not symmetric: |M_ij − M_ji| = "
                          f"{defect[at]:g} at ({i}, {j}), in block {block}")
     del defect
-    order, fronts, lower, indptr, values, places, workspace = analyse(unit, nv, coords)
-    # built once analyse's temporaries are freed: built among them, the half
-    # raised the P2 study's peak RSS by about 15 MiB (180 against 165 MiB)
-    half = sp.csc_matrix((values, unit.indices[lower], indptr), shape=unit.shape)
+    order, fronts, indptr, rows, values, places, workspace = analyse(unit, nv, coords)
+    # copied once analyse's temporaries are freed, places in half the bytes
+    # wherever they fit: kept where analyse made them, among its
+    # temporaries, they raised the P2 study's peak RSS from 156 to 196 MiB
+    half = sp.csc_matrix((values.copy(), rows.copy(), indptr), shape=unit.shape)
+    places = places.astype(np.int32 if workspace.size < 2 ** 31 else np.int64)
+    for array in (half.data, half.indices, half.indptr, places):
+        array.flags.writeable = False
     return SaddlePattern(half, g, load, v_free, w_free, n_v, n_w,
                          order, fronts, places, workspace)
 
@@ -590,22 +577,26 @@ def build_system(pattern, factors=(1.0, 1.0, 1.0)):
 
 
 def _scaled(pattern, factors, data):
-    """The pattern's half H with each block (`_blocks`) times its factor in
-    `factors`, its values written to `data`."""
-    half = pattern.half
-    block = _blocks(pattern, slice(None), half.indptr[len(pattern.v_free)])
+    """The pattern's half H with each block times its factor in `factors`,
+    its values written to `data`.  An entry's block, 0 for S_V, 1 for A or
+    Aᵀ, 2 for −S_W, counts the W unknowns among its row and its column."""
+    half, is_w = pattern.half, pattern.order >= len(pattern.v_free)
+    block = np.repeat(is_w, np.diff(half.indptr)).view(np.int8)
+    for a in range(0, half.nnz, 2 ** 16):   # take copies its indices to intp: in parts
+        block[a:a + 2 ** 16] += np.take(is_w, half.indices[a:a + 2 ** 16])
     for b, factor in enumerate(factors):    # factors[block] would copy H's size
         np.multiply(half.data, factor, out=data, where=block == b)
     return sp.csc_matrix((data, half.indices, half.indptr), half.shape)
 
 
 def solve(system):
-    """Multifrontal LDLᵀ solve with one refinement step, M x taken as
-    Hx + Hᵀx − diag(H)x for the scaled half H, made once the factors are,
+    """Multifrontal LDLᵀ solve with one refinement step, M y taken as
+    Hy + Hᵀy − diag(H)y for the scaled half H, made once the factors are,
     in the workspace past their slots, where only dead updates and pivot
-    blocks lay; raises SingularSystemError at a pivot block that is not
-    definite and UnconvergedSolveError unless the relative residual is
-    finite and below RESIDUAL_TOL."""
+    blocks lay.  The right side is permuted into elimination order once and
+    the solution out of it once.  Raises SingularSystemError at a pivot
+    block that is not definite and UnconvergedSolveError unless the
+    relative residual is finite and below RESIDUAL_TOL."""
     pattern = system.pattern
     work, stored = _factor(pattern, system.factors)
     # scipy's csc_matrix and .T copy a view of less than half its base
@@ -613,15 +604,18 @@ def solve(system):
     half = _scaled(pattern, system.factors, np.frombuffer(
         memoryview(work), count=pattern.half.nnz, offset=8 * pattern.workspace.slots[-1]))
     diagonal = half.diagonal()
-    x = _substitute(pattern, stored, system.rhs)
-    x += _substitute(pattern, stored, system.rhs - (half @ x + half.T @ x - diagonal * x))
-    rhs_norm = dnrm2(system.rhs)    # nrm2 scales its sum: x·x overflows once γ‖g‖ > 1e154
-    res = dnrm2(half @ x + half.T @ x - diagonal * x - system.rhs)
+    rhs = system.rhs[pattern.order]
+    y = _substitute(pattern, stored, rhs)
+    y += _substitute(pattern, stored, rhs - (half @ y + half.T @ y - diagonal * y))
+    rhs_norm = dnrm2(rhs)   # nrm2 scales its sum: x·x overflows once γ‖g‖ > 1e154
+    res = dnrm2(half @ y + half.T @ y - diagonal * y - rhs)
     residual = float(res / rhs_norm) if rhs_norm > 0 else float(res)
     if not residual < RESIDUAL_TOL:
         raise UnconvergedSolveError(
             f"relative residual {residual:.3e} of the LDLᵀ solve is not below "
             f"{RESIDUAL_TOL:g}")
+    x = np.empty_like(y)
+    x[pattern.order] = y
     u, z = np.zeros(pattern.n_v), np.zeros(pattern.n_w)
     u[pattern.v_free], z[pattern.w_free] = np.split(x, [len(pattern.v_free)])
     return DiscreteSolution(u=u, z=z, residual=residual)

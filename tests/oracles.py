@@ -461,6 +461,15 @@ def full_dof_unit_matrix(mesh, degree, problem, variant):
     return unit
 
 
+def original_half(pattern):
+    """The half H of `pattern`, kept in elimination order, in the original
+    numbering (V unknowns before W unknowns): a COO matrix whose entry e is
+    H's stored entry e, so its place is still `pattern.places[e]`."""
+    h = pattern.half.tocoo()
+    return sp.coo_matrix((h.data, (pattern.order[h.row], pattern.order[h.col])),
+                         shape=h.shape)
+
+
 def full_matrix(half):
     """The symmetric matrix H + Hᵀ − diag H of the stored half H = `half`
     of a saddle matrix, in canonical CSC form: every stored entry of H

@@ -19,7 +19,7 @@ from cauchyfem.spaces import build_space
 
 from .oracles import (discrete_consistency_probe, dof_coords, edge_list_analyse, eval_fe,
                       full_dof_unit_matrix, full_matrix, nodal_interpolant,
-                      saddle_pattern, scaled, solve_from_scratch)
+                      original_half, saddle_pattern, scaled, solve_from_scratch)
 
 GAMMA = 0.01
 
@@ -223,7 +223,7 @@ def test_defects_are_the_block_maxima_of_the_dense_asymmetry(degree, problem):
     dense = sp.bmat([[blocks.s_v, blocks.a.T], [blocks.a, -blocks.s_w]]).toarray()
     defect, nv = np.abs(dense - dense.T), len(trial.free_dofs)
     assert [defect[:nv, :nv].max(), defect[nv:, :nv].max(), defect[nv:, nv:].max()] == [0.0] * 3
-    assert np.array_equal(full_matrix(pattern.half).toarray(), dense)
+    assert np.array_equal(full_matrix(original_half(pattern)).toarray(), dense)
 
 
 def _random_sqd(rng, coords, n_v, density=0.3):
@@ -261,11 +261,9 @@ def _same(x, y):
 
 def _pairs(matrix, entries):
     """The unordered index pair (i, j), as one number, of each stored entry
-    `entries` of the CSC `matrix`."""
-    n = matrix.shape[0]
-    cols = np.repeat(np.arange(n), np.diff(matrix.indptr))[entries]
-    rows = matrix.indices[entries].astype(np.int64)
-    return np.minimum(rows, cols) * n + np.maximum(rows, cols)
+    `entries` of the COO `matrix`."""
+    rows, cols = matrix.row[entries].astype(np.int64), matrix.col[entries]
+    return np.minimum(rows, cols) * matrix.shape[0] + np.maximum(rows, cols)
 
 
 def _workspace_place(pattern, i, place):
@@ -288,7 +286,8 @@ def _assert_matches_edge_list_oracle(pattern, coords):
     of one front and its twins have one value at each place, the half's: a
     twin's entries land at its representative's places with its values
     (fronts factored at other times may share places)."""
-    full = full_matrix(pattern.half)
+    half = original_half(pattern)
+    full = full_matrix(half)
     order, fronts = edge_list_analyse(full, len(pattern.v_free), coords)
     assert _same(pattern.order, order)
     assert len(pattern.fronts) == len(fronts)
@@ -304,11 +303,11 @@ def _assert_matches_edge_list_oracle(pattern, coords):
     owner = [i if f.twin < 0 else f.twin for i, f in enumerate(fronts)]
     places = np.concatenate(empty + [_workspace_place(pattern, t, f.places)
                                      for t, f in zip(owner, fronts)])
-    assert len(pattern.places) == len(places) == pattern.half.nnz
-    mine, theirs = _pairs(pattern.half, slice(None)), _pairs(full, entries)
+    assert len(pattern.places) == len(places) == half.nnz
+    mine, theirs = _pairs(half, slice(None)), _pairs(full.tocoo(), entries)
     assert np.array_equal(np.sort(mine), np.sort(theirs))
     assert np.array_equal(pattern.places[np.argsort(mine)], places[np.argsort(theirs)])
-    assert np.array_equal(pattern.half.data[np.argsort(mine)],
+    assert np.array_equal(half.data[np.argsort(mine)],
                           full.data[entries][np.argsort(theirs)])
     assert places.min(initial=0) >= 0 and places.max(initial=0) < pattern.workspace.size
     # dense pivot blocks of fronts factored at other times may share places;
@@ -607,14 +606,14 @@ def test_unit_matrix_matches_full_dof_stacking(degree, variant, jitter, seed, n,
     test = build_space(mesh, degree, BoundaryPart.FREE)
     pattern = saddle_pattern(assemble_blocks(trial, test, problem, variant), trial, test)
     expected = full_dof_unit_matrix(mesh, degree, problem, variant)
-    full = full_matrix(pattern.half)
+    h = original_half(pattern)
+    full = full_matrix(h)
     assert np.array_equal(full.indptr, expected.indptr)
     assert np.array_equal(full.indices, expected.indices)
     nv = len(pattern.v_free)
     cols = np.repeat(np.arange(expected.shape[1]), np.diff(expected.indptr))
     classes = (expected.indices >= nv).astype(np.int8) + (cols >= nv)
     # each entry of the half against the stacked entry at its own place
-    h = pattern.half.tocoo()
     ids = sp.csc_matrix((np.arange(expected.nnz), expected.indices, expected.indptr),
                         shape=expected.shape)
     at = np.asarray(ids[h.row, h.col]).ravel()
@@ -640,6 +639,55 @@ def test_every_block_gets_its_own_factor(degree, variant, problem):
     expected = sp.bmat([[2.0 * blocks.s_v, 3.0 * blocks.a.T],
                         [3.0 * blocks.a, -5.0 * blocks.s_w]]).toarray()
     assert np.array_equal(full, expected)
+
+
+@pytest.mark.parametrize("case", ["P1 n=16 jittered", "P2 n=16 lattice, twins",
+                                  "Galerkin P2 n=16"])
+def test_scatter_and_scaled_read_the_same_blocks(case, problem):
+    # `_scatter` reads an entry's block front by front, from its row and
+    # the front's V/W column split, `_scaled` over all of H from its row and
+    # its column.  At factors (2, 3, 5) each front writes its own entries,
+    # those of its pivot columns, which are its slice of H, each at its
+    # place with `_scaled`'s value, bit for bit (a twin at its
+    # representative's places), and nothing else
+    mesh = unit_square_mesh(16, *((0.2, 1) if case.startswith("P1") else ()))
+    with pytest.MonkeyPatch.context() as patch:
+        if "twins" in case:
+            patch.setattr(solver, "LEAF_SIZE", 4)
+        system, *_ = make_system(mesh, 1 if case.startswith("P1") else 2, problem,
+                                 "galerkin" if case.startswith("Galerkin") else "jump")
+    pattern, factors = system.pattern, np.array([2.0, 3.0, 5.0])
+    half = pattern.half
+    assert any(f.twin >= 0 for f in pattern.fronts) == ("twins" in case)
+    scaled = solver._scaled(pattern, factors, np.empty(half.nnz)).data.view(np.int64)
+    cols = original_half(pattern).col   # each entry's column, as an unknown
+    for i, front in enumerate(pattern.fronts):
+        lo, hi = half.indptr[front.start], half.indptr[front.start + front.size]
+        own = np.isin(cols, pattern.order[front.start:front.start + front.size])
+        assert np.array_equal(np.flatnonzero(own), np.arange(lo, hi)), i
+        work = np.zeros(pattern.workspace.size)
+        solver._scatter(pattern, i, factors, work)
+        assert np.array_equal(work[pattern.places[lo:hi]].view(np.int64), scaled[lo:hi]), i
+        work[pattern.places[lo:hi]] = 0.0
+        assert not work.any(), i
+
+
+def test_half_and_places_are_read_only(problem):
+    # H's rows are unsorted within its columns, so scipy's in-place sort,
+    # merge and prune would move entries away from their places: each
+    # raises instead and leaves H as it was, and the system still solves
+    system, *_ = make_system(unit_square_mesh(16), 1, problem)
+    pattern = system.pattern
+    half = pattern.half
+    assert not half.has_sorted_indices
+    arrays = (half.data, half.indices, half.indptr, pattern.places)
+    before = [array.copy() for array in arrays]
+    for call in (half.sort_indices, half.sum_duplicates, half.eliminate_zeros):
+        with pytest.raises(ValueError):
+            call()
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+    assert not any(array.flags.writeable for array in arrays)
+    assert solve(system).residual < RESIDUAL_TOL
 
 
 def test_fill_at_p2_n16_is_pinned(problem):

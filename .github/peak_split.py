@@ -1,8 +1,9 @@
 """Prints which phase sets the lattice P2 study's peak resident set: for
 each level, the RSS after the level build, the bytes of the saddle
-pattern's long-lived arrays (the half H's values, rows and column bounds
-and the places of its entries), the size of the factorization's planned
-workspace and the high-water mark after the level's solve.
+pattern's long-lived arrays (the half H's values, rows and column bounds,
+and the places and block labels of its entries), the size of the
+factorization's planned workspace and the high-water mark after the
+level's solve.
 
     python3 .github/peak_split.py
 
@@ -33,7 +34,8 @@ for n in config.levels:
     level = experiments.Level(config, n)
     built = status("VmRSS")
     half = level.saddle.half
-    kept = sum(a.nbytes for a in (half.data, half.indices, half.indptr, level.saddle.places))
+    kept = sum(a.nbytes for a in (half.data, half.indices, half.indptr,
+                                  level.saddle.places, level.saddle.block))
     experiments.solve_level(level, *config.penalties)
     table.append(f"| {n} | {built:.1f} | {kept / MIB:.1f} "
                  f"| {8 * level.saddle.workspace.size / MIB:.1f} | {status('VmHWM'):.1f} |")

@@ -16,8 +16,8 @@ Once per mesh its unit-penalty matrix is stacked, checked to be exactly
 symmetric, ordered by nested dissection on the unknowns' lattice positions
 and cut into the fronts of a multifrontal factorization (Duff & Reid, ACM
 TOMS 9(3), 1983; `analyse`).  The `SaddlePattern` keeps one entry per
-symmetric pair, in elimination order from the analysis to the residual;
-every penalty pair only scales each block's kept values by one factor.
+symmetric pair and its block, in elimination order from the analysis to
+the residual; every penalty pair only scales each block by one factor.
 Fronts factor densely with no pivoting (`_factor`), and one refinement
 step with the same factors always follows (diagonal pivots lose digits
 when a penalty is small: relative residual 1.8e-10 at γ = 1e-4, P1 n=32);
@@ -104,8 +104,9 @@ def analyse(matrix, n_v, coords):
     of the reordered matrix, column by column in elimination order (column
     bounds `indptr`, their positions `rows` and `values`), with their
     `places` in the workspace of `_factor` (a twin's entries at its
-    representative's places), and the `Workspace` plan: the fronts' slots,
-    one after another, then the pivot blocks and updates placed by `_plan`.
+    representative's places) and their `block`, the number of W unknowns
+    among an entry's row and column, and the `Workspace` plan: the fronts'
+    slots, one after another, then the pivot blocks and updates (`_plan`).
 
     A subdomain of more than LEAF_SIZE unknowns is bisected at the median m
     of its wider coordinate c in `coords`; its separator is the set of
@@ -223,6 +224,8 @@ def analyse(matrix, n_v, coords):
     row, values = row[lower][moved], matrix.data[lower][moved]
     bits = values.view(np.int64)
     col = np.repeat(np.arange(n, dtype=itype), lens)
+    is_w = order >= n_v
+    block = np.add(is_w[row], is_w[col], dtype=np.int8)
 
     # row p of a front's column j is place slot[p] + j * stride[p] of the front:
     # its dense pivot block L (k × k) holds its pivot rows, then Z (r × k) its
@@ -230,7 +233,7 @@ def analyse(matrix, n_v, coords):
     slot, stride = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     places, slots = np.empty(len(row), dtype=np.int64), [0]
     mark = np.zeros(n, dtype=bool)
-    fronts, start, first, is_v = [], 0, {}, order < n_v    # first: per key, fronts no twin
+    fronts, start, first = [], 0, {}    # first: per key, fronts no twin
 
     def same(t, span, struct):
         other = slice(bounds[fronts[t].start], bounds[fronts[t].start + fronts[t].size])
@@ -239,7 +242,7 @@ def analyse(matrix, n_v, coords):
             i, j = np.argsort(mine), np.argsort(theirs)
             mine, theirs, x, y = mine[i], theirs[j], x[i], y[j]
         return (mine.tobytes() == theirs.tobytes() and x.tobytes() == y.tobytes()
-                and is_v[fronts[t].struct].tobytes() == is_v[struct].tobytes())
+                and is_w[fronts[t].struct].tobytes() == is_w[struct].tobytes())
 
     for piv, children in zip(pivots, kids):
         k = len(piv)
@@ -297,7 +300,8 @@ def analyse(matrix, n_v, coords):
         t, k = i if f.twin < 0 else f.twin, f.size
         own = places[bounds[f.start]:bounds[f.start + k]]
         own += np.where(own < k * k, dense[t], slots[t] + k * (k + 1) // 2 - k * k)
-    return order, fronts, bounds, row, values, places, Workspace(size, slots, dense, updates)
+    plan = Workspace(size, slots, dense, updates)
+    return order, fronts, bounds, row, values, places, block, plan
 
 
 def _plan(fronts, slots, tail):
@@ -359,12 +363,13 @@ def _factor(pattern, factors):
     zero from the allocation, so a fresh page is first touched by the front
     that needs it; no kernel reads an upper triangle, and an update's upper
     triangle only adds into its parent's), and the front's own entries of
-    H, its columns' slice of H, are scaled into them; it is factored
-    there (`_factor_front`) and L is packed into its slot.  A twin takes its
-    representative's views, and its parent reads the representative's
-    update, which stays in the workspace until its last reader."""
-    plan, fronts = pattern.workspace, pattern.fronts
-    slots = plan.slots
+    H, its columns' slice of H, are scaled by their blocks' factors into
+    them; it is factored there (`_factor_front`) and L is packed into its
+    slot.  A twin takes its representative's views, and its parent reads
+    the representative's update, which stays in the workspace until its
+    last reader."""
+    plan, fronts, half = pattern.workspace, pattern.fronts, pattern.half
+    slots, places, block = plan.slots, pattern.places, pattern.block
     work, out, top = np.zeros(plan.size), [], 0     # top: the end of what earlier fronts used
 
     def square(at, r):
@@ -386,7 +391,8 @@ def _factor(pattern, factors):
                 if lo + j * (m + 1) >= top:
                     break
                 square(lo, m)[j:, j:j + 128] = 0.0
-        _scatter(pattern, i, factors, work)
+        own = slice(*half.indptr[[front.start, front.start + k]])
+        work[places[own]] = half.data[own] * factors[block[own]]
         low, off = square(dense, k), work[at:slots[i + 1]].reshape((r, k), order="F")
         _factor_front(i, front, low, off, square(update, r), factors,
                       [(square(plan.updates[c], len(fronts[c].struct)), *link)
@@ -395,18 +401,6 @@ def _factor(pattern, factors):
         out.append((work[slots[i]:at], off))
         top = max(top, dense + k * k, update + r * r)
     return work, out
-
-
-def _scatter(pattern, i, factors, work):
-    """Front i's own entries of the half H, each times the factor of its
-    block in `factors`, written to their places in the workspace `work`:
-    its V columns hold S_V above A, its W columns Aᵀ above −S_W."""
-    half, front = pattern.half, pattern.fronts[i]
-    lo, mid, hi = half.indptr[[front.start, front.start + front.v_pivots,
-                               front.start + front.size]]
-    block = (pattern.order[half.indices[lo:hi]] >= len(pattern.v_free)).view(np.int8)
-    block[mid - lo:] += 1       # W columns: Aᵀ, or 2 for −S_W
-    work[pattern.places[lo:hi]] = half.data[lo:hi] * factors[block]
 
 
 def _factor_front(i, front, low, off, update, factors, children):
@@ -468,12 +462,13 @@ class SaddlePattern:
     half H (`analyse`), one entry per symmetric pair, a CSC matrix on the
     elimination positions (unknown order[p] at p, on V when below
     len(v_free)): front i's own entries are its columns' slice, V columns
-    first.  Its rows are unsorted, so its arrays and `places` are
+    first.  Its rows are unsorted, so its arrays, `places` and `block` are
     read-only: an in-place sort, merge or prune would move entries from
     their places.  `g` and `load`, the right side's unit-penalty parts, are
     in the original numbering; the rest comes from `analyse`: the order,
-    the fronts, each entry's place in the workspace and the `Workspace`
-    plan of one factorization, the slots of the factors among it."""
+    the fronts, each entry's place in the workspace and its `block` (int8:
+    0 for S_V, 1 for A or Aᵀ, 2 for −S_W), and the `Workspace` plan of one
+    factorization, the slots of the factors among it."""
 
     half: sp.csc_matrix
     g: np.ndarray
@@ -485,6 +480,7 @@ class SaddlePattern:
     order: np.ndarray
     fronts: list
     places: np.ndarray
+    block: np.ndarray
     workspace: Workspace
 
     @property
@@ -556,36 +552,36 @@ def analysed_pattern(unit, coords, g, load, v_free, w_free, n_v, n_w):
         raise ValueError(f"saddle matrix is not symmetric: |M_ij − M_ji| = "
                          f"{defect[at]:g} at ({i}, {j}), in block {block}")
     del defect
-    order, fronts, indptr, rows, values, places, workspace = analyse(unit, nv, coords)
+    order, fronts, indptr, rows, values, places, block, workspace = analyse(unit, nv, coords)
     # copied once analyse's temporaries are freed, places in half the bytes
     # wherever they fit: kept where analyse made them, among its
     # temporaries, they raised the P2 study's peak RSS from 156 to 196 MiB
+    # (156.7 MiB with the labels copied first, 157.5 with them copied last)
+    block = block.copy()
     half = sp.csc_matrix((values.copy(), rows.copy(), indptr), shape=unit.shape)
     places = places.astype(np.int32 if workspace.size < 2 ** 31 else np.int64)
-    for array in (half.data, half.indices, half.indptr, places):
+    for array in (half.data, half.indices, half.indptr, places, block):
         array.flags.writeable = False
     return SaddlePattern(half, g, load, v_free, w_free, n_v, n_w,
-                         order, fronts, places, workspace)
+                         order, fronts, places, block, workspace)
 
 
 def build_system(pattern, factors=(1.0, 1.0, 1.0)):
     """The saddle system with each block of `pattern` times its factor in
-    `factors` (indexed by S_V, A, S_W); g is scaled with S_V.  Keeps the
-    factors, not a scaled matrix."""
+    `factors` (indexed by S_V, A, S_W, no more, no fewer: else ValueError);
+    g is scaled with S_V.  Keeps the factors, not a scaled matrix."""
     factors = np.asarray(factors, dtype=float)
+    if factors.shape != (3,):
+        raise ValueError(f"need three block factors (S_V, A, S_W), got {factors.tolist()}")
     return SaddleSystem(pattern, factors, np.concatenate([factors[0] * pattern.g, pattern.load]))
 
 
 def _scaled(pattern, factors, data):
     """The pattern's half H with each block times its factor in `factors`,
-    its values written to `data`.  An entry's block, 0 for S_V, 1 for A or
-    Aᵀ, 2 for −S_W, counts the W unknowns among its row and its column."""
-    half, is_w = pattern.half, pattern.order >= len(pattern.v_free)
-    block = np.repeat(is_w, np.diff(half.indptr)).view(np.int8)
-    for a in range(0, half.nnz, 2 ** 16):   # take copies its indices to intp: in parts
-        block[a:a + 2 ** 16] += np.take(is_w, half.indices[a:a + 2 ** 16])
+    its values written to `data`, one pass per `pattern.block` label."""
+    half = pattern.half
     for b, factor in enumerate(factors):    # factors[block] would copy H's size
-        np.multiply(half.data, factor, out=data, where=block == b)
+        np.multiply(half.data, factor, out=data, where=pattern.block == b)
     return sp.csc_matrix((data, half.indices, half.indptr), half.shape)
 
 

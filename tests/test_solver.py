@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -282,7 +283,8 @@ def _assert_matches_edge_list_oracle(pattern, coords):
     block and Z, and its twin; the slots of the fronts with no twin follow
     each other in the workspace, a twin's slot is its representative's, and
     each entry of the half H lies at the workspace place of the oracle's
-    entry of the same index pair, which the workspace holds.  The entries
+    entry of the same index pair, which the workspace holds.  Each front's
+    own entries, the oracle's, are its columns' slice of H.  The entries
     of one front and its twins have one value at each place, the half's: a
     twin's entries land at its representative's places with its values
     (fronts factored at other times may share places)."""
@@ -291,7 +293,10 @@ def _assert_matches_edge_list_oracle(pattern, coords):
     order, fronts = edge_list_analyse(full, len(pattern.v_free), coords)
     assert _same(pattern.order, order)
     assert len(pattern.fronts) == len(fronts)
+    mine, coo = _pairs(half, slice(None)), full.tocoo()
     for i, (front, expected) in enumerate(zip(pattern.fronts, fronts)):
+        lo, hi = pattern.half.indptr[[front.start, front.start + front.size]]
+        assert np.array_equal(np.sort(mine[lo:hi]), np.sort(_pairs(coo, expected.entries))), i
         for field in Front._fields:
             assert _same(getattr(front, field), getattr(expected, field)), (i, field)
     sizes = [f.size * (f.size + 1) // 2 + f.size * len(f.struct) for f in fronts]
@@ -304,7 +309,7 @@ def _assert_matches_edge_list_oracle(pattern, coords):
     places = np.concatenate(empty + [_workspace_place(pattern, t, f.places)
                                      for t, f in zip(owner, fronts)])
     assert len(pattern.places) == len(places) == half.nnz
-    mine, theirs = _pairs(half, slice(None)), _pairs(full.tocoo(), entries)
+    theirs = _pairs(coo, entries)
     assert np.array_equal(np.sort(mine), np.sort(theirs))
     assert np.array_equal(pattern.places[np.argsort(mine)], places[np.argsort(theirs)])
     assert np.array_equal(half.data[np.argsort(mine)],
@@ -617,6 +622,7 @@ def test_unit_matrix_matches_full_dof_stacking(degree, variant, jitter, seed, n,
     ids = sp.csc_matrix((np.arange(expected.nnz), expected.indices, expected.indptr),
                         shape=expected.shape)
     at = np.asarray(ids[h.row, h.col]).ravel()
+    assert np.array_equal(pattern.block, classes[at])
     for block in range(3):
         mine = classes[at] == block
         scale = np.abs(expected.data[classes == block]).max(initial=0.0)
@@ -624,52 +630,44 @@ def test_unit_matrix_matches_full_dof_stacking(degree, variant, jitter, seed, n,
     assert (expected != expected.T).nnz == 0
 
 
-@pytest.mark.parametrize("variant", ["jump", "galerkin"])
-@pytest.mark.parametrize("degree", [1, 2])
-def test_every_block_gets_its_own_factor(degree, variant, problem):
-    # each kept entry is scaled by the factor of the block its row and
-    # column give: the matrix is the stacked unit blocks, each times its
-    # factor, bit for bit, the Galerkin S_W included
-    mesh = unit_square_mesh(6, jitter=0.2, seed=1)
+@pytest.mark.parametrize("degree, variant, twins", [
+    pytest.param(d, v, False, id=f"{d}-{v}") for d in (1, 2) for v in ("jump", "galerkin")
+] + [pytest.param(2, "jump", True, id="P2 n=16 lattice, leaves 4, twins")])
+def test_every_block_gets_its_own_factor(degree, variant, twins, problem):
+    # each kept entry is scaled by the factor of its block: the matrix is
+    # the stacked unit blocks, each times its factor, bit for bit, the
+    # Galerkin S_W included, and the solve at these factors is the dense
+    # solve's, twins (which factor their own values at their
+    # representative's places) included
+    mesh = unit_square_mesh(16) if twins else unit_square_mesh(6, jitter=0.2, seed=1)
     trial = build_space(mesh, degree, BoundaryPart.DATA)
     test = build_space(mesh, degree, BoundaryPart.FREE)
     blocks = assemble_blocks(trial, test, problem, variant)
-    system = build_system(saddle_pattern(blocks, trial, test), (2.0, 3.0, 5.0))
+    with pytest.MonkeyPatch.context() as patch:
+        if twins:
+            patch.setattr(solver, "LEAF_SIZE", 4)
+        system = build_system(saddle_pattern(blocks, trial, test), (2.0, 3.0, 5.0))
+    assert any(f.twin >= 0 for f in system.pattern.fronts) == twins
     full = full_matrix(system.matrix).toarray()
     expected = sp.bmat([[2.0 * blocks.s_v, 3.0 * blocks.a.T],
                         [3.0 * blocks.a, -5.0 * blocks.s_w]]).toarray()
     assert np.array_equal(full, expected)
+    sol = solve(system)
+    x = np.concatenate([sol.u[trial.free_dofs], sol.z[test.free_dofs]])
+    # at unit blocks the dense matrix's condition number reaches 1.3e7 (P2
+    # n=16), so two backward-stable solves may differ by about κε ≈ 1e-9
+    # relative; they differ by at most 2.4e-11 here
+    reference = np.linalg.solve(expected, system.rhs)
+    assert np.linalg.norm(x - reference) <= 1e-9 * np.linalg.norm(reference)
 
 
-@pytest.mark.parametrize("case", ["P1 n=16 jittered", "P2 n=16 lattice, twins",
-                                  "Galerkin P2 n=16"])
-def test_scatter_and_scaled_read_the_same_blocks(case, problem):
-    # `_scatter` reads an entry's block front by front, from its row and
-    # the front's V/W column split, `_scaled` over all of H from its row and
-    # its column.  At factors (2, 3, 5) each front writes its own entries,
-    # those of its pivot columns, which are its slice of H, each at its
-    # place with `_scaled`'s value, bit for bit (a twin at its
-    # representative's places), and nothing else
-    mesh = unit_square_mesh(16, *((0.2, 1) if case.startswith("P1") else ()))
-    with pytest.MonkeyPatch.context() as patch:
-        if "twins" in case:
-            patch.setattr(solver, "LEAF_SIZE", 4)
-        system, *_ = make_system(mesh, 1 if case.startswith("P1") else 2, problem,
-                                 "galerkin" if case.startswith("Galerkin") else "jump")
-    pattern, factors = system.pattern, np.array([2.0, 3.0, 5.0])
-    half = pattern.half
-    assert any(f.twin >= 0 for f in pattern.fronts) == ("twins" in case)
-    scaled = solver._scaled(pattern, factors, np.empty(half.nnz)).data.view(np.int64)
-    cols = original_half(pattern).col   # each entry's column, as an unknown
-    for i, front in enumerate(pattern.fronts):
-        lo, hi = half.indptr[front.start], half.indptr[front.start + front.size]
-        own = np.isin(cols, pattern.order[front.start:front.start + front.size])
-        assert np.array_equal(np.flatnonzero(own), np.arange(lo, hi)), i
-        work = np.zeros(pattern.workspace.size)
-        solver._scatter(pattern, i, factors, work)
-        assert np.array_equal(work[pattern.places[lo:hi]].view(np.int64), scaled[lo:hi]), i
-        work[pattern.places[lo:hi]] = 0.0
-        assert not work.any(), i
+@pytest.mark.parametrize("factors", [(2.0, 3.0), (2.0, 3.0, 5.0, 7.0)], ids=["two", "four"])
+def test_build_system_rejects_other_than_three_factors(factors, problem):
+    # with two factors −S_W would be read from uninitialised memory, and a
+    # fourth would be ignored
+    system, *_ = make_system(unit_square_mesh(4), 1, problem)
+    with pytest.raises(ValueError, match=re.escape(f"got {list(factors)}")):
+        build_system(system.pattern, factors)
 
 
 def test_half_and_places_are_read_only(problem):
@@ -680,7 +678,7 @@ def test_half_and_places_are_read_only(problem):
     pattern = system.pattern
     half = pattern.half
     assert not half.has_sorted_indices
-    arrays = (half.data, half.indices, half.indptr, pattern.places)
+    arrays = (half.data, half.indices, half.indptr, pattern.places, pattern.block)
     before = [array.copy() for array in arrays]
     for call in (half.sort_indices, half.sum_duplicates, half.eliminate_zeros):
         with pytest.raises(ValueError):
